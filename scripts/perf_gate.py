@@ -4,12 +4,12 @@ regresses more than the tolerance against its committed baseline.
 
 Usage:  perf_gate.py CURRENT_BENCH.json BASELINE.json [--tolerance 0.02]
 
-The BENCH_*.json files are produced by bench_batch_throughput and
-bench_scheduler (see README "BENCH_*.json schema"). The simulated cycle
+The BENCH_*.json files are produced by bench_scheduler, bench_gemm and
+bench_scaling (see README "BENCH_*.json schema"). The simulated cycle
 ledgers are integer-deterministic for a given workload, so on an unchanged
 tree current == baseline exactly; the tolerance only leaves head-room for
 deliberate small model refinements. Gated metrics, compared at every
-structurally matching position (sweep points, beam section, gates):
+structurally matching position (slot and card sweeps, sections, gates):
 
   * sa_utilization               — must not drop below baseline * (1 - tol)
   * modeled_sentences_per_second — must not drop below baseline * (1 - tol)
@@ -54,7 +54,7 @@ WALLCLOCK_METRICS = {"wallclock_speedup_vs_scalar",
 GATED_METRICS = {"sa_utilization",
                  "modeled_sentences_per_second"} | WALLCLOCK_METRICS
 WORKLOAD_KEYS = {"sentences", "max_len", "slots", "slots_per_card", "cards",
-                 "beam_size", "bench", "pack_prefill", "prefill_chunk_rows",
+                 "beam_size", "bench", "prefill_chunk_rows",
                  "arrival_mean_gap_cycles", "kernel", "d_model", "backend",
                  "repeats"}
 

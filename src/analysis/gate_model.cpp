@@ -40,9 +40,9 @@ enum class Pc : std::uint8_t {
   kMidPublish,
 };
 
-/// The abstracted CardRun (pack mode, burst arrivals): clock is busy(),
-/// active holds (id, remaining decode steps), pending mirrors
-/// pending_admits (pack defers activation until the drain completes).
+/// The abstracted CardRun (burst arrivals): clock is busy(), active holds
+/// (id, remaining decode steps), pending mirrors pending_admits (activation
+/// is deferred until the drain completes).
 struct Card {
   Pc pc = Pc::kTop;
   bool done = false;
@@ -274,7 +274,7 @@ void gate_retire(State& st, int c, Explorer& ex) {
 }
 
 // ---------------------------------------------------------------------------
-// CardRun mirror (serve/scheduler.cpp, pack mode, burst arrivals). One
+// CardRun mirror (serve/scheduler.cpp, burst arrivals). One
 // call = one DFS transition: run card-local code until exactly one gate
 // operation has executed, then return. Parking happens at try_consume
 // (the op that returned false), matching Drain::kParked.

@@ -7,8 +7,9 @@
 // interleaving deadlocks, that no grant is lost or duplicated. TSan can
 // only sample interleavings the host scheduler happens to produce. This
 // module closes that gap with a small-scope exhaustive search: an
-// abstracted replica of the card step machine (Scheduler::CardRun, pack
-// mode, burst arrivals) driving a faithful replica of the gate
+// abstracted replica of the card step machine (Scheduler::CardRun, the
+// serve loop's one admission path, under burst arrivals) driving a
+// faithful replica of the gate
 // (reserve / try_consume / release / publish / retire over
 // kIdle/kPending/kGranted/kHeld), explored by memoized DFS over EVERY
 // interleaving of gate operations for small farms (num_cards <= 4,

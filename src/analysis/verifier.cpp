@@ -287,7 +287,7 @@ VerifyResult verify_schedule(const OpGraph& g, const ScheduleStats& st,
     }
   }
 
-  // --- Program-order pin (Algorithm 1 / ablation): per-resource issue order
+  // --- Program-order pin (Algorithm 1): per-resource issue order
   // must follow op insertion order. A strict start-time inversion between a
   // higher- and lower-id op on one resource proves reordering.
   if (opts.program_order) {
@@ -358,14 +358,6 @@ VerifyResult verify_fused(const FusedRun& run, const VerifyOptions& opts) {
     res.diags.push_back(std::move(d));
   }
   return res;
-}
-
-// Compat shim (declared in sim/op_graph.hpp): the pre-PR-7 string audit,
-// now answering from the typed verifier. "" when legal, else the first
-// diagnostic's message. New code should call verify_schedule directly.
-std::string audit_schedule(const OpGraph& g, const ScheduleStats& st) {
-  const VerifyResult res = verify_schedule(g, st);
-  return res.ok() ? "" : res.diags.front().message;
 }
 
 }  // namespace tfacc

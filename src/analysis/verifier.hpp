@@ -1,9 +1,8 @@
 // Schedule verifier (PR 7): typed diagnostics for every ledger.
 //
 // The repo's core claim — paper-pinned cycle counts and deterministic,
-// host-independent per-card ledgers — used to rest on one ad-hoc
-// audit_schedule() returning an unstructured string, invoked only from
-// tests that happened to call it. This subsystem treats any OpGraph plus a
+// host-independent per-card ledgers — rests on every placed schedule being
+// legal. This subsystem treats any OpGraph plus a
 // placed schedule (ScheduleStats / FusedRun) as a *program* and checks the
 // full invariant set:
 //
@@ -14,8 +13,8 @@
 //   * single occupancy   — no two intervals overlap on one resource
 //   * prefetch chain     — WeightLoad single-residency and continuity
 //                          (PR 5/6, including across the prefill/decode seam)
-//   * program-order pins — schedule_mha (Algorithm 1) and the
-//                          interleave_decode=false ablation issue in order
+//   * program-order pins — schedule_mha (Algorithm 1) and any ledger
+//                          containing a full-MHA sublayer issue in order
 //   * lane rules         — chained sublayers of one fused lane never
 //                          interleave their SA occupancies
 //   * determinism        — a canonical FNV-1a hash of the ledger, compared
@@ -23,8 +22,7 @@
 //
 // Violations come back as typed Diagnostics (stable code, offending op ids,
 // resource, cycle interval) instead of a string, so a failing CI run is
-// actionable without a local repro. audit_schedule() (sim/op_graph.hpp) is
-// now a thin compat shim over verify_schedule().
+// actionable without a local repro.
 #pragma once
 
 #include <cstdint>
@@ -69,9 +67,9 @@ struct Diagnostic {
 };
 
 struct VerifyOptions {
-  /// The schedule claims IssuePolicy::kProgramOrder (schedule_mha, or any
-  /// flow under the interleave_decode=false ablation): per-resource issue
-  /// order must follow op insertion order.
+  /// The schedule claims IssuePolicy::kProgramOrder (schedule_mha, or a
+  /// fused ledger holding a full-MHA sublayer): per-resource issue order
+  /// must follow op insertion order.
   bool program_order = false;
   /// Expected canonical ledger hash from a previous build of the same
   /// shapes (0 = don't check). A mismatch is a determinism violation: the

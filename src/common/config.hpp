@@ -76,35 +76,11 @@ struct AcceleratorConfig {
   int layernorm_lut_latency = 4;    ///< x^(-0.5) LUT + multiply latency
   double clock_mhz = 200.0;         ///< Vivado-reported achievable clock
   bool overlap_softmax = true;      ///< run softmax parallel to V·W_V (Alg. 1 l.6)
-  /// Dependency-driven interleaving of the KV-cached decode flows: ready
-  /// attention ops of other slots/heads stream on the SA while a softmax
-  /// runs, instead of Algorithm 1's strict per-slot program order. Timing
-  /// only — functional results are identical. false is the ablation knob:
-  /// strict program-order issue (PR 3 style; exact PR 3 cycle counts can
-  /// differ slightly because projections now issue K/V before Q).
-  bool interleave_decode = true;
-  /// Fuse every packed decode step's sublayer schedules (self MHA, cross
-  /// MHA, FFN across all decoder blocks) into ONE cross-sublayer ledger:
-  /// sublayer N+1's initial weight-tile load prefetches under sublayer N's
-  /// compute and LayerNorm tail instead of restarting cold, so only the
-  /// step's first SA op pays the 64-cycle load. Timing only — functional
-  /// results are identical. false is the ablation knob: per-sublayer
-  /// ledgers, each starting cold (the PR 4 model).
-  bool fuse_decode_step = true;
-  /// Pack admitted sentences' encoder (prefill) passes into the per-card
-  /// serve step ledgers instead of running them eagerly at admission: the
-  /// scheduler splices each sentence's encoder sublayers — in
-  /// prefill_chunk_rows-row chunks, so one long sentence can never
-  /// monopolize a step — alongside the live packed decode rows, and a slot
-  /// becomes decode-ready only once its last chunk's graph nodes complete
-  /// in simulated time. Timing only — functional results are identical.
-  /// false is the ablation knob: eager encode() at admission (the PR 5
-  /// model), which stalls every live decode slot for the whole encoder
-  /// pass.
-  bool pack_prefill = true;
-  /// Max encoder query rows one prefill chunk contributes to a step; the
-  /// first chunk of each MHA sublayer additionally carries the sentence's
-  /// one-time K/V projection.
+  /// Max encoder query rows one prefill chunk contributes to a serve step
+  /// ledger (the scheduler splices admitted sentences' encoder passes into
+  /// its packed step ledgers in chunks of this size); the first chunk of
+  /// each MHA sublayer additionally carries the sentence's one-time K/V
+  /// projection.
   int prefill_chunk_rows = 16;
   /// Run the typed schedule verifier (analysis/verifier.hpp) over EVERY
   /// ledger the accelerator builds, throwing CheckError with the full

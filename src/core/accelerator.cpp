@@ -173,7 +173,7 @@ RunReport Accelerator::time_mha_cached(int s_new, int s_total, int d_model,
   const ScheduledRun sched =
       schedule_mha_cached(cfg_, rep.timeline, s_new, s_total, d_model,
                           num_heads, project_kv_rows);
-  maybe_verify(cfg_, "time_mha_cached", sched, cached_policy(cfg_), rep);
+  maybe_verify(cfg_, "time_mha_cached", sched, IssuePolicy::kGreedy, rep);
   finalize_report(rep, cfg_, sched.stats);
   return rep;
 }
@@ -195,7 +195,7 @@ Accelerator::MhaResult Accelerator::run_mha_cached(const MhaQuantized& block,
   const ScheduledRun sched =
       schedule_mha_cached(cfg_, rep.timeline, q.rows(), cache.rows(),
                           block.d_model, block.num_heads, projected_rows);
-  maybe_verify(cfg_, "run_mha_cached", sched, cached_policy(cfg_), rep);
+  maybe_verify(cfg_, "run_mha_cached", sched, IssuePolicy::kGreedy, rep);
 
   // Functional pass: identical arithmetic to the quantized model's cached
   // path (the caller appended this step's K/V rows before invoking us, so
@@ -241,7 +241,8 @@ Accelerator::MhaResult Accelerator::run_mha_cached_batch(
   const ScheduledRun sched =
       schedule_mha_cached_batch(cfg_, rep.timeline, totals, block.d_model,
                                 block.num_heads, projected_rows);
-  maybe_verify(cfg_, "run_mha_cached_batch", sched, cached_policy(cfg_), rep);
+  maybe_verify(cfg_, "run_mha_cached_batch", sched, IssuePolicy::kGreedy,
+               rep);
   finalize_report(rep, cfg_, sched.stats);
   return res;
 }
@@ -259,26 +260,22 @@ RunReport Accelerator::time_ffn(int s, int d_model, int d_ff) const {
 namespace {
 
 /// Issue policy of a fused ledger: a full-MHA sublayer pins Algorithm 1
-/// program order (the paper-validated controller); the cached decode flows
-/// follow the interleave_decode knob like their standalone builders.
-IssuePolicy fused_policy(const AcceleratorConfig& cfg,
-                         const std::vector<SublayerPlan>& subs) {
+/// program order (the paper-validated controller); everything else issues
+/// greedily like the standalone cached builders. kMhaPrefill deliberately
+/// does NOT pin program order — the whole point of the mixed step is that
+/// encoder chunks interleave with the packed decode rows.
+IssuePolicy fused_policy(const std::vector<SublayerPlan>& subs) {
   for (const SublayerPlan& sub : subs)
     if (sub.kind == SublayerPlan::Kind::kMha)
       return IssuePolicy::kProgramOrder;
-  return cached_policy(cfg);
+  return IssuePolicy::kGreedy;
 }
 
-/// Lane variant: kMhaPrefill deliberately does NOT pin program order — the
-/// whole point of the mixed step is that encoder chunks interleave with the
-/// packed decode rows under the cached-flow policy.
-IssuePolicy fused_policy(const AcceleratorConfig& cfg,
-                         const std::vector<FusedLane>& lanes) {
+IssuePolicy fused_policy(const std::vector<FusedLane>& lanes) {
   for (const FusedLane& lane : lanes)
-    for (const SublayerPlan& sub : lane.subs)
-      if (sub.kind == SublayerPlan::Kind::kMha)
-        return IssuePolicy::kProgramOrder;
-  return cached_policy(cfg);
+    if (fused_policy(lane.subs) == IssuePolicy::kProgramOrder)
+      return IssuePolicy::kProgramOrder;
+  return IssuePolicy::kGreedy;
 }
 
 }  // namespace
@@ -286,9 +283,10 @@ IssuePolicy fused_policy(const AcceleratorConfig& cfg,
 RunReport Accelerator::time_fused(const std::vector<SublayerPlan>& subs,
                                   bool chain) const {
   RunReport rep;
-  const FusedRun fused = schedule_fused(cfg_, rep.timeline, subs, chain,
-                                        fused_policy(cfg_, subs));
-  maybe_verify_fused(cfg_, "time_fused", fused, fused_policy(cfg_, subs), rep);
+  const IssuePolicy policy = fused_policy(subs);
+  const FusedRun fused =
+      schedule_fused(cfg_, rep.timeline, subs, chain, policy);
+  maybe_verify_fused(cfg_, "time_fused", fused, policy, rep);
   finalize_report(rep, cfg_, fused.stats);
   // Replace the edges-only estimate with the composer's seam-aware number
   // (identical for a one-sublayer ledger).
@@ -298,9 +296,10 @@ RunReport Accelerator::time_fused(const std::vector<SublayerPlan>& subs,
 
 RunReport Accelerator::time_step(const std::vector<FusedLane>& lanes) const {
   RunReport rep;
-  const FusedRun fused = schedule_fused_lanes(cfg_, rep.timeline, lanes,
-                                              fused_policy(cfg_, lanes));
-  maybe_verify_fused(cfg_, "time_step", fused, fused_policy(cfg_, lanes), rep);
+  const IssuePolicy policy = fused_policy(lanes);
+  const FusedRun fused =
+      schedule_fused_lanes(cfg_, rep.timeline, lanes, policy);
+  maybe_verify_fused(cfg_, "time_step", fused, policy, rep);
   finalize_report(rep, cfg_, fused.stats);
   rep.boundary_stall = fused.boundary_stall;
   rep.prefill_stall = fused.prefill_stall;

@@ -131,10 +131,10 @@ class Accelerator {
   /// Timing of one fused multi-sublayer ledger (PR 5): `subs` spliced into
   /// a single OpGraph/Timeline by schedule_fused. `chain` threads the
   /// residual stream (the packed decode step); false models independent
-  /// back-to-back invocations (workload streaming). Issues under the
-  /// cached-flow policy unless a full-MHA sublayer is present, which pins
-  /// Algorithm 1 program order. The report's boundary_stall carries the
-  /// per-seam accounting (cold load + LayerNorm tails + seam gaps).
+  /// back-to-back invocations (workload streaming). Issues greedily unless
+  /// a full-MHA sublayer is present, which pins Algorithm 1 program order.
+  /// The report's boundary_stall carries the per-seam accounting (cold load
+  /// + LayerNorm tails + seam gaps).
   RunReport time_fused(const std::vector<SublayerPlan>& subs,
                        bool chain) const;
 

@@ -247,14 +247,4 @@ ResBlockBackend accelerator_backend(const QuantizedTransformer& qt,
   return b;
 }
 
-void charge_prefill_chunk(AcceleratorStats* stats, const SublayerPlan& chunk,
-                          const RunReport& report) {
-  TFACC_CHECK_ARG(chunk.kind == SublayerPlan::Kind::kMhaPrefill ||
-                  chunk.kind == SublayerPlan::Kind::kFfn);
-  if (chunk.kind == SublayerPlan::Kind::kMhaPrefill)
-    charge_mha(stats, report);
-  else
-    charge_ffn(stats, report);
-}
-
 }  // namespace tfacc

@@ -34,9 +34,8 @@ struct AcceleratorStats {
   /// tile under the previous sublayer's compute.
   Cycle boundary_stall_cycles = 0;
   /// Cycles live decode rows waited on prefill (encoder) work sharing their
-  /// card: with pack_prefill, each mixed step ledger's makespan delta over
-  /// a decode-only rebuild; with eager encode, the whole encoder pass of
-  /// every admission that found live decode slots on the card.
+  /// card: each mixed step ledger's makespan delta over a decode-only
+  /// rebuild.
   Cycle prefill_stall_cycles = 0;
   /// Order-sensitive FNV fold of every charged run's canonical ledger hash
   /// (RunReport::ledger_hash; populated only under cfg.verify_schedules).
@@ -94,7 +93,7 @@ class DecodeStepFuser {
   void record_ffn(int rows, int d_model, int d_ff);
 
   // --- Prefill capture (PR 6) ----------------------------------------------
-  // pack_prefill admission brackets encode() with begin_prefill() /
+  // Serve admission brackets encode() with begin_prefill() /
   // end_prefill(): the backend's encoder hooks (mha / ffn) compute
   // functionally and record full-size sublayer plans here instead of
   // charging per-run ledgers. The scheduler chunks the returned plans
@@ -138,10 +137,5 @@ ResBlockBackend accelerator_backend(const QuantizedTransformer& qt,
                                     const Accelerator& acc,
                                     AcceleratorStats* stats = nullptr,
                                     DecodeStepFuser* fuser = nullptr);
-
-/// Charge one standalone prefill-chunk ledger (pack_prefill with
-/// fuse_decode_step off) to `stats`, bucketed by the chunk's kind.
-void charge_prefill_chunk(AcceleratorStats* stats, const SublayerPlan& chunk,
-                          const RunReport& report);
 
 }  // namespace tfacc

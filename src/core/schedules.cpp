@@ -235,11 +235,6 @@ AppendResult append_sublayer(OpGraph& g, const AcceleratorConfig& cfg,
 
 }  // namespace
 
-IssuePolicy cached_policy(const AcceleratorConfig& cfg) {
-  return cfg.interleave_decode ? IssuePolicy::kGreedy
-                               : IssuePolicy::kProgramOrder;
-}
-
 ScheduledRun schedule_mha(const AcceleratorConfig& cfg, Timeline& tl, int s_q,
                           int s_kv, int d_model, int num_heads) {
   cfg.validate();
@@ -285,8 +280,7 @@ ScheduledRun schedule_mha_cached(const AcceleratorConfig& cfg, Timeline& tl,
         add_gemm(g, cfg, s_new, s_total, hd, {sm}, v_dep, tag + ".AV", sm));
   }
   add_output_blocks(g, cfg, s_new, d_model, avs, "");
-  run.stats =
-      schedule_ops(g, cfg.weight_load_cycles, cached_policy(cfg), tl);
+  run.stats = schedule_ops(g, cfg.weight_load_cycles, IssuePolicy::kGreedy, tl);
   return run;
 }
 
@@ -300,7 +294,7 @@ ScheduledRun schedule_mha_cached_batch(const AcceleratorConfig& cfg,
   append_mha_cached_batch(run.graph, cfg, totals, d_model, num_heads,
                           project_kv_rows, {}, "");
   run.stats = schedule_ops(run.graph, cfg.weight_load_cycles,
-                           cached_policy(cfg), tl);
+                           IssuePolicy::kGreedy, tl);
   return run;
 }
 
@@ -535,24 +529,9 @@ FusedRun schedule_fused(const AcceleratorConfig& cfg, Timeline& tl,
   return schedule_fused_lanes(cfg, tl, lanes, policy);
 }
 
-ScheduledRun schedule_prefill(const AcceleratorConfig& cfg, Timeline& tl,
-                              const SublayerPlan& chunk) {
-  cfg.validate();
-  TFACC_CHECK_ARG_MSG(chunk.kind == SublayerPlan::Kind::kMhaPrefill ||
-                          chunk.kind == SublayerPlan::Kind::kFfn,
-                      "schedule_prefill: " << chunk.label
-                                           << " is not an encoder chunk");
-  ScheduledRun run;
-  append_sublayer(run.graph, cfg, chunk, {},
-                  chunk.label.empty() ? "" : chunk.label + ".");
-  run.stats = schedule_ops(run.graph, cfg.weight_load_cycles,
-                           cached_policy(cfg), tl);
-  return run;
-}
-
 FusedRun schedule_decode_step(const AcceleratorConfig& cfg, Timeline& tl,
                               const std::vector<SublayerPlan>& subs) {
-  return schedule_fused(cfg, tl, subs, /*chain=*/true, cached_policy(cfg));
+  return schedule_fused(cfg, tl, subs, /*chain=*/true, IssuePolicy::kGreedy);
 }
 
 }  // namespace tfacc

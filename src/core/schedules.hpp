@@ -10,16 +10,16 @@
 //  * schedule_mha_cached_batch — packed continuous-batching decode (PR 3).
 //  * schedule_ffn          — Algorithm 1 lines 14-22.
 //
-// The cached flows issue greedily by default (AcceleratorConfig::
-// interleave_decode): while the softmax unit processes slot r of head h,
-// the SA streams slot r+1's QKt or the next head's projections, so softmax
-// latency becomes overlap instead of a per-slot bubble. With one slot the
-// batch flow degenerates to exactly the cached flow's graph — cycle counts
-// are identical by construction (pinned in tests/test_op_graph.cpp).
+// The cached flows issue greedily (IssuePolicy::kGreedy): while the softmax
+// unit processes slot r of head h, the SA streams slot r+1's QKt or the
+// next head's projections, so softmax latency becomes overlap instead of a
+// per-slot bubble. With one slot the batch flow degenerates to exactly the
+// cached flow's graph — cycle counts are identical by construction (pinned
+// in tests/test_op_graph.cpp).
 //
-// Exposed publicly (rather than as accelerator.cpp internals) so tests can
-// audit schedule legality: audit_schedule() proves no resource double-books
-// and no op outruns its operands, for every flow and policy.
+// Exposed publicly (rather than as accelerator.cpp internals) so tests and
+// tools/schedule_lint can check every flow with the typed schedule
+// verifier (analysis/verifier.hpp).
 #pragma once
 
 #include <vector>
@@ -34,12 +34,6 @@ struct ScheduledRun {
   OpGraph graph;
   ScheduleStats stats;
 };
-
-/// Issue policy of the KV-cached decode flows: greedy interleaving unless
-/// the interleave_decode ablation knob pins strict program order. Shared by
-/// the standalone cached builders, the fused decode-step composer, and
-/// Accelerator::time_fused, so the rule lives in exactly one place.
-IssuePolicy cached_policy(const AcceleratorConfig& cfg);
 
 /// Full MHA (Algorithm 1 lines 1-13): `s_q` query rows attend over `s_kv`
 /// key/value rows, `num_heads` heads of `cfg.sa_cols` dims each.
@@ -88,8 +82,8 @@ ScheduledRun schedule_ffn(const AcceleratorConfig& cfg, Timeline& tl, int s,
 /// (project_kv_rows = s_kv there, 0 on later chunks, whose K₁ᵀ/V₁ are
 /// already resident in the data memory from an earlier step's ledger).
 /// Unlike kMha it does NOT pin the whole ledger to Algorithm 1 program
-/// order: prefill chunks interleave with decode rows under the cached-flow
-/// policy. A single full-size chunk builds exactly schedule_mha's graph.
+/// order: prefill chunks interleave greedily with decode rows. A single
+/// full-size chunk builds exactly schedule_mha's graph.
 struct SublayerPlan {
   enum class Kind { kMha, kMhaCachedBatch, kFfn, kMhaPrefill };
   Kind kind = Kind::kFfn;
@@ -186,16 +180,9 @@ FusedRun schedule_fused_lanes(const AcceleratorConfig& cfg, Timeline& tl,
                               const std::vector<FusedLane>& lanes,
                               IssuePolicy policy);
 
-/// Standalone ledger of one prefill chunk (pack_prefill with
-/// fuse_decode_step off): the chunk alone, issued under the cached-flow
-/// policy. A full-size kMhaPrefill chunk scheduled in program order builds
-/// exactly schedule_mha's graph (pinned in tests/test_prefill_pack.cpp).
-ScheduledRun schedule_prefill(const AcceleratorConfig& cfg, Timeline& tl,
-                              const SublayerPlan& chunk);
-
 /// The packed decode step: every decoder sublayer of one step (self MHA,
 /// cross MHA, FFN, per block) chained through the residual stream, issued
-/// under the cached-flow policy (greedy unless interleave_decode = false).
+/// greedily like the standalone cached flows.
 FusedRun schedule_decode_step(const AcceleratorConfig& cfg, Timeline& tl,
                               const std::vector<SublayerPlan>& subs);
 

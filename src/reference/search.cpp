@@ -74,6 +74,11 @@ BeamSearch::BeamSearch(int max_len, Transformer::BeamConfig beam,
     : max_len_(max_len), beam_(beam), cached_(initial.has_value()) {
   TFACC_CHECK_ARG(max_len > 0);
   TFACC_CHECK_ARG(beam.beam_size >= 1);
+  // A non-finite alpha makes every beam_score NaN, which breaks the strict
+  // weak ordering the candidate sort in advance() relies on.
+  TFACC_CHECK_ARG_MSG(std::isfinite(beam.length_penalty),
+                      "length_penalty must be finite, got "
+                          << beam.length_penalty);
   Hypothesis first;
   first.tokens = {kBosId};
   if (cached_) first.state = std::move(*initial);

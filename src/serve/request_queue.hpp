@@ -1,6 +1,6 @@
 // Work-stealing request queue in front of the decode farm.
 //
-// PR 1's BatchRunner dealt sentence i to card i % num_cards statically: a
+// The first card farm dealt sentence i to card i % num_cards statically: a
 // card that drew short sentences idled while its neighbors worked through
 // long ones. Here every card owns a shard (deque) of the queue; requests are
 // dealt round-robin into the shards, a card pops work from the front of its

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <functional>
 #include <optional>
@@ -23,6 +24,8 @@ void SchedulerConfig::validate() const {
   TFACC_CHECK_ARG_MSG(max_len >= 1, "max_len must be >= 1, got " << max_len);
   TFACC_CHECK_ARG_MSG(beam_size >= 0,
                       "beam_size must be >= 0, got " << beam_size);
+  TFACC_CHECK_ARG_MSG(std::isfinite(length_penalty),
+                      "length_penalty must be finite, got " << length_penalty);
   TFACC_CHECK_ARG_MSG(slots_per_card >= slot_demand(),
                       "slots_per_card must be >= " << slot_demand()
                           << " (one sentence's hypotheses), got "
@@ -105,12 +108,6 @@ Cycle ScheduleReport::boundary_stall_cycles() const {
   return stall;
 }
 
-long ScheduleReport::fused_steps() const {
-  long steps = 0;
-  for (const AcceleratorStats& s : per_card) steps += s.fused_steps;
-  return steps;
-}
-
 Cycle ScheduleReport::prefill_stall_cycles() const {
   Cycle stall = 0;
   for (const AcceleratorStats& s : per_card) stall += s.prefill_stall_cycles;
@@ -142,16 +139,10 @@ struct Scheduler::Card {
   }
 };
 
-// AdmissionGate (convoy-free simulated-time admission, PR 9) and WorkerPool
-// (persistent host worker pool) were defined here until PR 10 hoisted them
-// into annotatable headers — serve/admission_gate.hpp and
-// serve/worker_pool.hpp — so Clang's -Wthread-safety can check their lock
-// discipline at compile time.
-
 namespace {
 
 std::unique_ptr<SentenceSearch> make_search(const SchedulerConfig& cfg,
-                                            std::optional<DecodeState> state) {
+                                            DecodeState state) {
   if (cfg.beam_size < 1)
     return std::make_unique<GreedySearch>(cfg.max_len, std::move(state));
   Transformer::BeamConfig beam;
@@ -161,10 +152,10 @@ std::unique_ptr<SentenceSearch> make_search(const SchedulerConfig& cfg,
 }
 
 // Full-size encoder sublayer plans for one `rows`-token sentence, synthesized
-// from the model shape. Used by the functional backends in pack_prefill mode,
-// where no hook captures the encoder pass: only the chunk COUNT matters there
-// (it drives the virtual-time admission proxy), but the shapes are kept
-// faithful so chunk_prefill splits exactly as on the accelerator.
+// from the model shape. Used by the functional backends, where no hook
+// captures the encoder pass: only the chunk COUNT matters there (it drives
+// the virtual-time admission proxy), but the shapes are kept faithful so
+// chunk_prefill splits exactly as on the accelerator.
 std::vector<SublayerPlan> encoder_plan(const ModelConfig& m, int rows) {
   std::vector<SublayerPlan> subs;
   subs.reserve(static_cast<std::size_t>(2 * m.num_encoder_layers));
@@ -214,30 +205,26 @@ struct FirstError {
 
 }  // namespace
 
-// The per-card step loop, restructured as a resumable machine so a pool
-// worker can park it (only) when it truly cannot progress. One iteration of
-// the old loop becomes kTop → [kTopDrain] → kStepCompute → [kMidDrain] →
-// kTop. In pack mode the admission drain runs MID-step (after the expensive
-// decode compute, inside the still-open step ledger): a newly admitted
-// sentence is never decode-ready in its admission step — its chunks are
-// non-empty, so it contributes no gather rows — and its first prefill chunk
-// rides this step's ledger exactly as when admission ran at the top, so the
-// composed step ledger (and every modeled metric) is unchanged while the
-// admission wait overlaps the step's host compute. Without packing (eager
-// encode or full recompute) admission charges cycles that later pops
-// observe, so those modes keep the old admit-at-top order.
+// The per-card step loop, structured as a resumable machine so a pool
+// worker can park it (only) when it truly cannot progress. One iteration is
+// kTop → [kTopDrain] → kStepCompute → kMidDrain → kTop. The admission drain
+// runs MID-step (after the expensive decode compute, inside the
+// still-open step ledger): a newly admitted sentence is never decode-ready
+// in its admission step — its prefill chunks are non-empty, so it
+// contributes no gather rows — and its first chunk rides this step's
+// ledger exactly as when admission ran at the top, so the composed step
+// ledger (and every modeled metric) is unchanged while the admission wait
+// overlaps the step's host compute. A card with nothing in flight drains at
+// the top instead (kTopDrain), since it has no step to overlap.
 struct Scheduler::CardRun {
   using Status = WorkerPool::Status;
 
-  // One admitted sentence: its id, the encoder memory (needed per step in
-  // full-recompute mode, at admission only in cached mode), its search state
-  // machine, and — under pack_prefill — the not-yet-timed prefill chunks.
-  // A sentence contributes decode rows only once every chunk has been
-  // spliced into a prior step ledger (decode-ready in simulated time).
+  // One admitted sentence: its id, its search state machine, and the
+  // not-yet-timed prefill chunks of its encoder pass. A sentence
+  // contributes decode rows only once every chunk has been spliced into a
+  // prior step ledger (decode-ready in simulated time).
   struct Active {
     std::uint64_t id = 0;
-    MatF memory;
-    int src_valid = 0;
     std::unique_ptr<SentenceSearch> search;
     std::vector<SublayerPlan> chunks;
     std::size_t next_chunk = 0;
@@ -256,8 +243,6 @@ struct Scheduler::CardRun {
         rep(report),
         stats(report.per_card[card_id]),
         step_stats(report.per_card_steps[card_id]),
-        cached(cfg.decode == DecodeMode::kKvCache),
-        pack(cached && cfg.accel.pack_prefill),
         demand(cfg.slot_demand()) {
     switch (cfg.backend) {
       case ServeBackend::kReference:
@@ -267,14 +252,11 @@ struct Scheduler::CardRun {
         card.model.set_backend(card.qt->backend());
         break;
       case ServeBackend::kAccelerator:
-        if (cached &&
-            (cfg.accel.fuse_decode_step || cfg.accel.pack_prefill))
-          fuser.emplace(*card.acc, &stats);
-        card.model.set_backend(accelerator_backend(
-            *card.qt, *card.acc, &stats, fuser ? &*fuser : nullptr));
+        fuser.emplace(*card.acc, &stats);
+        card.model.set_backend(
+            accelerator_backend(*card.qt, *card.acc, &stats, &*fuser));
         break;
     }
-    fuse = fuser.has_value() && cfg.accel.fuse_decode_step;
   }
 
   /// Restore the card's default backend (normal completion or abandon after
@@ -295,17 +277,13 @@ struct Scheduler::CardRun {
   }
   Cycle virtual_time() const { return std::max(clock_floor, busy()); }
 
-  // Frozen reservation key. Pack mode pops mid-step, when the step's own
-  // charges have already polluted the live clock, so its keys come from the
+  // Frozen reservation key. Pops happen mid-step, when the step's own
+  // charges have already moved the live clock, so keys come from the
   // top-of-iteration snapshot: on the accelerator an admission charges
   // nothing (the capture defers all timing), so every pop this iteration
   // keys at the snapshot; the functional proxy counts each admitted
-  // sentence, so successive pops key one tick apart — both exactly the
-  // values the old admit-at-top protocol popped at. Eager modes admit at
-  // the top with the live clock (their encodes charge cycles that later
-  // pops must observe).
+  // sentence, so successive pops key one tick apart.
   Cycle admission_key() const {
-    if (!pack) return virtual_time();
     const Cycle base = cfg.backend == ServeBackend::kAccelerator
                            ? busy_snapshot
                            : busy_snapshot +
@@ -329,7 +307,7 @@ struct Scheduler::CardRun {
           }
           busy_snapshot = busy();
           admitted_in_drain = 0;
-          if (pack && !active.empty()) {
+          if (!active.empty()) {
             // Post the step's reservation BEFORE the decode compute so a
             // sibling's scan can resolve it while this thread crunches.
             if (!posted && !queue_drained &&
@@ -349,20 +327,14 @@ struct Scheduler::CardRun {
         }
         case StepPhase::kStepCompute: {
           step_compute();
-          if (pack) {
-            phase = StepPhase::kMidDrain;
-          } else {
-            close_step();
-            finish_step();
-            phase = StepPhase::kTop;
-          }
+          phase = StepPhase::kMidDrain;
           break;
         }
         case StepPhase::kMidDrain: {
           if (drain() == Drain::kParked) return Status::kParked;
           admit_pending();
           splice_range(ready.size(), active.size());
-          close_step();
+          if (fuser) (void)fuser->end_step();
           finish_step();
           phase = StepPhase::kTop;
           break;
@@ -415,27 +387,16 @@ struct Scheduler::CardRun {
           }
           break;
         case RequestQueue::PopOutcome::kPopped:
-          admit(g.req);
+          // Encode deferred until the drain completes (admit_pending) — the
+          // capture charges nothing, so later pops' keys are unaffected.
+          reserved += demand;
+          ++step_stats.sentences;
+          step_stats.admitted.push_back(g.req.id);
+          ++admitted_in_drain;
+          pending_admits.push_back(std::move(g.req));
           break;
       }
     }
-  }
-
-  void admit(TranslationRequest& req) {
-    reserved += demand;
-    ++step_stats.sentences;
-    step_stats.admitted.push_back(req.id);
-    ++admitted_in_drain;
-    if (pack) {
-      // Encode deferred until the drain completes (admit_pending) — the
-      // capture charges nothing, so later pops' keys are unaffected.
-      pending_admits.push_back(std::move(req));
-      return;
-    }
-    // Eager encode, inside the held turn: the old protocol published its
-    // post-encode clock before yielding, and the next reserve() does the
-    // same here, so same-key siblings serialize identically.
-    active.push_back(make_active(req));
   }
 
   void admit_pending() {
@@ -444,43 +405,33 @@ struct Scheduler::CardRun {
     pending_admits.clear();
   }
 
+  // One bit-exact host-side encoder pass NOW (outputs can never depend on
+  // timing), its cycle cost cut into chunks the step loop splices into
+  // upcoming step ledgers.
   Active make_active(const TranslationRequest& req) {
     Active a;
     a.id = req.id;
-    if (pack && fuser) {
-      // Accelerator packing: one bit-exact host-side encoder pass NOW
-      // (outputs can never depend on timing), its cycle cost captured as
-      // full-size sublayer plans and re-cut into chunks the step loop
-      // splices into upcoming mixed ledgers.
+    MatF memory;
+    if (fuser) {
+      // The accelerator captures the pass as full-size sublayer plans.
       fuser->begin_prefill();
-      a.memory = card.model.encode(req.src);
+      memory = card.model.encode(req.src);
       a.chunks =
           chunk_prefill(fuser->end_prefill(), cfg.accel.prefill_chunk_rows);
-    } else if (pack) {
+    } else {
       // Functional backends have no capture hooks for the encoder pass;
       // synthesize the same chunk sequence from the model shape so the
       // decode-ready delay and admission proxy behave identically.
-      a.memory = card.model.encode(req.src);
+      memory = card.model.encode(req.src);
       a.chunks = chunk_prefill(
           encoder_plan(card.model.weights().config,
                        static_cast<int>(req.src.size())),
           cfg.accel.prefill_chunk_rows);
-    } else {
-      // Eager encode (pack_prefill off): the whole encoder pass lands on
-      // the card's ledger at admission; when live decode rows share the
-      // card, every one of those cycles is decode time lost to prefill.
-      const Cycle before = stats.total_cycles();
-      a.memory = card.model.encode(req.src);
-      if (cfg.backend == ServeBackend::kAccelerator && !active.empty())
-        stats.prefill_stall_cycles += stats.total_cycles() - before;
     }
     for (SublayerPlan& chunk : a.chunks)
       chunk.label = "s" + std::to_string(req.id) + "." + chunk.label;
-    a.src_valid = unpadded_length(req.src);
     a.search = make_search(
-        cfg, cached ? std::optional<DecodeState>(card.model.begin_decode(
-                          a.memory, a.src_valid))
-                    : std::nullopt);
+        cfg, card.model.begin_decode(memory, unpadded_length(req.src)));
     return a;
   }
 
@@ -496,17 +447,7 @@ struct Scheduler::CardRun {
       if (a.prefill_done()) continue;
       const SublayerPlan& chunk = a.chunks[a.next_chunk++];
       ++step_stats.prefill_chunks;
-      if (fuse) {
-        fuser->add_prefill_chunk(chunk);
-      } else if (cfg.backend == ServeBackend::kAccelerator) {
-        // Unfused packing (ablation): each chunk is its own ledger beside
-        // the step's per-sublayer ledgers. With decode rows waiting, the
-        // whole chunk ledger is decode time lost to prefill.
-        const RunReport r = card.acc->time_step(
-            {FusedLane{std::vector<SublayerPlan>{chunk}, true}});
-        charge_prefill_chunk(&stats, chunk, r);
-        if (rows > 0) stats.prefill_stall_cycles += r.total_cycles;
-      }
+      if (fuser) fuser->add_prefill_chunk(chunk);
     }
   }
 
@@ -527,53 +468,26 @@ struct Scheduler::CardRun {
       const int k = active[ai].search->live();
       live_counts[ai] = k;
       rows += k;
-      if (cached) {
-        for (int i = 0; i < k; ++i) {
-          states.push_back(&active[ai].search->state(i));
-          tokens.push_back(active[ai].search->input_token(i));
-        }
+      for (int i = 0; i < k; ++i) {
+        states.push_back(&active[ai].search->state(i));
+        tokens.push_back(active[ai].search->input_token(i));
       }
     }
-    // Full recompute issues one whole-prefix pass per hypothesis — nothing
-    // is packed — so it is charged as `rows` one-row steps; only the cached
-    // mode's single stacked invocation counts as one multi-row step. A
-    // prefill-only iteration (every slot still encoding) packs no decode
+    // A prefill-only iteration (every slot still encoding) packs no decode
     // rows and is NOT a packed step.
-    if (cached) {
-      if (rows > 0) {
-        ++step_stats.steps;
-        step_stats.packed_rows += rows;
-        ++step_stats.rows_hist[static_cast<std::size_t>(
-            std::min(rows, cfg.slots_per_card))];
-      }
-    } else {
-      step_stats.steps += rows;
+    if (rows > 0) {
+      ++step_stats.steps;
       step_stats.packed_rows += rows;
-      step_stats.rows_hist[1] += rows;
+      ++step_stats.rows_hist[static_cast<std::size_t>(
+          std::min(rows, cfg.slots_per_card))];
     }
 
-    // One packed pass for every row (cached), or the legacy per-hypothesis
-    // full recompute (the O(L³) comparison mode — nothing to pack there).
-    if (cached) {
-      if (fuse) fuser->begin_step();
-      splice_range(0, active.size());
-      if (rows > 0) card.model.decode_step_batch(states, tokens, flat_logits);
-    } else {
-      logits.clear();
-      logits.reserve(static_cast<std::size_t>(rows));
-      for (std::size_t ai = 0; ai < active.size(); ++ai)
-        for (int i = 0; i < live_counts[ai]; ++i)
-          logits.push_back(card.model.next_token_logits(
-              active[ai].search->prefix(i), active[ai].memory,
-              active[ai].src_valid));
-    }
-  }
-
-  // One fused ledger per card-step: prefill chunks AND every sublayer the
-  // packed pass ran are scheduled as a single mixed cross-sublayer graph,
-  // so the card's virtual clock still advances exactly once per step.
-  void close_step() {
-    if (fuse) (void)fuser->end_step();
+    // One packed pass for every row, timed with this step's prefill chunks
+    // as ONE fused ledger: the card's virtual clock advances exactly once
+    // per step.
+    if (fuser) fuser->begin_step();
+    splice_range(0, active.size());
+    if (rows > 0) card.model.decode_step_batch(states, tokens, flat_logits);
   }
 
   void finish_step() {
@@ -586,12 +500,8 @@ struct Scheduler::CardRun {
       const std::size_t k = static_cast<std::size_t>(live_counts[ai]);
       sentence_rows.resize(k);
       for (std::size_t i = 0; i < k; ++i) {
-        if (cached) {
-          const float* row = flat_logits.row(static_cast<int>(off + i));
-          sentence_rows[i].assign(row, row + flat_logits.cols());
-        } else {
-          sentence_rows[i] = std::move(logits[off + i]);
-        }
+        const float* row = flat_logits.row(static_cast<int>(off + i));
+        sentence_rows[i].assign(row, row + flat_logits.cols());
       }
       active[ai].search->advance(sentence_rows);
       off += k;
@@ -617,11 +527,8 @@ struct Scheduler::CardRun {
   ScheduleReport& rep;
   AcceleratorStats& stats;
   CardStepStats& step_stats;
-  const bool cached;
-  const bool pack;
   const int demand;
-  bool fuse = false;
-  std::optional<DecodeStepFuser> fuser;
+  std::optional<DecodeStepFuser> fuser;  // accelerator backend only
 
   // --- admission state ------------------------------------------------------
   std::vector<Active> active;
@@ -632,7 +539,7 @@ struct Scheduler::CardRun {
   bool holding = false;  // consumed a grant, turn not yet yielded
   Cycle busy_snapshot = 0;   // busy() at the top of this iteration
   int admitted_in_drain = 0;
-  std::vector<TranslationRequest> pending_admits;  // pack: encode deferred
+  std::vector<TranslationRequest> pending_admits;  // encode deferred
 
   // --- step state -----------------------------------------------------------
   StepPhase phase = StepPhase::kTop;
@@ -645,8 +552,7 @@ struct Scheduler::CardRun {
   std::vector<int> tokens;
   std::vector<char> ready;
   std::vector<int> live_counts;
-  MatF flat_logits;                               // cached mode: rows × vocab
-  std::vector<std::vector<float>> logits;         // full-recompute rows
+  MatF flat_logits;                               // rows × vocab
   std::vector<std::vector<float>> sentence_rows;  // advance() marshalling
 };
 

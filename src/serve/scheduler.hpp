@@ -41,14 +41,13 @@ class WorkerPool;     // persistent host worker pool (serve/worker_pool.hpp)
 enum class ServeBackend { kAccelerator, kQuantized, kReference };
 
 struct SchedulerConfig {
-  int num_cards = 1;       ///< worker threads, one card each
+  int num_cards = 1;       ///< cards in the farm (host_threads drives them)
   int max_len = 32;        ///< decode length cap per sentence
   int slots_per_card = 8;  ///< max hypothesis rows packed into one step
   /// 0 = greedy decode; >= 1 = beam search of this width (a sentence's beam
   /// hypotheses become sibling slots of the packed step).
   int beam_size = 0;
-  float length_penalty = 0.6f;  ///< GNMT alpha (beam mode)
-  DecodeMode decode = DecodeMode::kKvCache;
+  float length_penalty = 0.6f;  ///< GNMT alpha (beam mode), must be finite
   ServeBackend backend = ServeBackend::kAccelerator;
   AcceleratorConfig accel{};
   SoftmaxImpl softmax = SoftmaxImpl::kHardware;
@@ -70,8 +69,7 @@ struct CardStepStats {
   long steps = 0;        ///< packed step-loop iterations (>= 1 decode row)
   long packed_rows = 0;  ///< Σ hypothesis rows over all steps
   int sentences = 0;     ///< sentences this card decoded
-  /// Prefill (encoder) chunks this card spliced into its step ledgers
-  /// (0 with eager encode or full-recompute decode).
+  /// Prefill (encoder) chunks this card spliced into its step ledgers.
   long prefill_chunks = 0;
   /// rows_hist[k] = steps that packed exactly k rows (k in [1, slots]).
   std::vector<long> rows_hist;
@@ -115,12 +113,8 @@ struct ScheduleReport {
   /// seam gaps, LayerNorm tails) — the bubble the fused decode-step ledger
   /// is meant to shrink.
   Cycle boundary_stall_cycles() const;
-  /// Packed decode steps that were timed as one fused cross-sublayer ledger
-  /// (0 when fuse_decode_step is off or the backend is functional-only).
-  long fused_steps() const;
   /// Σ cycles live decode rows waited on prefill (encoder) work across the
-  /// farm — mixed-step makespan deltas with pack_prefill, whole eager
-  /// encoder passes that found live decode slots without it.
+  /// farm: each mixed step ledger's makespan over a decode-only rebuild.
   Cycle prefill_stall_cycles() const;
   /// Prefill chunks spliced into step ledgers across the farm.
   long prefill_chunks() const;

@@ -249,7 +249,4 @@ ScheduleStats schedule_ops(const OpGraph& g, Cycle weight_load_cycles,
   return st;
 }
 
-// audit_schedule() is implemented in analysis/verifier.cpp since PR 7: it
-// is a thin compat shim over the typed schedule verifier.
-
 }  // namespace tfacc

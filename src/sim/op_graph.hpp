@@ -11,8 +11,8 @@
 //
 // The scheduler is a *timing* device only. Functional results are computed
 // by the controller in program order as before; reordering is legal because
-// every reordered pair is data-independent by construction (audit_schedule
-// checks exactly that, and tests run it over every rebuilt flow).
+// every reordered pair is data-independent by construction (the typed
+// verifier in analysis/verifier.hpp checks exactly that over every flow).
 #pragma once
 
 #include <limits>
@@ -140,12 +140,5 @@ struct ScheduleStats {
 /// identical graphs and policies produce identical reservations on any host.
 ScheduleStats schedule_ops(const OpGraph& g, Cycle weight_load_cycles,
                            IssuePolicy policy, Timeline& tl);
-
-/// Legality audit — COMPAT SHIM over the typed schedule verifier
-/// (analysis/verifier.hpp) since PR 7. Returns "" when legal, else the
-/// first diagnostic's formatted message. New code should call
-/// verify_schedule() directly and consume the typed Diagnostics (stable
-/// code, offending op ids, resource, cycle interval).
-std::string audit_schedule(const OpGraph& g, const ScheduleStats& st);
 
 }  // namespace tfacc

@@ -4,25 +4,28 @@
 // Pinned here:
 //  * chunk_prefill coverage math (row partition, one-time K/V projection on
 //    the first MHA chunk, chunk_rows=1 and chunk-larger-than-sentence edges),
-//  * legality (audit_schedule) of standalone chunk ledgers and mixed
+//  * legality (the typed verifier) of single-chunk ledgers and mixed
 //    prefill/decode lane ledgers across shapes × issue policies,
 //  * the full-size-chunk ≡ schedule_mha degenerate pin,
-//  * bit-identity of packed vs eager-encode Scheduler outputs on all three
-//    backends (greedy and beam, burst and staggered arrivals),
+//  * bit-identity of packed Scheduler outputs with serial decode on an
+//    independently built backend, on all three backends (greedy and beam,
+//    burst and staggered arrivals),
 //  * determinism of the simulated-time admission order under bursts
 //    (per-card cycle ledgers reproduce exactly),
-//  * the prefill-stall attribution (eager admission charges it, packing
-//    shrinks it) and the prefill-only-queue guard (steps with zero decode
-//    rows run prefill lanes without counting as packed steps),
-//  * config validation of the new knobs and of Scheduler::run arrivals.
+//  * the pinned prefill-stall attribution and the prefill-only-queue guard
+//    (steps with zero decode rows run prefill lanes without counting as
+//    packed steps),
+//  * config validation of the chunk size and of Scheduler::run arrivals.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "analysis/verifier.hpp"
 #include "common/check.hpp"
 #include "core/backend.hpp"
 #include "core/schedules.hpp"
+#include "quant/qtransformer.hpp"
 #include "reference/weights.hpp"
 #include "serve/scheduler.hpp"
 
@@ -72,21 +75,47 @@ std::vector<TokenSeq> ragged_sources() {
 std::vector<TokenSeq> calib_sources() { return {{3, 4, 5}, {6, 7}}; }
 
 SchedulerConfig serve_config(ServeBackend backend, int cards, int slots,
-                             bool pack, int chunk_rows = 16) {
+                             int chunk_rows = 16) {
   SchedulerConfig cfg;
   cfg.backend = backend;
   cfg.num_cards = cards;
   cfg.slots_per_card = slots;
   cfg.max_len = 12;
-  cfg.accel.pack_prefill = pack;
   cfg.accel.prefill_chunk_rows = chunk_rows;
   return cfg;
 }
 
-AcceleratorConfig accel_config(bool interleave = true) {
-  AcceleratorConfig cfg;
-  cfg.interleave_decode = interleave;
-  return cfg;
+// Serial per-sentence decode on a backend built independently of any
+// Scheduler — the bit-identity baseline (beam when beam_size >= 1).
+std::vector<TokenSeq> serial_decode(const TransformerWeights& weights,
+                                    const std::vector<TokenSeq>& calib,
+                                    const SchedulerConfig& cfg,
+                                    const std::vector<TokenSeq>& sources) {
+  Transformer model(weights);
+  std::optional<QuantizedTransformer> qt;
+  if (cfg.backend != ServeBackend::kReference)
+    qt.emplace(QuantizedTransformer::build(model, calib, cfg.max_len,
+                                           cfg.softmax));
+  const Accelerator acc;
+  if (cfg.backend == ServeBackend::kQuantized)
+    model.set_backend(qt->backend());
+  else if (cfg.backend == ServeBackend::kAccelerator)
+    model.set_backend(accelerator_backend(*qt, acc));
+  const Transformer::BeamConfig beam{cfg.beam_size, cfg.length_penalty};
+  std::vector<TokenSeq> out;
+  for (const TokenSeq& src : sources)
+    out.push_back(cfg.beam_size < 1
+                      ? model.translate_greedy(src, cfg.max_len)
+                      : model.translate_beam(src, cfg.max_len, beam));
+  model.set_backend(ResBlockBackend{});
+  return out;
+}
+
+constexpr IssuePolicy kPolicies[] = {IssuePolicy::kGreedy,
+                                     IssuePolicy::kProgramOrder};
+
+const char* policy_name(IssuePolicy policy) {
+  return policy == IssuePolicy::kGreedy ? " greedy" : " program-order";
 }
 
 // A sentence's full-size encoder plans: MHA + FFN per encoder layer.
@@ -169,8 +198,10 @@ TEST(PrefillConfig, RejectsNonPositiveChunkRows) {
 
 // --- Legality of chunk and mixed-lane ledgers --------------------------------
 
+// Each chunk alone as a one-lane ledger (a step whose only work is that
+// chunk).
 TEST(PrefillAudit, StandaloneChunkLedgersAreLegalAcrossShapesAndPolicies) {
-  for (const bool interleave : {true, false})
+  for (const IssuePolicy policy : kPolicies)
     for (const int rows : {1, 7, 16, 33})
       for (const int chunk_rows : {1, 5, 16, 64})
         for (const int heads : {1, 8}) {
@@ -179,22 +210,21 @@ TEST(PrefillAudit, StandaloneChunkLedgersAreLegalAcrossShapesAndPolicies) {
               chunk_rows);
           for (const SublayerPlan& chunk : chunks) {
             Timeline tl;
-            const ScheduledRun run =
-                schedule_prefill(accel_config(interleave), tl, chunk);
+            const FusedRun run = schedule_fused_lanes(
+                AcceleratorConfig{}, tl, {FusedLane{{chunk}, true}}, policy);
             VerifyOptions opts;
-            opts.program_order = !interleave;
-            const VerifyResult res = verify_schedule(run.graph, run.stats, opts);
+            opts.program_order = policy == IssuePolicy::kProgramOrder;
+            const VerifyResult res = verify_fused(run, opts);
             EXPECT_TRUE(res.ok())
                 << "rows=" << rows << " chunk_rows=" << chunk_rows
-                << " heads=" << heads
-                << (interleave ? " greedy" : " program-order") << "\n"
+                << " heads=" << heads << policy_name(policy) << "\n"
                 << res.to_string();
           }
         }
 }
 
 TEST(PrefillAudit, MixedPrefillDecodeLanesAreLegalAcrossShapesAndPolicies) {
-  for (const bool interleave : {true, false})
+  for (const IssuePolicy policy : kPolicies)
     for (const int slots : {1, 8, 16})
       for (const int chunk_rows : {1, 6, 16}) {
         // One chunk lane per admitted sentence + the chained decode lane,
@@ -213,16 +243,13 @@ TEST(PrefillAudit, MixedPrefillDecodeLanesAreLegalAcrossShapesAndPolicies) {
             false});
         Timeline tl;
         const FusedRun fused =
-            schedule_fused_lanes(accel_config(interleave), tl, lanes,
-                                 interleave ? IssuePolicy::kGreedy
-                                            : IssuePolicy::kProgramOrder);
+            schedule_fused_lanes(AcceleratorConfig{}, tl, lanes, policy);
         VerifyOptions opts;
-        opts.program_order = !interleave;
+        opts.program_order = policy == IssuePolicy::kProgramOrder;
         const VerifyResult res = verify_fused(fused, opts);
         EXPECT_TRUE(res.ok())
             << "slots=" << slots << " chunk_rows=" << chunk_rows
-            << (interleave ? " greedy" : " program-order") << "\n"
-            << res.to_string();
+            << policy_name(policy) << "\n" << res.to_string();
         // Prefill lanes' sublayers are tagged; the decode lane's are not.
         for (std::size_t s = 0; s < fused.segments.size(); ++s)
           EXPECT_EQ(fused.segments[s].prefill,
@@ -234,20 +261,24 @@ TEST(PrefillAudit, MixedPrefillDecodeLanesAreLegalAcrossShapesAndPolicies) {
 
 TEST(PrefillAudit, FullSizeChunkMatchesScheduleMhaIntervals) {
   // A full-size kMhaPrefill chunk issued in program order builds exactly
-  // Algorithm 1's encoder MHA graph: same ops, same placement.
-  AcceleratorConfig cfg = accel_config(false);
+  // Algorithm 1's encoder MHA graph: same ops, same placement. (The
+  // one-lane ledger's op 0 is its weight prefetch.)
+  const AcceleratorConfig cfg;
   for (const int rows : {7, 16}) {
     Timeline tl_chunk, tl_mha;
-    const ScheduledRun chunk = schedule_prefill(
-        cfg, tl_chunk, SublayerPlan::mha_prefill("m", rows, rows, 512, 8,
-                                                 rows));
+    const FusedRun chunk = schedule_fused_lanes(
+        cfg, tl_chunk,
+        {FusedLane{{SublayerPlan::mha_prefill("m", rows, rows, 512, 8, rows)},
+                   true}},
+        IssuePolicy::kProgramOrder);
     const ScheduledRun mha = schedule_mha(cfg, tl_mha, rows, rows, 512, 8);
-    ASSERT_EQ(chunk.graph.size(), mha.graph.size()) << rows;
-    ASSERT_EQ(chunk.stats.intervals.size(), mha.stats.intervals.size());
+    EXPECT_EQ(tl_chunk.end_time(), tl_mha.end_time()) << rows;
+    ASSERT_EQ(chunk.graph.size(), mha.graph.size() + 1) << rows;
     for (std::size_t i = 0; i < mha.stats.intervals.size(); ++i) {
-      EXPECT_EQ(chunk.stats.intervals[i].start, mha.stats.intervals[i].start)
+      EXPECT_EQ(chunk.stats.intervals[i + 1].start,
+                mha.stats.intervals[i].start)
           << "op " << i << " rows=" << rows;
-      EXPECT_EQ(chunk.stats.intervals[i].end, mha.stats.intervals[i].end);
+      EXPECT_EQ(chunk.stats.intervals[i + 1].end, mha.stats.intervals[i].end);
     }
   }
 }
@@ -261,7 +292,7 @@ std::vector<Cycle> staggered_arrivals(std::size_t n, Cycle gap) {
   return arrivals;
 }
 
-TEST(PrefillPackServe, PackedBitIdenticalToEagerOnAllBackends) {
+TEST(PrefillPackServe, PackedBitIdenticalToSerialOnAllBackends) {
   for (const ServeBackend backend :
        {ServeBackend::kReference, ServeBackend::kQuantized,
         ServeBackend::kAccelerator}) {
@@ -272,23 +303,17 @@ TEST(PrefillPackServe, PackedBitIdenticalToEagerOnAllBackends) {
     const auto calib = backend == ServeBackend::kReference
                            ? std::vector<TokenSeq>{}
                            : calib_sources();
-    std::vector<TokenSeq> eager_outputs;
-    for (const bool pack : {false, true})
-      for (const int chunk_rows : {1, 4, 64}) {
-        Scheduler sched(weights, calib,
-                        serve_config(backend, 2, 4, pack, chunk_rows));
-        const ScheduleReport rep = sched.run(ragged_sources());
-        if (eager_outputs.empty())
-          eager_outputs = rep.outputs;
-        else
-          EXPECT_EQ(rep.outputs, eager_outputs)
-              << "backend=" << static_cast<int>(backend) << " pack=" << pack
-              << " chunk_rows=" << chunk_rows;
-        if (pack)
-          EXPECT_GT(rep.prefill_chunks(), 0);
-        else
-          EXPECT_EQ(rep.prefill_chunks(), 0);
-      }
+    const std::vector<TokenSeq> serial = serial_decode(
+        weights, calib, serve_config(backend, 2, 4), ragged_sources());
+    for (const int chunk_rows : {1, 4, 64}) {
+      Scheduler sched(weights, calib,
+                      serve_config(backend, 2, 4, chunk_rows));
+      const ScheduleReport rep = sched.run(ragged_sources());
+      EXPECT_EQ(rep.outputs, serial)
+          << "backend=" << static_cast<int>(backend)
+          << " chunk_rows=" << chunk_rows;
+      EXPECT_GT(rep.prefill_chunks(), 0);
+    }
   }
 }
 
@@ -296,18 +321,15 @@ TEST(PrefillPackServe, BeamAndStaggeredArrivalsKeepOutputs) {
   Rng rng(172);
   const TransformerWeights weights =
       TransformerWeights::random(hw_config(), 20, rng);
-  SchedulerConfig cfg = serve_config(ServeBackend::kAccelerator, 2, 8, true);
+  SchedulerConfig cfg = serve_config(ServeBackend::kAccelerator, 2, 8);
   cfg.beam_size = 2;
   Scheduler sched(weights, calib_sources(), cfg);
   const ScheduleReport burst = sched.run(ragged_sources());
   const ScheduleReport staggered = sched.run(
       ragged_sources(), staggered_arrivals(ragged_sources().size(), 700));
   EXPECT_EQ(burst.outputs, staggered.outputs);
-
-  SchedulerConfig eager_cfg = cfg;
-  eager_cfg.accel.pack_prefill = false;
-  Scheduler eager(weights, calib_sources(), eager_cfg);
-  EXPECT_EQ(eager.run(ragged_sources()).outputs, burst.outputs);
+  EXPECT_EQ(burst.outputs, serial_decode(weights, calib_sources(), cfg,
+                                         ragged_sources()));
 }
 
 TEST(PrefillPackServe, BurstAdmissionOrderIsDeterministic) {
@@ -318,7 +340,7 @@ TEST(PrefillPackServe, BurstAdmissionOrderIsDeterministic) {
   const TransformerWeights weights =
       TransformerWeights::random(hw_config(), 20, rng);
   Scheduler sched(weights, calib_sources(),
-                  serve_config(ServeBackend::kAccelerator, 4, 4, true, 4));
+                  serve_config(ServeBackend::kAccelerator, 4, 4, 4));
   const auto arrivals = staggered_arrivals(ragged_sources().size(), 300);
   for (const bool stagger : {false, true}) {
     const ScheduleReport first = stagger
@@ -352,45 +374,37 @@ TEST(PrefillPackServe, PrefillOnlyQueueRunsChunksWithoutPackedSteps) {
   Rng rng(174);
   const TransformerWeights weights =
       TransformerWeights::random(hw_config(), 20, rng);
-  Scheduler packed(weights, calib_sources(),
-                   serve_config(ServeBackend::kAccelerator, 1, 4, true, 1));
+  const SchedulerConfig cfg =
+      serve_config(ServeBackend::kAccelerator, 1, 4, 1);
+  Scheduler packed(weights, calib_sources(), cfg);
   const std::vector<TokenSeq> one = {{10, 3, 11, 4, 12, 5, 13}};
   const ScheduleReport rep = packed.run(one);
-
-  Scheduler eager(weights, calib_sources(),
-                  serve_config(ServeBackend::kAccelerator, 1, 4, false));
-  const ScheduleReport eager_rep = eager.run(one);
-  EXPECT_EQ(rep.outputs, eager_rep.outputs);
+  EXPECT_EQ(rep.outputs, serial_decode(weights, calib_sources(), cfg, one));
   // 7 source rows, 2 encoder layers, 1-row chunks: 28 prefill-only
   // iterations before the first decode row.
   EXPECT_EQ(rep.prefill_chunks(), 28);
-  EXPECT_EQ(rep.packed_steps(), eager_rep.packed_steps());
+  // Then one packed one-row step per decode position.
+  EXPECT_EQ(rep.packed_steps(), 12);
   EXPECT_DOUBLE_EQ(rep.packed_rows_mean(), 1.0);  // greedy, one sentence
-  // Same total work, differently bucketed: the packed run charges encoder
-  // cycles through step ledgers, the eager run through per-run ledgers.
-  EXPECT_EQ(rep.sentences(), eager_rep.sentences());
 }
 
+// 2 slots on one card: admissions after the first land while a live
+// sentence is mid-decode. Eager admission timing (whole encoder pass at
+// admission, since retired) stalled that sentence for 5,574 cycles and ran
+// 46,012 makespan cycles at the same SA busy; packed chunks hide the
+// prefill entirely in the step ledgers' bubbles.
 TEST(PrefillPackServe, EagerAdmissionChargesPrefillStallAndPackingShrinksIt) {
   Rng rng(175);
   const TransformerWeights weights =
       TransformerWeights::random(hw_config(), 20, rng);
-  // 2 slots on one card: admissions after the first land while a live
-  // sentence is mid-decode, so the eager encoder pass stalls it.
-  Scheduler eager(weights, calib_sources(),
-                  serve_config(ServeBackend::kAccelerator, 1, 2, false));
-  const ScheduleReport eager_rep = eager.run(ragged_sources());
-  EXPECT_GT(eager_rep.prefill_stall_cycles(), 0);
-
   Scheduler packed(weights, calib_sources(),
-                   serve_config(ServeBackend::kAccelerator, 1, 2, true));
-  const ScheduleReport packed_rep = packed.run(ragged_sources());
-  EXPECT_EQ(packed_rep.outputs, eager_rep.outputs);
-  EXPECT_LT(packed_rep.prefill_stall_cycles(),
-            eager_rep.prefill_stall_cycles());
-  // Packing splices the same encoder work through the step ledgers instead
-  // of standalone runs, so the farm finishes no later.
-  EXPECT_LE(packed_rep.makespan_cycles(), eager_rep.makespan_cycles());
+                   serve_config(ServeBackend::kAccelerator, 1, 2));
+  const ScheduleReport rep = packed.run(ragged_sources());
+  EXPECT_EQ(rep.prefill_stall_cycles(), 0);
+  EXPECT_EQ(rep.makespan_cycles(), 42564);
+  EXPECT_EQ(rep.boundary_stall_cycles(), 15102);
+  EXPECT_EQ(rep.softmax_stall_cycles(), 1822);
+  EXPECT_EQ(rep.sa_busy_cycles(), 23092);
 }
 
 TEST(PrefillPackServe, RunRejectsBadArrivals) {
@@ -398,7 +412,7 @@ TEST(PrefillPackServe, RunRejectsBadArrivals) {
   const TransformerWeights weights =
       TransformerWeights::random(hw_config(), 20, rng);
   Scheduler sched(weights, calib_sources(),
-                  serve_config(ServeBackend::kAccelerator, 1, 2, true));
+                  serve_config(ServeBackend::kAccelerator, 1, 2));
   const std::vector<TokenSeq> sources = {{3, 4}, {5, 6}};
   EXPECT_THROW(sched.run(sources, {0}), CheckError);          // size mismatch
   EXPECT_THROW(sched.run(sources, {-1, 0}), CheckError);      // negative

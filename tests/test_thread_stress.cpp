@@ -184,16 +184,5 @@ TEST(ThreadStress, QuantizedBeamBurstInvariant) {
   stress(cfg, stress_sources(), {}, /*repeats=*/3);
 }
 
-// Eager-encode ablation (pack_prefill off): admission keeps the old
-// admit-at-top order, now expressed through held reservations — still
-// deterministic at every thread count.
-TEST(ThreadStress, EagerEncodeStaggeredArrivalsInvariant) {
-  SchedulerConfig cfg = stress_config(ServeBackend::kAccelerator, 3, 4);
-  cfg.accel.pack_prefill = false;
-  cfg.accel.verify_schedules = true;
-  stress(cfg, stress_sources(),
-         staggered_arrivals(stress_sources().size(), 200000), /*repeats=*/2);
-}
-
 }  // namespace
 }  // namespace tfacc

@@ -1,8 +1,7 @@
 // Tests for the typed schedule verifier (PR 7): one tampered-schedule test
 // per diagnostic code asserting the EXACT code fires, positive sweeps over
 // every builder, canonical-hash determinism/sensitivity, the structured
-// Diagnostic fields, the audit_schedule() compat shim, and the
-// AcceleratorConfig::verify_schedules hook.
+// Diagnostic fields, and the AcceleratorConfig::verify_schedules hook.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,11 +15,7 @@
 namespace tfacc {
 namespace {
 
-AcceleratorConfig accel_config(bool interleave = true) {
-  AcceleratorConfig cfg;
-  cfg.interleave_decode = interleave;
-  return cfg;
-}
+AcceleratorConfig accel_config() { return AcceleratorConfig{}; }
 
 bool has_code(const VerifyResult& res, DiagCode code) {
   return std::any_of(res.diags.begin(), res.diags.end(),
@@ -63,45 +58,59 @@ void slide_op(const OpGraph& g, ScheduleStats& st, std::size_t i,
 
 // --- Positive sweeps ---------------------------------------------------------
 
+/// The graph of `run` placed under `policy`, verified with the matching
+/// program-order pin.
+bool verifies_under(const ScheduledRun& run, IssuePolicy policy) {
+  Timeline tl;
+  const ScheduleStats st = schedule_ops(
+      run.graph, accel_config().weight_load_cycles, policy, tl);
+  VerifyOptions opts;
+  opts.program_order = policy == IssuePolicy::kProgramOrder;
+  return verify_schedule(run.graph, st, opts).ok();
+}
+
 TEST(Verifier, CleanBuildersVerifyAcrossPoliciesAndShapes) {
-  for (const bool interleave : {true, false}) {
-    const AcceleratorConfig cfg = accel_config(interleave);
-    {
-      Timeline tl;
-      const ScheduledRun r = schedule_mha(cfg, tl, 64, 64, 512, 8);
-      VerifyOptions opts;
-      opts.program_order = true;  // Algorithm 1 is always pinned
-      EXPECT_TRUE(verify_schedule(r.graph, r.stats, opts).ok());
-    }
-    {
-      Timeline tl;
-      const ScheduledRun r = schedule_ffn(cfg, tl, 64, 512, 2048);
-      EXPECT_TRUE(verify_schedule(r.graph, r.stats).ok());
-    }
-    {
-      Timeline tl;
-      const ScheduledRun r = schedule_mha_cached(cfg, tl, 1, 64, 512, 8, 1);
-      VerifyOptions opts;
-      opts.program_order = cached_policy(cfg) == IssuePolicy::kProgramOrder;
-      EXPECT_TRUE(verify_schedule(r.graph, r.stats, opts).ok());
-    }
-    for (const int slots : {1, 8, 16}) {
-      Timeline tl;
-      const ScheduledRun r = schedule_mha_cached_batch(
-          cfg, tl, greedy_totals(slots), 512, 8, slots);
-      VerifyOptions opts;
-      opts.program_order = cached_policy(cfg) == IssuePolicy::kProgramOrder;
-      EXPECT_TRUE(verify_schedule(r.graph, r.stats, opts).ok())
-          << "slots=" << slots;
-    }
-    {
-      Timeline tl;
-      const FusedRun fused = schedule_decode_step(
-          cfg, tl, decode_plans(greedy_totals(8), 128, 2, 512, 2));
-      VerifyOptions opts;
-      opts.program_order = cached_policy(cfg) == IssuePolicy::kProgramOrder;
-      EXPECT_TRUE(verify_fused(fused, opts).ok());
-    }
+  const AcceleratorConfig cfg = accel_config();
+  {
+    Timeline tl;
+    const ScheduledRun r = schedule_mha(cfg, tl, 64, 64, 512, 8);
+    VerifyOptions opts;
+    opts.program_order = true;  // Algorithm 1 is always pinned
+    EXPECT_TRUE(verify_schedule(r.graph, r.stats, opts).ok());
+  }
+  {
+    Timeline tl;
+    const ScheduledRun r = schedule_ffn(cfg, tl, 64, 512, 2048);
+    EXPECT_TRUE(verify_schedule(r.graph, r.stats).ok());
+  }
+  // The cached flows issue greedily; their graphs also verify when placed
+  // in program order under the pin.
+  std::vector<ScheduledRun> cached;
+  {
+    Timeline tl;
+    cached.push_back(schedule_mha_cached(cfg, tl, 1, 64, 512, 8, 1));
+  }
+  for (const int slots : {1, 8, 16}) {
+    Timeline tl;
+    cached.push_back(schedule_mha_cached_batch(cfg, tl, greedy_totals(slots),
+                                               512, 8, slots));
+  }
+  for (std::size_t i = 0; i < cached.size(); ++i) {
+    EXPECT_TRUE(verify_schedule(cached[i].graph, cached[i].stats).ok())
+        << "cached flow " << i;
+    for (const IssuePolicy policy :
+         {IssuePolicy::kGreedy, IssuePolicy::kProgramOrder})
+      EXPECT_TRUE(verifies_under(cached[i], policy)) << "cached flow " << i;
+  }
+  for (const IssuePolicy policy :
+       {IssuePolicy::kGreedy, IssuePolicy::kProgramOrder}) {
+    Timeline tl;
+    const FusedRun fused =
+        schedule_fused(cfg, tl, decode_plans(greedy_totals(8), 128, 2, 512, 2),
+                       /*chain=*/true, policy);
+    VerifyOptions opts;
+    opts.program_order = policy == IssuePolicy::kProgramOrder;
+    EXPECT_TRUE(verify_fused(fused, opts).ok());
   }
 }
 
@@ -230,19 +239,15 @@ TEST(TamperedSchedule, BrokenPrefetchChainFiresSchedChain) {
 TEST(TamperedSchedule, GreedyInterleavingUnderThePinFiresSchedOrder) {
   // A greedy-built packed schedule genuinely reorders ops (that is the PR 4
   // win); verifying it against the program-order pin must object. The same
-  // graph built in program order verifies clean under the pin.
+  // graph placed in program order verifies clean under the pin.
   Timeline greedy_tl;
   const ScheduledRun greedy = schedule_mha_cached_batch(
-      accel_config(true), greedy_tl, greedy_totals(16), 64, 1, 16);
+      accel_config(), greedy_tl, greedy_totals(16), 64, 1, 16);
   VerifyOptions pin;
   pin.program_order = true;
   EXPECT_TRUE(has_code(verify_schedule(greedy.graph, greedy.stats, pin),
                        DiagCode::kProgramOrder));
-
-  Timeline program_tl;
-  const ScheduledRun program = schedule_mha_cached_batch(
-      accel_config(false), program_tl, greedy_totals(16), 64, 1, 16);
-  EXPECT_TRUE(verify_schedule(program.graph, program.stats, pin).ok());
+  EXPECT_TRUE(verifies_under(greedy, IssuePolicy::kProgramOrder));
 }
 
 TEST(TamperedSchedule, InterleavedChainedLanesFireSchedLane) {
@@ -307,18 +312,6 @@ TEST(Diagnostics, StableCodeNamesNeverChange) {
   EXPECT_STREQ(diag_code_name(DiagCode::kProgramOrder), "SCHED-ORDER");
   EXPECT_STREQ(diag_code_name(DiagCode::kLaneInterleave), "SCHED-LANE");
   EXPECT_STREQ(diag_code_name(DiagCode::kHashMismatch), "SCHED-HASH");
-}
-
-// --- audit_schedule() compat shim --------------------------------------------
-
-TEST(AuditShim, EmptyOnLegalFirstDiagnosticOnTampered) {
-  Timeline tl;
-  ScheduledRun run = schedule_ffn(accel_config(), tl, 8, 64, 256);
-  EXPECT_EQ(audit_schedule(run.graph, run.stats), "");
-  slide_op(run.graph, run.stats, run.stats.intervals.size() - 1, 0);
-  const VerifyResult res = verify_schedule(run.graph, run.stats);
-  ASSERT_FALSE(res.diags.empty());
-  EXPECT_EQ(audit_schedule(run.graph, run.stats), res.diags.front().message);
 }
 
 // --- The verify_schedules accelerator knob -----------------------------------

@@ -1,13 +1,13 @@
 // schedule_lint — CI gate over every schedule builder (PR 7).
 //
-// Treats each builder as a program generator: sweeps a grid of shapes and
-// knob combinations (slot counts 1/8/16, greedy vs program-order issue,
-// prefill chunk sizes, fuse_decode_step / pack_prefill on and off), builds
-// every ledger TWICE on fresh timelines, and runs the typed schedule
-// verifier (analysis/verifier.hpp) over each build — the second build also
-// checks the canonical ledger hash against the first, so any
-// non-determinism (hash-map iteration, uninitialized state, host-dependent
-// ordering) fails the gate even when both builds are individually legal.
+// Treats each builder as a program generator: sweeps a grid of shapes (slot
+// counts 1/8/16, sequence lengths, prefill chunk sizes), builds every
+// ledger the accelerator can emit TWICE on fresh timelines, and runs the
+// typed schedule verifier (analysis/verifier.hpp) over each build — the
+// second build also checks the canonical ledger hash against the first, so
+// any non-determinism (hash-map iteration, uninitialized state,
+// host-dependent ordering) fails the gate even when both builds are
+// individually legal.
 //
 //   schedule_lint [--grid=small|full] [--verbose]
 //     exit 0: every ledger in the grid verified clean
@@ -62,10 +62,6 @@ void lint_case(Lint& lint, const std::string& name,
                 static_cast<unsigned long long>(first.hash));
 }
 
-std::string tag(const std::string& base, bool interleave) {
-  return base + (interleave ? " [greedy]" : " [program-order]");
-}
-
 /// A sentence's encoder plans (MHA + FFN per layer), the prefill workload.
 std::vector<SublayerPlan> encoder_plans(int rows, int d_model, int num_heads,
                                         int d_ff, int layers) {
@@ -103,140 +99,101 @@ void sweep(Lint& lint, bool full) {
                                            : std::vector<int>{1, 16};
   const std::vector<int> seq_grid = full ? std::vector<int>{16, 33, 64}
                                          : std::vector<int>{16, 64};
+  const AcceleratorConfig cfg;
 
-  for (const bool interleave : {true, false}) {
-    AcceleratorConfig cfg;
-    cfg.interleave_decode = interleave;
-    const bool cached_po = cached_policy(cfg) == IssuePolicy::kProgramOrder;
+  // schedule_mha — Algorithm 1, always pinned to program order.
+  for (const int s : seq_grid)
+    lint_case(
+        lint, "mha s=" + std::to_string(s),
+        [&, s](const VerifyOptions& o) {
+          Timeline tl;
+          const ScheduledRun r = schedule_mha(cfg, tl, s, s, 512, 8);
+          return verify_schedule(r.graph, r.stats, o);
+        },
+        /*program_order=*/true);
 
-    // schedule_mha — Algorithm 1, always pinned to program order.
-    for (const int s : seq_grid)
+  // schedule_ffn — greedy, no softmax edges.
+  for (const int rows : {1, 16, 64})
+    lint_case(
+        lint, "ffn rows=" + std::to_string(rows),
+        [&, rows](const VerifyOptions& o) {
+          Timeline tl;
+          const ScheduledRun r = schedule_ffn(cfg, tl, rows, 512, 2048);
+          return verify_schedule(r.graph, r.stats, o);
+        },
+        /*program_order=*/false);
+
+  // schedule_mha_cached — incremental decode, greedy.
+  for (const int total : {8, 64})
+    for (const int project : {0, 1})
       lint_case(
-          lint, tag("mha s=" + std::to_string(s), interleave),
-          [&, s](const VerifyOptions& o) {
+          lint,
+          "mha_cached total=" + std::to_string(total) +
+              " project=" + std::to_string(project),
+          [&, total, project](const VerifyOptions& o) {
             Timeline tl;
-            const ScheduledRun r = schedule_mha(cfg, tl, s, s, 512, 8);
-            return verify_schedule(r.graph, r.stats, o);
-          },
-          /*program_order=*/true);
-
-    // schedule_ffn — greedy, no softmax edges.
-    for (const int rows : {1, 16, 64})
-      lint_case(
-          lint, tag("ffn rows=" + std::to_string(rows), interleave),
-          [&, rows](const VerifyOptions& o) {
-            Timeline tl;
-            const ScheduledRun r = schedule_ffn(cfg, tl, rows, 512, 2048);
+            const ScheduledRun r =
+                schedule_mha_cached(cfg, tl, 1, total, 512, 8, project);
             return verify_schedule(r.graph, r.stats, o);
           },
           /*program_order=*/false);
 
-    // schedule_mha_cached — incremental decode, policy from the knob.
-    for (const int total : {8, 64})
-      for (const int project : {0, 1})
-        lint_case(
-            lint,
-            tag("mha_cached total=" + std::to_string(total) +
-                    " project=" + std::to_string(project),
-                interleave),
-            [&, total, project](const VerifyOptions& o) {
-              Timeline tl;
-              const ScheduledRun r = schedule_mha_cached(
-                  cfg, tl, 1, total, 512, 8, project);
-              return verify_schedule(r.graph, r.stats, o);
-            },
-            cached_po);
-
-    // schedule_mha_cached_batch — packed decode across the slot grid.
-    for (const int slots : slot_grid)
-      for (const int project : {0, slots}) {
-        std::vector<int> totals;
-        for (int r = 0; r < slots; ++r) totals.push_back(3 + (5 * r) % 11);
-        lint_case(
-            lint,
-            tag("mha_cached_batch slots=" + std::to_string(slots) +
-                    " project=" + std::to_string(project),
-                interleave),
-            [&, totals, project](const VerifyOptions& o) {
-              Timeline tl;
-              const ScheduledRun r = schedule_mha_cached_batch(
-                  cfg, tl, totals, 512, 8, project);
-              return verify_schedule(r.graph, r.stats, o);
-            },
-            cached_po);
-      }
-
-    // The decode step, fused (one cross-sublayer ledger) and unfused
-    // (per-sublayer ledgers, each cold) — the fuse_decode_step knob.
-    for (const int slots : slot_grid) {
+  // schedule_mha_cached_batch — packed decode across the slot grid.
+  for (const int slots : slot_grid)
+    for (const int project : {0, slots}) {
       std::vector<int> totals;
-      for (int r = 0; r < slots; ++r) totals.push_back(4 + (3 * r) % 7);
-      const auto subs = decode_plans(totals, 128, 2, 512, 2);
+      for (int r = 0; r < slots; ++r) totals.push_back(3 + (5 * r) % 11);
       lint_case(
           lint,
-          tag("decode_step fused slots=" + std::to_string(slots), interleave),
-          [&, subs](const VerifyOptions& o) {
+          "mha_cached_batch slots=" + std::to_string(slots) +
+              " project=" + std::to_string(project),
+          [&, totals, project](const VerifyOptions& o) {
             Timeline tl;
-            return verify_fused(schedule_decode_step(cfg, tl, subs), o);
+            const ScheduledRun r =
+                schedule_mha_cached_batch(cfg, tl, totals, 512, 8, project);
+            return verify_schedule(r.graph, r.stats, o);
           },
-          cached_po);
-      for (const SublayerPlan& sub : subs)
-        lint_case(
-            lint,
-            tag("decode_step unfused " + sub.label +
-                    " slots=" + std::to_string(slots),
-                interleave),
-            [&, sub](const VerifyOptions& o) {
-              Timeline tl;
-              return verify_fused(
-                  schedule_fused(cfg, tl, {sub}, /*chain=*/false,
-                                 cached_policy(cfg)),
-                  o);
-            },
-            cached_po);
+          /*program_order=*/false);
     }
 
-    // Prefill chunks, standalone (pack_prefill off) and spliced into a
-    // mixed prefill/decode step ledger (pack_prefill on), across the chunk
-    // grid. The mixed ledger exercises the prefetch chain across the
-    // prefill/decode seam — the PR 6 invariant.
-    for (const int chunk_rows : chunk_grid) {
-      cfg.prefill_chunk_rows = chunk_rows;
-      const auto chunks =
-          chunk_prefill(encoder_plans(13, 128, 2, 512, 1), chunk_rows);
-      for (std::size_t i = 0; i < chunks.size(); ++i)
-        lint_case(
-            lint,
-            tag("prefill standalone chunk " + std::to_string(i) + "/" +
-                    std::to_string(chunks.size()) +
-                    " chunk_rows=" + std::to_string(chunk_rows),
-                interleave),
-            [&, chunk = chunks[i]](const VerifyOptions& o) {
-              Timeline tl;
-              const ScheduledRun r = schedule_prefill(cfg, tl, chunk);
-              return verify_schedule(r.graph, r.stats, o);
-            },
-            cached_po);
+  // The packed decode step as one fused cross-sublayer ledger.
+  for (const int slots : slot_grid) {
+    std::vector<int> totals;
+    for (int r = 0; r < slots; ++r) totals.push_back(4 + (3 * r) % 7);
+    const auto subs = decode_plans(totals, 128, 2, 512, 2);
+    lint_case(
+        lint, "decode_step slots=" + std::to_string(slots),
+        [&, subs](const VerifyOptions& o) {
+          Timeline tl;
+          return verify_fused(schedule_decode_step(cfg, tl, subs), o);
+        },
+        /*program_order=*/false);
+  }
 
-      for (const int slots : slot_grid) {
-        std::vector<FusedLane> lanes;
-        for (std::size_t i = 0; i < 2 && i < chunks.size(); ++i)
-          lanes.push_back(FusedLane{{chunks[i]}, true});
-        std::vector<int> totals;
-        for (int r = 0; r < slots; ++r) totals.push_back(3 + (5 * r) % 11);
-        lanes.push_back(FusedLane{decode_plans(totals, 128, 2, 512, 1), false});
-        lint_case(
-            lint,
-            tag("mixed_step slots=" + std::to_string(slots) +
-                    " chunk_rows=" + std::to_string(chunk_rows),
-                interleave),
-            [&, lanes](const VerifyOptions& o) {
-              Timeline tl;
-              return verify_fused(
-                  schedule_fused_lanes(cfg, tl, lanes, cached_policy(cfg)), o);
-            },
-            cached_po);
-      }
+  // Prefill chunks spliced into a mixed prefill/decode step ledger across
+  // the chunk grid. The mixed ledger exercises the prefetch chain across
+  // the prefill/decode seam — the PR 6 invariant.
+  for (const int chunk_rows : chunk_grid) {
+    const auto chunks =
+        chunk_prefill(encoder_plans(13, 128, 2, 512, 1), chunk_rows);
+    for (const int slots : slot_grid) {
+      std::vector<FusedLane> lanes;
+      for (std::size_t i = 0; i < 2 && i < chunks.size(); ++i)
+        lanes.push_back(FusedLane{{chunks[i]}, true});
+      std::vector<int> totals;
+      for (int r = 0; r < slots; ++r) totals.push_back(3 + (5 * r) % 11);
+      lanes.push_back(FusedLane{decode_plans(totals, 128, 2, 512, 1), false});
+      lint_case(
+          lint,
+          "mixed_step slots=" + std::to_string(slots) +
+              " chunk_rows=" + std::to_string(chunk_rows),
+          [&, lanes](const VerifyOptions& o) {
+            Timeline tl;
+            return verify_fused(
+                schedule_fused_lanes(cfg, tl, lanes, IssuePolicy::kGreedy),
+                o);
+          },
+          /*program_order=*/false);
     }
   }
 }
