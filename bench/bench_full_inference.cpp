@@ -150,7 +150,7 @@ int main() {
       "the host FP32 stack pays the full O(L^3) arithmetic.\n",
       speedup_at_32, speedup_at_32 >= 3.0 ? "PASS" : "FAIL");
 
-  // PR 8: the same KV-cached decode under each GEMM kernel kind. FP32 stays
+  // The same KV-cached decode under each GEMM kernel kind. FP32 stays
   // bit-identical across kinds (the SIMD f32 kernel keeps the scalar
   // per-element accumulation order, vectorizing across output columns), so
   // this isolates the kernel dispatch on the measured token loop.
@@ -161,8 +161,7 @@ int main() {
   bench::rule(56);
   double kernel_scalar_s = 0.0;
   for (const kernels::Kind kind :
-       {kernels::Kind::kScalar, kernels::Kind::kBlocked,
-        kernels::Kind::kSimd}) {
+       {kernels::Kind::kScalar, kernels::Kind::kSimd}) {
     kernels::set_kind(kind);
     const double secs =
         decode_wall_seconds(model, memory, src_valid, 32, DecodeMode::kKvCache);

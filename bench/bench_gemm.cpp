@@ -1,6 +1,6 @@
-// PR 8 kernel sweep: ns/GEMM and GMAC/s of every kernel kind (scalar loop,
-// cache-blocked, SIMD) at the GEMM shapes the serve step loop actually
-// issues, plus the packed-B fused-bias form the INT8 datapath runs. Every
+// Kernel sweep: ns/GEMM and GMAC/s of both kernel kinds (scalar loop, SIMD)
+// at the GEMM shapes the serve step loop actually issues, plus the packed-B
+// fused-bias form the INT8 datapath runs. Every
 // timed result is first checked bit-identical to the scalar reference — a
 // kernel that drifts never publishes a number.
 //
@@ -87,7 +87,6 @@ int main(int argc, char** argv) {
   const double budget_s = smoke ? 0.002 : 0.05;
 
   const kernels::Kind kinds[] = {kernels::Kind::kScalar,
-                                 kernels::Kind::kBlocked,
                                  kernels::Kind::kSimd};
 
   std::ofstream json_file("BENCH_gemm.json");

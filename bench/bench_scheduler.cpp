@@ -339,7 +339,7 @@ int main(int argc, char** argv) {
   // allocation-free and every projection runs through the packed INT8
   // kernels, so the kernel dispatch is the only thing this sweep varies.
   // Outputs must stay bit-identical across kinds (integer kernels are exact
-  // under blocking). The gate — SIMD >= 2x scalar wall sentences/sec — lands
+  // under vectorization). The gate — SIMD >= 2x scalar wall sentences/sec — lands
   // in BENCH_wallclock.json for perf_gate.py (skipped on hosts whose kernel
   // capability differs from the baseline's).
   bench::title("Measured wall-clock serve throughput per kernel (16 slots, "
@@ -381,15 +381,14 @@ int main(int argc, char** argv) {
   // Preemption noise only ever slows a run, so min-of-runs is the cleanest
   // estimate; interleaving the kinds keeps one noisy stretch of time from
   // penalizing a single kind's ratio. The first scalar run pins the output
-  // reference every later run (any kind) must match bit-for-bit.
+  // reference every later run (either kind) must match bit-for-bit.
   constexpr kernels::Kind kWcKinds[] = {kernels::Kind::kScalar,
-                                        kernels::Kind::kBlocked,
                                         kernels::Kind::kSimd};
-  double wc_best_wall[3] = {0.0, 0.0, 0.0};
+  double wc_best_wall[2] = {0.0, 0.0};
   std::vector<TokenSeq> wc_scalar_outputs;
   bool wc_identical = true;
   for (int round = 0; round < 3; ++round) {
-    for (int ki = 0; ki < 3; ++ki) {
+    for (int ki = 0; ki < 2; ++ki) {
       kernels::set_kind(kWcKinds[ki]);
       const ScheduleReport rep = wc_sched.run(sources);
       if (wc_scalar_outputs.empty())
@@ -401,7 +400,7 @@ int main(int argc, char** argv) {
     }
   }
   double wc_scalar_sps = 0.0, wc_simd_sps = 0.0;
-  for (int ki = 0; ki < 3; ++ki) {
+  for (int ki = 0; ki < 2; ++ki) {
     const double sps =
         wc_best_wall[ki] > 0 ? sentences / wc_best_wall[ki] : 0.0;
     if (kWcKinds[ki] == kernels::Kind::kScalar) wc_scalar_sps = sps;

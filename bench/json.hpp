@@ -114,10 +114,11 @@ class JsonWriter {
 /// Host kernel-capability stanza (PR 8): which GEMM microkernel dispatch the
 /// bench ran with and what the host CPU supports. perf_gate.py reads
 /// "kernel_capability" to skip wall-clock gates when the current host cannot
-/// reproduce the baseline's kernel class (e.g. a NEON box diffing an AVX2
-/// baseline) — simulated-cycle metrics stay gated regardless. "cores" (PR 9)
-/// is the host's hardware concurrency: perf_gate.py skips the multi-card
-/// scaling gates when either side of the diff ran on fewer than 4 cores.
+/// reproduce the baseline's kernel class (e.g. a host without AVX2 diffing
+/// an AVX2 baseline) — simulated-cycle metrics stay gated regardless.
+/// "cores" is the host's hardware concurrency: perf_gate.py skips the
+/// multi-card scaling gates when either side of the diff ran on fewer than
+/// 4 cores.
 inline void write_host_info(JsonWriter& json) {
   json.key("host").begin_object();
   json.key("kernel").value(kernels::kind_name(kernels::selected()));

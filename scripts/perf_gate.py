@@ -20,7 +20,7 @@ structurally matching position (slot and card sweeps, sections, gates):
 The wall-clock metrics are dimensionless ratios (host-speed free), but they
 do depend on the host's SIMD class. When both files carry a "host" stanza
 (bench/json.hpp write_host_info) and the kernel capabilities differ — e.g. a
-NEON box diffing an AVX2 baseline — the wall-clock gates are SKIPPED;
+host without AVX2 diffing an AVX2 baseline — the wall-clock gates are SKIPPED;
 simulated-cycle metrics stay gated regardless. The multi-card scaling ratio
 additionally depends on the host's core count: it is SKIPPED whenever either
 side of the diff ran on fewer than 4 cores (the host stanza's "cores"), since

@@ -45,7 +45,7 @@ void LayerNormUnit::finish_row(const std::int16_t* g, std::int64_t sum,
   // One ROM access per row, like the hardware: V is row-constant, so the
   // lookup is hoisted and only the multiply/shift runs per element
   // (bit-identical to calling mul_rsqrt per element). The γ/β loop runs
-  // through the dispatched kernel (TFACC_KERNEL) — every kind is exact.
+  // through the dispatched kernel (TFACC_KERNEL) — both kinds are exact.
   const RsqrtLut::Result rs = rsqrt_lut().lookup(v);
   const int norm_shift = RsqrtLut::kOutFracBits + rs.shift - kNormFracBits;
   kernels::layernorm_finish_into(g, n_, sum, rs.mantissa, norm_shift,

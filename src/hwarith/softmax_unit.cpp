@@ -18,11 +18,6 @@ namespace {
 
 #if TFACC_SOFTMAX_X86
 
-bool cpu_has_avx2() {
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
-}
-
 // hot-path: allocation-free region — the batched softmax row runs inside the
 // attention inner loop; everything here writes caller-owned buffers only.
 
@@ -271,10 +266,11 @@ void SoftmaxUnit::row(const std::int32_t* d, const std::uint8_t* mask, int n,
 #if TFACC_SOFTMAX_X86
   // Batched row model (gprof hotspot #2): only the shipped dyadic design is
   // vectorized, and only where the requantizer reformulation is proven exact
-  // (1 ≤ shift ≤ 48; the int32-spread gate lives inside). kScalar/kBlocked
-  // keep the reference loop — this unit has no reduction to block.
+  // (1 ≤ shift ≤ 48; the int32-spread gate lives inside). kScalar, and kSimd
+  // on a host without AVX2, keep the reference loop.
   if (!resolution_ && n >= 8 && to_q10_.shift >= 1 && to_q10_.shift <= 48 &&
-      kernels::selected() == kernels::Kind::kSimd && cpu_has_avx2() &&
+      kernels::selected() == kernels::Kind::kSimd &&
+      kernels::simd_available() &&
       softmax_row_avx2(to_q10_, d, mask, n, x_q10, out))
     return;
 #endif

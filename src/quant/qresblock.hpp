@@ -59,7 +59,7 @@ struct QuantizedLinear {
   WeightGranularity granularity = WeightGranularity::kPerTensor;
   std::vector<float> col_w_scale;            // per column, when per-column
   std::vector<FixedPointScale> col_requant;  // per column, when per-column
-  PackedI8 wpack;  // Bᵀ pack of w for the blocked/SIMD GEMM kernels (PR 8)
+  PackedI8 wpack;  // Bᵀ pack of w for the packed GEMM kernels
 
   /// Quantize FP32 weights/bias given the input scale and the calibrated
   /// output scale.

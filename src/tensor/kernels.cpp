@@ -16,21 +16,10 @@
 #define TFACC_KERNELS_X86 1
 #include <immintrin.h>
 #endif
-#if defined(__aarch64__) && defined(__ARM_NEON)
-#define TFACC_KERNELS_NEON 1
-#include <arm_neon.h>
-#endif
 
 namespace tfacc::kernels {
 
 namespace {
-
-#if TFACC_KERNELS_X86
-bool cpu_has_avx2() {
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
-}
-#endif
 
 Kind kind_from_env_or_default() {
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
@@ -38,22 +27,21 @@ Kind kind_from_env_or_default() {
   if (spec == nullptr || *spec == '\0') return Kind::kSimd;
   Kind kind = Kind::kSimd;
   TFACC_CHECK_ARG_MSG(parse_kind(spec, &kind),
-                      "TFACC_KERNEL='" << spec
-                                       << "' (want scalar|blocked|simd)");
+                      "TFACC_KERNEL='" << spec << "' (want scalar|simd)");
   return kind;
 }
 
-// Memory-ordering contract for the dispatch slot (PR 10, pinned):
-// std::memory_order_relaxed is sufficient on BOTH sides, by design. The
-// slot is the only cross-thread state in the dispatch, and every kernel
-// kind is bit-identical on every input (the test_kernels equivalence grid
-// + bench_gemm --smoke prove it), so dispatch is idempotent: a racing
-// reader observing the old kind merely runs the other, equally-correct
-// kernel once — no other memory is published alongside the store, hence
-// nothing to acquire/release. kRelaxedDispatchOrder names the contract so
-// a future non-idempotent publication (e.g. a kind-specific lookup table)
-// cannot silently inherit it: such a change must replace the named
-// constant, not add one more bare memory_order argument.
+// Memory-ordering contract for the dispatch slot (pinned):
+// std::memory_order_relaxed is sufficient on BOTH sides, by design. The slot
+// publishes only a Kind, and table() maps it to one of two constexpr kernel
+// tables, so no data written at run time is published alongside the store:
+// there is nothing to acquire/release. Both tables are bit-identical on every
+// input (the test_kernels equivalence grid + bench_gemm --smoke prove it),
+// so a racing reader observing the old kind merely runs the other,
+// equally-correct kernel once. kRelaxedDispatchOrder names the contract so
+// a change that publishes run-time-written data through the slot cannot
+// silently inherit it: such a change must replace the named constant, not
+// add one more bare memory_order argument.
 constexpr std::memory_order kRelaxedDispatchOrder =
     std::memory_order_relaxed;
 
@@ -64,8 +52,9 @@ std::atomic<Kind>& kind_slot() {
 
 // ---------------------------------------------------------------------------
 // Scalar kernels: the original tensor/ops triple loops, verbatim. These are
-// the semantic reference every other kind must match bit-for-bit, and the
-// "before" side of the wall-clock speedup gate.
+// the semantic reference the AVX2 kernels must match bit-for-bit, the
+// fallback outside the AVX2 kernels' envelopes, and the "before" side of the
+// wall-clock speedup gate.
 // ---------------------------------------------------------------------------
 
 // hot-path: allocation-free region — every kernel in this namespace runs
@@ -165,140 +154,13 @@ void layernorm_finish_scalar(const std::int16_t* g, int n, std::int64_t sum,
 }
 
 // ---------------------------------------------------------------------------
-// Blocked kernels: plain C++, always available. gemm blocks over a 4-row
-// strip of A so each streamed B row is reused 4× from registers/L1; each
-// output element still accumulates in ascending-p order with a single
-// accumulator, so the float results are bit-identical to scalar. The dot
-// kernels (packed / nt) unroll the reduction 4-way — integer-only, where
-// reassociation is exact.
-// ---------------------------------------------------------------------------
-
-template <typename T, typename Acc>
-void gemm_blocked(const Matrix<T>& a, const Matrix<T>& b, Matrix<Acc>& out) {
-  constexpr int kRowStrip = 4;
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  for (int i0 = 0; i0 < m; i0 += kRowStrip) {
-    const int strip = i0 + kRowStrip <= m ? kRowStrip : m - i0;
-    for (int ii = 0; ii < strip; ++ii) {
-      Acc* orow = out.row(i0 + ii);
-      for (int j = 0; j < n; ++j) orow[j] = Acc{};
-    }
-    for (int p = 0; p < k; ++p) {
-      const T* brow = b.row(p);
-      for (int ii = 0; ii < strip; ++ii) {
-        const Acc av = a(i0 + ii, p);
-        Acc* orow = out.row(i0 + ii);
-        for (int j = 0; j < n; ++j) orow[j] += av * brow[j];
-      }
-    }
-  }
-}
-
-/// Integer dot with a 4-way unrolled reduction (exact reassociation).
-template <typename T>
-std::int32_t dot_i32_blocked(const T* a, const T* b, int k) {
-  std::int32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  int p = 0;
-  for (; p + 4 <= k; p += 4) {
-    s0 += static_cast<std::int32_t>(a[p]) * b[p];
-    s1 += static_cast<std::int32_t>(a[p + 1]) * b[p + 1];
-    s2 += static_cast<std::int32_t>(a[p + 2]) * b[p + 2];
-    s3 += static_cast<std::int32_t>(a[p + 3]) * b[p + 3];
-  }
-  std::int32_t sum = (s0 + s1) + (s2 + s3);
-  for (; p < k; ++p) sum += static_cast<std::int32_t>(a[p]) * b[p];
-  return sum;
-}
-
-/// Float dot in strict ascending-p order (bit-identical to the scalar loop).
-float dot_f32_ordered(const float* a, const float* b, int k) {
-  float acc = 0.0f;
-  for (int p = 0; p < k; ++p) acc += a[p] * b[p];
-  return acc;
-}
-
-template <typename T>
-void gemm_nt_blocked(const Matrix<T>& a, const Matrix<T>& b, MatI32& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const T* arow = a.row(i);
-    std::int32_t* orow = out.row(i);
-    for (int j = 0; j < b.rows(); ++j)
-      orow[j] = dot_i32_blocked(arow, b.row(j), k);
-  }
-}
-
-void gemm_nt_blocked_f32(const MatF& a, const MatF& b, MatF& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const float* arow = a.row(i);
-    float* orow = out.row(i);
-    for (int j = 0; j < b.rows(); ++j)
-      orow[j] = dot_f32_ordered(arow, b.row(j), k);
-  }
-}
-
-template <typename T>
-void gemm_packed_blocked(const Matrix<T>& a, const PackedB<T>& bp,
-                         const std::int32_t* bias, MatI32& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const T* arow = a.row(i);
-    std::int32_t* orow = out.row(i);
-    for (int j = 0; j < bp.n; ++j) {
-      const std::int32_t seed = bias != nullptr ? bias[j] : 0;
-      orow[j] = seed + dot_i32_blocked(arow, bp.row(j), k);
-    }
-  }
-}
-
-/// Row-pointer requantize — same math as requantize_scalar, contiguous walk.
-template <typename OutT>
-void requantize_rows(const MatI32& acc, std::int32_t mantissa, int shift,
-                     Matrix<OutT>& out) {
-  const int n = acc.cols();
-  for (int r = 0; r < acc.rows(); ++r) {
-    const std::int32_t* in = acc.row(r);
-    OutT* o = out.row(r);
-    for (int c = 0; c < n; ++c)
-      o[c] = saturate_narrow<OutT>(rounding_shift_right(
-          static_cast<std::int64_t>(in[c]) * mantissa, shift));
-  }
-}
-
-/// 4-way unrolled LayerNorm accumulators — integer reassociation is exact.
-void layernorm_stats_blocked(const std::int16_t* g, int n, std::int64_t* sum,
-                             std::int64_t* sumsq) {
-  std::int64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  std::int64_t q0 = 0, q1 = 0, q2 = 0, q3 = 0;
-  int j = 0;
-  for (; j + 4 <= n; j += 4) {
-    s0 += g[j];
-    s1 += g[j + 1];
-    s2 += g[j + 2];
-    s3 += g[j + 3];
-    q0 += static_cast<std::int64_t>(g[j]) * g[j];
-    q1 += static_cast<std::int64_t>(g[j + 1]) * g[j + 1];
-    q2 += static_cast<std::int64_t>(g[j + 2]) * g[j + 2];
-    q3 += static_cast<std::int64_t>(g[j + 3]) * g[j + 3];
-  }
-  std::int64_t s = (s0 + s1) + (s2 + s3);
-  std::int64_t q = (q0 + q1) + (q2 + q3);
-  for (; j < n; ++j) {
-    s += g[j];
-    q += static_cast<std::int64_t>(g[j]) * g[j];
-  }
-  *sum = s;
-  *sumsq = q;
-}
-
-// ---------------------------------------------------------------------------
 // AVX2 kernels (x86, runtime-dispatched). Integer reductions use
 // sign-extension to int16 + pmaddwd, which is exact for int8 operands
-// (|pair sum| ≤ 2·128² < 2³¹) and for quantized int16 operands. The f32
-// kernel vectorizes across output columns with separate mul+add — the
-// target attribute enables AVX2 only (no FMA), so no contraction can change
-// the scalar path's per-element rounding.
+// (|pair sum| ≤ 2·128² < 2³¹). The f32 kernel vectorizes across output
+// columns with separate mul+add — the target attribute enables AVX2 only
+// (no FMA), so no contraction can change the scalar path's per-element
+// rounding. A kernel whose reformulation holds only inside an envelope
+// checks it first and hands other inputs to the scalar loop.
 // ---------------------------------------------------------------------------
 
 #if TFACC_KERNELS_X86
@@ -340,22 +202,6 @@ __attribute__((target("avx2"))) std::int32_t dot_i8_avx2(const std::int8_t* a,
   return sum;
 }
 
-__attribute__((target("avx2"))) std::int32_t dot_i16_avx2(
-    const std::int16_t* a, const std::int16_t* b, int k) {
-  __m256i acc = _mm256_setzero_si256();
-  int p = 0;
-  for (; p + 16 <= k; p += 16) {
-    const __m256i a0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + p));
-    const __m256i b0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + p));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a0, b0));
-  }
-  std::int32_t sum = hsum_epi32(acc);
-  for (; p < k; ++p) sum += static_cast<std::int32_t>(a[p]) * b[p];
-  return sum;
-}
-
 __attribute__((target("avx2"))) void gemm_i8_avx2(const MatI8& a,
                                                   const MatI8& b,
                                                   MatI32& out) {
@@ -382,32 +228,6 @@ __attribute__((target("avx2"))) void gemm_i8_avx2(const MatI8& a,
         _mm256_storeu_si256(o, _mm256_add_epi32(_mm256_loadu_si256(o), lo));
         __m256i* o2 = reinterpret_cast<__m256i*>(orow + j + 8);
         _mm256_storeu_si256(o2, _mm256_add_epi32(_mm256_loadu_si256(o2), hi));
-      }
-      const std::int32_t avs = arow[p];
-      for (; j < n; ++j) orow[j] += avs * brow[j];
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void gemm_i16_avx2(const MatI16& a,
-                                                   const MatI16& b,
-                                                   MatI32& out) {
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  if (n == 0) return;  // row() may be null on an empty matrix (memset UB)
-  for (int i = 0; i < m; ++i) {
-    std::int32_t* orow = out.row(i);
-    std::memset(orow, 0, static_cast<std::size_t>(n) * sizeof(std::int32_t));
-    const std::int16_t* arow = a.row(i);
-    for (int p = 0; p < k; ++p) {
-      const std::int16_t* brow = b.row(p);
-      const __m256i av = _mm256_set1_epi32(arow[p]);
-      int j = 0;
-      for (; j + 8 <= n; j += 8) {
-        const __m256i b32 = _mm256_cvtepi16_epi32(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(brow + j)));
-        const __m256i prod = _mm256_mullo_epi32(av, b32);
-        __m256i* o = reinterpret_cast<__m256i*>(orow + j);
-        _mm256_storeu_si256(o, _mm256_add_epi32(_mm256_loadu_si256(o), prod));
       }
       const std::int32_t avs = arow[p];
       for (; j < n; ++j) orow[j] += avs * brow[j];
@@ -466,17 +286,6 @@ __attribute__((target("avx2"))) void gemm_i8_packed_avx2(
   }
 }
 
-__attribute__((target("avx2"))) void gemm_i16_packed_avx2(const MatI16& a,
-                                                          const PackedI16& bp,
-                                                          MatI32& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const std::int16_t* arow = a.row(i);
-    std::int32_t* orow = out.row(i);
-    for (int j = 0; j < bp.n; ++j) orow[j] = dot_i16_avx2(arow, bp.row(j), k);
-  }
-}
-
 // --- AVX2 requantization ---------------------------------------------------
 // Branchless reformulation of rounding_shift_right(v·m, s) for s ≥ 1:
 //
@@ -486,10 +295,10 @@ __attribute__((target("avx2"))) void gemm_i16_packed_avx2(const MatI16& a,
 // 2^s − 1 − bias = bias − 1). AVX2 has no 64-bit arithmetic shift, so it is
 // emulated: x >>ₐ s = ((x + 2^62) >>ₗ s) − 2^(62−s), valid while x + 2^62
 // stays in [0, 2^63). Here |p| = |v·m| < 2^31·2^15 = 2^46 and bias ≤ 2^47
-// (the dispatch only takes this path for 1 ≤ s ≤ 48), so |x| < 2^48. The
-// products come from _mm256_mul_epi32 on the even/odd 32-bit lanes — it
-// sign-extends the low dword of each 64-bit lane, which is exactly the
-// int32 accumulator value.
+// (the kernels hand any s outside 1 ≤ s ≤ 48 to the scalar loop), so
+// |x| < 2^48. The products come from _mm256_mul_epi32 on the even/odd
+// 32-bit lanes — it sign-extends the low dword of each 64-bit lane, which
+// is exactly the int32 accumulator value.
 
 /// Round, emulated-arithmetic-shift, and clamp four int64 products.
 __attribute__((target("avx2"))) __m256i requant_round_clamp_avx2(
@@ -525,6 +334,10 @@ __attribute__((target("avx2"))) void requantize_i8_avx2(const MatI32& acc,
                                                         std::int32_t mantissa,
                                                         int shift,
                                                         MatI8& out) {
+  if (shift < 1 || shift > 48) {
+    requantize_scalar(acc, mantissa, shift, out);
+    return;
+  }
   const __m256i mvec = _mm256_set1_epi64x(mantissa);
   const __m256i bias = _mm256_set1_epi64x(std::int64_t{1} << (shift - 1));
   const __m128i count = _mm_cvtsi32_si128(shift);
@@ -561,6 +374,10 @@ __attribute__((target("avx2"))) void requantize_i16_avx2(const MatI32& acc,
                                                          std::int32_t mantissa,
                                                          int shift,
                                                          MatI16& out) {
+  if (shift < 1 || shift > 48) {
+    requantize_scalar(acc, mantissa, shift, out);
+    return;
+  }
   const __m256i mvec = _mm256_set1_epi64x(mantissa);
   const __m256i bias = _mm256_set1_epi64x(std::int64_t{1} << (shift - 1));
   const __m128i count = _mm_cvtsi32_si128(shift);
@@ -643,6 +460,14 @@ __attribute__((target("avx2"))) void layernorm_finish_avx2(
     const std::int16_t* g, int n, std::int64_t sum, std::int32_t rs_mantissa,
     int norm_shift, int gamma_shift, const std::int32_t* gq,
     const std::int32_t* bq, std::int8_t* out) {
+  // t = n·g − sum must fit the int32 low dword (n ≤ 2¹⁴ bounds |t| ≤ 2³⁰)
+  // and both emulated arithmetic shifts need 1 ≤ s ≤ 48 (see requantize).
+  if (n > 16384 || norm_shift < 1 || norm_shift > 48 || gamma_shift < 1 ||
+      gamma_shift > 48) {
+    layernorm_finish_scalar(g, n, sum, rs_mantissa, norm_shift, gamma_shift,
+                            gq, bq, out);
+    return;
+  }
   const __m256i nvec = _mm256_set1_epi64x(n);
   const __m256i sumv = _mm256_set1_epi64x(sum);
   const __m256i mant = _mm256_set1_epi64x(rs_mantissa);
@@ -693,163 +518,76 @@ __attribute__((target("avx2"))) void layernorm_finish_avx2(
   }
 }
 
-// --- SSE2 fallbacks (x86 baseline, no runtime check needed) ----------------
-
-/// Sign-extend the low/high 8 bytes of an epi8 vector to epi16 (SSE2 has no
-/// pmovsxbw): interleave-with-self then arithmetic-shift restores the sign.
-std::int32_t dot_i8_sse2(const std::int8_t* a, const std::int8_t* b, int k) {
-  __m128i acc = _mm_setzero_si128();
-  int p = 0;
-  for (; p + 16 <= k; p += 16) {
-    const __m128i av =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + p));
-    const __m128i bv =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + p));
-    const __m128i alo = _mm_srai_epi16(_mm_unpacklo_epi8(av, av), 8);
-    const __m128i ahi = _mm_srai_epi16(_mm_unpackhi_epi8(av, av), 8);
-    const __m128i blo = _mm_srai_epi16(_mm_unpacklo_epi8(bv, bv), 8);
-    const __m128i bhi = _mm_srai_epi16(_mm_unpackhi_epi8(bv, bv), 8);
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(alo, blo));
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(ahi, bhi));
-  }
-  __m128i s =
-      _mm_add_epi32(acc, _mm_shuffle_epi32(acc, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  std::int32_t sum = _mm_cvtsi128_si32(s);
-  for (; p < k; ++p) sum += static_cast<std::int32_t>(a[p]) * b[p];
-  return sum;
-}
-
-void gemm_nt_i8_sse2(const MatI8& a, const MatI8& b, MatI32& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const std::int8_t* arow = a.row(i);
-    std::int32_t* orow = out.row(i);
-    for (int j = 0; j < b.rows(); ++j) orow[j] = dot_i8_sse2(arow, b.row(j), k);
-  }
-}
-
-void gemm_i8_packed_sse2(const MatI8& a, const PackedI8& bp,
-                         const std::int32_t* bias, MatI32& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const std::int8_t* arow = a.row(i);
-    std::int32_t* orow = out.row(i);
-    for (int j = 0; j < bp.n; ++j) {
-      const std::int32_t seed = bias != nullptr ? bias[j] : 0;
-      orow[j] = seed + dot_i8_sse2(arow, bp.row(j), k);
-    }
-  }
-}
-
-void gemm_f32_sse2(const MatF& a, const MatF& b, MatF& out) {
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  if (n == 0) return;  // row() may be null on an empty matrix (memset UB)
-  for (int i = 0; i < m; ++i) {
-    float* orow = out.row(i);
-    std::memset(orow, 0, static_cast<std::size_t>(n) * sizeof(float));
-    const float* arow = a.row(i);
-    for (int p = 0; p < k; ++p) {
-      const float* brow = b.row(p);
-      const __m128 av = _mm_set1_ps(arow[p]);
-      int j = 0;
-      for (; j + 4 <= n; j += 4) {
-        const __m128 prod = _mm_mul_ps(av, _mm_loadu_ps(brow + j));
-        _mm_storeu_ps(orow + j, _mm_add_ps(_mm_loadu_ps(orow + j), prod));
-      }
-      const float avs = arow[p];
-      for (; j < n; ++j) orow[j] += avs * brow[j];
-    }
-  }
-}
-
 #endif  // TFACC_KERNELS_X86
 
-#if TFACC_KERNELS_NEON
-
-std::int32_t dot_i8_neon(const std::int8_t* a, const std::int8_t* b, int k) {
-  int32x4_t acc = vdupq_n_s32(0);
-  int p = 0;
-  for (; p + 16 <= k; p += 16) {
-    const int8x16_t av = vld1q_s8(a + p);
-    const int8x16_t bv = vld1q_s8(b + p);
-    acc = vpadalq_s16(acc, vmull_s8(vget_low_s8(av), vget_low_s8(bv)));
-    acc = vpadalq_s16(acc, vmull_s8(vget_high_s8(av), vget_high_s8(bv)));
-  }
-  std::int32_t sum = vaddvq_s32(acc);
-  for (; p < k; ++p) sum += static_cast<std::int32_t>(a[p]) * b[p];
-  return sum;
-}
-
-std::int32_t dot_i16_neon(const std::int16_t* a, const std::int16_t* b,
-                          int k) {
-  int32x4_t acc = vdupq_n_s32(0);
-  int p = 0;
-  for (; p + 8 <= k; p += 8) {
-    const int16x8_t av = vld1q_s16(a + p);
-    const int16x8_t bv = vld1q_s16(b + p);
-    acc = vmlal_s16(acc, vget_low_s16(av), vget_low_s16(bv));
-    acc = vmlal_s16(acc, vget_high_s16(av), vget_high_s16(bv));
-  }
-  std::int32_t sum = vaddvq_s32(acc);
-  for (; p < k; ++p) sum += static_cast<std::int32_t>(a[p]) * b[p];
-  return sum;
-}
-
-void gemm_nt_i8_neon(const MatI8& a, const MatI8& b, MatI32& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const std::int8_t* arow = a.row(i);
-    std::int32_t* orow = out.row(i);
-    for (int j = 0; j < b.rows(); ++j) orow[j] = dot_i8_neon(arow, b.row(j), k);
-  }
-}
-
-void gemm_i8_packed_neon(const MatI8& a, const PackedI8& bp,
-                         const std::int32_t* bias, MatI32& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const std::int8_t* arow = a.row(i);
-    std::int32_t* orow = out.row(i);
-    for (int j = 0; j < bp.n; ++j) {
-      const std::int32_t seed = bias != nullptr ? bias[j] : 0;
-      orow[j] = seed + dot_i8_neon(arow, bp.row(j), k);
-    }
-  }
-}
-
-void gemm_i16_packed_neon(const MatI16& a, const PackedI16& bp, MatI32& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const std::int16_t* arow = a.row(i);
-    std::int32_t* orow = out.row(i);
-    for (int j = 0; j < bp.n; ++j) orow[j] = dot_i16_neon(arow, bp.row(j), k);
-  }
-}
-
-#endif  // TFACC_KERNELS_NEON
-
 // hot-path: region end
+
+// ---------------------------------------------------------------------------
+// Dispatch: one table of entry points per implementation (the
+// functor-per-device pattern), chosen in one place, table(). The int16 GEMMs
+// and the f32 A·Bᵀ run the scalar loop on every host and sit in no table:
+// nothing outside the tests runs an int16 GEMM, and the f32 reduction must
+// keep one accumulator in ascending-p order to stay bit-identical.
+// ---------------------------------------------------------------------------
+
+struct KernelTable {
+  void (*gemm_f32)(const MatF&, const MatF&, MatF&);
+  void (*gemm_i8)(const MatI8&, const MatI8&, MatI32&);
+  void (*gemm_nt_i8)(const MatI8&, const MatI8&, MatI32&);
+  void (*gemm_i8_packed)(const MatI8&, const PackedI8&, const std::int32_t*,
+                         MatI32&);
+  void (*requantize_i8)(const MatI32&, std::int32_t, int, MatI8&);
+  void (*requantize_i16)(const MatI32&, std::int32_t, int, MatI16&);
+  void (*layernorm_stats)(const std::int16_t*, int, std::int64_t*,
+                          std::int64_t*);
+  void (*layernorm_finish)(const std::int16_t*, int, std::int64_t,
+                           std::int32_t, int, int, const std::int32_t*,
+                           const std::int32_t*, std::int8_t*);
+};
+
+constexpr KernelTable kScalarTable = {
+    .gemm_f32 = gemm_scalar<float, float>,
+    .gemm_i8 = gemm_scalar<std::int8_t, std::int32_t>,
+    .gemm_nt_i8 = gemm_nt_scalar<std::int8_t, std::int32_t>,
+    .gemm_i8_packed = gemm_packed_scalar<std::int8_t, std::int32_t>,
+    .requantize_i8 = requantize_scalar<std::int8_t>,
+    .requantize_i16 = requantize_scalar<std::int16_t>,
+    .layernorm_stats = layernorm_stats_scalar,
+    .layernorm_finish = layernorm_finish_scalar,
+};
+
+#if TFACC_KERNELS_X86
+constexpr KernelTable kAvx2Table = {
+    .gemm_f32 = gemm_f32_avx2,
+    .gemm_i8 = gemm_i8_avx2,
+    .gemm_nt_i8 = gemm_nt_i8_avx2,
+    .gemm_i8_packed = gemm_i8_packed_avx2,
+    .requantize_i8 = requantize_i8_avx2,
+    .requantize_i16 = requantize_i16_avx2,
+    .layernorm_stats = layernorm_stats_avx2,
+    .layernorm_finish = layernorm_finish_avx2,
+};
+#endif
+
+/// The one scalar-vs-AVX2 choice: kSimd on an AVX2 host runs the AVX2
+/// table, every other case the scalar reference.
+const KernelTable& table() {
+#if TFACC_KERNELS_X86
+  if (selected() == Kind::kSimd && simd_available()) return kAvx2Table;
+#endif
+  return kScalarTable;
+}
 
 }  // namespace
 
 const char* kind_name(Kind kind) {
-  switch (kind) {
-    case Kind::kScalar:
-      return "scalar";
-    case Kind::kBlocked:
-      return "blocked";
-    case Kind::kSimd:
-      return "simd";
-  }
-  return "?";
+  return kind == Kind::kScalar ? "scalar" : "simd";
 }
 
 bool parse_kind(const char* spec, Kind* out) {
   if (spec == nullptr || out == nullptr) return false;
   const std::string_view s(spec);
   if (s == "scalar") *out = Kind::kScalar;
-  else if (s == "blocked") *out = Kind::kBlocked;
   else if (s == "simd") *out = Kind::kSimd;
   else return false;
   return true;
@@ -869,276 +607,84 @@ Kind refresh_from_env() {
 
 bool simd_available() {
 #if TFACC_KERNELS_X86
-  return true;  // SSE2 is the x86-64 baseline; AVX2 upgraded at runtime
-#elif TFACC_KERNELS_NEON
-  return true;
+  static const bool has = __builtin_cpu_supports("avx2");
+  return has;
 #else
   return false;
 #endif
 }
 
-const char* capability() {
-#if TFACC_KERNELS_X86
-  return cpu_has_avx2() ? "avx2" : "sse2";
-#elif TFACC_KERNELS_NEON
-  return "neon";
-#else
-  return "generic";
-#endif
-}
+const char* capability() { return simd_available() ? "avx2" : "generic"; }
 
-// --- Dispatch --------------------------------------------------------------
+// --- Entry points ----------------------------------------------------------
 
 void gemm_f32_into(const MatF& a, const MatF& b, MatF& out) {
   TFACC_CHECK_ARG(a.cols() == b.rows());
   TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == b.cols());
-  switch (selected()) {
-    case Kind::kScalar:
-      gemm_scalar(a, b, out);
-      return;
-    case Kind::kBlocked:
-      gemm_blocked(a, b, out);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      if (cpu_has_avx2()) {
-        gemm_f32_avx2(a, b, out);
-        return;
-      }
-      gemm_f32_sse2(a, b, out);
-      return;
-#else
-      // NEON/generic: the blocked path keeps the scalar summation order;
-      // a NEON f32 path would risk FMA contraction differences.
-      gemm_blocked(a, b, out);
-      return;
-#endif
-  }
+  table().gemm_f32(a, b, out);
 }
 
 void gemm_i8_into(const MatI8& a, const MatI8& b, MatI32& out) {
   TFACC_CHECK_ARG(a.cols() == b.rows());
   TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == b.cols());
-  switch (selected()) {
-    case Kind::kScalar:
-      gemm_scalar(a, b, out);
-      return;
-    case Kind::kBlocked:
-      gemm_blocked(a, b, out);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      if (cpu_has_avx2()) {
-        gemm_i8_avx2(a, b, out);
-        return;
-      }
-#endif
-      gemm_blocked(a, b, out);
-      return;
-  }
+  table().gemm_i8(a, b, out);
 }
 
 void gemm_i16_into(const MatI16& a, const MatI16& b, MatI32& out) {
   TFACC_CHECK_ARG(a.cols() == b.rows());
   TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == b.cols());
-  switch (selected()) {
-    case Kind::kScalar:
-      gemm_scalar(a, b, out);
-      return;
-    case Kind::kBlocked:
-      gemm_blocked(a, b, out);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      if (cpu_has_avx2()) {
-        gemm_i16_avx2(a, b, out);
-        return;
-      }
-#endif
-      gemm_blocked(a, b, out);
-      return;
-  }
+  gemm_scalar(a, b, out);
 }
 
 void gemm_nt_f32_into(const MatF& a, const MatF& b, MatF& out) {
   TFACC_CHECK_ARG(a.cols() == b.cols());
   TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == b.rows());
-  switch (selected()) {
-    case Kind::kScalar:
-      gemm_nt_scalar(a, b, out);
-      return;
-    case Kind::kBlocked:
-    case Kind::kSimd:
-      // The f32 reduction must keep one accumulator in ascending-p order to
-      // stay bit-identical, so the "fast" kinds share the blocked layout.
-      gemm_nt_blocked_f32(a, b, out);
-      return;
-  }
+  gemm_nt_scalar(a, b, out);
 }
 
 void gemm_nt_i8_into(const MatI8& a, const MatI8& b, MatI32& out) {
   TFACC_CHECK_ARG(a.cols() == b.cols());
   TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == b.rows());
-  switch (selected()) {
-    case Kind::kScalar:
-      gemm_nt_scalar(a, b, out);
-      return;
-    case Kind::kBlocked:
-      gemm_nt_blocked(a, b, out);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      if (cpu_has_avx2()) {
-        gemm_nt_i8_avx2(a, b, out);
-        return;
-      }
-      gemm_nt_i8_sse2(a, b, out);
-      return;
-#elif TFACC_KERNELS_NEON
-      gemm_nt_i8_neon(a, b, out);
-      return;
-#else
-      gemm_nt_blocked(a, b, out);
-      return;
-#endif
-  }
+  table().gemm_nt_i8(a, b, out);
 }
-
-namespace {
-
-void gemm_i8_packed_dispatch(const MatI8& a, const PackedI8& bp,
-                             const std::int32_t* bias, MatI32& out) {
-  TFACC_CHECK_ARG(a.cols() == bp.k);
-  TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == bp.n);
-  switch (selected()) {
-    case Kind::kScalar:
-      gemm_packed_scalar(a, bp, bias, out);
-      return;
-    case Kind::kBlocked:
-      gemm_packed_blocked(a, bp, bias, out);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      if (cpu_has_avx2()) {
-        gemm_i8_packed_avx2(a, bp, bias, out);
-        return;
-      }
-      gemm_i8_packed_sse2(a, bp, bias, out);
-      return;
-#elif TFACC_KERNELS_NEON
-      gemm_i8_packed_neon(a, bp, bias, out);
-      return;
-#else
-      gemm_packed_blocked(a, bp, bias, out);
-      return;
-#endif
-  }
-}
-
-}  // namespace
 
 void gemm_i8_packed_into(const MatI8& a, const PackedI8& bp, MatI32& out) {
-  gemm_i8_packed_dispatch(a, bp, nullptr, out);
+  TFACC_CHECK_ARG(a.cols() == bp.k);
+  TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == bp.n);
+  table().gemm_i8_packed(a, bp, nullptr, out);
 }
 
 void gemm_i8_packed_bias_into(const MatI8& a, const PackedI8& bp,
                               const std::vector<std::int32_t>& bias,
                               MatI32& out) {
   TFACC_CHECK_ARG(static_cast<int>(bias.size()) == bp.n);
-  gemm_i8_packed_dispatch(a, bp, bias.data(), out);
+  TFACC_CHECK_ARG(a.cols() == bp.k);
+  TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == bp.n);
+  table().gemm_i8_packed(a, bp, bias.data(), out);
 }
 
 void gemm_i16_packed_into(const MatI16& a, const PackedI16& bp, MatI32& out) {
   TFACC_CHECK_ARG(a.cols() == bp.k);
   TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == bp.n);
-  switch (selected()) {
-    case Kind::kScalar:
-      gemm_packed_scalar(a, bp, nullptr, out);
-      return;
-    case Kind::kBlocked:
-      gemm_packed_blocked(a, bp, nullptr, out);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      if (cpu_has_avx2()) {
-        gemm_i16_packed_avx2(a, bp, out);
-        return;
-      }
-#elif TFACC_KERNELS_NEON
-      gemm_i16_packed_neon(a, bp, out);
-      return;
-#endif
-      gemm_packed_blocked(a, bp, nullptr, out);
-      return;
-  }
+  gemm_packed_scalar(a, bp, nullptr, out);
 }
 
 void requantize_i8_into(const MatI32& acc, std::int32_t mantissa, int shift,
                         MatI8& out) {
   TFACC_CHECK_ARG(out.rows() == acc.rows() && out.cols() == acc.cols());
-  switch (selected()) {
-    case Kind::kScalar:
-      requantize_scalar(acc, mantissa, shift, out);
-      return;
-    case Kind::kBlocked:
-      requantize_rows(acc, mantissa, shift, out);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      // The branchless AVX2 reformulation needs shift ≥ 1, and its emulated
-      // arithmetic shift needs bias ≤ 2^47 (see the kernel's comment).
-      if (cpu_has_avx2() && shift >= 1 && shift <= 48) {
-        requantize_i8_avx2(acc, mantissa, shift, out);
-        return;
-      }
-#endif
-      requantize_rows(acc, mantissa, shift, out);
-      return;
-  }
+  table().requantize_i8(acc, mantissa, shift, out);
 }
 
 void requantize_i16_into(const MatI32& acc, std::int32_t mantissa, int shift,
                          MatI16& out) {
   TFACC_CHECK_ARG(out.rows() == acc.rows() && out.cols() == acc.cols());
-  switch (selected()) {
-    case Kind::kScalar:
-      requantize_scalar(acc, mantissa, shift, out);
-      return;
-    case Kind::kBlocked:
-      requantize_rows(acc, mantissa, shift, out);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      if (cpu_has_avx2() && shift >= 1 && shift <= 48) {
-        requantize_i16_avx2(acc, mantissa, shift, out);
-        return;
-      }
-#endif
-      requantize_rows(acc, mantissa, shift, out);
-      return;
-  }
+  table().requantize_i16(acc, mantissa, shift, out);
 }
 
 void layernorm_stats(const std::int16_t* g, int n, std::int64_t* sum,
                      std::int64_t* sumsq) {
   TFACC_CHECK_ARG(n >= 0);
-  switch (selected()) {
-    case Kind::kScalar:
-      layernorm_stats_scalar(g, n, sum, sumsq);
-      return;
-    case Kind::kBlocked:
-      layernorm_stats_blocked(g, n, sum, sumsq);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      if (cpu_has_avx2()) {
-        layernorm_stats_avx2(g, n, sum, sumsq);
-        return;
-      }
-#endif
-      layernorm_stats_blocked(g, n, sum, sumsq);
-      return;
-  }
+  table().layernorm_stats(g, n, sum, sumsq);
 }
 
 void layernorm_finish_into(const std::int16_t* g, int n, std::int64_t sum,
@@ -1146,29 +692,8 @@ void layernorm_finish_into(const std::int16_t* g, int n, std::int64_t sum,
                            int gamma_shift, const std::int32_t* gq,
                            const std::int32_t* bq, std::int8_t* out) {
   TFACC_CHECK_ARG(n >= 0);
-  switch (selected()) {
-    case Kind::kScalar:
-    case Kind::kBlocked:
-      // The finish loop is per-element with no reduction — nothing to block,
-      // so kBlocked shares the scalar reference loop.
-      layernorm_finish_scalar(g, n, sum, rs_mantissa, norm_shift, gamma_shift,
-                              gq, bq, out);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      // t = n·g − sum must fit the int32 low dword (n ≤ 2¹⁴ bounds |t| ≤ 2³⁰)
-      // and both emulated arithmetic shifts need 1 ≤ s ≤ 48 (see requantize).
-      if (cpu_has_avx2() && n <= 16384 && norm_shift >= 1 && norm_shift <= 48 &&
-          gamma_shift >= 1 && gamma_shift <= 48) {
-        layernorm_finish_avx2(g, n, sum, rs_mantissa, norm_shift, gamma_shift,
-                              gq, bq, out);
-        return;
-      }
-#endif
-      layernorm_finish_scalar(g, n, sum, rs_mantissa, norm_shift, gamma_shift,
-                              gq, bq, out);
-      return;
-  }
+  table().layernorm_finish(g, n, sum, rs_mantissa, norm_shift, gamma_shift,
+                           gq, bq, out);
 }
 
 }  // namespace tfacc::kernels

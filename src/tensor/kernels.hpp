@@ -1,19 +1,19 @@
-// Blocked / SIMD GEMM microkernels behind a runtime-checked dispatch table
-// (PR 8).
+// GEMM, requantize and LayerNorm row kernels behind a runtime-checked
+// dispatch table.
 //
-// Three implementations of every GEMM, selectable per process:
+// Two implementations, selectable per process:
 //
 //   kind      | implementation
 //   ----------|------------------------------------------------------------
 //   kScalar   | the original tensor/ops triple loops, kept verbatim as the
 //             | reference semantics (and the perf baseline for the 2× gate)
-//   kBlocked  | plain C++, cache-blocked + unrolled; always available
-//   kSimd     | intrinsics (AVX2 / SSE2 / NEON) chosen by a *runtime* CPU
-//             | check — the binary is compiled without -march so it runs
-//             | anywhere; unsupported hosts fall back to kBlocked per op
+//   kSimd     | AVX2 intrinsics chosen by a *runtime* CPU check — the binary
+//             | is compiled without -march so it runs anywhere; a host
+//             | without AVX2 runs the scalar loops
 //
-// Selection: `TFACC_KERNEL=scalar|blocked|simd` (read once at first use),
+// Selection: `TFACC_KERNEL=scalar|simd` (read once at first use),
 // overridable with set_kind() for A/B benches and tests. Default is kSimd.
+// The int16 GEMMs and the f32 A·Bᵀ run the scalar loop under either kind.
 //
 // Bit-identity contract (enforced by tests/test_kernels.cpp and the
 // cross-backend equivalence suites):
@@ -22,8 +22,8 @@
 //    int16 inputs must keep |Σ a·b| within int32 (quantized values do).
 //  * Float kernels preserve the scalar path's per-element summation order
 //    (ascending p, one accumulator per output element, no FMA contraction),
-//    so all three kinds produce bit-identical floats — tolerance 0, pinned
-//    explicitly in the tests. This is why the f32 Q·Kᵀ kernel vectorizes
+//    so both kinds produce bit-identical floats — tolerance 0, pinned
+//    explicitly in the tests. This is why the f32 GEMM kernel vectorizes
 //    across output columns rather than across the reduction.
 //
 // The *_into kernels write a pre-shaped `out` and perform no allocation —
@@ -38,11 +38,13 @@
 
 namespace tfacc::kernels {
 
-enum class Kind { kScalar, kBlocked, kSimd };
+// The values are pinned: ctest names the kind-parameterized tests by the
+// enum's bytes, so renumbering would rename them.
+enum class Kind { kScalar = 0, kSimd = 2 };
 
 const char* kind_name(Kind kind);
 
-/// Parse "scalar" | "blocked" | "simd"; returns false on anything else.
+/// Parse "scalar" | "simd"; returns false on anything else.
 bool parse_kind(const char* spec, Kind* out);
 
 /// The process-wide selected kernel (TFACC_KERNEL env var, default simd).
@@ -55,11 +57,11 @@ void set_kind(Kind kind);
 /// unparseable value. Returns the new selection.
 Kind refresh_from_env();
 
-/// True when this host has a vector unit the kSimd paths can use.
+/// True when this host has AVX2, the vector unit the kSimd kernels use.
 bool simd_available();
 
 /// Host vector capability, for the BENCH_*.json host stanza and the
-/// perf-gate capability match: "avx2" | "sse2" | "neon" | "generic".
+/// perf-gate capability match: "avx2" | "generic".
 const char* capability();
 
 // --- Dispatched GEMMs (out must be pre-shaped; overwritten, no alloc) ------
@@ -73,7 +75,7 @@ void gemm_i8_into(const MatI8& a, const MatI8& b, MatI32& out);
 /// C = A·B, int16 operands, int32 accumulation. Exact within int32 range.
 void gemm_i16_into(const MatI16& a, const MatI16& b, MatI32& out);
 
-/// C = A·Bᵀ, float (attention scores). Scalar summation order in all kinds.
+/// C = A·Bᵀ, float (attention scores). The scalar loop under either kind.
 void gemm_nt_f32_into(const MatF& a, const MatF& b, MatF& out);
 
 /// C = A·Bᵀ, int8 operands, int32 accumulation. Exact.
@@ -97,8 +99,8 @@ void gemm_i16_packed_into(const MatI16& a, const PackedI16& bp, MatI32& out);
 // out = saturate(round((acc · mantissa) >> shift)) per element — the hardware
 // requantizer (FixedPointScale::apply_i8/apply_i16) over a whole accumulator
 // matrix. The rounding is half-away-from-zero, exactly like
-// rounding_shift_right; all kinds are bit-identical (the AVX2 path uses a
-// branchless reformulation proven equal for shift ≥ 1, scalar otherwise).
+// rounding_shift_right; both kinds are bit-identical (the AVX2 path uses a
+// branchless reformulation proven equal for 1 ≤ shift ≤ 48, scalar otherwise).
 
 /// out(r,c) = FixedPointScale{mantissa, shift}.apply_i8(acc(r,c)).
 void requantize_i8_into(const MatI32& acc, std::int32_t mantissa, int shift,
@@ -110,11 +112,11 @@ void requantize_i16_into(const MatI32& acc, std::int32_t mantissa, int shift,
 
 // --- Dispatched LayerNorm row kernels --------------------------------------
 // The fixed-point LayerNorm datapath of hwarith/layernorm_unit.cpp, split
-// into its two row loops so the hot serve path can run them blocked/SIMD.
-// Integer-exact in every kind: the stats loop is a pure integer reduction
+// into its two row loops so the hot serve path can run them SIMD.
+// Integer-exact in both kinds: the stats loop is a pure integer reduction
 // (associative), and the finish loop is per-element independent — the AVX2
 // variant reuses the requantizer's branchless rounding-shift reformulation,
-// proven equal for 1 <= shift <= 48 (blocked fallback otherwise).
+// proven equal for 1 <= shift <= 48 (scalar fallback otherwise).
 
 /// ΣG and ΣG² of one n-wide INT16 row (Fig. 7 step 1 accumulators).
 void layernorm_stats(const std::int16_t* g, int n, std::int64_t* sum,

@@ -4,10 +4,10 @@
 
 namespace tfacc {
 
-// The GEMM entry points delegate to the PR 8 dispatch table
-// (tensor/kernels.hpp): TFACC_KERNEL selects scalar / blocked / SIMD, and
-// every kind is bit-identical (integer accumulation is exact; the float
-// kernels pin the scalar summation order).
+// The GEMM entry points delegate to the kernel dispatch table
+// (tensor/kernels.hpp): TFACC_KERNEL selects scalar or SIMD, and both kinds
+// are bit-identical (integer accumulation is exact; the float kernels pin
+// the scalar summation order).
 
 MatF gemm(const MatF& a, const MatF& b) {
   TFACC_CHECK_ARG_MSG(a.cols() == b.rows(), "gemm: " << a.rows() << 'x'
@@ -26,16 +26,6 @@ MatI32 gemm_i8(const MatI8& a, const MatI8& b) {
                                                         << b.cols());
   MatI32 out(a.rows(), b.cols());
   kernels::gemm_i8_into(a, b, out);
-  return out;
-}
-
-MatI32 gemm_i16(const MatI16& a, const MatI16& b) {
-  TFACC_CHECK_ARG_MSG(a.cols() == b.rows(), "gemm_i16: " << a.rows() << 'x'
-                                                         << a.cols() << " * "
-                                                         << b.rows() << 'x'
-                                                         << b.cols());
-  MatI32 out(a.rows(), b.cols());
-  kernels::gemm_i16_into(a, b, out);
   return out;
 }
 

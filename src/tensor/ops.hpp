@@ -17,10 +17,6 @@ MatF gemm(const MatF& a, const MatF& b);
 /// C = A·B with int32 accumulation over int8 operands (the SA datapath).
 MatI32 gemm_i8(const MatI8& a, const MatI8& b);
 
-/// C = A·B with int32 accumulation over int16 operands (marian-style
-/// 16-bit quantization; callers must keep |Σ a·b| within int32).
-MatI32 gemm_i16(const MatI16& a, const MatI16& b);
-
 /// C = A·Bᵀ (float). Used by attention scores Q·Kᵀ.
 MatF gemm_nt(const MatF& a, const MatF& b);
 

@@ -32,10 +32,8 @@ Matrix<T> unpack_b(const PackedB<T>& p) {
 
 PackedI8 pack_b_i8(const MatI8& b) { return pack_b(b); }
 PackedI16 pack_b_i16(const MatI16& b) { return pack_b(b); }
-PackedF pack_b_f32(const MatF& b) { return pack_b(b); }
 
 MatI8 unpack_b_i8(const PackedI8& p) { return unpack_b(p); }
 MatI16 unpack_b_i16(const PackedI16& p) { return unpack_b(p); }
-MatF unpack_b_f32(const PackedF& p) { return unpack_b(p); }
 
 }  // namespace tfacc

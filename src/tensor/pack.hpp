@@ -1,4 +1,4 @@
-// Pre-packed B operands for the blocked GEMM kernels (PR 8).
+// Pre-packed B operands for the packed GEMM kernels.
 //
 // The SA-style GEMMs all compute C = A·B where B is a weight matrix that is
 // quantized once at load time and then read on every step. Packing B as Bᵀ
@@ -8,8 +8,7 @@
 // inner loop is a straight-line SIMD reduction with no strided loads.
 //
 // The pack is built once (QuantizedLinear::build), never on the hot path.
-// Zero padding beyond k is arithmetically inert for both the integer and
-// float kernels (0·x = 0 exactly).
+// Zero padding beyond k is arithmetically inert (0·x = 0 exactly).
 #pragma once
 
 #include <cstdint>
@@ -38,16 +37,13 @@ struct PackedB {
 
 using PackedI8 = PackedB<std::int8_t>;
 using PackedI16 = PackedB<std::int16_t>;
-using PackedF = PackedB<float>;
 
 /// Transpose-and-pad pack of B (k×n) for the packed GEMM kernels.
 PackedI8 pack_b_i8(const MatI8& b);
 PackedI16 pack_b_i16(const MatI16& b);
-PackedF pack_b_f32(const MatF& b);
 
 /// Inverse of pack_b_* (drops the padding); round-trip tested.
 MatI8 unpack_b_i8(const PackedI8& p);
 MatI16 unpack_b_i16(const PackedI16& p);
-MatF unpack_b_f32(const PackedF& p);
 
 }  // namespace tfacc
