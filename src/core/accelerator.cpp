@@ -163,47 +163,18 @@ RunReport Accelerator::time_mha(int s_q, int s_kv, int d_model,
   return rep;
 }
 
-RunReport Accelerator::time_mha_cached(int s_new, int s_total, int d_model,
-                                       int num_heads,
+RunReport Accelerator::time_mha_cached(int s_total, int d_model, int num_heads,
                                        int project_kv_rows) const {
-  TFACC_CHECK_ARG(s_new > 0 && s_total >= s_new);
+  TFACC_CHECK_ARG(s_total > 0);
   TFACC_CHECK_ARG(project_kv_rows >= 0);
   TFACC_CHECK_ARG(d_model == num_heads * cfg_.sa_cols);
   RunReport rep;
   const ScheduledRun sched =
-      schedule_mha_cached(cfg_, rep.timeline, s_new, s_total, d_model,
-                          num_heads, project_kv_rows);
+      schedule_mha_cached_batch(cfg_, rep.timeline, {s_total}, d_model,
+                                num_heads, project_kv_rows);
   maybe_verify(cfg_, "time_mha_cached", sched, IssuePolicy::kGreedy, rep);
   finalize_report(rep, cfg_, sched.stats);
   return rep;
-}
-
-Accelerator::MhaResult Accelerator::run_mha_cached(const MhaQuantized& block,
-                                                   const MatI8& q,
-                                                   const QuantKvCache& cache,
-                                                   const Mask& mask,
-                                                   int projected_rows) const {
-  TFACC_CHECK_ARG(q.cols() == block.d_model);
-  TFACC_CHECK_ARG(mask.rows() == q.rows() && mask.cols() == cache.rows());
-  TFACC_CHECK_ARG(projected_rows >= 0 && projected_rows <= cache.rows());
-  TFACC_CHECK_ARG_MSG(block.head_dim == cfg_.sa_cols,
-                      "head_dim " << block.head_dim << " != SA columns "
-                                  << cfg_.sa_cols);
-
-  MhaResult res;
-  RunReport& rep = res.report;
-  const ScheduledRun sched =
-      schedule_mha_cached(cfg_, rep.timeline, q.rows(), cache.rows(),
-                          block.d_model, block.num_heads, projected_rows);
-  maybe_verify(cfg_, "run_mha_cached", sched, IssuePolicy::kGreedy, rep);
-
-  // Functional pass: identical arithmetic to the quantized model's cached
-  // path (the caller appended this step's K/V rows before invoking us, so
-  // the cache already holds them — mirroring the data memory on chip).
-  res.out = block.forward_cached(q, cache, mask);
-
-  finalize_report(rep, cfg_, sched.stats);
-  return res;
 }
 
 MatI8 Accelerator::forward_mha_cached_batch(

@@ -87,23 +87,16 @@ class Accelerator {
   MhaResult run_mha(const MhaQuantized& block, const MatI8& q,
                     const MatI8& kv, const Mask& mask) const;
 
-  /// KV-cached MHA: q's rows attend over the cached K₁/V₁ (already resident
-  /// in the data memory). `projected_rows` of the cache were projected this
-  /// step (charged to the SA); the rest are reused. Functionally identical
-  /// to run_mha when the cache holds the projections of the full kv input.
-  MhaResult run_mha_cached(const MhaQuantized& block, const MatI8& q,
-                           const QuantKvCache& cache, const Mask& mask,
-                           int projected_rows) const;
-
-  /// Packed KV-cached MHA (continuous batching): row r of q is an
+  /// KV-cached MHA, packed (continuous batching): row r of q is an
   /// independent hypothesis attending over caches[r] under masks[r]
-  /// (ragged cache lengths allowed). The Q/K/V projections and the W_G
-  /// blocks stream all rows through one weight-tile residency — restoring
-  /// full-tile SA utilization where single-row steps were weight-load
-  /// bound — while the per-slot attention GEMMs stay ragged. With one slot
-  /// this degenerates to exactly run_mha_cached's schedule. `projected_rows`
-  /// is the number of K/V rows appended this step (q.rows() or 0). Output
-  /// row r is bit-identical to run_mha_cached on slot r alone.
+  /// (ragged cache lengths allowed; K₁/V₁ already resident in the data
+  /// memory). The Q/K/V projections and the W_G blocks stream all rows
+  /// through one weight-tile residency — restoring full-tile SA utilization
+  /// where single-row steps were weight-load bound — while the per-slot
+  /// attention GEMMs stay ragged. Serial decode is the one-slot case.
+  /// `projected_rows` is the number of K/V rows appended this step
+  /// (q.rows() or 0), charged to the SA. Output rows are bit-identical to
+  /// the quantized model's forward_cached_batch.
   MhaResult run_mha_cached_batch(const MhaQuantized& block, const MatI8& q,
                                  const std::vector<const QuantKvCache*>& caches,
                                  const std::vector<const Mask*>& masks,
@@ -121,12 +114,13 @@ class Accelerator {
   RunReport time_mha(int s_q, int s_kv, int d_model, int num_heads) const;
   RunReport time_ffn(int s, int d_model, int d_ff) const;
 
-  /// Timing of one KV-cached attention step: `s_new` fresh query rows attend
+  /// Timing of one KV-cached attention step: one fresh query row attends
   /// over `s_total` keys/values, of which only `project_kv_rows` rows are
-  /// projected this step (0 = K/V fully cached in the data memory).
-  /// Used by the full-model decoder schedule (core/full_model.hpp).
-  RunReport time_mha_cached(int s_new, int s_total, int d_model,
-                            int num_heads, int project_kv_rows) const;
+  /// projected this step (0 = K/V fully cached in the data memory) — the
+  /// one-slot schedule_mha_cached_batch. Used by the full-model decoder
+  /// schedule (core/full_model.hpp).
+  RunReport time_mha_cached(int s_total, int d_model, int num_heads,
+                            int project_kv_rows) const;
 
   /// Timing of one fused multi-sublayer ledger (PR 5): `subs` spliced into
   /// a single OpGraph/Timeline by schedule_fused. `chain` threads the

@@ -123,7 +123,7 @@ RunReport DecodeStepFuser::end_step() {
   TFACC_CHECK_MSG(!prefill_active_, "end_step inside prefill capture");
   active_ = false;
   if (n_subs_ == 0 && prefill_chunks_.empty())
-    return {};  // the step fell back to non-hook paths
+    return {};  // nothing recorded: no decode rows, no prefill chunks
   // Each prefill chunk is its own (single-sublayer) lane; the packed decode
   // pass is one chained lane appended last, so its initial weight tile
   // prefetches under the prefill compute.
@@ -200,23 +200,12 @@ ResBlockBackend accelerator_backend(const QuantizedTransformer& qt,
     return qf.dequantize_out(result.out);
   };
   // Incremental decode: K/V live in the card's data memory as INT8 rows,
-  // appended once per projected position. Projection of the new rows is
-  // charged inside run_mha_cached's schedule.
-  b.mha_cached = [&qt, &acc, stats](const MatF& q, MhaCache& cache,
-                                    const MhaWeights& w, const Mask& mask,
-                                    bool append) {
-    const MhaQuantized& qm = qt.mha_for(w);
-    auto& kv_cache = dynamic_cast<QuantKvCache&>(cache);
-    if (append) qm.append_kv(qm.quantize_kv(q), kv_cache);
-    const auto result = acc.run_mha_cached(qm, qm.quantize_q(q), kv_cache,
-                                           mask, append ? q.rows() : 0);
-    charge_mha(stats, result.report);
-    return qm.dequantize_out(result.out);
-  };
-  // Packed decode (continuous batching): all live hypotheses' rows share one
-  // quantization pass and one projection per weight matrix, so the SA
-  // streams full tiles again; per-slot attention stays ragged inside
-  // run_mha_cached_batch's schedule.
+  // appended once per projected position; projection of the new rows is
+  // charged inside the step's schedule. Packed (continuous batching): all
+  // live hypotheses' rows share one quantization pass and one projection
+  // per weight matrix, so the SA streams full tiles again; per-slot
+  // attention stays ragged inside run_mha_cached_batch's schedule. Serial
+  // decode is the one-row case.
   b.mha_cached_batch = [&qt, &acc, stats, fuser](
                            const MatF& q,
                            const std::vector<MhaCache*>& caches,

@@ -59,7 +59,7 @@ struct AcceleratorStats {
 };
 
 /// Collects the sublayer shapes of one packed decode step so the whole step
-/// is timed as ONE cross-sublayer fused ledger (Accelerator::time_fused)
+/// is timed as ONE cross-sublayer fused ledger (Accelerator::time_step)
 /// instead of ~3·L per-sublayer ledgers that each restart the weight memory
 /// cold. The serve step loop brackets each decode_step_batch call with
 /// begin_step()/end_step(); while a step is open, the accelerator backend's
@@ -80,7 +80,7 @@ class DecodeStepFuser {
   bool active() const { return active_; }
   /// Schedule the recorded sublayers as one fused ledger, charge the stats,
   /// close the step, and return the step's report (empty when no sublayer
-  /// ran, e.g. a backend that fell back to serial decode).
+  /// and no prefill chunk was recorded).
   RunReport end_step();
 
   /// Hook-side recorders (no-ops unless a step is open — callers check

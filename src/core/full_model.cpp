@@ -95,12 +95,12 @@ FullModelReport FullModelScheduler::greedy_decode(const ModelConfig& cfg,
     const std::string step = "tok" + std::to_string(t);
     Cycle self_c, cross_c, ffn_c;
     if (kv_cache) {
-      self_c = acc_.time_mha_cached(1, t, cfg.d_model, cfg.num_heads,
+      self_c = acc_.time_mha_cached(t, cfg.d_model, cfg.num_heads,
                                     /*project_kv_rows=*/1)
                    .total_cycles;
       // Cross-attention K/V are projections of the encoder memory: computed
       // at the first step, cached afterwards.
-      cross_c = acc_.time_mha_cached(1, src_len, cfg.d_model, cfg.num_heads,
+      cross_c = acc_.time_mha_cached(src_len, cfg.d_model, cfg.num_heads,
                                      t == 1 ? src_len : 0)
                     .total_cycles;
       ffn_c = acc_.time_ffn(1, cfg.d_model, cfg.d_ff).total_cycles;

@@ -49,14 +49,19 @@ struct AppendResult {
   int first_sa = -1;
 };
 
-/// Full MHA (Algorithm 1 lines 1-13). `entry_deps` are extra data deps for
-/// every input-consuming op (empty for a standalone run; a fused composer
-/// passes the previous sublayer's LayerNorm and this sublayer's weight
-/// prefetch).
+/// Full MHA (Algorithm 1 lines 1-13): `s_q` query rows attend over `s_kv`
+/// key/value rows. project_kv_rows is s_kv, or 0 for a later prefill chunk
+/// whose K₁ᵀ/V₁ an earlier chunk's ledger already projected (encoder
+/// attention is bidirectional, so that is one-time work). `entry_deps` are
+/// extra data deps for every input-consuming op (empty for a standalone
+/// run; a fused composer passes the previous sublayer's LayerNorm and this
+/// sublayer's weight prefetch).
 AppendResult append_mha(OpGraph& g, const AcceleratorConfig& cfg, int s_q,
                         int s_kv, int d_model, int num_heads,
-                        const std::vector<int>& entry_deps,
+                        int project_kv_rows, const std::vector<int>& entry_deps,
                         const std::string& prefix) {
+  TFACC_CHECK_ARG(s_q > 0 && s_kv > 0);
+  TFACC_CHECK_ARG(project_kv_rows == 0 || project_kv_rows == s_kv);
   const int hd = cfg.sa_cols;
   AppendResult res;
   std::vector<int> avs;
@@ -67,23 +72,26 @@ AppendResult append_mha(OpGraph& g, const AcceleratorConfig& cfg, int s_q,
     const int q1 = add_gemm(g, cfg, s_q, d_model, hd, entry_deps,
                             OpNode::kStaticWeight, tag + ".QWq");
     if (res.first_sa < 0) res.first_sa = q1;
-    const int k1 = add_gemm(g, cfg, s_kv, d_model, hd, entry_deps,
-                            OpNode::kStaticWeight, tag + ".KWk");
+    int k_dep = OpNode::kStaticWeight;  // resident from an earlier chunk
+    if (project_kv_rows > 0)
+      k_dep = add_gemm(g, cfg, project_kv_rows, d_model, hd, entry_deps,
+                       OpNode::kStaticWeight, tag + ".KWk");
     // Line 5: softmax input = Temp1 · Temp2ᵀ (K₁ᵀ is a runtime operand).
-    const int d = add_gemm(g, cfg, s_q, hd, s_kv, {q1}, k1, tag + ".QKt");
+    const int d = add_gemm(g, cfg, s_q, hd, s_kv, {q1}, k_dep, tag + ".QKt");
     // Line 6: softmax runs in parallel with V·W_Vi (the overlap claim);
     // the ablation knob serializes V·W_Vi behind it instead — a genuine
     // softmax→SA edge, so tag it for stall/slack attribution.
     const int sm = add_softmax(g, cfg, d, s_kv, tag + ".softmax");
-    const int v1 =
-        cfg.overlap_softmax
-            ? add_gemm(g, cfg, s_kv, d_model, hd, entry_deps,
-                       OpNode::kStaticWeight, tag + ".VWv")
-            : add_gemm(g, cfg, s_kv, d_model, hd, {sm},
-                       OpNode::kStaticWeight, tag + ".VWv", sm);
+    int v_dep = OpNode::kStaticWeight;
+    if (project_kv_rows > 0)
+      v_dep = cfg.overlap_softmax
+                  ? add_gemm(g, cfg, project_kv_rows, d_model, hd, entry_deps,
+                             OpNode::kStaticWeight, tag + ".VWv")
+                  : add_gemm(g, cfg, project_kv_rows, d_model, hd, {sm},
+                             OpNode::kStaticWeight, tag + ".VWv", sm);
     // Line 7: P_i = softmax · Temp2 (V₁ is a runtime operand).
     avs.push_back(
-        add_gemm(g, cfg, s_q, s_kv, hd, {sm}, v1, tag + ".AV", sm));
+        add_gemm(g, cfg, s_q, s_kv, hd, {sm}, v_dep, tag + ".AV", sm));
   }
   res.ln = add_output_blocks(g, cfg, s_q, d_model, avs, prefix);
   return res;
@@ -106,9 +114,11 @@ AppendResult append_mha_cached_batch(OpGraph& g, const AcceleratorConfig& cfg,
   for (int h = 0; h < num_heads; ++h) {
     const std::string tag = prefix + "head" + std::to_string(h);
     // Projections stream the stacked slot rows through a single weight-tile
-    // residency (the PR 3 full-tile restoration). K/V project before Q so
-    // the first slot's K₁ᵀ tile loads under the Q projection (see
-    // schedule_mha_cached) — the one-slot graph stays identical to it.
+    // residency (the PR 3 full-tile restoration). K/V project before Q
+    // (insertion order = greedy tie-break priority): their output tiles are
+    // the attention GEMMs' stationary operands, so starting them first lets
+    // the first slot's K₁ᵀ load run under the Q projection instead of
+    // stalling the first QKt.
     int k_dep = OpNode::kStaticWeight;  // cached K₁ᵀ / V₁ are resident
     int v_dep = OpNode::kStaticWeight;
     if (project_kv_rows > 0) {
@@ -134,49 +144,6 @@ AppendResult append_mha_cached_batch(OpGraph& g, const AcceleratorConfig& cfg,
     }
   }
   res.ln = add_output_blocks(g, cfg, n, d_model, avs, prefix);
-  return res;
-}
-
-/// Encoder (prefill) MHA chunk: `s_q` of the sentence's rows attend over
-/// all `s_kv` source rows. Encoder attention is bidirectional, so the
-/// sentence's K/V projection is one-time work: it rides with the
-/// sublayer's first chunk (project_kv_rows = s_kv), while later chunks'
-/// K₁ᵀ/V₁ are already resident in the data memory from an earlier step's
-/// ledger. A full-size chunk (s_q = s_kv = project_kv_rows) appends
-/// exactly append_mha's graph, op for op.
-AppendResult append_mha_prefill(OpGraph& g, const AcceleratorConfig& cfg,
-                                int s_q, int s_kv, int d_model, int num_heads,
-                                int project_kv_rows,
-                                const std::vector<int>& entry_deps,
-                                const std::string& prefix) {
-  TFACC_CHECK_ARG(s_q > 0 && s_kv >= s_q);
-  TFACC_CHECK_ARG(project_kv_rows == 0 || project_kv_rows == s_kv);
-  const int hd = cfg.sa_cols;
-  AppendResult res;
-  std::vector<int> avs;
-  avs.reserve(static_cast<std::size_t>(num_heads));
-  for (int h = 0; h < num_heads; ++h) {
-    const std::string tag = prefix + "head" + std::to_string(h);
-    const int q1 = add_gemm(g, cfg, s_q, d_model, hd, entry_deps,
-                            OpNode::kStaticWeight, tag + ".QWq");
-    if (res.first_sa < 0) res.first_sa = q1;
-    int k_dep = OpNode::kStaticWeight;  // resident from an earlier chunk
-    if (project_kv_rows > 0)
-      k_dep = add_gemm(g, cfg, project_kv_rows, d_model, hd, entry_deps,
-                       OpNode::kStaticWeight, tag + ".KWk");
-    const int d = add_gemm(g, cfg, s_q, hd, s_kv, {q1}, k_dep, tag + ".QKt");
-    const int sm = add_softmax(g, cfg, d, s_kv, tag + ".softmax");
-    int v_dep = OpNode::kStaticWeight;
-    if (project_kv_rows > 0)
-      v_dep = cfg.overlap_softmax
-                  ? add_gemm(g, cfg, project_kv_rows, d_model, hd, entry_deps,
-                             OpNode::kStaticWeight, tag + ".VWv")
-                  : add_gemm(g, cfg, project_kv_rows, d_model, hd, {sm},
-                             OpNode::kStaticWeight, tag + ".VWv", sm);
-    avs.push_back(
-        add_gemm(g, cfg, s_q, s_kv, hd, {sm}, v_dep, tag + ".AV", sm));
-  }
-  res.ln = add_output_blocks(g, cfg, s_q, d_model, avs, prefix);
   return res;
 }
 
@@ -216,7 +183,8 @@ AppendResult append_sublayer(OpGraph& g, const AcceleratorConfig& cfg,
   switch (sub.kind) {
     case SublayerPlan::Kind::kMha:
       return append_mha(g, cfg, sub.s_q, sub.s_kv, sub.d_model,
-                        sub.num_heads, entry_deps, prefix);
+                        sub.num_heads, /*project_kv_rows=*/sub.s_kv,
+                        entry_deps, prefix);
     case SublayerPlan::Kind::kMhaCachedBatch:
       return append_mha_cached_batch(g, cfg, sub.totals, sub.d_model,
                                      sub.num_heads, sub.project_kv_rows,
@@ -225,9 +193,11 @@ AppendResult append_sublayer(OpGraph& g, const AcceleratorConfig& cfg,
       return append_ffn(g, cfg, sub.rows, sub.d_model, sub.d_ff, entry_deps,
                         prefix);
     case SublayerPlan::Kind::kMhaPrefill:
-      return append_mha_prefill(g, cfg, sub.s_q, sub.s_kv, sub.d_model,
-                                sub.num_heads, sub.project_kv_rows,
-                                entry_deps, prefix);
+      // A chunk's rows are a slice of the sentence it attends over.
+      TFACC_CHECK_ARG(sub.s_kv >= sub.s_q);
+      return append_mha(g, cfg, sub.s_q, sub.s_kv, sub.d_model,
+                        sub.num_heads, sub.project_kv_rows, entry_deps,
+                        prefix);
   }
   TFACC_CHECK(false);
   return {};
@@ -239,48 +209,13 @@ ScheduledRun schedule_mha(const AcceleratorConfig& cfg, Timeline& tl, int s_q,
                           int s_kv, int d_model, int num_heads) {
   cfg.validate();
   ScheduledRun run;
-  append_mha(run.graph, cfg, s_q, s_kv, d_model, num_heads, {}, "");
+  append_mha(run.graph, cfg, s_q, s_kv, d_model, num_heads,
+             /*project_kv_rows=*/s_kv, {}, "");
   // Algorithm 1's controller is a fixed program: issue in its order so the
   // Section V.B cycle validation against the paper — and the per-head
   // softmax-hidden-behind-V·W_V property it demonstrates — stays exact.
   run.stats = schedule_ops(run.graph, cfg.weight_load_cycles,
                            IssuePolicy::kProgramOrder, tl);
-  return run;
-}
-
-ScheduledRun schedule_mha_cached(const AcceleratorConfig& cfg, Timeline& tl,
-                                 int s_new, int s_total, int d_model,
-                                 int num_heads, int project_kv_rows) {
-  cfg.validate();
-  const int hd = cfg.sa_cols;
-  ScheduledRun run;
-  OpGraph& g = run.graph;
-  std::vector<int> avs;
-  avs.reserve(static_cast<std::size_t>(num_heads));
-  for (int h = 0; h < num_heads; ++h) {
-    const std::string tag = "head" + std::to_string(h);
-    // K/V project before Q (insertion order = greedy tie-break priority):
-    // their output tiles are the attention GEMMs' stationary operands, so
-    // starting them first lets the K₁ᵀ load run under the Q projection
-    // instead of stalling the first QKt.
-    int k_dep = OpNode::kStaticWeight;  // cached K₁ᵀ / V₁ are resident
-    int v_dep = OpNode::kStaticWeight;
-    if (project_kv_rows > 0) {
-      k_dep = add_gemm(g, cfg, project_kv_rows, d_model, hd, {},
-                       OpNode::kStaticWeight, tag + ".KWk");
-      v_dep = add_gemm(g, cfg, project_kv_rows, d_model, hd, {},
-                       OpNode::kStaticWeight, tag + ".VWv");
-    }
-    const int q1 = add_gemm(g, cfg, s_new, d_model, hd, {},
-                            OpNode::kStaticWeight, tag + ".QWq");
-    const int d =
-        add_gemm(g, cfg, s_new, hd, s_total, {q1}, k_dep, tag + ".QKt");
-    const int sm = add_softmax(g, cfg, d, s_total, tag + ".softmax");
-    avs.push_back(
-        add_gemm(g, cfg, s_new, s_total, hd, {sm}, v_dep, tag + ".AV", sm));
-  }
-  add_output_blocks(g, cfg, s_new, d_model, avs, "");
-  run.stats = schedule_ops(g, cfg.weight_load_cycles, IssuePolicy::kGreedy, tl);
   return run;
 }
 

@@ -1,4 +1,4 @@
-// The four ResBlock schedule builders, rebuilt (PR 4) as dependency graphs
+// The three ResBlock schedule builders, rebuilt (PR 4) as dependency graphs
 // placed by the list scheduler of sim/op_graph.hpp.
 //
 //  * schedule_mha          — Algorithm 1 lines 1-13, the paper's validated
@@ -6,16 +6,16 @@
 //                            this is the controller the paper describes and
 //                            the cycle counts Section V.B pins (21,188 at
 //                            the design point) depend on its exact order.
-//  * schedule_mha_cached   — KV-cached incremental decode (PR 2).
-//  * schedule_mha_cached_batch — packed continuous-batching decode (PR 3).
+//  * schedule_mha_cached_batch — KV-cached decode, one query row per slot
+//                            (PR 3); serial incremental decode is the
+//                            one-slot case.
 //  * schedule_ffn          — Algorithm 1 lines 14-22.
 //
-// The cached flows issue greedily (IssuePolicy::kGreedy): while the softmax
+// The cached flow issues greedily (IssuePolicy::kGreedy): while the softmax
 // unit processes slot r of head h, the SA streams slot r+1's QKt or the
 // next head's projections, so softmax latency becomes overlap instead of a
-// per-slot bubble. With one slot the batch flow degenerates to exactly the
-// cached flow's graph — cycle counts are identical by construction (pinned
-// in tests/test_op_graph.cpp).
+// per-slot bubble. Its one-slot cycle counts are pinned in
+// tests/test_op_graph.cpp.
 //
 // Exposed publicly (rather than as accelerator.cpp internals) so tests and
 // tools/schedule_lint can check every flow with the typed schedule
@@ -40,18 +40,12 @@ struct ScheduledRun {
 ScheduledRun schedule_mha(const AcceleratorConfig& cfg, Timeline& tl, int s_q,
                           int s_kv, int d_model, int num_heads);
 
-/// KV-cached MHA: `s_new` query rows are projected and attend over `s_total`
-/// cached keys/values; only `project_kv_rows` K/V rows are projected this
-/// call (0 = fully cached, the steady decode state).
-ScheduledRun schedule_mha_cached(const AcceleratorConfig& cfg, Timeline& tl,
-                                 int s_new, int s_total, int d_model,
-                                 int num_heads, int project_kv_rows);
-
 /// Packed KV-cached MHA: one query row per slot, slot r attending over
 /// totals[r] cached keys/values. Projections (QWq, and KWk/VWv for the
-/// project_kv_rows appended rows) stream the stacked rows through a single
-/// weight-tile residency; the ragged per-slot attention GEMMs keep their
-/// one-row shapes and interleave across slots and heads.
+/// project_kv_rows rows projected this call; 0 = fully cached, the steady
+/// decode state) stream the stacked rows through a single weight-tile
+/// residency; the ragged per-slot attention GEMMs keep their one-row
+/// shapes and interleave across slots and heads.
 ScheduledRun schedule_mha_cached_batch(const AcceleratorConfig& cfg,
                                        Timeline& tl,
                                        const std::vector<int>& totals,

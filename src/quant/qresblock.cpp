@@ -276,38 +276,6 @@ void MhaQuantized::append_kv(const MatI8& kv, QuantKvCache& cache) const {
   }
 }
 
-MatI8 MhaQuantized::forward_cached(const MatI8& q, const QuantKvCache& cache,
-                                   const Mask& mask) const {
-  TFACC_CHECK_ARG(q.cols() == d_model);
-  TFACC_CHECK_ARG(mask.rows() == q.rows() && mask.cols() == cache.rows());
-
-  MatI8 p(q.rows(), d_model);
-  for (int h = 0; h < num_heads; ++h) {
-    const auto& qh = heads[static_cast<std::size_t>(h)];
-    const MatI8 q1 = qh.wq.forward(q);
-    const MatI32 scores =
-        gemm_nt_i8(q1, cache.k1[static_cast<std::size_t>(h)]);
-    const MatI8 probs = softmax(scores, mask, h);
-    const MatI32 a = gemm_i8(probs, cache.v1[static_cast<std::size_t>(h)]);
-    p.set_block(0, h * head_dim, requantize_i8(a, qh.av_requant));
-  }
-  return mha_output_stage(*this, q, p);
-}
-
-std::vector<QuantKvCache*> quant_kv_caches(
-    const std::vector<MhaCache*>& caches) {
-  std::vector<QuantKvCache*> kv(caches.size());
-  for (std::size_t i = 0; i < caches.size(); ++i)
-    kv[i] = &dynamic_cast<QuantKvCache&>(*caches[i]);
-  return kv;
-}
-
-std::vector<const Mask*> mask_ptrs(const std::vector<Mask>& masks) {
-  std::vector<const Mask*> out(masks.size());
-  for (std::size_t i = 0; i < masks.size(); ++i) out[i] = &masks[i];
-  return out;
-}
-
 BatchHookScratch& batch_hook_scratch() {
   thread_local BatchHookScratch s;
   return s;

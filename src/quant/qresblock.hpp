@@ -127,12 +127,8 @@ struct MhaQuantized {
   /// Empty K/V cache shaped for this block.
   QuantKvCache make_cache() const;
   /// Project `kv` rows (INT8 at kv_in_scale) and append their K₁/V₁ to the
-  /// cache — one call per decode step (self) or once per sentence (cross).
+  /// cache — how a cross cache takes the whole encoder memory at once.
   void append_kv(const MatI8& kv, QuantKvCache& cache) const;
-  /// forward() against cached K₁/V₁: only q is projected. Bit-identical to
-  /// forward(q, kv, mask) when the cache holds kv's projections.
-  MatI8 forward_cached(const MatI8& q, const QuantKvCache& cache,
-                       const Mask& mask) const;
 
   /// Packed decode step: project the stacked new K/V rows (row r belongs to
   /// slot r) in ONE pass through wk/wv and scatter row r into caches[r].
@@ -140,11 +136,11 @@ struct MhaQuantized {
   /// row-independent.
   void append_kv_batch(const MatI8& kv,
                        const std::vector<QuantKvCache*>& caches) const;
-  /// forward_cached over many slots at once: row r of q attends over
-  /// caches[r] under masks[r] (1 × caches[r]->rows()). The Q projection and
-  /// the whole output stage (W_G, residual, LayerNorm) run over the stacked
-  /// rows; attention/softmax stay per slot. Bit-identical, row for row, to
-  /// per-slot forward_cached.
+  /// forward() against cached K₁/V₁ for many slots at once: only q is
+  /// projected, and row r attends over caches[r] under masks[r]
+  /// (1 × caches[r]->rows()). The Q projection and the output stage (W_G,
+  /// residual, LayerNorm) run over the stacked rows; attention/softmax stay
+  /// per slot. Row r is bit-identical to forward()'s row over the same K/V.
   MatI8 forward_cached_batch(const MatI8& q,
                              const std::vector<const QuantKvCache*>& caches,
                              const std::vector<const Mask*>& masks) const;
@@ -198,14 +194,6 @@ struct FfnQuantized {
   }
 };
 
-/// Downcast a backend hook's cache list to the INT8 caches (throws on a
-/// foreign cache type) — shared marshalling of the packed mha_cached_batch
-/// hooks in qtransformer and core/backend.
-std::vector<QuantKvCache*> quant_kv_caches(
-    const std::vector<MhaCache*>& caches);
-/// Address-of view of a hook's mask list, as forward_cached_batch consumes.
-std::vector<const Mask*> mask_ptrs(const std::vector<Mask>& masks);
-
 /// Thread-local marshalling scratch for the packed decode hooks: the
 /// cache/mask pointer views and the per-slot totals are rebuilt every step,
 /// but their buffers persist, so a warm step's hook does zero heap
@@ -219,11 +207,14 @@ struct BatchHookScratch {
 };
 BatchHookScratch& batch_hook_scratch();
 
-/// quant_kv_caches + the const view, into `s.kv` / `s.ckv` (no allocation
-/// once warm).
+/// Downcast a backend hook's cache list to the INT8 caches (throws on a
+/// foreign cache type) into `s.kv`, plus its const view into `s.ckv` —
+/// shared marshalling of the mha_cached_batch hooks in qtransformer and
+/// core/backend (no allocation once warm).
 void quant_kv_caches_into(const std::vector<MhaCache*>& caches,
                           BatchHookScratch& s);
-/// mask_ptrs into `s.masks` (no allocation once warm).
+/// Address-of view of a hook's mask list, as forward_cached_batch consumes,
+/// into `s.masks` (no allocation once warm).
 void mask_ptrs_into(const std::vector<Mask>& masks, BatchHookScratch& s);
 
 /// Saturating INT16 residual add: sat16(a + b) elementwise.

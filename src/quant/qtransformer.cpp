@@ -87,14 +87,6 @@ ResBlockBackend QuantizedTransformer::backend() const {
     qm.append_kv(qm.quantize_kv(memory), *cache);
     return cache;
   };
-  b.mha_cached = [this](const MatF& q, MhaCache& cache, const MhaWeights& w,
-                        const Mask& mask, bool append) {
-    const MhaQuantized& qm = mha_for(w);
-    auto& kv_cache = dynamic_cast<QuantKvCache&>(cache);
-    if (append) qm.append_kv(qm.quantize_kv(q), kv_cache);
-    return qm.dequantize_out(
-        qm.forward_cached(qm.quantize_q(q), kv_cache, mask));
-  };
   // Packed decode: the stacked rows share one quantization pass per scale
   // (q_in for queries/residual, kv_in for the appended K/V) and one
   // projection per weight matrix; attention stays per slot.

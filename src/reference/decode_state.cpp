@@ -30,26 +30,6 @@ MhaCachePtr ref_mha_cross_cache(const MatF& memory, const MhaWeights& w) {
   return cache;
 }
 
-MatF ref_mha_cached(const MatF& q, MhaCache& cache, const MhaWeights& w,
-                    const Mask& mask, bool append) {
-  auto& ref = dynamic_cast<RefMhaCache&>(cache);
-  TFACC_CHECK_ARG(ref.k.size() == w.heads.size());
-  std::vector<MatF> head_outputs;
-  head_outputs.reserve(w.heads.size());
-  for (std::size_t h = 0; h < w.heads.size(); ++h) {
-    const auto& head = w.heads[h];
-    if (append) {
-      ref.k[h].append_rows(add_bias(gemm(q, head.wk), head.bk));
-      ref.v[h].append_rows(add_bias(gemm(q, head.wv), head.bv));
-    }
-    const MatF qi = add_bias(gemm(q, head.wq), head.bq);
-    head_outputs.push_back(attention_head(qi, ref.k[h], ref.v[h], mask));
-  }
-  const MatF p = hconcat(head_outputs);
-  const MatF g = add(q, add_bias(gemm(p, w.wg), w.bg));
-  return layer_norm(g, w.norm);
-}
-
 MatF ref_mha_cached_batch(const MatF& q, const std::vector<MhaCache*>& caches,
                           const MhaWeights& w, const std::vector<Mask>& masks,
                           bool append) {

@@ -11,7 +11,9 @@
 //
 // A backend owns the representation of its cache (FP32 rows here; the INT8
 // backends store the already-quantized rows so no requantization drift can
-// occur); the decode loop only sees the MhaCache interface.
+// occur); the decode loop only sees the MhaCache interface. Every cached
+// attention call is packed: one query row per hypothesis, each against its
+// own cache, and serial decode is simply the one-row case.
 #pragma once
 
 #include <memory>
@@ -48,17 +50,12 @@ class RefMhaCache final : public MhaCache {
 /// (the ResBlockBackend defaults, mirroring mha_resblock).
 MhaCachePtr ref_mha_self_cache(const MhaWeights& w);
 MhaCachePtr ref_mha_cross_cache(const MatF& memory, const MhaWeights& w);
-/// Cached MHA ResBlock: when `append`, first project q's rows into the cache
-/// (decoder self-attention — K = V = the new rows), then attend q over all
-/// cached rows. `mask` is q.rows() × cache.rows() (after the append).
-MatF ref_mha_cached(const MatF& q, MhaCache& cache, const MhaWeights& w,
-                    const Mask& mask, bool append);
 /// Packed cached MHA over many independent hypotheses: row r of `q` belongs
-/// to slot r, attending over caches[r] under masks[r] (1 × caches[r]->rows()
-/// after the append). Projections run over the stacked rows in one GEMM;
-/// attention stays per slot. Every op is row-independent, so the output is
-/// bit-identical, row for row, to calling ref_mha_cached on each row alone.
-/// With `append`, caches must be distinct objects (each slot appends its own
+/// to slot r. With `append`, it is first projected into caches[r] (decoder
+/// self-attention — K = V = the new row); then it attends over caches[r]
+/// under masks[r] (1 × caches[r]->rows() after the append). Projections run
+/// over the stacked rows in one GEMM; attention stays per slot. With
+/// `append`, caches must be distinct objects (each slot appends its own
 /// row); without it, sharing a cache across slots is fine (read-only).
 MatF ref_mha_cached_batch(const MatF& q, const std::vector<MhaCache*>& caches,
                           const MhaWeights& w, const std::vector<Mask>& masks,

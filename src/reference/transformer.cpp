@@ -35,23 +35,14 @@ bool holds_default(const std::function<Sig>& f, Fn* def) {
 }  // namespace
 
 bool ResBlockBackend::supports_cached_decode() const {
-  if (!mha_cached || !mha_self_cache || !mha_cross_cache) return false;
+  if (!mha_cached_batch || !mha_self_cache || !mha_cross_cache) return false;
   const bool cached_is_default =
-      holds_default(mha_cached, &ref_mha_cached) &&
+      holds_default(mha_cached_batch, &ref_mha_cached_batch) &&
       holds_default(mha_self_cache, &ref_mha_self_cache) &&
       holds_default(mha_cross_cache, &ref_mha_cross_cache);
   // Default cached hooks only match a default mha; overridden cached hooks
   // are the author's claim of consistency and are trusted.
   return !cached_is_default || holds_default(mha, &mha_resblock);
-}
-
-bool ResBlockBackend::supports_batched_decode() const {
-  if (!supports_cached_decode() || !mha_cached_batch) return false;
-  // The default batch hook only matches backends whose cached hooks are also
-  // the reference defaults; an overridden batch hook is the author's claim
-  // of row-for-row agreement with their mha_cached and is trusted.
-  return !holds_default(mha_cached_batch, &ref_mha_cached_batch) ||
-         holds_default(mha_cached, &ref_mha_cached);
 }
 
 int unpadded_length(const TokenSeq& seq) {
@@ -164,49 +155,9 @@ DecodeState Transformer::begin_decode(const MatF& memory,
 
 std::vector<float> Transformer::decode_step(DecodeState& state,
                                             int token) const {
-  TFACC_CHECK_ARG_MSG(token >= 0 && token < weights_.vocab_size,
-                      "token id " << token);
-  TFACC_CHECK_ARG(state.self_kv.size() == weights_.decoder_layers.size());
-  const int d_model = weights_.config.d_model;
-  const float scale = std::sqrt(static_cast<float>(d_model));
-  const auto pe = positions(state.steps + 1);
-  MatF y(1, d_model);
-  for (int c = 0; c < d_model; ++c)
-    y(0, c) =
-        weights_.tgt_embedding(token, c) * scale + (*pe)(state.steps, c);
-
-  // Row `steps` of causal_mask(steps + 1) attends to every position ≤ steps
-  // — exactly the rows the self cache holds after this step's append.
-  const Mask self_mask = no_mask(1, state.steps + 1);
-  const Mask cross_mask = padding_mask(1, state.memory_rows, state.src_valid);
-  for (std::size_t li = 0; li < weights_.decoder_layers.size(); ++li) {
-    const auto& layer = weights_.decoder_layers[li];
-    y = backend_.mha_cached(y, *state.self_kv[li], layer.self_mha, self_mask,
-                            /*append=*/true);
-    y = backend_.mha_cached(y, *state.cross_kv[li], layer.cross_mha,
-                            cross_mask, /*append=*/false);
-    y = backend_.ffn(y, layer.ffn);
-  }
-  ++state.steps;
-
-  const MatF logits = gemm(y, weights_.output_projection);
-  std::vector<float> out(static_cast<std::size_t>(logits.cols()));
-  for (int c = 0; c < logits.cols(); ++c)
-    out[static_cast<std::size_t>(c)] = logits(0, c);
-  return out;
-}
-
-std::vector<std::vector<float>> Transformer::decode_step_batch(
-    const std::vector<DecodeState*>& states,
-    const std::vector<int>& tokens) const {
   MatF logits;
-  decode_step_batch(states, tokens, logits);
-  std::vector<std::vector<float>> out(states.size());
-  for (int i = 0; i < logits.rows(); ++i) {
-    const float* row = logits.row(i);
-    out[static_cast<std::size_t>(i)].assign(row, row + logits.cols());
-  }
-  return out;
+  decode_step_batch({&state}, {token}, logits);
+  return std::vector<float>(logits.row(0), logits.row(0) + logits.cols());
 }
 
 void Transformer::decode_step_batch(const std::vector<DecodeState*>& states,
@@ -216,17 +167,6 @@ void Transformer::decode_step_batch(const std::vector<DecodeState*>& states,
   const int n = static_cast<int>(states.size());
   const int vocab = weights_.output_projection.cols();
   if (logits.rows() != n || logits.cols() != vocab) logits = MatF(n, vocab);
-
-  if (!backend_.supports_batched_decode()) {
-    // Untrusted batch hook: the serial path is bit-identical by definition.
-    for (int i = 0; i < n; ++i) {
-      const std::vector<float> row =
-          decode_step(*states[static_cast<std::size_t>(i)],
-                      tokens[static_cast<std::size_t>(i)]);
-      std::copy(row.begin(), row.end(), logits.row(i));
-    }
-    return;
-  }
 
   const int d_model = weights_.config.d_model;
   const float scale = std::sqrt(static_cast<float>(d_model));
@@ -255,7 +195,8 @@ void Transformer::decode_step_batch(const std::vector<DecodeState*>& states,
     const int tok = tokens[static_cast<std::size_t>(i)];
     for (int c = 0; c < d_model; ++c)
       y(i, c) = weights_.tgt_embedding(tok, c) * scale + (*pe)(s.steps, c);
-    // Row `steps` of causal_mask(steps + 1), as in decode_step.
+    // Row `steps` of causal_mask(steps + 1): every row the self cache holds
+    // after this step's append.
     sc.self_masks.push_back(no_mask(1, s.steps + 1));
     sc.cross_masks.push_back(padding_mask(1, s.memory_rows, s.src_valid));
   }

@@ -34,13 +34,13 @@ MatF positional_encoding(int max_len, int d_model);
 /// Pluggable ResBlock implementations so the same decode loop can run on the
 /// FP32 reference, the INT8 functional model, or the accelerator simulator.
 ///
-/// The three cached-MHA hooks are the incremental-decode interface; they
-/// must agree row-for-row with `mha` (the defaults do, and so do the
-/// quantized and accelerator backends). A backend overriding `mha` should
-/// override all of them together; if it does not, supports_cached_decode()
-/// turns false and the decode loops fall back to DecodeMode::kFullRecompute
-/// (which only ever calls `mha`/`ffn`), so a partial override can never
-/// silently bypass the custom `mha`.
+/// The two cache factories and mha_cached_batch are the incremental-decode
+/// interface; they must agree row-for-row with `mha` (the defaults do, and
+/// so do the quantized and accelerator backends). A backend overriding
+/// `mha` should override them together; if it does not,
+/// supports_cached_decode() turns false and the decode loops fall back to
+/// DecodeMode::kFullRecompute (which only ever calls `mha`/`ffn`), so a
+/// partial override can never silently bypass the custom `mha`.
 struct ResBlockBackend {
   std::function<MatF(const MatF& q, const MatF& kv, const MhaWeights&,
                      const Mask&)>
@@ -53,14 +53,12 @@ struct ResBlockBackend {
   /// Cross-attention cache with K/V projected once from the encoder memory.
   std::function<MhaCachePtr(const MatF& memory, const MhaWeights&)>
       mha_cross_cache = ref_mha_cross_cache;
-  /// Cached MHA ResBlock; appends q's K/V rows to `cache` when `append`.
-  std::function<MatF(const MatF& q, MhaCache& cache, const MhaWeights&,
-                     const Mask&, bool append)>
-      mha_cached = ref_mha_cached;
-  /// Packed cached MHA: row r of q is an independent hypothesis attending
-  /// over caches[r] under masks[r]. Must agree row-for-row with mha_cached
-  /// (trivially true for the defaults and the shipped backends: every op is
-  /// row-independent, the packing only amortizes projections/quantization).
+  /// Cached MHA ResBlock over packed hypotheses: row r of q attends over
+  /// caches[r] under masks[r], first appending its own K/V row to caches[r]
+  /// when `append`. Row r must equal what `mha` computes for that row over
+  /// the cached K/V (trivially true for the defaults and the shipped
+  /// backends: every op is row-independent, the packing only amortizes
+  /// projections/quantization). Serial decode is the one-row case.
   std::function<MatF(const MatF& q, const std::vector<MhaCache*>& caches,
                      const MhaWeights&, const std::vector<Mask>& masks,
                      bool append)>
@@ -72,11 +70,6 @@ struct ResBlockBackend {
   /// `mha` with default cached hooks — makes the decode loops fall back to
   /// full recompute rather than compute attention with the wrong backend.
   bool supports_cached_decode() const;
-  /// True when mha_cached_batch can be trusted to agree with mha_cached: the
-  /// whole backend is still the reference default, or the batch hook was
-  /// overridden alongside the cached ones. False makes decode_step_batch
-  /// fall back to per-hypothesis mha_cached calls — slower, never wrong.
-  bool supports_batched_decode() const;
 };
 
 /// How translate_greedy / translate_beam run the decoder stack. Both modes
@@ -120,30 +113,24 @@ class Transformer {
   DecodeState begin_decode(const MatF& memory, int src_valid_len) const;
 
   /// Feed `token` at the next target position (state.steps), advancing the
-  /// state, and return the vocab logits row for the following position.
-  /// Bit-identical to next_token_logits over the same token prefix.
+  /// state, and return the vocab logits row for the following position:
+  /// a one-row decode_step_batch. Bit-identical to next_token_logits over
+  /// the same token prefix.
   std::vector<float> decode_step(DecodeState& state, int token) const;
 
   /// One packed decode step over many independent hypotheses: feeds
   /// tokens[i] into *states[i] (each at its own position, against its own
   /// caches and masks — lengths may be ragged) through ONE stacked ResBlock
-  /// pass per decoder sublayer, then returns one logits row per hypothesis.
-  /// Bit-identical to calling decode_step(*states[i], tokens[i]) serially,
-  /// because every op in the stack is row-independent; the packing exists so
-  /// the systolic array streams full tiles instead of single rows. Self
-  /// caches must be distinct objects; cross caches may be shared (beam
-  /// siblings). Falls back to serial decode_step when the backend does not
-  /// provide a trusted batch hook (supports_batched_decode()).
-  std::vector<std::vector<float>> decode_step_batch(
-      const std::vector<DecodeState*>& states,
-      const std::vector<int>& tokens) const;
-
-  /// Allocation-free variant for the serve step loop: writes hypothesis i's
-  /// logits into row i of `logits` (reshaped to n × vocab only when its
-  /// shape differs, drawing from the recycling byte pool). With a batched
-  /// backend, a warm call performs ZERO heap allocations — every temporary
-  /// recycles through the thread-local pool or persistent scratch
-  /// (tests/test_kernels.cpp enforces this with an operator-new counter).
+  /// pass per decoder sublayer, and writes hypothesis i's logits into row i
+  /// of `logits` (reshaped to n × vocab only when its shape differs,
+  /// drawing from the recycling byte pool). Row i is bit-identical to
+  /// decode_step(*states[i], tokens[i]) run alone, because every op in the
+  /// stack is row-independent; the packing exists so the systolic array
+  /// streams full tiles instead of single rows. Self caches must be
+  /// distinct objects; cross caches may be shared (beam siblings). A warm
+  /// call performs ZERO heap allocations — every temporary recycles through
+  /// the thread-local pool or persistent scratch (tests/test_kernels.cpp
+  /// enforces this with an operator-new counter).
   void decode_step_batch(const std::vector<DecodeState*>& states,
                          const std::vector<int>& tokens, MatF& logits) const;
 

@@ -65,7 +65,7 @@ TEST(EncoderPass, DmaScalesWithBandwidth) {
 TEST(TimeMhaCached, SingleRowStepCheaperButWeightLoadBound) {
   Accelerator acc;
   const Cycle full = acc.time_mha(64, 64, 512, 8).total_cycles;
-  const Cycle step = acc.time_mha_cached(1, 64, 512, 8, 1).total_cycles;
+  const Cycle step = acc.time_mha_cached(64, 512, 8, 1).total_cycles;
   EXPECT_LT(step, full);
   // The architectural floor: below sa_rows−drain rows, every tile pass is
   // bounded by the 64-cycle weight load, so a 1-row step cannot shrink
@@ -75,9 +75,9 @@ TEST(TimeMhaCached, SingleRowStepCheaperButWeightLoadBound) {
 
 TEST(TimeMhaCached, CachedKvCheaperThanProjectingIt) {
   Accelerator acc;
-  const Cycle cached = acc.time_mha_cached(1, 64, 512, 8, 0).total_cycles;
+  const Cycle cached = acc.time_mha_cached(64, 512, 8, 0).total_cycles;
   const Cycle projecting =
-      acc.time_mha_cached(1, 64, 512, 8, 64).total_cycles;
+      acc.time_mha_cached(64, 512, 8, 64).total_cycles;
   EXPECT_LT(cached, projecting);
 }
 
@@ -85,7 +85,7 @@ TEST(TimeMhaCached, GrowsWithContextLength) {
   Accelerator acc;
   Cycle prev = 0;
   for (int t : {8, 32, 128, 512}) {
-    const Cycle c = acc.time_mha_cached(1, t, 512, 8, 1).total_cycles;
+    const Cycle c = acc.time_mha_cached(t, 512, 8, 1).total_cycles;
     EXPECT_GE(c, prev) << t;
     prev = c;
   }

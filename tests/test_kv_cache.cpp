@@ -152,7 +152,7 @@ TEST(KvCacheQuantized, FloatExactSoftmaxAlsoBitIdentical) {
 
 TEST(KvCacheQuantized, ForwardCachedMatchesForwardRowwise) {
   QuantFixture fx;
-  // Drive one quantized block directly: cached single-row queries against an
+  // Drive one quantized block directly: one-slot cached queries against an
   // incrementally grown cache must reproduce the full batch forward rows.
   const MhaWeights& w = fx.model.weights().decoder_layers[0].self_mha;
   const MhaQuantized& qm = fx.qt.mha_for(w);
@@ -166,8 +166,9 @@ TEST(KvCacheQuantized, ForwardCachedMatchesForwardRowwise) {
   QuantKvCache cache = qm.make_cache();
   for (int t = 0; t < 5; ++t) {
     const MatI8 q_row = q_all.block(t, 0, 1, q_all.cols());
-    qm.append_kv(kv_all.block(t, 0, 1, kv_all.cols()), cache);
-    const MatI8 out = qm.forward_cached(q_row, cache, no_mask(1, t + 1));
+    qm.append_kv_batch(kv_all.block(t, 0, 1, kv_all.cols()), {&cache});
+    const Mask mask = no_mask(1, t + 1);
+    const MatI8 out = qm.forward_cached_batch(q_row, {&cache}, {&mask});
     for (int c = 0; c < out.cols(); ++c)
       EXPECT_EQ(out(0, c), full(t, c)) << "row " << t << " col " << c;
   }
@@ -292,9 +293,11 @@ TEST(KvCacheSafety, PartialMhaOverrideFallsBackToFullRecompute) {
   full.mha = [](const MatF& q, const MatF& kv, const MhaWeights& w,
                 const Mask& m) { return mha_resblock(q, kv, w, m); };
   EXPECT_FALSE(full.supports_cached_decode());
-  full.mha_cached = [](const MatF& q, MhaCache& cache, const MhaWeights& w,
-                       const Mask& m, bool append) {
-    return ref_mha_cached(q, cache, w, m, append);
+  full.mha_cached_batch = [](const MatF& q,
+                             const std::vector<MhaCache*>& caches,
+                             const MhaWeights& w,
+                             const std::vector<Mask>& masks, bool append) {
+    return ref_mha_cached_batch(q, caches, w, masks, append);
   };
   EXPECT_TRUE(full.supports_cached_decode());
 }

@@ -204,11 +204,14 @@ TEST(SchedulerConfig, RejectsNonFiniteLengthPenalty) {
 
 // Lockstep packed-vs-serial logits: three hypotheses at ragged positions fed
 // forced tokens; every packed logits row must equal the serial decode_step
-// row bitwise. Run against each backend's batch hook.
+// row bitwise, and the full-recompute next_token_logits over that
+// hypothesis's token prefix — an independent path sharing no cached-MHA
+// code. Run against each backend's batch hook.
 void check_decode_step_batch(Transformer& model) {
   const std::vector<TokenSeq> srcs = {{3, 4, 5}, {6, 7}, {8, 9, 10, 3}};
   std::vector<MatF> memories;
   std::vector<DecodeState> packed, serial;
+  std::vector<TokenSeq> prefixes(srcs.size());
   for (const TokenSeq& src : srcs) {
     memories.push_back(model.encode(src));
     packed.push_back(
@@ -217,22 +220,34 @@ void check_decode_step_batch(Transformer& model) {
         model.begin_decode(memories.back(), static_cast<int>(src.size())));
   }
   // Desynchronize positions: advance hypothesis 2 by two forced steps.
-  for (int warm = 0; warm < 2; ++warm) {
-    (void)model.decode_step(packed[2], warm == 0 ? kBosId : 5);
-    (void)model.decode_step(serial[2], warm == 0 ? kBosId : 5);
+  for (const int warm : {kBosId, 5}) {
+    (void)model.decode_step(packed[2], warm);
+    (void)model.decode_step(serial[2], warm);
+    prefixes[2].push_back(warm);
   }
   std::vector<int> tokens = {kBosId, kBosId, 7};
+  MatF batch;
   for (int step = 0; step < 4; ++step) {
     std::vector<DecodeState*> states;
     for (auto& s : packed) states.push_back(&s);
-    const auto batch = model.decode_step_batch(states, tokens);
-    ASSERT_EQ(batch.size(), 3u);
+    model.decode_step_batch(states, tokens, batch);
+    ASSERT_EQ(batch.rows(), 3);
     for (std::size_t i = 0; i < 3; ++i) {
+      const int row = static_cast<int>(i);
+      prefixes[i].push_back(tokens[i]);
       const auto one = model.decode_step(serial[i], tokens[i]);
-      ASSERT_EQ(batch[i].size(), one.size());
-      for (std::size_t c = 0; c < one.size(); ++c)
-        ASSERT_EQ(batch[i][c], one[c])
+      const auto full = model.next_token_logits(
+          prefixes[i], memories[i], static_cast<int>(srcs[i].size()));
+      ASSERT_EQ(static_cast<std::size_t>(batch.cols()), one.size());
+      ASSERT_EQ(full.size(), one.size());
+      for (std::size_t c = 0; c < one.size(); ++c) {
+        const float packed_logit = batch(row, static_cast<int>(c));
+        ASSERT_EQ(packed_logit, one[c])
             << "step " << step << " hyp " << i << " logit " << c;
+        ASSERT_EQ(packed_logit, full[c])
+            << "step " << step << " hyp " << i << " logit " << c
+            << " vs full recompute";
+      }
       // Feed the argmax next, like a real greedy loop.
       tokens[i] = static_cast<int>(
           std::max_element(one.begin(), one.end()) - one.begin());
@@ -244,7 +259,7 @@ void check_decode_step_batch(Transformer& model) {
 TEST(DecodeStepBatch, ReferenceBackendBitIdentical) {
   Rng rng(81);
   Transformer model(TransformerWeights::random(micro_config(), 20, rng));
-  ASSERT_TRUE(ResBlockBackend{}.supports_batched_decode());
+  ASSERT_TRUE(ResBlockBackend{}.supports_cached_decode());
   check_decode_step_batch(model);
 }
 
@@ -253,7 +268,7 @@ TEST(DecodeStepBatch, QuantizedBackendBitIdentical) {
   Transformer model(TransformerWeights::random(hw_config(), 20, rng));
   const auto qt = QuantizedTransformer::build(model, calib_sources(), 12,
                                               SoftmaxImpl::kHardware);
-  ASSERT_TRUE(qt.backend().supports_batched_decode());
+  ASSERT_TRUE(qt.backend().supports_cached_decode());
   model.set_backend(qt.backend());
   check_decode_step_batch(model);
   model.set_backend(ResBlockBackend{});
@@ -266,23 +281,13 @@ TEST(DecodeStepBatch, AcceleratorBackendBitIdentical) {
                                               SoftmaxImpl::kHardware);
   Accelerator acc;
   AcceleratorStats stats;
-  model.set_backend(accelerator_backend(qt, acc, &stats));
+  const ResBlockBackend backend = accelerator_backend(qt, acc, &stats);
+  ASSERT_TRUE(backend.supports_cached_decode());
+  model.set_backend(backend);
   check_decode_step_batch(model);
   model.set_backend(ResBlockBackend{});
   EXPECT_GT(stats.mha_runs, 0);
   EXPECT_GT(stats.sa_busy_cycles, 0);
-}
-
-// An overridden mha without a batch hook must not reach the reference batch
-// default: decode_step_batch falls back to the (trusted) serial path.
-TEST(DecodeStepBatch, PartialOverrideFallsBackToSerial) {
-  ResBlockBackend partial;
-  partial.mha_cached = [](const MatF& q, MhaCache& cache, const MhaWeights& w,
-                          const Mask& m, bool append) {
-    return ref_mha_cached(q, cache, w, m, append);
-  };
-  EXPECT_TRUE(partial.supports_cached_decode());
-  EXPECT_FALSE(partial.supports_batched_decode());
 }
 
 // --- Scheduler bit-identity ---------------------------------------------------

@@ -87,8 +87,8 @@ TEST(Verifier, CleanBuildersVerifyAcrossPoliciesAndShapes) {
   // in program order under the pin.
   std::vector<ScheduledRun> cached;
   {
-    Timeline tl;
-    cached.push_back(schedule_mha_cached(cfg, tl, 1, 64, 512, 8, 1));
+    Timeline tl;  // serial decode: one slot appending its own row
+    cached.push_back(schedule_mha_cached_batch(cfg, tl, {64}, 512, 8, 1));
   }
   for (const int slots : {1, 8, 16}) {
     Timeline tl;
@@ -322,7 +322,7 @@ TEST(VerifyKnob, ParanoidAcceleratorVerifiesEveryLedgerItBuilds) {
   const Accelerator acc(cfg);
   EXPECT_NO_THROW(acc.time_mha(64, 64, 512, 8));
   EXPECT_NO_THROW(acc.time_ffn(64, 512, 2048));
-  EXPECT_NO_THROW(acc.time_mha_cached(1, 64, 512, 8, 1));
+  EXPECT_NO_THROW(acc.time_mha_cached(64, 512, 8, 1));
   std::vector<FusedLane> lanes;
   lanes.push_back(FusedLane{decode_plans(greedy_totals(8), 128, 2, 512, 1),
                             false});

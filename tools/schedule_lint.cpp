@@ -123,17 +123,17 @@ void sweep(Lint& lint, bool full) {
         },
         /*program_order=*/false);
 
-  // schedule_mha_cached — incremental decode, greedy.
+  // One-slot schedule_mha_cached_batch — serial incremental decode, greedy.
   for (const int total : {8, 64})
     for (const int project : {0, 1})
       lint_case(
           lint,
-          "mha_cached total=" + std::to_string(total) +
+          "cached slots=1 total=" + std::to_string(total) +
               " project=" + std::to_string(project),
           [&, total, project](const VerifyOptions& o) {
             Timeline tl;
             const ScheduledRun r =
-                schedule_mha_cached(cfg, tl, 1, total, 512, 8, project);
+                schedule_mha_cached_batch(cfg, tl, {total}, 512, 8, project);
             return verify_schedule(r.graph, r.stats, o);
           },
           /*program_order=*/false);
