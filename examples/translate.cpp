@@ -72,11 +72,12 @@ int main(int argc, char** argv) {
 
   Accelerator acc;
   AcceleratorStats stats;
+  DecodeStepFuser fuser(acc, &stats);
 
   std::printf("\ntranslating 5 test sentences on the accelerator backend:\n");
   const auto tests = task.corpus(5, rng);
   for (const auto& pair : tests) {
-    model.set_backend(accelerator_backend(qt, acc, &stats));
+    model.set_backend(accelerator_backend(qt, acc, &fuser));
     const TokenSeq hyp = model.translate_greedy(pair.source, max_len);
     model.set_backend(ResBlockBackend{});
     std::printf("\n");
@@ -100,7 +101,7 @@ int main(int argc, char** argv) {
     refs.push_back(pair.reference);
     fp32_hyps.push_back(model.translate_greedy(pair.source, max_len));
     beam_hyps.push_back(model.translate_beam(pair.source, max_len));
-    model.set_backend(accelerator_backend(qt, acc, nullptr));
+    model.set_backend(accelerator_backend(qt, acc));
     accel_hyps.push_back(model.translate_greedy(pair.source, max_len));
     model.set_backend(ResBlockBackend{});
   }

@@ -7,9 +7,11 @@ namespace tfacc {
 void ModelConfig::validate() const {
   TFACC_CHECK_MSG(d_model > 0 && d_ff > 0 && num_heads > 0 && head_dim > 0,
                   "config " << name);
-  TFACC_CHECK_MSG(d_model == head_dim * num_heads,
+  // Compared by division, so a hostile config (a tampered weight-file
+  // header) cannot overflow head_dim * num_heads or 4 * d_model.
+  TFACC_CHECK_MSG(d_model % num_heads == 0 && d_model / num_heads == head_dim,
                   name << ": d_model must equal head_dim*h (Table I pattern)");
-  TFACC_CHECK_MSG(d_ff == 4 * d_model,
+  TFACC_CHECK_MSG(d_ff % 4 == 0 && d_ff / 4 == d_model,
                   name << ": d_ff must equal 4*d_model (Table I pattern)");
   TFACC_CHECK_MSG(num_encoder_layers >= 0 && num_decoder_layers >= 0,
                   name << ": negative layer count");

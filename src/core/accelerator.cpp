@@ -59,9 +59,10 @@ void finalize_report(RunReport& rep, const AcceleratorConfig& cfg,
       stats.softmax_edges > 0 ? stats.softmax_slack_min : 0;
   rep.softmax_stall = stats.softmax_stall;
   rep.softmax_hidden = rep.softmax_slack_min >= 0;
-  // Boundary cost of a single-sublayer run: the cold load before the first
-  // SA op and the LayerNorm tail after the last. A fused ledger overwrites
-  // this with schedule_fused's seam-aware accounting.
+  // Boundary cost of a standalone run: the cold load before the first SA op
+  // and the LayerNorm tail after the last. time_step overwrites this with
+  // schedule_fused_lanes' seam-aware accounting (the same number for a
+  // one-sublayer ledger).
   if (const ModuleTimeline* sa = rep.timeline.find("SA");
       sa != nullptr && !sa->intervals().empty())
     rep.boundary_stall = sa->intervals().front().start +
@@ -199,25 +200,6 @@ MatI8 Accelerator::forward_mha_cached_batch(
   return block.forward_cached_batch(q, caches, masks);
 }
 
-Accelerator::MhaResult Accelerator::run_mha_cached_batch(
-    const MhaQuantized& block, const MatI8& q,
-    const std::vector<const QuantKvCache*>& caches,
-    const std::vector<const Mask*>& masks, int projected_rows) const {
-  MhaResult res;
-  res.out = forward_mha_cached_batch(block, q, caches, masks, projected_rows);
-
-  std::vector<int> totals(caches.size());
-  for (std::size_t r = 0; r < caches.size(); ++r) totals[r] = caches[r]->rows();
-  RunReport& rep = res.report;
-  const ScheduledRun sched =
-      schedule_mha_cached_batch(cfg_, rep.timeline, totals, block.d_model,
-                                block.num_heads, projected_rows);
-  maybe_verify(cfg_, "run_mha_cached_batch", sched, IssuePolicy::kGreedy,
-               rep);
-  finalize_report(rep, cfg_, sched.stats);
-  return res;
-}
-
 RunReport Accelerator::time_ffn(int s, int d_model, int d_ff) const {
   TFACC_CHECK_ARG(d_model % cfg_.sa_cols == 0 && d_ff % cfg_.sa_cols == 0);
   RunReport rep;
@@ -230,40 +212,20 @@ RunReport Accelerator::time_ffn(int s, int d_model, int d_ff) const {
 
 namespace {
 
-/// Issue policy of a fused ledger: a full-MHA sublayer pins Algorithm 1
+/// Issue policy of a step ledger: a full-MHA sublayer pins Algorithm 1
 /// program order (the paper-validated controller); everything else issues
 /// greedily like the standalone cached builders. kMhaPrefill deliberately
 /// does NOT pin program order — the whole point of the mixed step is that
 /// encoder chunks interleave with the packed decode rows.
-IssuePolicy fused_policy(const std::vector<SublayerPlan>& subs) {
-  for (const SublayerPlan& sub : subs)
-    if (sub.kind == SublayerPlan::Kind::kMha)
-      return IssuePolicy::kProgramOrder;
-  return IssuePolicy::kGreedy;
-}
-
 IssuePolicy fused_policy(const std::vector<FusedLane>& lanes) {
   for (const FusedLane& lane : lanes)
-    if (fused_policy(lane.subs) == IssuePolicy::kProgramOrder)
-      return IssuePolicy::kProgramOrder;
+    for (const SublayerPlan& sub : lane.subs)
+      if (sub.kind == SublayerPlan::Kind::kMha)
+        return IssuePolicy::kProgramOrder;
   return IssuePolicy::kGreedy;
 }
 
 }  // namespace
-
-RunReport Accelerator::time_fused(const std::vector<SublayerPlan>& subs,
-                                  bool chain) const {
-  RunReport rep;
-  const IssuePolicy policy = fused_policy(subs);
-  const FusedRun fused =
-      schedule_fused(cfg_, rep.timeline, subs, chain, policy);
-  maybe_verify_fused(cfg_, "time_fused", fused, policy, rep);
-  finalize_report(rep, cfg_, fused.stats);
-  // Replace the edges-only estimate with the composer's seam-aware number
-  // (identical for a one-sublayer ledger).
-  rep.boundary_stall = fused.boundary_stall;
-  return rep;
-}
 
 RunReport Accelerator::time_step(const std::vector<FusedLane>& lanes) const {
   RunReport rep;
@@ -272,6 +234,7 @@ RunReport Accelerator::time_step(const std::vector<FusedLane>& lanes) const {
       schedule_fused_lanes(cfg_, rep.timeline, lanes, policy);
   maybe_verify_fused(cfg_, "time_step", fused, policy, rep);
   finalize_report(rep, cfg_, fused.stats);
+  // Replace the edges-only estimate with the composer's seam-aware number.
   rep.boundary_stall = fused.boundary_stall;
   rep.prefill_stall = fused.prefill_stall;
   return rep;
@@ -279,18 +242,20 @@ RunReport Accelerator::time_step(const std::vector<FusedLane>& lanes) const {
 
 namespace {
 
-/// Steady-state interval from a two-invocation fused ledger: the second run
-/// shares the first's hardware and weight-prefetch port but no data, so the
-/// ledger realizes exactly the overlap the hardware would — the old
-/// analytic `total − weight_load − layernorm_busy` model assumed one cold
-/// load and a fully exposed LayerNorm tail per run, which the op-graph
-/// scheduler no longer guarantees. Clamped to >= 1 cycle so degenerate
-/// shapes yield a finite rate instead of tripping a CHECK.
+/// Steady-state interval from a two-invocation step ledger (one
+/// single-sublayer lane per run): the second run shares the first's hardware
+/// and weight-prefetch port but no data, so the ledger realizes exactly the
+/// overlap the hardware would — the old analytic
+/// `total − weight_load − layernorm_busy` model assumed one cold load and a
+/// fully exposed LayerNorm tail per run, which the op-graph scheduler no
+/// longer guarantees. Clamped to >= 1 cycle so degenerate shapes yield a
+/// finite rate instead of tripping a CHECK.
 Accelerator::StreamReport to_stream(const Accelerator& acc,
                                     const AcceleratorConfig& cfg,
                                     const SublayerPlan& sub) {
-  const RunReport one = acc.time_fused({sub}, /*chain=*/false);
-  const RunReport two = acc.time_fused({sub, sub}, /*chain=*/false);
+  const FusedLane lane{{sub}, false};
+  const RunReport one = acc.time_step({lane});
+  const RunReport two = acc.time_step({lane, lane});
   Accelerator::StreamReport sr;
   sr.first_latency = one.total_cycles;
   sr.steady_interval =

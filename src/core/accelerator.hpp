@@ -1,10 +1,11 @@
 // The top-level accelerator model (Fig. 5) and its controller (Algorithm 1).
 //
-// run_mha / run_ffn execute a whole ResBlock: functionally (bit-exact INT8,
-// matching the quantized models of src/quant by construction) and
-// cycle-wise (every SA / Softmax / LayerNorm operation reserved on a
-// Timeline following the paper's computation flow, including the
-// softmax-under-V·W_V overlap and the Fig. 7 LayerNorm strategies).
+// forward_* compute a ResBlock functionally (bit-exact INT8, matching the
+// quantized models of src/quant by construction); time_step times one step
+// ledger of sublayer shapes (every SA / Softmax / LayerNorm operation
+// reserved on a Timeline following the paper's computation flow, including
+// the softmax-under-V·W_V overlap and the Fig. 7 LayerNorm strategies).
+// run_mha / run_ffn compose the two for one standalone ResBlock.
 #pragma once
 
 #include <string>
@@ -87,21 +88,6 @@ class Accelerator {
   MhaResult run_mha(const MhaQuantized& block, const MatI8& q,
                     const MatI8& kv, const Mask& mask) const;
 
-  /// KV-cached MHA, packed (continuous batching): row r of q is an
-  /// independent hypothesis attending over caches[r] under masks[r]
-  /// (ragged cache lengths allowed; K₁/V₁ already resident in the data
-  /// memory). The Q/K/V projections and the W_G blocks stream all rows
-  /// through one weight-tile residency — restoring full-tile SA utilization
-  /// where single-row steps were weight-load bound — while the per-slot
-  /// attention GEMMs stay ragged. Serial decode is the one-slot case.
-  /// `projected_rows` is the number of K/V rows appended this step
-  /// (q.rows() or 0), charged to the SA. Output rows are bit-identical to
-  /// the quantized model's forward_cached_batch.
-  MhaResult run_mha_cached_batch(const MhaQuantized& block, const MatI8& q,
-                                 const std::vector<const QuantKvCache*>& caches,
-                                 const std::vector<const Mask*>& masks,
-                                 int projected_rows) const;
-
   struct FfnResult {
     MatI8 out;
     RunReport report;
@@ -122,37 +108,37 @@ class Accelerator {
   RunReport time_mha_cached(int s_total, int d_model, int num_heads,
                             int project_kv_rows) const;
 
-  /// Timing of one fused multi-sublayer ledger (PR 5): `subs` spliced into
-  /// a single OpGraph/Timeline by schedule_fused. `chain` threads the
-  /// residual stream (the packed decode step); false models independent
-  /// back-to-back invocations (workload streaming). Issues greedily unless
-  /// a full-MHA sublayer is present, which pins Algorithm 1 program order.
-  /// The report's boundary_stall carries the per-seam accounting (cold load
-  /// + LayerNorm tails + seam gaps).
-  RunReport time_fused(const std::vector<SublayerPlan>& subs,
-                       bool chain) const;
-
-  /// Timing of one mixed prefill/decode step ledger (PR 6): each lane
-  /// chains internally; lanes share the hardware and the global
-  /// weight-prefetch chain but no data. Policy selection matches
-  /// time_fused (a full-MHA sublayer in any lane pins program order —
-  /// prefill chunks do not). The report carries both boundary_stall and
-  /// the prefill-attributed stall of the mixed step.
+  /// Timing of one step ledger (schedule_fused_lanes): each lane chains
+  /// its sublayers through the residual stream; lanes share the hardware
+  /// and the global weight-prefetch chain but no data. Issues greedily
+  /// unless a lane holds a full-MHA sublayer, which pins Algorithm 1
+  /// program order (prefill chunks do not). The report's boundary_stall
+  /// carries the per-seam accounting (cold load + LayerNorm tails + seam
+  /// gaps) and prefill_stall the prefill-attributed stall of a mixed step.
+  /// Every accelerator_backend hook is timed through this, via
+  /// DecodeStepFuser; a one-sublayer ledger costs exactly what the
+  /// standalone time_* builder reports.
   RunReport time_step(const std::vector<FusedLane>& lanes) const;
 
-  /// Functional halves of the cached-batch MHA and FFN runs (validation +
-  /// bit-exact INT8 arithmetic, no timeline). The fused decode-step path
-  /// computes each sublayer's data through these while deferring ALL timing
-  /// to one time_fused ledger per step; run_* compose them with their
-  /// per-run schedules, so both paths share one functional code path.
+  /// Functional ResBlocks (validation + bit-exact INT8 arithmetic, no
+  /// timeline). accelerator_backend computes every sublayer's data through
+  /// these and hands only its shape to DecodeStepFuser; run_mha / run_ffn
+  /// compose forward_mha / forward_ffn with a standalone schedule.
+  ///
+  /// forward_mha_cached_batch is the packed KV-cached MHA (continuous
+  /// batching): row r of q is an independent hypothesis attending over
+  /// caches[r] under masks[r] (ragged cache lengths allowed; K₁/V₁ already
+  /// resident in the data memory). `projected_rows` is the number of K/V
+  /// rows appended this step (q.rows() or 0). Serial decode is the one-row
+  /// case. Output rows are bit-identical to the quantized model's
+  /// forward_cached_batch.
   MatI8 forward_mha_cached_batch(const MhaQuantized& block, const MatI8& q,
                                  const std::vector<const QuantKvCache*>& caches,
                                  const std::vector<const Mask*>& masks,
                                  int projected_rows) const;
+  /// Algorithm 1 lines 14-22.
   MatI8 forward_ffn(const FfnQuantized& block, const MatI8& x) const;
-  /// Functional half of run_mha (Algorithm 1 lines 1-13, bit-exact INT8).
-  /// The packed-prefill path computes the encoder pass through this at
-  /// admission while its chunked timing lands in later step ledgers.
+  /// Algorithm 1 lines 1-13.
   MatI8 forward_mha(const MhaQuantized& block, const MatI8& q,
                     const MatI8& kv, const Mask& mask) const;
 
@@ -160,8 +146,8 @@ class Accelerator {
   /// ResBlock (workload-level batching): weights stay resident, so only the
   /// very first run pays the initial tile load, and the LayerNorm tail of
   /// run i overlaps the SA work of run i+1 (they are different modules).
-  /// Since PR 5 the steady interval is DERIVED from a two-invocation fused
-  /// ledger (schedule_fused, chain = false) instead of the old analytic
+  /// The steady interval is DERIVED from a two-invocation step ledger
+  /// (two single-sublayer lanes) instead of the old analytic
   /// `total − weight_load − layernorm_busy` subtraction, which assumed
   /// exactly one cold load and a fully exposed LayerNorm tail per run — an
   /// assumption the op-graph scheduler no longer guarantees (an interleaved

@@ -11,17 +11,16 @@
 
 namespace tfacc {
 
-/// Aggregated accelerator activity across an inference run.
+/// Aggregated accelerator activity across an inference run, charged only by
+/// DecodeStepFuser::end_step.
 struct AcceleratorStats {
-  long mha_runs = 0;  ///< MHA ResBlock invocations (fused sublayers included)
-  long ffn_runs = 0;  ///< FFN ResBlock invocations (fused sublayers included)
-  /// Cycles of per-sublayer ledgers. A sublayer timed inside a fused
-  /// decode-step ledger counts in fused_cycles instead, so the three cycle
-  /// buckets partition total_cycles().
-  Cycle mha_cycles = 0;
-  Cycle ffn_cycles = 0;
-  long fused_steps = 0;   ///< packed decode steps timed as ONE fused ledger
-  Cycle fused_cycles = 0; ///< cycles of those cross-sublayer step ledgers
+  long mha_runs = 0;  ///< MHA sublayers timed (prefill chunks included)
+  long ffn_runs = 0;  ///< FFN sublayers timed (prefill chunks included)
+  /// Step ledgers that carried decode work: the farm's packed decode steps
+  /// and every serial one-sublayer ledger (encoder sublayers included), but
+  /// not a prefill-only farm iteration.
+  long fused_steps = 0;
+  Cycle fused_cycles = 0;  ///< cycles of every step ledger: the one bucket
   Cycle sa_busy_cycles = 0;         ///< SA busy cycles summed over all runs
   Cycle softmax_busy_cycles = 0;    ///< Softmax-unit busy cycles, all runs
   Cycle layernorm_busy_cycles = 0;  ///< LayerNorm-unit busy cycles, all runs
@@ -37,15 +36,13 @@ struct AcceleratorStats {
   /// card: each mixed step ledger's makespan delta over a decode-only
   /// rebuild.
   Cycle prefill_stall_cycles = 0;
-  /// Order-sensitive FNV fold of every charged run's canonical ledger hash
+  /// Order-sensitive FNV fold of every charged ledger's canonical hash
   /// (RunReport::ledger_hash; populated only under cfg.verify_schedules).
   /// Two runs with identical fingerprints executed identical ledger streams
   /// in identical order — the thread-stress determinism witness.
   std::uint64_t ledger_fingerprint = 0;
 
-  Cycle total_cycles() const {
-    return mha_cycles + ffn_cycles + fused_cycles;
-  }
+  Cycle total_cycles() const { return fused_cycles; }
   double microseconds(double clock_mhz) const {
     return static_cast<double>(total_cycles()) / clock_mhz;
   }
@@ -58,23 +55,24 @@ struct AcceleratorStats {
   }
 };
 
-/// Collects the sublayer shapes of one packed decode step so the whole step
-/// is timed as ONE cross-sublayer fused ledger (Accelerator::time_step)
-/// instead of ~3·L per-sublayer ledgers that each restart the weight memory
-/// cold. The serve step loop brackets each decode_step_batch call with
-/// begin_step()/end_step(); while a step is open, the accelerator backend's
-/// mha_cached_batch/ffn hooks compute their data functionally (bit-exact,
-/// unchanged) and record their shape here instead of scheduling their own
-/// timeline. end_step() schedules the composed ledger once and charges
-/// `stats` — so the per-card cycle ledger still advances exactly once per
-/// card-step, preserving the work-conservation invariant the admission gate
-/// relies on.
+/// The one place accelerator_backend times anything. Each hook computes its
+/// data through Accelerator::forward_* and hands its sublayer shape to a
+/// recorder here. What happens next depends on what is open:
+///  * prefill capture — the record becomes a full-size encoder plan, which
+///    the serve loop chunks into later steps;
+///  * a step — the record joins the step's one cross-sublayer ledger. The
+///    serve loop brackets each decode_step_batch call this way, so a card's
+///    cycle ledger advances exactly once per card-step (the work
+///    conservation the admission gate relies on);
+///  * nothing (serial decode) — the record is timed at once as its own
+///    one-sublayer ledger, which costs what the standalone builder reports.
+/// Either way end_step() is the only caller of Accelerator::time_step.
 class DecodeStepFuser {
  public:
   DecodeStepFuser(const Accelerator& acc, AcceleratorStats* stats)
       : acc_(&acc), stats_(stats) {}
 
-  /// Open a step: subsequent hook calls record instead of scheduling.
+  /// Open a step: subsequent records join it.
   void begin_step();
   /// True between begin_step() and end_step().
   bool active() const { return active_; }
@@ -83,38 +81,36 @@ class DecodeStepFuser {
   /// and no prefill chunk was recorded).
   RunReport end_step();
 
-  /// Hook-side recorders (no-ops unless a step is open — callers check
-  /// active() first). They run inside the allocation-free packed step loop,
-  /// so they write into recycled plan slots: `totals` is copied into the
-  /// slot's persistent buffer, labels stay within SSO capacity, and a warm
-  /// step touches the heap not at all.
+  /// Hook-side recorders. Inside a step they run in the allocation-free
+  /// packed step loop, so they write into recycled plan slots and a warm
+  /// step touches the heap not at all. A cached MHA under capture is a
+  /// CheckError (the encoder keeps no cache), and so is a full MHA inside
+  /// an open step without capture (the farm encodes only under capture and
+  /// never runs full recompute).
   void record_mha_cached_batch(const std::vector<int>& totals, int d_model,
                                int num_heads, int project_kv_rows);
   void record_ffn(int rows, int d_model, int d_ff);
+  void record_mha(int s_q, int s_kv, int d_model, int num_heads);
 
   // --- Prefill capture (PR 6) ----------------------------------------------
-  // Serve admission brackets encode() with begin_prefill() /
-  // end_prefill(): the backend's encoder hooks (mha / ffn) compute
-  // functionally and record full-size sublayer plans here instead of
-  // charging per-run ledgers. The scheduler chunks the returned plans
-  // (chunk_prefill) and feeds them back one per step via
-  // add_prefill_chunk(); end_step() then times the chunks as prefill lanes
-  // of the step's mixed ledger.
+  // Serve admission brackets encode() with begin_prefill() / end_prefill().
+  // The scheduler chunks the returned plans (chunk_prefill) and feeds them
+  // back one per step via add_prefill_chunk(); end_step() then times the
+  // chunks as prefill lanes of the step's mixed ledger.
 
-  /// Open prefill capture (outside any step).
+  /// Open prefill capture.
   void begin_prefill();
   /// True between begin_prefill() and end_prefill().
   bool prefill_active() const { return prefill_active_; }
   /// Close capture and return the recorded full-size encoder plans.
   std::vector<SublayerPlan> end_prefill();
-  /// Recorder for a full encoder MHA during capture.
-  void record_mha_prefill(int s_q, int s_kv, int d_model, int num_heads);
   /// Splice one prefill chunk into the CURRENT step's ledger.
   void add_prefill_chunk(SublayerPlan chunk);
 
  private:
-  /// Next recycled slot of subs_ (grows it on first use); labels it "subN".
-  SublayerPlan& next_sub();
+  /// Next recycled slot of subs_ (grows it on first use), reset to an empty
+  /// `kind` plan labelled "subN"; counts the sublayer.
+  SublayerPlan& next_sub(SublayerPlan::Kind kind);
 
   const Accelerator* acc_;
   AcceleratorStats* stats_;
@@ -129,13 +125,11 @@ class DecodeStepFuser {
 };
 
 /// Backend that executes every ResBlock on `acc` using the quantized blocks
-/// in `qt`. `stats` (optional) accumulates cycles across calls. `fuser`
-/// (optional) reroutes the decode-step hooks' timing into a fused
-/// cross-sublayer ledger whenever a step is open. All referenced objects
-/// must outlive the backend.
+/// in `qt`. With a `fuser`, every hook's timing goes through it (and so
+/// into the fuser's stats); without one the backend is functional only and
+/// times nothing. All referenced objects must outlive the backend.
 ResBlockBackend accelerator_backend(const QuantizedTransformer& qt,
                                     const Accelerator& acc,
-                                    AcceleratorStats* stats = nullptr,
                                     DecodeStepFuser* fuser = nullptr);
 
 }  // namespace tfacc

@@ -445,28 +445,4 @@ FusedRun schedule_fused_lanes(const AcceleratorConfig& cfg, Timeline& tl,
   return fr;
 }
 
-FusedRun schedule_fused(const AcceleratorConfig& cfg, Timeline& tl,
-                        const std::vector<SublayerPlan>& subs, bool chain,
-                        IssuePolicy policy) {
-  TFACC_CHECK_ARG_MSG(!subs.empty(), "fused ledger needs >= 1 sublayer");
-  // One chained lane, or one singleton lane per sublayer (unchained
-  // back-to-back invocations): either way the lane composer appends the
-  // exact graph the pre-lane composer built, so every existing cycle pin
-  // holds unchanged.
-  std::vector<FusedLane> lanes;
-  if (chain) {
-    lanes.push_back(FusedLane{subs, false});
-  } else {
-    lanes.reserve(subs.size());
-    for (const SublayerPlan& sub : subs)
-      lanes.push_back(FusedLane{{sub}, false});
-  }
-  return schedule_fused_lanes(cfg, tl, lanes, policy);
-}
-
-FusedRun schedule_decode_step(const AcceleratorConfig& cfg, Timeline& tl,
-                              const std::vector<SublayerPlan>& subs) {
-  return schedule_fused(cfg, tl, subs, /*chain=*/true, IssuePolicy::kGreedy);
-}
-
 }  // namespace tfacc

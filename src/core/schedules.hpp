@@ -154,30 +154,17 @@ struct FusedLane {
   bool prefill = false;  ///< tag the lane's ops as prefill work
 };
 
-/// Splice `subs` into one ledger. `chain` threads the residual stream:
-/// sublayer N+1's input-consuming ops additionally depend on sublayer N's
-/// LayerNorm (the packed decode step); chain = false models independent
-/// back-to-back invocations (workload streaming) that share only the
-/// hardware and the weight-prefetch port. A one-sublayer fused ledger
-/// schedules its SA/Softmax/LayerNorm intervals identically to the
-/// standalone builder above (pinned in tests/test_fused_step.cpp).
-FusedRun schedule_fused(const AcceleratorConfig& cfg, Timeline& tl,
-                        const std::vector<SublayerPlan>& subs, bool chain,
-                        IssuePolicy policy);
-
-/// Splice `lanes` into one mixed step ledger (PR 6). Each lane chains
-/// internally; lanes share the hardware and one global prefetch chain but
-/// no data, so prefill chunks interleave freely with the packed decode
-/// rows. schedule_fused is the special case of one lane (chain = true) or
-/// one single-sublayer lane per plan (chain = false).
+/// Splice `lanes` into one step ledger. Each lane chains internally; lanes
+/// share the hardware and one global prefetch chain but no data, so prefill
+/// chunks interleave freely with the packed decode rows. This is the one
+/// ledger builder every accelerator timing path uses: a packed decode step
+/// is one chained lane, back-to-back independent invocations (workload
+/// streaming) are one single-sublayer lane each, and a serial decode
+/// sublayer is a one-sublayer ledger, which schedules its
+/// SA/Softmax/LayerNorm intervals identically to the standalone builder
+/// above (pinned in tests/test_fused_step.cpp).
 FusedRun schedule_fused_lanes(const AcceleratorConfig& cfg, Timeline& tl,
                               const std::vector<FusedLane>& lanes,
                               IssuePolicy policy);
-
-/// The packed decode step: every decoder sublayer of one step (self MHA,
-/// cross MHA, FFN, per block) chained through the residual stream, issued
-/// greedily like the standalone cached flows.
-FusedRun schedule_decode_step(const AcceleratorConfig& cfg, Timeline& tl,
-                              const std::vector<SublayerPlan>& subs);
 
 }  // namespace tfacc

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -30,12 +31,30 @@ void write_mat(std::ostream& os, const MatF& m) {
            static_cast<std::streamsize>(m.size() * sizeof(float)));
 }
 
-MatF read_mat(std::istream& is) {
-  const int rows = static_cast<int>(read_u32(is));
-  const int cols = static_cast<int>(read_u32(is));
-  TFACC_CHECK_MSG(rows >= 0 && cols >= 0 && rows < (1 << 20) &&
-                      cols < (1 << 20),
-                  "implausible tensor shape " << rows << 'x' << cols);
+/// Bytes between the read position and the end of a seekable stream.
+std::uint64_t bytes_left(std::istream& is) {
+  const std::streamoff here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streamoff end = is.tellg();
+  is.seekg(here);
+  TFACC_CHECK_MSG(here >= 0 && end >= here && is.good(),
+                  "weight stream is not seekable");
+  return static_cast<std::uint64_t>(end - here);
+}
+
+/// Reads one tensor of the shape the config implies (rows, cols > 0). The
+/// declared shape must match it and the payload must fit in what is left of
+/// the stream before anything is allocated, so a tampered field can never
+/// size an allocation.
+MatF read_mat(std::istream& is, int rows, int cols) {
+  const std::uint32_t r = read_u32(is);
+  const std::uint32_t c = read_u32(is);
+  TFACC_CHECK_MSG(r == static_cast<std::uint32_t>(rows) &&
+                      c == static_cast<std::uint32_t>(cols),
+                  "tensor shape " << r << 'x' << c << " != expected " << rows
+                                  << 'x' << cols);
+  const std::uint64_t bytes = std::uint64_t{r} * c * sizeof(float);
+  TFACC_CHECK_MSG(bytes <= bytes_left(is), "truncated tensor payload");
   MatF m(rows, cols);
   is.read(reinterpret_cast<char*>(m.data()),
           static_cast<std::streamsize>(m.size() * sizeof(float)));
@@ -50,10 +69,8 @@ void write_vec(std::ostream& os, const std::vector<float>& v) {
            static_cast<std::streamsize>(v.size() * sizeof(float)));
 }
 
-std::vector<float> read_vec(std::istream& is) {
-  const MatF m = read_mat(is);
-  TFACC_CHECK_MSG(m.cols() == 1, "expected a vector, got " << m.cols()
-                                                           << " columns");
+std::vector<float> read_vec(std::istream& is, int n) {
+  const MatF m = read_mat(is, n, 1);
   std::vector<float> v(static_cast<std::size_t>(m.rows()));
   for (int r = 0; r < m.rows(); ++r) v[static_cast<std::size_t>(r)] = m(r, 0);
   return v;
@@ -75,21 +92,28 @@ void write_mha(std::ostream& os, const MhaWeights& w) {
   write_vec(os, w.norm.beta);
 }
 
-MhaWeights read_mha(std::istream& is) {
+MhaWeights read_mha(std::istream& is, const ModelConfig& cfg) {
+  const std::uint32_t heads = read_u32(is);
+  TFACC_CHECK_MSG(heads == static_cast<std::uint32_t>(cfg.num_heads),
+                  "MHA with " << heads << " heads, config has "
+                              << cfg.num_heads);
+  const int d = cfg.d_model;
+  const int hd = cfg.head_dim;
   MhaWeights w;
-  w.heads.resize(read_u32(is));
-  for (auto& head : w.heads) {
-    head.wq = read_mat(is);
-    head.bq = read_vec(is);
-    head.wk = read_mat(is);
-    head.bk = read_vec(is);
-    head.wv = read_mat(is);
-    head.bv = read_vec(is);
+  for (std::uint32_t h = 0; h < heads; ++h) {
+    HeadWeights head;
+    head.wq = read_mat(is, d, hd);
+    head.bq = read_vec(is, hd);
+    head.wk = read_mat(is, d, hd);
+    head.bk = read_vec(is, hd);
+    head.wv = read_mat(is, d, hd);
+    head.bv = read_vec(is, hd);
+    w.heads.push_back(std::move(head));
   }
-  w.wg = read_mat(is);
-  w.bg = read_vec(is);
-  w.norm.gamma = read_vec(is);
-  w.norm.beta = read_vec(is);
+  w.wg = read_mat(is, d, d);
+  w.bg = read_vec(is, d);
+  w.norm.gamma = read_vec(is, d);
+  w.norm.beta = read_vec(is, d);
   return w;
 }
 
@@ -102,14 +126,14 @@ void write_ffn(std::ostream& os, const FfnWeights& w) {
   write_vec(os, w.norm.beta);
 }
 
-FfnWeights read_ffn(std::istream& is) {
+FfnWeights read_ffn(std::istream& is, const ModelConfig& cfg) {
   FfnWeights w;
-  w.w1 = read_mat(is);
-  w.b1 = read_vec(is);
-  w.w2 = read_mat(is);
-  w.b2 = read_vec(is);
-  w.norm.gamma = read_vec(is);
-  w.norm.beta = read_vec(is);
+  w.w1 = read_mat(is, cfg.d_model, cfg.d_ff);
+  w.b1 = read_vec(is, cfg.d_ff);
+  w.w2 = read_mat(is, cfg.d_ff, cfg.d_model);
+  w.b2 = read_vec(is, cfg.d_model);
+  w.norm.gamma = read_vec(is, cfg.d_model);
+  w.norm.beta = read_vec(is, cfg.d_model);
   return w;
 }
 
@@ -158,25 +182,26 @@ TransformerWeights load_weights(std::istream& is) {
   w.config.num_encoder_layers = static_cast<int>(read_u32(is));
   w.config.num_decoder_layers = static_cast<int>(read_u32(is));
   w.vocab_size = static_cast<int>(read_u32(is));
-  w.config.validate();
-  w.src_embedding = read_mat(is);
-  w.tgt_embedding = read_mat(is);
-  w.output_projection = read_mat(is);
-  TFACC_CHECK_MSG(w.src_embedding.rows() == w.vocab_size &&
-                      w.src_embedding.cols() == w.config.d_model,
-                  "embedding shape mismatch");
-  w.encoder_layers.resize(
-      static_cast<std::size_t>(w.config.num_encoder_layers));
-  for (auto& layer : w.encoder_layers) {
-    layer.mha = read_mha(is);
-    layer.ffn = read_ffn(is);
+  const ModelConfig& cfg = w.config;
+  cfg.validate();
+  TFACC_CHECK_MSG(w.vocab_size > 0, "vocab_size " << w.vocab_size);
+  w.src_embedding = read_mat(is, w.vocab_size, cfg.d_model);
+  w.tgt_embedding = read_mat(is, w.vocab_size, cfg.d_model);
+  w.output_projection = read_mat(is, cfg.d_model, w.vocab_size);
+  // The layer vectors grow as layers are read: a tampered layer count runs
+  // into the end of the stream instead of sizing an allocation.
+  for (int l = 0; l < cfg.num_encoder_layers; ++l) {
+    EncoderLayerWeights layer;
+    layer.mha = read_mha(is, cfg);
+    layer.ffn = read_ffn(is, cfg);
+    w.encoder_layers.push_back(std::move(layer));
   }
-  w.decoder_layers.resize(
-      static_cast<std::size_t>(w.config.num_decoder_layers));
-  for (auto& layer : w.decoder_layers) {
-    layer.self_mha = read_mha(is);
-    layer.cross_mha = read_mha(is);
-    layer.ffn = read_ffn(is);
+  for (int l = 0; l < cfg.num_decoder_layers; ++l) {
+    DecoderLayerWeights layer;
+    layer.self_mha = read_mha(is, cfg);
+    layer.cross_mha = read_mha(is, cfg);
+    layer.ffn = read_ffn(is, cfg);
+    w.decoder_layers.push_back(std::move(layer));
   }
   return w;
 }

@@ -18,7 +18,8 @@ void save_weights(const TransformerWeights& w, std::ostream& os);
 void save_weights(const TransformerWeights& w, const std::string& path);
 
 /// Deserialize; validates the header and all shapes against the embedded
-/// config. Throws CheckError on malformed input.
+/// config, and sizes no allocation beyond the bytes left in the stream.
+/// Throws CheckError on malformed input. The stream must be seekable.
 TransformerWeights load_weights(std::istream& is);
 TransformerWeights load_weights(const std::string& path);
 

@@ -254,7 +254,7 @@ struct Scheduler::CardRun {
       case ServeBackend::kAccelerator:
         fuser.emplace(*card.acc, &stats);
         card.model.set_backend(
-            accelerator_backend(*card.qt, *card.acc, &stats, &*fuser));
+            accelerator_backend(*card.qt, *card.acc, &*fuser));
         break;
     }
   }

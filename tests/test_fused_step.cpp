@@ -2,9 +2,10 @@
 // spliced schedules across sublayer seams (no SA/Softmax/LayerNorm
 // double-booking, weight-tile single-residency respected by the prefetch
 // port), the one-sublayer ≡ standalone-builder interval pin, the
-// cold-load-collapse arithmetic, the serve-scheduler integration
-// (bit-identical outputs, pinned step ledgers), and the StreamReport model
-// rebased on a two-invocation fused ledger.
+// cold-load-collapse arithmetic, the DecodeStepFuser lifecycle, the
+// serve-scheduler integration (bit-identical outputs, pinned step ledgers),
+// the serial-decode totals of the same one timing path, and the
+// StreamReport model rebased on a two-invocation fused ledger.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -53,6 +54,20 @@ std::vector<int> greedy_totals(int slots) {
   return totals;
 }
 
+// One lane chaining `subs` through the residual stream: the packed decode
+// step.
+std::vector<FusedLane> chained(const std::vector<SublayerPlan>& subs) {
+  return {FusedLane{subs, false}};
+}
+
+// One single-sublayer lane per plan: independent back-to-back invocations
+// (workload streaming) that share only the hardware and the prefetch port.
+std::vector<FusedLane> unchained(const std::vector<SublayerPlan>& subs) {
+  std::vector<FusedLane> lanes;
+  for (const SublayerPlan& sub : subs) lanes.push_back(FusedLane{{sub}, false});
+  return lanes;
+}
+
 // --- Legality across sublayer seams ------------------------------------------
 
 TEST(FusedAudit, DecodeStepLedgerIsLegalAcrossShapesAndPolicies) {
@@ -61,11 +76,11 @@ TEST(FusedAudit, DecodeStepLedgerIsLegalAcrossShapesAndPolicies) {
       for (const int heads : {1, 8})
         for (const int blocks : {1, 2}) {
           Timeline tl;
-          const FusedRun fused = schedule_fused(
+          const FusedRun fused = schedule_fused_lanes(
               AcceleratorConfig{}, tl,
-              decode_step_plan(greedy_totals(slots), heads * 64, heads,
-                               4 * heads * 64, blocks),
-              /*chain=*/true, policy);
+              chained(decode_step_plan(greedy_totals(slots), heads * 64,
+                                       heads, 4 * heads * 64, blocks)),
+              policy);
           VerifyOptions opts;
           opts.program_order = policy == IssuePolicy::kProgramOrder;
           const VerifyResult res = verify_fused(fused, opts);
@@ -84,9 +99,8 @@ TEST(FusedAudit, UnchainedStreamLedgerIsLegal) {
        {std::vector<SublayerPlan>{mha, mha},
         std::vector<SublayerPlan>{ffn, ffn, ffn}}) {
     Timeline tl;
-    const FusedRun fused =
-        schedule_fused(AcceleratorConfig{}, tl, subs, /*chain=*/false,
-                       IssuePolicy::kProgramOrder);
+    const FusedRun fused = schedule_fused_lanes(
+        AcceleratorConfig{}, tl, unchained(subs), IssuePolicy::kProgramOrder);
     VerifyOptions opts;
     opts.program_order = true;
     const VerifyResult res = verify_fused(fused, opts);
@@ -96,7 +110,12 @@ TEST(FusedAudit, UnchainedStreamLedgerIsLegal) {
 
 TEST(FusedAudit, RejectsEmptyPlan) {
   Timeline tl;
-  EXPECT_THROW(schedule_decode_step(AcceleratorConfig{}, tl, {}), CheckError);
+  EXPECT_THROW(schedule_fused_lanes(AcceleratorConfig{}, tl, {},
+                                    IssuePolicy::kGreedy),
+               CheckError);
+  EXPECT_THROW(schedule_fused_lanes(AcceleratorConfig{}, tl, chained({}),
+                                    IssuePolicy::kGreedy),
+               CheckError);
 }
 
 // --- One-sublayer ≡ standalone builder ---------------------------------------
@@ -112,7 +131,7 @@ void expect_one_sublayer_pin(const SublayerPlan& sub,
                              IssuePolicy policy) {
   Timeline tl;
   const FusedRun fused =
-      schedule_fused(AcceleratorConfig{}, tl, {sub}, /*chain=*/true, policy);
+      schedule_fused_lanes(AcceleratorConfig{}, tl, chained({sub}), policy);
   VerifyOptions opts;
   opts.program_order = policy == IssuePolicy::kProgramOrder;
   const VerifyResult res = verify_fused(fused, opts);
@@ -180,11 +199,11 @@ TEST(FusedSeams, ColdLoadsCollapseToOne) {
   Cycle standalone_sum = 0;
   Cycle standalone_boundary = 0;
   for (const SublayerPlan& sub : subs) {
-    const RunReport one = acc.time_fused({sub}, /*chain=*/true);
+    const RunReport one = acc.time_step(chained({sub}));
     standalone_sum += one.total_cycles;
     standalone_boundary += one.boundary_stall;
   }
-  const RunReport fused = acc.time_fused(subs, /*chain=*/true);
+  const RunReport fused = acc.time_step(chained(subs));
   const Cycle seams = static_cast<Cycle>(subs.size()) - 1;
   EXPECT_EQ(fused.total_cycles,
             standalone_sum - seams * cfg.weight_load_cycles);
@@ -196,7 +215,8 @@ TEST(FusedSeams, PrefetchHidesUnderPreviousSublayer) {
   const AcceleratorConfig cfg;
   Timeline tl;
   const auto subs = decode_step_plan(greedy_totals(16), 64, 1, 256, 2);
-  const FusedRun fused = schedule_decode_step(cfg, tl, subs);
+  const FusedRun fused =
+      schedule_fused_lanes(cfg, tl, chained(subs), IssuePolicy::kGreedy);
 
   // Segment accounting: the first seam is the ledger's cold load; every
   // later seam is exactly the previous sublayer's LayerNorm tail (the
@@ -220,7 +240,9 @@ TEST(FusedSeams, PrefetchHidesUnderPreviousSublayer) {
 TEST(FusedSeams, WeightTileSingleResidencyRespected) {
   Timeline tl;
   const auto subs = decode_step_plan(greedy_totals(8), 64, 1, 256, 2);
-  const FusedRun fused = schedule_decode_step(AcceleratorConfig{}, tl, subs);
+  const FusedRun fused = schedule_fused_lanes(AcceleratorConfig{}, tl,
+                                             chained(subs),
+                                             IssuePolicy::kGreedy);
 
   // Every prefetch after the first is gated on the previous sublayer's
   // first SA op having consumed its tile (the buffer holds one pending
@@ -246,8 +268,10 @@ TEST(FusedSeams, WeightTileSingleResidencyRespected) {
 TEST(FusedSeams, SchedulesAreDeterministic) {
   const auto subs = decode_step_plan(greedy_totals(16), 512, 8, 2048, 2);
   Timeline a_tl, b_tl;
-  const FusedRun a = schedule_decode_step(AcceleratorConfig{}, a_tl, subs);
-  const FusedRun b = schedule_decode_step(AcceleratorConfig{}, b_tl, subs);
+  const FusedRun a = schedule_fused_lanes(AcceleratorConfig{}, a_tl,
+                                         chained(subs), IssuePolicy::kGreedy);
+  const FusedRun b = schedule_fused_lanes(AcceleratorConfig{}, b_tl,
+                                         chained(subs), IssuePolicy::kGreedy);
   ASSERT_EQ(a.stats.intervals.size(), b.stats.intervals.size());
   for (std::size_t i = 0; i < a.stats.intervals.size(); ++i) {
     EXPECT_EQ(a.stats.intervals[i].start, b.stats.intervals[i].start);
@@ -260,15 +284,41 @@ TEST(FusedSeams, SchedulesAreDeterministic) {
 
 TEST(DecodeStepFuser, LifecycleIsEnforced) {
   Accelerator acc;
+  // Serial decode: with nothing open, each record is timed at once as its
+  // own one-sublayer ledger, costing exactly what the standalone builder
+  // reports.
+  AcceleratorStats serial;
+  DecodeStepFuser serial_fuser(acc, &serial);
+  serial_fuser.record_ffn(3, 64, 256);
+  Cycle expected = acc.time_ffn(3, 64, 256).total_cycles;
+  EXPECT_EQ(serial.total_cycles(), expected);
+  serial_fuser.record_mha(5, 7, 64, 1);
+  expected += acc.time_mha(5, 7, 64, 1).total_cycles;
+  EXPECT_EQ(serial.total_cycles(), expected);
+  serial_fuser.record_mha_cached_batch({9}, 64, 1, 1);
+  expected += acc.time_mha_cached(9, 64, 1, 1).total_cycles;
+  EXPECT_EQ(serial.total_cycles(), expected);
+  EXPECT_FALSE(serial_fuser.active());
+  EXPECT_EQ(serial.fused_steps, 3);
+  EXPECT_EQ(serial.mha_runs, 2);
+  EXPECT_EQ(serial.ffn_runs, 1);
+
   AcceleratorStats stats;
   DecodeStepFuser fuser(acc, &stats);
   EXPECT_FALSE(fuser.active());
   EXPECT_THROW(fuser.end_step(), CheckError);
-  EXPECT_THROW(fuser.record_ffn(1, 64, 256), CheckError);
+  // The encoder keeps no KV cache, so a cached MHA under prefill capture is
+  // a bug.
+  fuser.begin_prefill();
+  EXPECT_THROW(fuser.record_mha_cached_batch({9}, 64, 1, 0), CheckError);
+  EXPECT_TRUE(fuser.end_prefill().empty());
   fuser.begin_step();
   EXPECT_TRUE(fuser.active());
   EXPECT_THROW(fuser.begin_step(), CheckError);
-  // A step in which no hook ran (e.g. serial fallback) charges nothing.
+  // The farm encodes only under prefill capture and never runs full
+  // recompute, so a full MHA inside an open step is a bug too.
+  EXPECT_THROW(fuser.record_mha(5, 7, 64, 1), CheckError);
+  // A step in which nothing was recorded charges nothing.
   const RunReport empty = fuser.end_step();
   EXPECT_EQ(empty.total_cycles, 0);
   EXPECT_EQ(stats.fused_steps, 0);
@@ -301,37 +351,48 @@ ModelConfig hw_config() {
   return cfg;
 }
 
+// The serve workload both the farm and the serial-ledger pins run: 12
+// synthetic sentences on the hw_config() model.
+struct ServeWorkload {
+  static constexpr int kMaxLen = 12;
+  SyntheticTranslationTask task{24, 5, 8};
+  TransformerWeights weights;
+  std::vector<TokenSeq> sources;
+  std::vector<TokenSeq> calib = {{3, 4, 5}, {6, 7}};
+
+  ServeWorkload() {
+    Rng rng(121);
+    weights = TransformerWeights::random(hw_config(), task.vocab_size(), rng);
+    Rng src_rng(11);
+    for (int i = 0; i < 12; ++i)
+      sources.push_back(task.sample(src_rng).source);
+  }
+};
+
 // The acceptance criterion at serve level: fusing the packed decode step
 // changes no output bit on the accelerator backend, and its step ledgers
 // are pinned. When per-sublayer ledgers were still an option, the same
 // workload took 59,604 makespan cycles with 23,760 boundary-stall cycles at
 // identical SA busy (31,291): fusion removed the per-sublayer cold loads.
 TEST(FusedServe, BitIdenticalAndFasterThanPerSublayerLedgers) {
-  SyntheticTranslationTask task(24, 5, 8);
-  Rng rng(121);
-  const TransformerWeights weights =
-      TransformerWeights::random(hw_config(), task.vocab_size(), rng);
-  Rng src_rng(11);
-  std::vector<TokenSeq> sources;
-  for (int i = 0; i < 12; ++i) sources.push_back(task.sample(src_rng).source);
-  const std::vector<TokenSeq> calib = {{3, 4, 5}, {6, 7}};
-
+  const ServeWorkload wl;
   SchedulerConfig cfg;
   cfg.backend = ServeBackend::kAccelerator;
   cfg.num_cards = 1;
   cfg.slots_per_card = 8;
-  cfg.max_len = 12;
-  Scheduler fused(weights, calib, cfg);
-  const ScheduleReport rf = fused.run(sources);
+  cfg.max_len = ServeWorkload::kMaxLen;
+  Scheduler fused(wl.weights, wl.calib, cfg);
+  const ScheduleReport rf = fused.run(wl.sources);
 
   // Serial decode on an independently built accelerator backend.
-  Transformer model(weights);
-  const auto qt = QuantizedTransformer::build(model, calib, cfg.max_len,
+  Transformer model(wl.weights);
+  const auto qt = QuantizedTransformer::build(model, wl.calib, cfg.max_len,
                                               SoftmaxImpl::kHardware);
   const Accelerator acc;
   model.set_backend(accelerator_backend(qt, acc));
-  for (std::size_t i = 0; i < sources.size(); ++i)
-    EXPECT_EQ(rf.outputs[i], model.translate_greedy(sources[i], cfg.max_len))
+  for (std::size_t i = 0; i < wl.sources.size(); ++i)
+    EXPECT_EQ(rf.outputs[i],
+              model.translate_greedy(wl.sources[i], cfg.max_len))
         << "sentence " << i;
   model.set_backend(ResBlockBackend{});
 
@@ -365,20 +426,103 @@ TEST(FusedServe, RunsAreReproducible) {
   EXPECT_EQ(a.packed_steps(), b.packed_steps());
 }
 
+// --- Serial decode on the one timing path ------------------------------------
+
+// Serial translate_* on the accelerator backend: every sublayer is timed as
+// its own one-sublayer step ledger through the same DecodeStepFuser the
+// farm uses. The pinned totals are exactly the ones the retired per-run
+// ledgers charged on this workload, because a one-sublayer ledger places
+// every interval where the standalone builder does (FusedDegenerate.*).
+enum class SerialDecode { kGreedyKvCache, kGreedyFullRecompute, kBeam3 };
+
+AcceleratorStats serial_stats(SerialDecode decode, bool verify_schedules) {
+  const ServeWorkload wl;
+  Transformer model(wl.weights);
+  const auto qt = QuantizedTransformer::build(
+      model, wl.calib, ServeWorkload::kMaxLen, SoftmaxImpl::kHardware);
+  AcceleratorConfig acc_cfg;
+  acc_cfg.verify_schedules = verify_schedules;
+  const Accelerator acc(acc_cfg);
+  AcceleratorStats stats;
+  DecodeStepFuser fuser(acc, &stats);
+  model.set_backend(accelerator_backend(qt, acc, &fuser));
+  Transformer::BeamConfig beam;
+  beam.beam_size = 3;  // length penalty 0.6
+  for (const TokenSeq& src : wl.sources) {
+    switch (decode) {
+      case SerialDecode::kGreedyKvCache:
+        (void)model.translate_greedy(src, ServeWorkload::kMaxLen,
+                                     DecodeMode::kKvCache);
+        break;
+      case SerialDecode::kGreedyFullRecompute:
+        (void)model.translate_greedy(src, ServeWorkload::kMaxLen,
+                                     DecodeMode::kFullRecompute);
+        break;
+      case SerialDecode::kBeam3:
+        (void)model.translate_beam(src, ServeWorkload::kMaxLen, beam);
+        break;
+    }
+  }
+  model.set_backend(ResBlockBackend{});
+  return stats;
+}
+
+struct SerialTotals {
+  long mha_runs, ffn_runs;
+  Cycle total, sa_busy, softmax_busy, layernorm_busy;
+  Cycle softmax_stall, boundary_stall;
+};
+
+void expect_serial_totals(const AcceleratorStats& s, const SerialTotals& want) {
+  EXPECT_EQ(s.mha_runs, want.mha_runs);
+  EXPECT_EQ(s.ffn_runs, want.ffn_runs);
+  EXPECT_EQ(s.total_cycles(), want.total);
+  EXPECT_EQ(s.sa_busy_cycles, want.sa_busy);
+  EXPECT_EQ(s.softmax_busy_cycles, want.softmax_busy);
+  EXPECT_EQ(s.layernorm_busy_cycles, want.layernorm_busy);
+  EXPECT_EQ(s.softmax_stall_cycles, want.softmax_stall);
+  EXPECT_EQ(s.boundary_stall_cycles, want.boundary_stall);
+  // Every sublayer was its own ledger, and none shared a step with prefill.
+  EXPECT_EQ(s.fused_steps, s.mha_runs + s.ffn_runs);
+  EXPECT_EQ(s.prefill_stall_cycles, 0);
+}
+
+TEST(SerialLedgers, GreedyKvCache) {
+  expect_serial_totals(serial_stats(SerialDecode::kGreedyKvCache, false),
+                       {544, 278, 226691, 91211, 6978, 55896, 13204, 108504});
+}
+
+TEST(SerialLedgers, GreedyKvCacheVerified) {
+  const AcceleratorStats s = serial_stats(SerialDecode::kGreedyKvCache, true);
+  expect_serial_totals(s,
+                       {544, 278, 226691, 91211, 6978, 55896, 13204, 108504});
+  EXPECT_NE(s.ledger_fingerprint, 0u);
+}
+
+TEST(SerialLedgers, GreedyFullRecompute) {
+  expect_serial_totals(serial_stats(SerialDecode::kGreedyFullRecompute, false),
+                       {544, 278, 298299, 120163, 6978, 55896, 0, 108504});
+}
+
+TEST(SerialLedgers, Beam3) {
+  expect_serial_totals(
+      serial_stats(SerialDecode::kBeam3, false),
+      {1092, 552, 450533, 180809, 13538, 111792, 26340, 217008});
+}
+
 // --- StreamReport rebased on the fused ledger --------------------------------
 
 TEST(StreamRebased, MatchesTwoInvocationFusedLedger) {
   Accelerator acc;
   const auto check = [&](const SublayerPlan& sub,
                          const Accelerator::StreamReport& sr) {
-    const RunReport one = acc.time_fused({sub}, /*chain=*/false);
-    const RunReport two = acc.time_fused({sub, sub}, /*chain=*/false);
+    const RunReport one = acc.time_step(unchained({sub}));
+    const RunReport two = acc.time_step(unchained({sub, sub}));
     EXPECT_EQ(sr.first_latency, one.total_cycles);
     EXPECT_EQ(sr.steady_interval, two.total_cycles - one.total_cycles);
     // The ledger is affine in the invocation count: a third run adds
     // exactly one more steady interval, so total_cycles(n) extrapolates.
-    const RunReport three =
-        acc.time_fused({sub, sub, sub}, /*chain=*/false);
+    const RunReport three = acc.time_step(unchained({sub, sub, sub}));
     EXPECT_EQ(three.total_cycles, sr.total_cycles(3));
   };
   check(SublayerPlan::mha("mha", 64, 64, 512, 8),

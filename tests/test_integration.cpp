@@ -93,12 +93,13 @@ TEST(Integration, TrainQuantizeAccelerateRoundTrip) {
 
   Accelerator acc;
   AcceleratorStats stats;
+  DecodeStepFuser fuser(acc, &stats);
 
   std::vector<TokenSeq> fp32_out, int8_out;
   for (const auto& pair : eval_set) {
     fp32_out.push_back(model.translate_greedy(pair.source,
                                               task.max_len() + 2));
-    model.set_backend(accelerator_backend(qt, acc, &stats));
+    model.set_backend(accelerator_backend(qt, acc, &fuser));
     int8_out.push_back(model.translate_greedy(pair.source,
                                               task.max_len() + 2));
     model.set_backend(ResBlockBackend{});

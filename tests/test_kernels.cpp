@@ -569,7 +569,7 @@ TEST_P(ZeroAllocStep, AcceleratorBackendFusedStep) {
   Accelerator acc;
   AcceleratorStats stats;
   DecodeStepFuser fuser(acc, &stats);
-  model.set_backend(accelerator_backend(qt, acc, &stats, &fuser));
+  model.set_backend(accelerator_backend(qt, acc, &fuser));
   // The serve loop brackets each step with begin/end_step; the allocation
   // window covers only the decode_step_batch call (end_step schedules the
   // fused ledger and may allocate — that is simulator bookkeeping, not the

@@ -97,7 +97,8 @@ TEST(AcceleratorBackend, AgreesWithQuantizedBackendBitForBit) {
   const MatF memory_q = model.encode(src);
   Accelerator acc;
   AcceleratorStats stats;
-  model.set_backend(accelerator_backend(qt, acc, &stats));
+  DecodeStepFuser fuser(acc, &stats);
+  model.set_backend(accelerator_backend(qt, acc, &fuser));
   const MatF memory_a = model.encode(src);
   model.set_backend(ResBlockBackend{});
 
@@ -114,7 +115,8 @@ TEST(AcceleratorBackend, AccumulatesCyclesAcrossDecode) {
                                               SoftmaxImpl::kHardware);
   Accelerator acc;
   AcceleratorStats stats;
-  model.set_backend(accelerator_backend(qt, acc, &stats));
+  DecodeStepFuser fuser(acc, &stats);
+  model.set_backend(accelerator_backend(qt, acc, &fuser));
   model.translate_greedy({3, 4, 5}, 6);
   model.set_backend(ResBlockBackend{});
   EXPECT_GT(stats.mha_runs, stats.ffn_runs);  // self + cross per decoder step

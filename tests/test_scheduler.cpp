@@ -89,7 +89,7 @@ std::vector<TokenSeq> serial_greedy(Transformer& model, ServeBackend backend,
       model.set_backend(qt->backend());
       break;
     case ServeBackend::kAccelerator:
-      model.set_backend(accelerator_backend(*qt, acc, nullptr));
+      model.set_backend(accelerator_backend(*qt, acc));
       break;
   }
   std::vector<TokenSeq> out;
@@ -281,7 +281,8 @@ TEST(DecodeStepBatch, AcceleratorBackendBitIdentical) {
                                               SoftmaxImpl::kHardware);
   Accelerator acc;
   AcceleratorStats stats;
-  const ResBlockBackend backend = accelerator_backend(qt, acc, &stats);
+  DecodeStepFuser fuser(acc, &stats);
+  const ResBlockBackend backend = accelerator_backend(qt, acc, &fuser);
   ASSERT_TRUE(backend.supports_cached_decode());
   model.set_backend(backend);
   check_decode_step_batch(model);
@@ -361,7 +362,7 @@ TEST(SchedulerAccelerator, BeamBitIdenticalToSerial) {
   Accelerator acc;
   Transformer::BeamConfig beam;
   beam.beam_size = 3;
-  model.set_backend(accelerator_backend(qt, acc, nullptr));
+  model.set_backend(accelerator_backend(qt, acc));
   std::vector<TokenSeq> serial;
   for (const TokenSeq& src : ragged_sources())
     serial.push_back(model.translate_beam(src, 10, beam));

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "core/accelerator.hpp"
 #include "hwarith/exp_ln.hpp"
@@ -78,6 +79,65 @@ TEST(Serialize, RejectsGarbageAndTruncation) {
   const std::string full = ss.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
   EXPECT_THROW(load_weights(truncated), CheckError);
+}
+
+// A saved tiny model: d_model 8, one head of 8, d_ff 32, 1+1 layers,
+// vocab 5.
+std::string tiny_model_bytes() {
+  ModelConfig cfg;
+  cfg.name = "tiny-tamper";
+  cfg.d_model = 8;
+  cfg.d_ff = 32;
+  cfg.num_heads = 1;
+  cfg.head_dim = 8;
+  cfg.num_encoder_layers = 1;
+  cfg.num_decoder_layers = 1;
+  Rng rng(7);
+  std::stringstream ss;
+  save_weights(TransformerWeights::random(cfg, 5, rng), ss);
+  return ss.str();
+}
+
+enum class LoadOutcome { kLoaded, kCheckError, kOther };
+
+LoadOutcome try_load(const std::string& bytes) {
+  std::stringstream ss(bytes);
+  try {
+    (void)load_weights(ss);
+    return LoadOutcome::kLoaded;
+  } catch (const CheckError&) {
+    return LoadOutcome::kCheckError;
+  } catch (...) {
+    return LoadOutcome::kOther;
+  }
+}
+
+// Malformed weight streams fail with CheckError, never with UB, a
+// bad_alloc or an allocation abort: no header field can overflow the
+// config arithmetic or size an allocation beyond the bytes in the stream.
+// Run under ASan + UBSan, this sweep is what catches a regression.
+TEST(Serialize, EveryByteOverwriteLoadsOrThrowsCheckError) {
+  const std::string bytes = tiny_model_bytes();
+  ASSERT_EQ(bytes.size(), 9080u);
+  int loaded = 0;
+  for (std::size_t off = 0; off < bytes.size(); ++off)
+    for (const unsigned char value : {0x00, 0x7f, 0xff}) {
+      std::string tampered = bytes;
+      tampered[off] = static_cast<char>(value);
+      const LoadOutcome outcome = try_load(tampered);
+      ASSERT_NE(outcome, LoadOutcome::kOther)
+          << "offset " << off << " byte " << static_cast<int>(value);
+      if (outcome == LoadOutcome::kLoaded) ++loaded;
+    }
+  // Payload bytes are free-form floats, so most overwrites still load.
+  EXPECT_GT(loaded, 0);
+}
+
+TEST(Serialize, EveryTruncationThrowsCheckError) {
+  const std::string bytes = tiny_model_bytes();
+  for (std::size_t len = 0; len < bytes.size(); ++len)
+    ASSERT_EQ(try_load(bytes.substr(0, len)), LoadOutcome::kCheckError)
+        << "truncated to " << len << " bytes";
 }
 
 TEST(Serialize, FileRoundTrip) {

@@ -105,9 +105,8 @@ TEST(Verifier, CleanBuildersVerifyAcrossPoliciesAndShapes) {
   for (const IssuePolicy policy :
        {IssuePolicy::kGreedy, IssuePolicy::kProgramOrder}) {
     Timeline tl;
-    const FusedRun fused =
-        schedule_fused(cfg, tl, decode_plans(greedy_totals(8), 128, 2, 512, 2),
-                       /*chain=*/true, policy);
+    const FusedLane lane{decode_plans(greedy_totals(8), 128, 2, 512, 2), false};
+    const FusedRun fused = schedule_fused_lanes(cfg, tl, {lane}, policy);
     VerifyOptions opts;
     opts.program_order = policy == IssuePolicy::kProgramOrder;
     EXPECT_TRUE(verify_fused(fused, opts).ok());
@@ -223,8 +222,9 @@ TEST(TamperedSchedule, BrokenPrefetchChainFiresSchedChain) {
   // boundary. Yanking one load back to cycle 0 makes it start while an
   // earlier tile still sits unconsumed in the single-residency buffer.
   Timeline tl;
-  FusedRun run = schedule_decode_step(
-      accel_config(), tl, decode_plans(greedy_totals(8), 128, 2, 512, 2));
+  const FusedLane lane{decode_plans(greedy_totals(8), 128, 2, 512, 2), false};
+  FusedRun run =
+      schedule_fused_lanes(accel_config(), tl, {lane}, IssuePolicy::kGreedy);
   ASSERT_TRUE(verify_fused(run).ok());
   std::vector<std::size_t> loads;
   for (std::size_t i = 0; i < run.graph.ops().size(); ++i)
@@ -254,8 +254,9 @@ TEST(TamperedSchedule, InterleavedChainedLanesFireSchedLane) {
   // The decode lane chains its sublayers through the residual stream:
   // faking segment overlap inside that one lane must trip the lane rule.
   Timeline tl;
-  FusedRun run = schedule_decode_step(
-      accel_config(), tl, decode_plans(greedy_totals(8), 128, 2, 512, 1));
+  const FusedLane lane{decode_plans(greedy_totals(8), 128, 2, 512, 1), false};
+  FusedRun run =
+      schedule_fused_lanes(accel_config(), tl, {lane}, IssuePolicy::kGreedy);
   ASSERT_TRUE(verify_fused(run).ok());
   ASSERT_GE(run.segments.size(), 2u);
   ASSERT_EQ(run.segments[0].lane, run.segments[1].lane);

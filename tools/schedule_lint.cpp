@@ -165,7 +165,9 @@ void sweep(Lint& lint, bool full) {
         lint, "decode_step slots=" + std::to_string(slots),
         [&, subs](const VerifyOptions& o) {
           Timeline tl;
-          return verify_fused(schedule_decode_step(cfg, tl, subs), o);
+          const FusedRun run = schedule_fused_lanes(
+              cfg, tl, {FusedLane{subs, false}}, IssuePolicy::kGreedy);
+          return verify_fused(run, o);
         },
         /*program_order=*/false);
   }
