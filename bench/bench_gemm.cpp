@@ -1,8 +1,9 @@
 // Kernel sweep: ns/GEMM and GMAC/s of both kernel kinds (scalar loop, SIMD)
-// at the GEMM shapes the serve step loop actually issues, plus the packed-B
-// fused-bias form the INT8 datapath runs. Every
-// timed result is first checked bit-identical to the scalar reference — a
-// kernel that drifts never publishes a number.
+// at the GEMM shapes the serve step loop actually issues, in the three int8
+// forms the datapath runs: dense A·B, the packed-B fused-bias projection and
+// A·Bᵀ (the attention scores, B given as n×k). Every timed result is first
+// checked bit-identical to the scalar reference — a kernel that drifts never
+// publishes a number.
 //
 // The headline gate is gemm_ns_scalar_over_simd: scalar ns / SIMD ns at the
 // packed-i8 decode-projection shape. A host-speed-free ratio, gated by
@@ -39,13 +40,19 @@ struct Shape {
 };
 
 // The measured path's GEMMs: packed decode projections (16 slot rows into
-// d_model/d_ff sized weights) and the host-side output projection.
+// d_model/d_ff sized weights), the host-side output projection, the
+// transformer-base (Table I) head projection and FFN, and the one-row
+// attention scores a cached decode step issues per slot and head.
 constexpr Shape kShapes[] = {
     {"decode proj 16x64x64", 16, 64, 64},
     {"decode proj 16x256x256", 16, 256, 256},
     {"ffn up 16x256x1024", 16, 256, 1024},
     {"ffn down 16x1024x256", 16, 1024, 256},
     {"logits 16x256x1000", 16, 256, 1000},
+    {"base head proj 16x512x64", 16, 512, 64},
+    {"base ffn up 16x512x2048", 16, 512, 2048},
+    {"base ffn down 16x2048x512", 16, 2048, 512},
+    {"attn scores 1x64x24", 1, 64, 24},
 };
 
 /// Repeats `fn` until ~`budget_s` of wall time, three times, and returns the
@@ -99,9 +106,10 @@ int main(int argc, char** argv) {
   bench::title(std::string("GEMM kernel sweep (int8 -> int32, ") +
                kernels::capability() + " host" + (smoke ? ", smoke" : "") +
                ")");
-  std::printf("%-24s | %10s | %12s %10s | %8s\n", "shape (m x k x n)",
-              "kernel", "ns/GEMM", "GMAC/s", "vs scal");
-  bench::rule(78);
+  std::printf("%-26s | %6s | %10s %10s %10s | %7s | %7s\n",
+              "shape (m x k x n)", "kernel", "dense ns", "packed ns", "nt ns",
+              "GMAC/s", "vs scal");
+  bench::rule(96);
 
   Rng rng(42);
   bool identical = true;
@@ -114,6 +122,7 @@ int main(int argc, char** argv) {
     std::vector<std::int32_t> bias(static_cast<std::size_t>(s.n));
     for (auto& v : bias) v = rng.uniform_int(-100000, 100000);
     const PackedI8 bp = pack_b_i8(b);
+    const MatI8 bt = transpose(b);  // A·Bᵀ with Bᵀ given equals A·B
 
     MatI32 want(s.m, s.n), want_bias(s.m, s.n);
     {
@@ -127,18 +136,21 @@ int main(int argc, char** argv) {
     double scalar_ns = 0.0;
     for (const kernels::Kind kind : kinds) {
       kernels::set_kind(kind);
-      MatI32 out(s.m, s.n), out_bias(s.m, s.n);
+      MatI32 out(s.m, s.n), out_bias(s.m, s.n), out_nt(s.m, s.n);
       kernels::gemm_i8_into(a, b, out);
       kernels::gemm_i8_packed_bias_into(a, bp, bias, out_bias);
+      kernels::gemm_nt_i8_into(a, bt, out_nt);
       identical = check_i32(out, want, "gemm_i8") &&
                   check_i32(out_bias, want_bias, "gemm_i8_packed_bias") &&
-                  identical;
+                  check_i32(out_nt, want, "gemm_nt_i8") && identical;
 
       const double dense_ns =
           time_ns([&] { kernels::gemm_i8_into(a, b, out); }, budget_s);
       const double packed_ns = time_ns(
           [&] { kernels::gemm_i8_packed_bias_into(a, bp, bias, out_bias); },
           budget_s);
+      const double nt_ns =
+          time_ns([&] { kernels::gemm_nt_i8_into(a, bt, out_nt); }, budget_s);
       if (kind == kernels::Kind::kScalar) scalar_ns = packed_ns;
       // The headline ratio is the packed fused-bias kernel at the d_model
       // 256 decode-projection shape — the one QuantizedLinear::accumulate
@@ -147,8 +159,9 @@ int main(int argc, char** argv) {
         if (kind == kernels::Kind::kScalar) headline_scalar_ns = packed_ns;
         if (kind == kernels::Kind::kSimd) headline_simd_ns = packed_ns;
       }
-      std::printf("%-24s | %10s | %12.0f %10.2f | %7.2fx\n", s.label,
-                  kernels::kind_name(kind), packed_ns,
+      std::printf("%-26s | %6s | %10.0f %10.0f %10.0f | %7.2f | %6.2fx\n",
+                  s.label, kernels::kind_name(kind), dense_ns, packed_ns,
+                  nt_ns,
                   macs / packed_ns,  // MAC/ns == GMAC/s
                   scalar_ns > 0 ? scalar_ns / packed_ns : 1.0);
 
@@ -160,6 +173,7 @@ int main(int argc, char** argv) {
       json.key("kernel").value(kernels::kind_name(kind));
       json.key("dense_ns_per_gemm").value(dense_ns);
       json.key("packed_bias_ns_per_gemm").value(packed_ns);
+      json.key("nt_ns_per_gemm").value(nt_ns);
       json.key("packed_gmac_per_s").value(macs / packed_ns);
       json.key("speedup_vs_scalar")
           .value(scalar_ns > 0 ? scalar_ns / packed_ns : 1.0);

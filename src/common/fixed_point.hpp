@@ -7,6 +7,7 @@
 // with round-to-nearest (round-half-away-from-zero), then saturate.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -60,9 +61,19 @@ struct FixedPointScale {
   /// Number of mantissa bits used for normalization.
   static constexpr int kMantissaBits = 15;
 
+  /// Shift range of from_double. Below kMinShift, v·mantissa << −shift
+  /// wraps for a 33-bit v. Above kMaxShift the rounding bias 2^(shift−1)
+  /// leaves int64; every caller's |v·mantissa| is below 2⁴⁷, so such a scale
+  /// rounds every value to 0, exactly as the zero scale does.
+  static constexpr int kMinShift = -15;
+  static constexpr int kMaxShift = 62;
+
   /// Build the fixed-point representation of a non-negative real scale.
+  /// Throws CheckError on a non-finite scale or one needing a shift below
+  /// kMinShift; a scale needing a shift above kMaxShift becomes zero.
   static FixedPointScale from_double(double scale) {
-    TFACC_CHECK_ARG_MSG(scale >= 0.0, "scale=" << scale);
+    TFACC_CHECK_ARG_MSG(std::isfinite(scale) && scale >= 0.0,
+                        "scale=" << scale);
     FixedPointScale fps;
     if (scale == 0.0) return fps;
     int shift = 0;
@@ -80,6 +91,9 @@ struct FixedPointScale {
       fps.mantissa >>= 1;
       --shift;
     }
+    TFACC_CHECK_ARG_MSG(shift >= kMinShift,
+                        "scale=" << scale << " needs shift " << shift);
+    if (shift > kMaxShift) return FixedPointScale{};
     fps.shift = shift;
     return fps;
   }

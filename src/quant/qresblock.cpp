@@ -52,6 +52,8 @@ QuantizedLinear QuantizedLinear::build(const MatF& w,
                                        WeightGranularity granularity) {
   TFACC_CHECK_ARG(in_scale > 0.0f && out_scale > 0.0f);
   TFACC_CHECK_ARG(static_cast<int>(bias.size()) == w.cols());
+  TFACC_CHECK_ARG_MSG(w.rows() <= kMaxK, "k=" << w.rows());
+  const std::int32_t bound = bias_bound(w.rows());
   QuantizedLinear q;
   q.in_scale = in_scale;
   q.w_scale = calibrate(w, 127).scale;
@@ -62,6 +64,7 @@ QuantizedLinear QuantizedLinear::build(const MatF& w,
   if (granularity == WeightGranularity::kPerTensor) {
     q.w = quantize_i8(w, QuantParams{q.w_scale});
     q.bias = quantize_bias(bias, in_scale, q.w_scale);
+    for (std::int32_t& b : q.bias) b = std::clamp(b, -bound, bound);
     q.repack();
     return q;
   }
@@ -78,9 +81,12 @@ QuantizedLinear QuantizedLinear::build(const MatF& w,
     q.col_w_scale[static_cast<std::size_t>(j)] = ws;
     for (int r = 0; r < w.rows(); ++r)
       q.w(r, j) = saturate_i8(std::llround(w(r, j) / ws));
-    q.bias[static_cast<std::size_t>(j)] = saturate_i32(std::llround(
-        bias[static_cast<std::size_t>(j)] /
-        (static_cast<double>(in_scale) * ws)));
+    // Clamp before rounding, as quantize_bias does.
+    const double qb = std::clamp(bias[static_cast<std::size_t>(j)] /
+                                     (static_cast<double>(in_scale) * ws),
+                                 -0x1p31, 0x1p31);
+    q.bias[static_cast<std::size_t>(j)] =
+        std::clamp(saturate_i32(std::llround(qb)), -bound, bound);
     q.col_requant[static_cast<std::size_t>(j)] = FixedPointScale::from_double(
         static_cast<double>(in_scale) * ws / out_scale);
   }

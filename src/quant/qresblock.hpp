@@ -8,6 +8,8 @@
 //   kHardware   — step two: the Fig. 6 shift-add softmax datapath
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -61,8 +63,19 @@ struct QuantizedLinear {
   std::vector<FixedPointScale> col_requant;  // per column, when per-column
   PackedI8 wpack;  // Bᵀ pack of w for the packed GEMM kernels
 
+  /// Largest inner dimension build() accepts: every k-term int8 dot product
+  /// (|Σ| ≤ k·2¹⁴) fits int32.
+  static constexpr int kMaxK = 131071;
+
+  /// The bias bound build() clamps to at inner dimension k: a seed within
+  /// ±bias_bound(k) plus any k-term int8 dot product, partial sums included,
+  /// fits int32 — the precondition of the packed fused-bias GEMM.
+  static constexpr std::int32_t bias_bound(int k) {
+    return std::numeric_limits<std::int32_t>::max() - k * (1 << 14);
+  }
+
   /// Quantize FP32 weights/bias given the input scale and the calibrated
-  /// output scale.
+  /// output scale. Throws CheckError when w has more than kMaxK rows.
   static QuantizedLinear build(
       const MatF& w, const std::vector<float>& bias, float in_scale,
       float out_scale,

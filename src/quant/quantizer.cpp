@@ -91,8 +91,11 @@ std::vector<std::int32_t> quantize_bias(const std::vector<float>& bias,
   TFACC_CHECK_ARG(in_scale > 0.0f && w_scale > 0.0f);
   const double acc_scale = static_cast<double>(in_scale) * w_scale;
   std::vector<std::int32_t> out(bias.size());
+  // Clamp before rounding: llround's result is unspecified past int64, where
+  // it returns INT64_MIN on x86 and flips a huge positive bias negative.
   for (std::size_t i = 0; i < bias.size(); ++i)
-    out[i] = saturate_i32(std::llround(bias[i] / acc_scale));
+    out[i] = saturate_i32(
+        std::llround(std::clamp(bias[i] / acc_scale, -0x1p31, 0x1p31)));
   return out;
 }
 

@@ -165,43 +165,6 @@ void layernorm_finish_scalar(const std::int16_t* g, int n, std::int64_t sum,
 
 #if TFACC_KERNELS_X86
 
-__attribute__((target("avx2"))) std::int32_t hsum_epi32(__m256i v) {
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
-                            _mm256_extracti128_si256(v, 1));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(s);
-}
-
-__attribute__((target("avx2"))) std::int32_t dot_i8_avx2(const std::int8_t* a,
-                                                         const std::int8_t* b,
-                                                         int k) {
-  __m256i acc = _mm256_setzero_si256();
-  int p = 0;
-  for (; p + 32 <= k; p += 32) {
-    const __m256i a0 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + p)));
-    const __m256i b0 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + p)));
-    const __m256i a1 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + p + 16)));
-    const __m256i b1 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + p + 16)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a0, b0));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a1, b1));
-  }
-  for (; p + 16 <= k; p += 16) {
-    const __m256i a0 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + p)));
-    const __m256i b0 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + p)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a0, b0));
-  }
-  std::int32_t sum = hsum_epi32(acc);
-  for (; p < k; ++p) sum += static_cast<std::int32_t>(a[p]) * b[p];
-  return sum;
-}
-
 __attribute__((target("avx2"))) void gemm_i8_avx2(const MatI8& a,
                                                   const MatI8& b,
                                                   MatI32& out) {
@@ -261,29 +224,157 @@ __attribute__((target("avx2"))) void gemm_f32_avx2(const MatF& a,
   }
 }
 
+// --- AVX2 INT8 A·Bᵀ microkernel --------------------------------------------
+// The attention scores (B given as n×k rows) and the packed-weight
+// projections (B packed as Bᵀ, row stride k_pad) are one problem:
+//
+//   out(i, j) = seed(j) + Σ_p a(i, p)·b(j, p),   rows of A and B contiguous.
+//
+// A tile is MR rows of A times NR rows of B whose MR·NR 256-bit accumulators
+// stay in registers: each widened A row feeds NR madds and each widened B row
+// MR madds, and the horizontal reduction runs once per tile — one hadd tree
+// per four outputs — instead of once per element. Full 4-row blocks run 4×2
+// tiles (8 accumulators, 4 widened A rows and 1 B row: 13 of the 16 ymm
+// registers); the 1–3 remainder rows, the one-row QKᵀ of every cached decode
+// step among them, run r×4 tiles so that their reduction is still shared by
+// four outputs. Columns past the last whole tile run one at a time (4×1,
+// r×1). The 16-wide steps stop at k rounded down to 16 and a scalar loop
+// finishes the k tail: A is not padded, so B's zero padding does not make
+// the tail free. The products are exact (cvtepi8_epi16 + madd_epi16) and the
+// sums are reordered integer additions, so the result equals the scalar
+// loop's wherever that loop is defined: |Σ| ≤ k·2¹⁴, and
+// QuantizedLinear::build clamps each bias so that seed + Σ fits int32,
+// partial sums included.
+
+/// The operands of one out = seed ⊕ A·Bᵀ call (row strides in elements).
+struct AbtI8 {
+  const std::int8_t* a;
+  std::size_t lda;
+  const std::int8_t* b;
+  std::size_t ldb;
+  const std::int32_t* seed;  // one per output column, or null for zero
+  std::int32_t* out;
+  std::size_t ldo;
+  int k;
+};
+
+__attribute__((target("avx2"))) __m256i widen16_i8(const std::int8_t* p) {
+  return _mm256_cvtepi8_epi16(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+
+/// The horizontal sums of four accumulators, in argument order.
+__attribute__((target("avx2"))) __m128i hsum4_epi32(__m256i v0, __m256i v1,
+                                                    __m256i v2, __m256i v3) {
+  // [v0 v1 v2 v3 partials of lanes 0–3 | the same of lanes 4–7]
+  const __m256i s = _mm256_hadd_epi32(_mm256_hadd_epi32(v0, v1),
+                                      _mm256_hadd_epi32(v2, v3));
+  return _mm_add_epi32(_mm256_castsi256_si128(s),
+                       _mm256_extracti128_si256(s, 1));
+}
+
+/// Output element (i, j).
+std::int32_t* abt_out(const AbtI8& g, int i, int j) {
+  return g.out + static_cast<std::size_t>(i) * g.ldo + j;
+}
+
+/// Adds the k tail [k16, k) of the mr×nr outputs at (i, j): the scalar loop.
+void abt_tail_i8(const AbtI8& g, int i, int j, int mr, int nr, int k16) {
+  for (int r = 0; r < mr; ++r) {
+    const std::int8_t* ar = g.a + static_cast<std::size_t>(i + r) * g.lda;
+    std::int32_t* orow = abt_out(g, i + r, j);
+    for (int c = 0; c < nr; ++c) {
+      const std::int8_t* bc = g.b + static_cast<std::size_t>(j + c) * g.ldb;
+      std::int32_t dot = 0;
+      for (int p = k16; p < g.k; ++p)
+        dot += static_cast<std::int32_t>(ar[p]) * bc[p];
+      orow[c] += dot;
+    }
+  }
+}
+
+/// The MR×NR output tile at (i, j).
+template <int MR, int NR>
+__attribute__((target("avx2"))) void abt_tile_i8_avx2(const AbtI8& g, int i,
+                                                      int j) {
+  const std::int8_t* a = g.a + static_cast<std::size_t>(i) * g.lda;
+  const std::int8_t* b = g.b + static_cast<std::size_t>(j) * g.ldb;
+  // Accumulators in (row, column) order, padded with zeros to whole groups
+  // of four for the reduction. Column c's bias seeds lane 0 of its
+  // accumulators.
+  constexpr int kAcc = (MR * NR + 3) / 4 * 4;
+  __m256i acc[kAcc] = {};
+  if (g.seed != nullptr)
+    for (int r = 0; r < MR; ++r)
+      for (int c = 0; c < NR; ++c)
+        acc[r * NR + c] =
+            _mm256_setr_epi32(g.seed[j + c], 0, 0, 0, 0, 0, 0, 0);
+  const int k16 = g.k / 16 * 16;
+  for (int p = 0; p < k16; p += 16) {
+    __m256i aw[MR];
+    for (int r = 0; r < MR; ++r) aw[r] = widen16_i8(a + r * g.lda + p);
+    for (int c = 0; c < NR; ++c) {
+      const __m256i bw = widen16_i8(b + c * g.ldb + p);
+      for (int r = 0; r < MR; ++r)
+        acc[r * NR + c] =
+            _mm256_add_epi32(acc[r * NR + c], _mm256_madd_epi16(aw[r], bw));
+    }
+  }
+  // One hadd tree per four outputs; an r×4 tile's four are one output row.
+  for (int q = 0; q < kAcc; q += 4) {
+    const __m128i s = hsum4_epi32(acc[q], acc[q + 1], acc[q + 2], acc[q + 3]);
+    if constexpr (NR == 4) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(abt_out(g, i + q / 4, j)),
+                       s);
+    } else {
+      alignas(16) std::int32_t sum[4];
+      _mm_store_si128(reinterpret_cast<__m128i*>(sum), s);
+      for (int t = 0; t < 4 && q + t < MR * NR; ++t)
+        abt_out(g, i + (q + t) / NR, j)[(q + t) % NR] = sum[t];
+    }
+  }
+  if (k16 < g.k) abt_tail_i8(g, i, j, MR, NR, k16);
+}
+
+/// Rows [i, i + MR) of out, 1 ≤ MR ≤ 3: r×4 tiles, then single columns.
+template <int MR>
+__attribute__((target("avx2"))) void abt_rows_i8_avx2(const AbtI8& g, int i,
+                                                      int n) {
+  int j = 0;
+  for (; j + 4 <= n; j += 4) abt_tile_i8_avx2<MR, 4>(g, i, j);
+  for (; j < n; ++j) abt_tile_i8_avx2<MR, 1>(g, i, j);
+}
+
+/// out (m×n) = seed ⊕ A·Bᵀ through the microkernel.
+__attribute__((target("avx2"))) void gemm_abt_i8_avx2(const AbtI8& g, int m,
+                                                      int n) {
+  int i = 0;
+  for (; i + 4 <= m; i += 4) {
+    int j = 0;
+    for (; j + 2 <= n; j += 2) abt_tile_i8_avx2<4, 2>(g, i, j);
+    if (j < n) abt_tile_i8_avx2<4, 1>(g, i, j);
+  }
+  if (m - i == 1) abt_rows_i8_avx2<1>(g, i, n);
+  if (m - i == 2) abt_rows_i8_avx2<2>(g, i, n);
+  if (m - i == 3) abt_rows_i8_avx2<3>(g, i, n);
+}
+
 __attribute__((target("avx2"))) void gemm_nt_i8_avx2(const MatI8& a,
                                                      const MatI8& b,
                                                      MatI32& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const std::int8_t* arow = a.row(i);
-    std::int32_t* orow = out.row(i);
-    for (int j = 0; j < b.rows(); ++j) orow[j] = dot_i8_avx2(arow, b.row(j), k);
-  }
+  const auto k = static_cast<std::size_t>(a.cols());
+  gemm_abt_i8_avx2({a.data(), k, b.data(), k, nullptr, out.data(),
+                    static_cast<std::size_t>(b.rows()), a.cols()},
+                   a.rows(), b.rows());
 }
 
 __attribute__((target("avx2"))) void gemm_i8_packed_avx2(
     const MatI8& a, const PackedI8& bp, const std::int32_t* bias,
     MatI32& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const std::int8_t* arow = a.row(i);
-    std::int32_t* orow = out.row(i);
-    for (int j = 0; j < bp.n; ++j) {
-      const std::int32_t seed = bias != nullptr ? bias[j] : 0;
-      orow[j] = seed + dot_i8_avx2(arow, bp.row(j), k);
-    }
-  }
+  gemm_abt_i8_avx2({a.data(), static_cast<std::size_t>(a.cols()),
+                    bp.data.data(), static_cast<std::size_t>(bp.k_pad), bias,
+                    out.data(), static_cast<std::size_t>(bp.n), a.cols()},
+                   a.rows(), bp.n);
 }
 
 // --- AVX2 requantization ---------------------------------------------------

@@ -78,7 +78,8 @@ void gemm_i16_into(const MatI16& a, const MatI16& b, MatI32& out);
 /// C = A·Bᵀ, float (attention scores). The scalar loop under either kind.
 void gemm_nt_f32_into(const MatF& a, const MatF& b, MatF& out);
 
-/// C = A·Bᵀ, int8 operands, int32 accumulation. Exact.
+/// C = A·Bᵀ, int8 operands, int32 accumulation. Exact for k ≤ 131071,
+/// where every k-term int8 dot product fits int32.
 void gemm_nt_i8_into(const MatI8& a, const MatI8& b, MatI32& out);
 
 // --- Packed-B GEMMs (B pre-packed at weight-load time, tensor/pack.hpp) ----
@@ -87,7 +88,9 @@ void gemm_nt_i8_into(const MatI8& a, const MatI8& b, MatI32& out);
 void gemm_i8_packed_into(const MatI8& a, const PackedI8& bp, MatI32& out);
 
 /// C = bias ⊕ A·B with B packed — the bias seeds the accumulator, which is
-/// exactly add_bias_i32(gemm_i8(a, b), bias) in one pass.
+/// exactly add_bias_i32(gemm_i8(a, b), bias) in one pass. Requires |bias| ≤
+/// QuantizedLinear::bias_bound(k), so that the seed plus any partial sum
+/// fits int32 (QuantizedLinear::build clamps to it).
 void gemm_i8_packed_bias_into(const MatI8& a, const PackedI8& bp,
                               const std::vector<std::int32_t>& bias,
                               MatI32& out);

@@ -203,6 +203,100 @@ TEST_P(KernelEquivalence, MatchesScalarBitExact) {
   }
 }
 
+// --- The int8 A·Bᵀ microkernel's tile edges ----------------------------------
+// The microkernel behind gemm_nt_i8 and the packed GEMMs runs 4×2 tiles over
+// full 4-row blocks, r×4 tiles over the 1–3 remainder rows, single columns at
+// the n edge, and a scalar loop over the k tail past the 16-wide steps. The
+// grid crosses every one of those edges, with the scalar table as the oracle.
+
+TEST_P(KernelEquivalence, AbtTileEdgesMatchScalar) {
+  Rng rng(1717);
+  for (const int m : {1, 2, 3, 4, 5, 7, 8, 16, 17})
+    for (const int n : {1, 2, 3, 4, 5, 63, 64, 65})
+      for (const int k : {0, 1, 15, 16, 17, 31, 32, 33, 64, 65, 2048}) {
+        const Shape s{m, k, n};
+        const MatI8 a = rand_i8(m, k, rng);
+        const MatI8 bt = rand_i8(n, k, rng);  // Bᵀ, the A·Bᵀ operand
+        const PackedI8 bp = pack_b_i8(transpose(bt));
+        std::vector<std::int32_t> bias(static_cast<std::size_t>(n));
+        for (auto& v : bias) v = rng.uniform_int(-100000, 100000);
+
+        MatI32 want_nt(m, n), want_packed(m, n), want_bias(m, n);
+        {
+          KindGuard g(kernels::Kind::kScalar);
+          kernels::gemm_nt_i8_into(a, bt, want_nt);
+          kernels::gemm_i8_packed_into(a, bp, want_packed);
+          kernels::gemm_i8_packed_bias_into(a, bp, bias, want_bias);
+        }
+        KindGuard g(GetParam());
+        MatI32 got(m, n);
+        kernels::gemm_nt_i8_into(a, bt, got);
+        expect_same(got, want_nt, "gemm_nt_i8", s);
+        kernels::gemm_i8_packed_into(a, bp, got);
+        expect_same(got, want_packed, "gemm_i8_packed", s);
+        kernels::gemm_i8_packed_bias_into(a, bp, bias, got);
+        expect_same(got, want_bias, "gemm_i8_packed_bias", s);
+      }
+}
+
+/// A rows×cols matrix of −128; with `alternate`, 127 wherever c + phase is
+/// even.
+MatI8 extreme_i8(int rows, int cols, bool alternate, int phase) {
+  MatI8 m(rows, cols);
+  for (int r = 0; r < rows; ++r)
+    for (int c = 0; c < cols; ++c)
+      m(r, c) = static_cast<std::int8_t>(
+          alternate && (c + phase) % 2 == 0 ? 127 : -128);
+  return m;
+}
+
+TEST_P(KernelEquivalence, AbtExtremeOperandsAreExact) {
+  // k = 2048 all-(−128) operands: 2048·128² = 33,554,432 per element, the
+  // largest dot product any 2048-wide int8 layer can produce.
+  constexpr int kK = 2048;
+  constexpr std::int32_t kBound = 2113929215;  // 2³¹ − 1 − 2048·2¹⁴
+  static_assert(QuantizedLinear::bias_bound(kK) == kBound);
+  static_assert(kBound + 33554432 == std::numeric_limits<std::int32_t>::max());
+  struct Case {
+    const char* what;
+    bool a_alt, b_alt;
+    int b_phase;
+    std::int32_t dot;  // the exact value of every output element
+  };
+  const Case cases[] = {
+      {"all -128", false, false, 0, 33554432},
+      {"A 127/-128, B -128", true, false, 0, 1024 * (127 * -128 + 128 * 128)},
+      {"A, B 127/-128 in phase", true, true, 0, 1024 * (127 * 127 + 128 * 128)},
+      {"A, B 127/-128 out of phase", true, true, 1, 1024 * (2 * 127 * -128)},
+  };
+  for (const int m : {1, 5, 7}) {  // 4×2, 4×1, r×4 and r×1 tiles
+    const int n = 5;
+    const Shape s{m, kK, n};
+    for (const Case& c : cases) {
+      const MatI8 a = extreme_i8(m, kK, c.a_alt, 0);
+      const MatI8 bt = extreme_i8(n, kK, c.b_alt, c.b_phase);
+      const PackedI8 bp = pack_b_i8(transpose(bt));
+      // A bias at the clamp bound QuantizedLinear::build enforces: with the
+      // largest dot it lands exactly on INT32_MAX (resp. near INT32_MIN).
+      const std::int32_t seed = c.dot > 0 ? kBound : -kBound;
+      const std::vector<std::int32_t> bias(static_cast<std::size_t>(n), seed);
+      MatI32 want(m, n), want_bias(m, n);
+      want.fill(c.dot);
+      want_bias.fill(seed + c.dot);
+      for (const kernels::Kind kind : {kernels::Kind::kScalar, GetParam()}) {
+        KindGuard g(kind);
+        MatI32 got(m, n);
+        kernels::gemm_nt_i8_into(a, bt, got);
+        expect_same(got, want, c.what, s);
+        kernels::gemm_i8_packed_into(a, bp, got);
+        expect_same(got, want, c.what, s);
+        kernels::gemm_i8_packed_bias_into(a, bp, bias, got);
+        expect_same(got, want_bias, c.what, s);
+      }
+    }
+  }
+}
+
 TEST_P(KernelEquivalence, RequantizeMatchesFixedPointScale) {
   Rng rng(4321);
   KindGuard g(GetParam());

@@ -1,7 +1,13 @@
 // Tests for whole-model quantization: calibration capture, backend routing,
-// and agreement between the quantized backend and the accelerator backend.
+// agreement between the quantized backend and the accelerator backend, and
+// the guards that keep extreme but finite weights out of undefined behaviour.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
+#include "common/fixed_point.hpp"
 #include "core/backend.hpp"
 #include "quant/qtransformer.hpp"
 #include "tensor/compare.hpp"
@@ -121,6 +127,117 @@ TEST(AcceleratorBackend, AccumulatesCyclesAcrossDecode) {
   model.set_backend(ResBlockBackend{});
   EXPECT_GT(stats.mha_runs, stats.ffn_runs);  // self + cross per decoder step
   EXPECT_GT(stats.microseconds(200.0), 0.0);
+}
+
+// --- Extreme but finite weights ---------------------------------------------
+// load_weights accepts any finite float, so quantizing a model must turn an
+// absurd magnitude into a clean decode or a CheckError, never into undefined
+// behaviour. The sanitizer CI job runs these with halt_on_error.
+
+TEST(FixedPointScale, RejectsNonFiniteAndHugeScalesAndZeroesTinyOnes) {
+  EXPECT_THROW(
+      FixedPointScale::from_double(std::numeric_limits<double>::infinity()),
+      CheckError);
+  EXPECT_THROW(FixedPointScale::from_double(std::nan("")), CheckError);
+  // Shift −15 is the last one whose left shift cannot wrap a 33-bit value.
+  EXPECT_EQ(FixedPointScale::from_double(std::ldexp(1.0, 29)).shift, -15);
+  EXPECT_THROW(FixedPointScale::from_double(std::ldexp(1.0, 30)), CheckError);
+  // Shift 62 is the last one kept; past it the scale is zero, which rounds
+  // every accumulator to 0 exactly as the tiny scale would.
+  EXPECT_EQ(FixedPointScale::from_double(std::ldexp(1.0, -48)).shift, 62);
+  for (const double tiny : {std::ldexp(1.0, -49), 1e-40}) {
+    const FixedPointScale s = FixedPointScale::from_double(tiny);
+    EXPECT_EQ(s.mantissa, 0) << tiny;
+    EXPECT_EQ(s.shift, 0) << tiny;
+    EXPECT_EQ(s.apply(std::numeric_limits<std::int32_t>::max()), 0) << tiny;
+  }
+}
+
+TEST(QuantizedLinear, ClampsBiasToTheDotProductHeadroom) {
+  MatF w(64, 2);
+  w.fill(0.5f);
+  EXPECT_EQ(QuantizedLinear::bias_bound(64), 2147483647 - 64 * 16384);
+  for (const auto g :
+       {WeightGranularity::kPerTensor, WeightGranularity::kPerColumn}) {
+    const QuantizedLinear q =
+        QuantizedLinear::build(w, {1e38f, -1e38f}, 1.0f, 1.0f, g);
+    EXPECT_EQ(q.bias[0], QuantizedLinear::bias_bound(64));
+    EXPECT_EQ(q.bias[1], -QuantizedLinear::bias_bound(64));
+  }
+  MatF tall(QuantizedLinear::kMaxK + 1, 1);
+  tall.fill(0.5f);
+  EXPECT_THROW(QuantizedLinear::build(tall, {0.0f}, 1.0f, 1.0f), CheckError);
+}
+
+/// The model of the extreme-weight cases, before its perturbation.
+TransformerWeights tiny_weights() {
+  Rng rng(3);
+  return TransformerWeights::random(hw_tiny(), 12, rng);
+}
+
+/// Quantizes a model of `weights` on one source sentence and decodes that
+/// sentence on the quantized and on the accelerator backend. Each must
+/// decode or throw CheckError; with `must_decode`, each must decode.
+void expect_decode_or_check_error(const TransformerWeights& weights,
+                                  const char* what, bool must_decode) {
+  const TokenSeq src{3, 4, 5, 6};
+  for (const bool accelerator : {false, true}) {
+    Transformer model(weights);
+    bool decoded = false;
+    try {
+      const auto qt =
+          QuantizedTransformer::build(model, {src}, 8, SoftmaxImpl::kHardware);
+      Accelerator acc;
+      AcceleratorStats stats;
+      DecodeStepFuser fuser(acc, &stats);
+      model.set_backend(accelerator ? accelerator_backend(qt, acc, &fuser)
+                                    : qt.backend());
+      model.translate_greedy(src, 8);
+      model.set_backend(ResBlockBackend{});
+      decoded = true;
+    } catch (const CheckError&) {
+      model.set_backend(ResBlockBackend{});
+    }
+    EXPECT_TRUE(decoded || !must_decode)
+        << what << " threw CheckError on the "
+        << (accelerator ? "accelerator" : "quantized") << " backend";
+  }
+}
+
+void scale(MatF& m, float factor) {
+  for (int r = 0; r < m.rows(); ++r)
+    for (int c = 0; c < m.cols(); ++c) m(r, c) *= factor;
+}
+
+TEST(QuantizedTransformer, ExtremeFiniteWeightsDecodeOrThrow) {
+  // Requantization scales so tiny that from_double normalized them to shift
+  // 100, 127 and 71: rounding_shift_right then shifted past 64 bits.
+  TransformerWeights w = tiny_weights();
+  w.encoder_layers[0].ffn.w1(0, 0) = 1e30f;
+  expect_decode_or_check_error(w, "encoder w1(0,0) = 1e30", false);
+  w = tiny_weights();
+  w.encoder_layers[0].ffn.w1(0, 0) = 1e38f;
+  expect_decode_or_check_error(w, "encoder w1(0,0) = 1e38", false);
+  w = tiny_weights();
+  scale(w.encoder_layers[0].ffn.w2, 1e20f);
+  expect_decode_or_check_error(w, "encoder w2 x 1e20", false);
+
+  // Biases quantized to the int32 limit: the fused-bias GEMM's seed plus
+  // the dot product overflowed int32.
+  w = tiny_weights();
+  w.encoder_layers[0].ffn.b2[0] = 1e38f;
+  expect_decode_or_check_error(w, "encoder b2[0] = 1e38", false);
+  w = tiny_weights();
+  scale(w.encoder_layers[0].ffn.w2, 1e-10f);  // all 64 columns
+  expect_decode_or_check_error(w, "encoder w2 x 1e-10", false);
+
+  // Controls: extreme too, and they decoded cleanly before the guards.
+  w = tiny_weights();
+  scale(w.encoder_layers[0].ffn.w2, 1e10f);
+  expect_decode_or_check_error(w, "encoder w2 x 1e10", true);
+  w = tiny_weights();
+  w.encoder_layers[0].mha.heads[0].wq(0, 0) = 1e-30f;
+  expect_decode_or_check_error(w, "encoder wq(0,0) = 1e-30", true);
 }
 
 }  // namespace
