@@ -18,7 +18,9 @@
 //  * config validation of the chunk size and of Scheduler::run arrivals.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "analysis/verifier.hpp"
@@ -280,6 +282,82 @@ TEST(PrefillAudit, FullSizeChunkMatchesScheduleMhaIntervals) {
           << "op " << i << " rows=" << rows;
       EXPECT_EQ(chunk.stats.intervals[i + 1].end, mha.stats.intervals[i].end);
     }
+  }
+}
+
+// --- prefill_stall equals a decode-only rebuild ------------------------------
+
+// A mixed step's prefill_stall is its makespan minus that of the same step
+// with its prefill lanes left out. Checked over prefill chunk kinds (MHA
+// with and without the K/V projection, FFN), chunk sizes, 1-3 prefill
+// lanes, decode slot counts and head counts; a prefill-only or decode-only
+// step charges none.
+TEST(PrefillStall, EqualsTheDecodeOnlyLedgerDelta) {
+  const Accelerator acc;
+  for (const int heads : {1, 8}) {
+    const int d_model = 64 * heads;
+    for (const int slots : {1, 3, 16}) {
+      std::vector<int> totals;
+      for (int r = 0; r < slots; ++r) totals.push_back(3 + (5 * r) % 11);
+      const FusedLane decode{
+          {SublayerPlan::mha_cached_batch("dec.self", totals, d_model, heads,
+                                          slots),
+           SublayerPlan::mha_cached_batch("dec.cross", totals, d_model,
+                                          heads, 0),
+           SublayerPlan::ffn("dec.ffn", slots, d_model, 4 * d_model)},
+          false};
+      const RunReport decode_only = acc.time_step({decode});
+      EXPECT_EQ(decode_only.prefill_stall, 0);
+      for (const int rows : {1, 5, 16}) {
+        const SublayerPlan kinds[] = {
+            SublayerPlan::mha_prefill("s1.enc0.c0", rows, 16, d_model, heads,
+                                      16),
+            SublayerPlan::ffn("s2.enc1.c0", rows, d_model, 4 * d_model),
+            SublayerPlan::mha_prefill("s3.enc0.c1", rows, 16, d_model, heads,
+                                      0)};
+        for (int lanes = 1; lanes <= 3; ++lanes)
+          for (int first = 0; first < 3; ++first) {
+            std::vector<FusedLane> step;
+            for (int i = 0; i < lanes; ++i)
+              step.push_back(FusedLane{{kinds[(first + i) % 3]}, true});
+            const std::string what =
+                "heads=" + std::to_string(heads) + " slots=" +
+                std::to_string(slots) + " rows=" + std::to_string(rows) +
+                " lanes=" + std::to_string(lanes) +
+                " first=" + std::to_string(first);
+            EXPECT_EQ(acc.time_step(step).prefill_stall, 0) << what;
+            step.push_back(decode);
+            const RunReport mixed = acc.time_step(step);
+            EXPECT_EQ(mixed.prefill_stall,
+                      std::max<Cycle>(0, mixed.total_cycles -
+                                             decode_only.total_cycles))
+                << what;
+          }
+      }
+    }
+  }
+}
+
+// The same definition holds when decode lanes surround a prefill lane: the
+// decode-only ledger chains its weight prefetches past the missing chunk.
+TEST(PrefillStall, EqualsTheDecodeOnlyLedgerDeltaAroundAPrefillLane) {
+  const Accelerator acc;
+  std::vector<int> totals;
+  for (int r = 0; r < 8; ++r) totals.push_back(3 + (5 * r) % 11);
+  const FusedLane attention{
+      {SublayerPlan::mha_cached_batch("dec.self", totals, 128, 2, 8),
+       SublayerPlan::mha_cached_batch("dec.cross", totals, 128, 2, 0)},
+      false};
+  const FusedLane ffn{{SublayerPlan::ffn("dec.ffn", 8, 128, 512)}, false};
+  for (const int rows : {1, 5, 16}) {
+    const FusedLane chunk{
+        {SublayerPlan::mha_prefill("s1.enc0.c0", rows, 16, 128, 2, 16)}, true};
+    const RunReport mixed = acc.time_step({attention, chunk, ffn});
+    const RunReport decode_only = acc.time_step({attention, ffn});
+    EXPECT_EQ(mixed.prefill_stall,
+              std::max<Cycle>(0, mixed.total_cycles -
+                                     decode_only.total_cycles))
+        << "rows=" << rows;
   }
 }
 

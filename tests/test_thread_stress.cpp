@@ -94,9 +94,9 @@ void expect_reports_identical(const ScheduleReport& a, const ScheduleReport& b,
 
 // Run the same workload at several host-thread counts (1 = forced serial,
 // cooperative on the calling thread; 0 = auto) with repeats, and demand
-// bit-identical reports throughout.
-void stress(SchedulerConfig cfg, const std::vector<TokenSeq>& sources,
-            const std::vector<Cycle>& arrivals, int repeats) {
+// bit-identical reports throughout. Returns the forced-serial report.
+ScheduleReport stress(SchedulerConfig cfg, const std::vector<TokenSeq>& sources,
+                      const std::vector<Cycle>& arrivals, int repeats) {
   Rng rng(424242);
   const TransformerWeights weights =
       TransformerWeights::random(hw_config(), 20, rng);
@@ -119,6 +119,7 @@ void stress(SchedulerConfig cfg, const std::vector<TokenSeq>& sources,
                                    ", repeat " + std::to_string(r));
     }
   }
+  return golden;
 }
 
 SchedulerConfig stress_config(ServeBackend backend, int cards, int slots) {
@@ -148,11 +149,19 @@ TEST(ThreadStress, HostThreadsKnobValidatesAndClamps) {
 
 // Accelerator + verify_schedules: every charged ledger is hashed, so the
 // per-card ledger_fingerprint pins the exact ledger STREAM (content and
-// order), not just cycle totals.
+// order), not just cycle totals. The fingerprints are pinned too, so a
+// change that moves any interval or label of any ledger fails here.
 TEST(ThreadStress, AcceleratorGreedyBurstLedgerStreamsInvariant) {
   SchedulerConfig cfg = stress_config(ServeBackend::kAccelerator, 3, 4);
   cfg.accel.verify_schedules = true;
-  stress(cfg, stress_sources(), {}, /*repeats=*/2);
+  const ScheduleReport golden =
+      stress(cfg, stress_sources(), {}, /*repeats=*/2);
+  const std::uint64_t fingerprints[] = {
+      0x7f4c26212a324b90ULL, 0xe55736c87ac399caULL, 0xdc72940de72da109ULL};
+  ASSERT_EQ(golden.per_card.size(), std::size(fingerprints));
+  for (std::size_t c = 0; c < golden.per_card.size(); ++c)
+    EXPECT_EQ(golden.per_card[c].ledger_fingerprint, fingerprints[c])
+        << "card " << c;
 }
 
 TEST(ThreadStress, AcceleratorGreedyStaggeredArrivalsInvariant) {

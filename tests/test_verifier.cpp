@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -132,6 +133,75 @@ TEST(LedgerHash, AnyPlacementShiftChangesTheHash) {
   slide_op(run.graph, run.stats, run.stats.intervals.size() / 2,
            run.stats.intervals[run.stats.intervals.size() / 2].start + 1);
   EXPECT_NE(before, ledger_hash(run.graph, run.stats));
+}
+
+// --- Ledger identity, pinned --------------------------------------------------
+
+/// FNV-1a 64 over a ledger's write_csv text: every module row, interval and
+/// label, byte for byte.
+std::uint64_t csv_fnv(const Timeline& tl) {
+  std::ostringstream os;
+  tl.write_csv(os);
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : os.str()) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// The standalone builders at the design point: end cycles, canonical hash
+// and CSV text. Any change to a placement, a label or the module order
+// moves at least one of them.
+TEST(LedgerIdentity, StandaloneBuildersArePinned) {
+  const AcceleratorConfig cfg = accel_config();
+  {
+    Timeline tl;
+    const ScheduledRun r = schedule_mha(cfg, tl, 64, 64, 512, 8);
+    EXPECT_EQ(tl.end_time(), 21188);
+    EXPECT_EQ(ledger_hash(r.graph, r.stats), 0xf73b46a121eb7bc0ULL);
+    EXPECT_EQ(csv_fnv(tl), 0xc7023ff88a2f12d0ULL);
+  }
+  {
+    Timeline tl;
+    const ScheduledRun r = schedule_ffn(cfg, tl, 64, 512, 2048);
+    EXPECT_EQ(tl.end_time(), 40516);
+    EXPECT_EQ(ledger_hash(r.graph, r.stats), 0xa9de8f41c8242c1aULL);
+    EXPECT_EQ(csv_fnv(tl), 0xfc718aab750b9cd0ULL);
+  }
+  {
+    Timeline tl;
+    const ScheduledRun r =
+        schedule_mha_cached_batch(cfg, tl, {3, 7, 12}, 512, 8, 3);
+    EXPECT_EQ(tl.end_time(), 15723);
+    EXPECT_EQ(ledger_hash(r.graph, r.stats), 0x620406b4d4af0afdULL);
+    EXPECT_EQ(csv_fnv(tl), 0x3a935a703e098567ULL);
+  }
+}
+
+// A mixed step as DecodeStepFuser::end_step composes it: two prefill chunk
+// lanes (one MHA with its K/V projection, one FFN), then the chained decode
+// lane. Verified, so the report carries the canonical hash.
+TEST(LedgerIdentity, MixedStepIsPinned) {
+  AcceleratorConfig cfg = accel_config();
+  cfg.verify_schedules = true;
+  const Accelerator acc(cfg);
+  const FusedLane decode{
+      {SublayerPlan::mha_cached_batch("sub0", {3, 4, 5}, 64, 1, 3),
+       SublayerPlan::mha_cached_batch("sub1", {9, 9, 9}, 64, 1, 0),
+       SublayerPlan::ffn("sub2", 3, 64, 256)},
+      false};
+  const RunReport mixed = acc.time_step(
+      {FusedLane{{SublayerPlan::mha_prefill("s1.enc0.c0", 8, 12, 64, 1, 12)},
+                 true},
+       FusedLane{{SublayerPlan::ffn("s2.enc1.c0", 16, 64, 256)}, true},
+       decode});
+  EXPECT_EQ(mixed.total_cycles, 1205);
+  EXPECT_EQ(mixed.ledger_hash, 0xe8b31b2b3af20f4cULL);
+  EXPECT_EQ(csv_fnv(mixed.timeline), 0x49e20b514de03669ULL);
+  EXPECT_EQ(mixed.prefill_stall, 440);
+  EXPECT_EQ(mixed.boundary_stall, 268);
+  EXPECT_EQ(acc.time_step({decode}).total_cycles, 765);
 }
 
 // --- One tampered-schedule test per diagnostic code --------------------------
