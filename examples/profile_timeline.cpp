@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
         std::printf("%-10s %10lld %10lld %8lld  %s\n", module.name().c_str(),
                     static_cast<long long>(iv.start),
                     static_cast<long long>(iv.end),
-                    static_cast<long long>(iv.duration()), iv.label.c_str());
+                    static_cast<long long>(iv.duration()),
+                    rep.timeline.label(iv).c_str());
   };
   print_trace("MHA ResBlock (Algorithm 1, lines 1-13)", mha.report);
   print_trace("FFN ResBlock (Algorithm 1, lines 14-22)", ffn.report);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 
 #include "common/check.hpp"
 
@@ -55,11 +56,25 @@ std::uint64_t ledger_hash(const OpGraph& g, const ScheduleStats& st) {
     h *= 1099511628211ULL;
   };
   const auto mix_u64 = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) mix_byte(static_cast<unsigned char>(v >> (8 * i)));
+    for (int i = 0; i < 8; ++i)
+      mix_byte(static_cast<unsigned char>(v >> (8 * i)));
   };
-  const auto mix_str = [&](const std::string& s) {
+  const auto mix_str = [&](std::string_view s) {
     mix_u64(s.size());
     for (const char c : s) mix_byte(static_cast<unsigned char>(c));
+  };
+  // Labels are mixed as their rendered text: into a stack buffer, or, for
+  // the rare label longer than that, into a string.
+  char buf[128];
+  std::string long_label;
+  const auto mix_label = [&](const OpLabel& label) {
+    const std::size_t len = g.labels().render(label, buf);
+    if (len <= sizeof buf) {
+      mix_str(std::string_view(buf, len));
+    } else {
+      long_label = g.labels().render(label);
+      mix_str(long_label);
+    }
   };
 
   const std::vector<OpNode>& ops = g.ops();
@@ -69,7 +84,7 @@ std::uint64_t ledger_hash(const OpGraph& g, const ScheduleStats& st) {
   mix_u64(static_cast<std::uint64_t>(st.weight_load_cycles));
   for (std::size_t i = 0; i < n; ++i) {
     mix_u64(static_cast<std::uint64_t>(ops[i].resource));
-    mix_str(ops[i].label);
+    mix_label(ops[i].label);
     mix_u64(static_cast<std::uint64_t>(st.intervals[i].start));
     mix_u64(static_cast<std::uint64_t>(st.intervals[i].end));
     mix_u64(static_cast<std::uint64_t>(st.result_ready[i]));
@@ -83,8 +98,7 @@ namespace {
 std::string op_ref(const OpGraph& g, int id) {
   std::ostringstream os;
   os << "op " << id;
-  if (id >= 0 && id < g.size())
-    os << " (" << g.ops()[static_cast<std::size_t>(id)].label << ")";
+  if (id >= 0 && id < g.size()) os << " (" << g.label(id) << ")";
   return os.str();
 }
 
@@ -116,22 +130,26 @@ void emit(VerifyResult& res, const OpGraph& g, DiagCode code, int op,
   res.diags.push_back(std::move(d));
 }
 
-/// Earliest-starting SA op that lists `load` among its deps (the op whose
-/// issue consumes the prefetched tile), or -1 when none exists.
-int earliest_sa_consumer(const OpGraph& g, const ScheduleStats& st,
-                         int load) {
+/// Per WeightLoad op, the earliest-starting SA op that lists it among its
+/// deps (the op whose issue consumes the prefetched tile; ties go to the
+/// lower id), or -1 when none exists. One pass over the deps.
+std::vector<int> earliest_sa_consumers(const OpGraph& g,
+                                       const ScheduleStats& st) {
   const std::vector<OpNode>& ops = g.ops();
-  int best = -1;
+  std::vector<int> consumer(ops.size(), -1);
   for (int i = 0; i < g.size(); ++i) {
-    const OpNode& op = ops[static_cast<std::size_t>(i)];
-    if (op.resource != OpResource::kSa) continue;
-    if (std::find(op.deps.begin(), op.deps.end(), load) == op.deps.end())
-      continue;
-    if (best < 0 || st.intervals[static_cast<std::size_t>(i)].start <
-                        st.intervals[static_cast<std::size_t>(best)].start)
-      best = i;
+    if (ops[static_cast<std::size_t>(i)].resource != OpResource::kSa) continue;
+    const Cycle start = st.intervals[static_cast<std::size_t>(i)].start;
+    for (const int d : g.deps(i)) {
+      const auto ud = static_cast<std::size_t>(d);
+      if (ops[ud].resource != OpResource::kWeightLoad) continue;
+      int& best = consumer[ud];
+      if (best < 0 ||
+          start < st.intervals[static_cast<std::size_t>(best)].start)
+        best = i;
+    }
   }
-  return best;
+  return consumer;
 }
 
 }  // namespace
@@ -172,7 +190,7 @@ VerifyResult verify_schedule(const OpGraph& g, const ScheduleStats& st,
       emit(res, g, DiagCode::kResultTime, id, -1, op.resource, iv.start,
            iv.end, os.str());
     }
-    for (const int d : op.deps) {
+    for (const int d : g.deps(id)) {
       if (iv.start >= st.result_ready[static_cast<std::size_t>(d)]) continue;
       std::ostringstream os;
       os << "starts before dep " << op_ref(g, d) << " result at "
@@ -219,10 +237,11 @@ VerifyResult verify_schedule(const OpGraph& g, const ScheduleStats& st,
   }
 
   // --- Single occupancy: no two intervals overlap on the same resource -----
-  for (const OpResource r :
-       {OpResource::kSa, OpResource::kSoftmax, OpResource::kLayerNorm,
-        OpResource::kWeightLoad}) {
-    std::vector<std::size_t> ids;
+  // One id list per resource, sorted by (start, id); reused by the
+  // program-order pin below.
+  std::vector<std::size_t> ids;
+  const auto ids_by_start = [&](OpResource r) {
+    ids.clear();
     for (std::size_t i = 0; i < n; ++i)
       if (ops[i].resource == r) ids.push_back(i);
     std::sort(ids.begin(), ids.end(), [&](std::size_t a, std::size_t b) {
@@ -230,6 +249,11 @@ VerifyResult verify_schedule(const OpGraph& g, const ScheduleStats& st,
                  ? st.intervals[a].start < st.intervals[b].start
                  : a < b;
     });
+  };
+  for (const OpResource r :
+       {OpResource::kSa, OpResource::kSoftmax, OpResource::kLayerNorm,
+        OpResource::kWeightLoad}) {
+    ids_by_start(r);
     for (std::size_t k = 1; k < ids.size(); ++k) {
       if (st.intervals[ids[k]].start >= st.intervals[ids[k - 1]].end) continue;
       std::ostringstream os;
@@ -249,25 +273,20 @@ VerifyResult verify_schedule(const OpGraph& g, const ScheduleStats& st,
   // prior tile consumption, and no load may start while the previous load's
   // tile still sits unconsumed in the buffer.
   if (has_weight_loads) {
-    std::vector<std::size_t> loads;
-    for (std::size_t i = 0; i < n; ++i)
-      if (ops[i].resource == OpResource::kWeightLoad) loads.push_back(i);
-    std::sort(loads.begin(), loads.end(), [&](std::size_t a, std::size_t b) {
-      return st.intervals[a].start != st.intervals[b].start
-                 ? st.intervals[a].start < st.intervals[b].start
-                 : a < b;
-    });
+    ids_by_start(OpResource::kWeightLoad);
+    const std::vector<std::size_t>& loads = ids;
+    const std::vector<int> consumers = earliest_sa_consumers(g, st);
     int prev_consumer = -1;
     for (std::size_t k = 0; k < loads.size(); ++k) {
       const int id = static_cast<int>(loads[k]);
       const Interval& iv = st.intervals[loads[k]];
-      const int consumer = earliest_sa_consumer(g, st, id);
+      const int consumer = consumers[loads[k]];
       if (consumer < 0)
         emit(res, g, DiagCode::kPrefetchChain, id, -1, OpResource::kWeightLoad,
              iv.start, iv.end,
              "no SA op consumes this tile — the prefetch chain is broken");
       if (k > 0) {
-        if (ops[loads[k]].deps.empty())
+        if (g.deps(id).empty())
           emit(res, g, DiagCode::kPrefetchChain, id, -1,
                OpResource::kWeightLoad, iv.start, iv.end,
                "load is not gated on any prior tile consumption "
@@ -294,14 +313,7 @@ VerifyResult verify_schedule(const OpGraph& g, const ScheduleStats& st,
     for (const OpResource r :
          {OpResource::kSa, OpResource::kSoftmax, OpResource::kLayerNorm,
           OpResource::kWeightLoad}) {
-      std::vector<std::size_t> ids;
-      for (std::size_t i = 0; i < n; ++i)
-        if (ops[i].resource == r) ids.push_back(i);
-      std::sort(ids.begin(), ids.end(), [&](std::size_t a, std::size_t b) {
-        return st.intervals[a].start != st.intervals[b].start
-                   ? st.intervals[a].start < st.intervals[b].start
-                   : a < b;
-      });
+      ids_by_start(r);
       for (std::size_t k = 1; k < ids.size(); ++k) {
         if (ids[k] >= ids[k - 1]) continue;
         std::ostringstream os;

@@ -88,10 +88,13 @@ struct VerifyResult {
   std::string to_string() const;
 };
 
-/// Canonical determinism hash of a placed schedule: FNV-1a over every op's
-/// (resource, label, interval, result time) in op order, plus the load
-/// latency. Identical graphs placed identically hash identically on any
-/// host; any reordering, shift, or relabeling changes it.
+/// Canonical determinism hash of a placed schedule: FNV-1a 64 over the op
+/// count and the load latency, then, per op in op order, its resource, its
+/// rendered label (OpGraph::label: the length, then the bytes), its
+/// interval start and end, and its result time. Every integer is mixed as
+/// 8 little-endian bytes. Identical graphs placed identically hash
+/// identically on any host; any reordering, shift, or relabeling changes
+/// it.
 std::uint64_t ledger_hash(const OpGraph& g, const ScheduleStats& st);
 
 /// Check the full invariant set of one placed schedule.

@@ -45,7 +45,8 @@ struct RunReport {
   Cycle boundary_stall = 0;
   /// Mixed prefill/decode step ledgers only (PR 6): extra makespan the
   /// decode lanes suffered because prefill chunks shared the step (the
-  /// ledger's end time minus a decode-only rebuild's). 0 for pure ledgers.
+  /// ledger's end time minus that of the same graph placed without its
+  /// prefill ops; see FusedRun::prefill_stall). 0 for pure ledgers.
   Cycle prefill_stall = 0;
   bool softmax_hidden = true;
   double clock_mhz = 200.0;

@@ -114,25 +114,33 @@ RunReport DecodeStepFuser::end_step() {
   const bool has_decode = n_subs_ > 0;
   long prefill_mha = 0;
   long prefill_ffn = 0;
-  std::vector<FusedLane> lanes;
-  lanes.reserve(prefill_chunks_.size() + 1);
+  // The lanes vector is recycled across steps: each lane keeps its plan
+  // slots, so assigning a plan reuses the slot's label and totals buffers.
+  std::size_t num_lanes = 0;
+  const auto next_lane = [&](bool prefill) -> FusedLane& {
+    if (num_lanes == lanes_.size()) lanes_.emplace_back();
+    FusedLane& lane = lanes_[num_lanes++];
+    lane.prefill = prefill;
+    return lane;
+  };
   for (SublayerPlan& chunk : prefill_chunks_) {
     if (chunk.kind == SublayerPlan::Kind::kMhaPrefill)
       ++prefill_mha;
     else
       ++prefill_ffn;
-    lanes.push_back(FusedLane{{std::move(chunk)}, true});
+    FusedLane& lane = next_lane(true);
+    lane.subs.resize(1);
+    lane.subs.front() = std::move(chunk);
   }
   prefill_chunks_.clear();
-  // Copy (not move) the live plans out so subs_ keeps its recycled slots'
-  // buffers — end_step runs outside the allocation-free step window.
+  // Copy (not move) the live plans so subs_ keeps its recycled slots'
+  // buffers for the allocation-free step window.
   if (has_decode)
-    lanes.push_back(FusedLane{
-        {subs_.begin(),
-         subs_.begin() + static_cast<std::ptrdiff_t>(n_subs_)},
-        false});
+    next_lane(false).subs.assign(
+        subs_.begin(), subs_.begin() + static_cast<std::ptrdiff_t>(n_subs_));
+  lanes_.resize(num_lanes);
   n_subs_ = 0;
-  RunReport report = acc_->time_step(lanes);
+  RunReport report = acc_->time_step(lanes_);
   if (stats_ != nullptr) {
     AcceleratorStats& s = *stats_;
     s.mha_runs += mha_sublayers_ + prefill_mha;

@@ -33,8 +33,8 @@ struct AcceleratorStats {
   /// tile under the previous sublayer's compute.
   Cycle boundary_stall_cycles = 0;
   /// Cycles live decode rows waited on prefill (encoder) work sharing their
-  /// card: each mixed step ledger's makespan delta over a decode-only
-  /// rebuild.
+  /// card: each mixed step ledger's makespan delta over the same ledger
+  /// without its prefill ops (FusedRun::prefill_stall).
   Cycle prefill_stall_cycles = 0;
   /// Order-sensitive FNV fold of every charged ledger's canonical hash
   /// (RunReport::ledger_hash; populated only under cfg.verify_schedules).
@@ -122,6 +122,7 @@ class DecodeStepFuser {
   std::vector<SublayerPlan> subs_;    ///< recycled slots, capacity persists
   std::vector<SublayerPlan> prefill_plans_;   ///< capture: full-size plans
   std::vector<SublayerPlan> prefill_chunks_;  ///< this step's spliced chunks
+  std::vector<FusedLane> lanes_;  ///< end_step's lanes, recycled per step
 };
 
 /// Backend that executes every ResBlock on `acc` using the quantized blocks

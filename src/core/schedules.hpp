@@ -136,8 +136,10 @@ struct FusedRun {
   /// SA idle attributable to sublayer boundaries.
   Cycle boundary_stall = 0;
   /// Extra makespan the decode lanes suffered because prefill chunks shared
-  /// the step: this ledger's end time minus the end time of the same ledger
-  /// rebuilt without its prefill lanes (0 when the step is pure).
+  /// the step: this ledger's end time minus the end time of the same graph
+  /// placed again with its prefill ops left out (end_time_without_prefill;
+  /// by construction what rebuilding the ledger without its prefill lanes
+  /// gives). 0 when the step is pure.
   Cycle prefill_stall = 0;
 };
 

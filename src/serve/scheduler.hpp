@@ -114,7 +114,8 @@ struct ScheduleReport {
   /// is meant to shrink.
   Cycle boundary_stall_cycles() const;
   /// Σ cycles live decode rows waited on prefill (encoder) work across the
-  /// farm: each mixed step ledger's makespan over a decode-only rebuild.
+  /// farm: each mixed step ledger's makespan over that of its decode ops
+  /// alone (FusedRun::prefill_stall).
   Cycle prefill_stall_cycles() const;
   /// Prefill chunks spliced into step ledgers across the farm.
   long prefill_chunks() const;

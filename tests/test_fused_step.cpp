@@ -144,10 +144,10 @@ void expect_one_sublayer_pin(const SublayerPlan& sub,
     const auto si = static_cast<std::size_t>(i);
     EXPECT_EQ(fused.stats.intervals[fi].start,
               standalone.stats.intervals[si].start)
-        << standalone.graph.ops()[si].label;
+        << standalone.graph.label(i);
     EXPECT_EQ(fused.stats.intervals[fi].end,
               standalone.stats.intervals[si].end)
-        << standalone.graph.ops()[si].label;
+        << standalone.graph.label(i);
   }
 }
 
@@ -256,11 +256,10 @@ TEST(FusedSeams, WeightTileSingleResidencyRespected) {
   ASSERT_EQ(prefetches.size(), subs.size());
   for (std::size_t k = 1; k < prefetches.size(); ++k) {
     const Interval& load = fused.stats.intervals[prefetches[k]];
-    const OpNode& node = fused.graph.ops()[prefetches[k]];
-    ASSERT_EQ(node.deps.size(), 1u);  // the residency-release dep
+    const auto deps = fused.graph.deps(static_cast<int>(prefetches[k]));
+    ASSERT_EQ(deps.size(), 1u);  // the residency-release dep
     EXPECT_GE(load.start,
-              fused.stats.result_ready[static_cast<std::size_t>(
-                  node.deps[0])]);
+              fused.stats.result_ready[static_cast<std::size_t>(deps[0])]);
     EXPECT_LE(load.end, fused.segments[k].sa_start) << "prefetch " << k;
   }
 }
@@ -275,7 +274,8 @@ TEST(FusedSeams, SchedulesAreDeterministic) {
   ASSERT_EQ(a.stats.intervals.size(), b.stats.intervals.size());
   for (std::size_t i = 0; i < a.stats.intervals.size(); ++i) {
     EXPECT_EQ(a.stats.intervals[i].start, b.stats.intervals[i].start);
-    EXPECT_EQ(a.stats.intervals[i].label, b.stats.intervals[i].label);
+    EXPECT_EQ(a_tl.label(a.stats.intervals[i]),
+              b_tl.label(b.stats.intervals[i]));
   }
   EXPECT_EQ(a.boundary_stall, b.boundary_stall);
 }

@@ -180,7 +180,8 @@ TEST(Interleaving, SchedulesAreDeterministic) {
   ASSERT_EQ(a.stats.intervals.size(), b.stats.intervals.size());
   for (std::size_t i = 0; i < a.stats.intervals.size(); ++i) {
     EXPECT_EQ(a.stats.intervals[i].start, b.stats.intervals[i].start);
-    EXPECT_EQ(a.stats.intervals[i].label, b.stats.intervals[i].label);
+    EXPECT_EQ(a_tl.label(a.stats.intervals[i]),
+              b_tl.label(b.stats.intervals[i]));
   }
 }
 

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/verifier.hpp"
@@ -135,7 +137,7 @@ TEST(LedgerHash, AnyPlacementShiftChangesTheHash) {
   EXPECT_NE(before, ledger_hash(run.graph, run.stats));
 }
 
-// --- Ledger identity, pinned --------------------------------------------------
+// --- Ledger identity, pinned -------------------------------------------------
 
 /// FNV-1a 64 over a ledger's write_csv text: every module row, interval and
 /// label, byte for byte.
@@ -202,6 +204,124 @@ TEST(LedgerIdentity, MixedStepIsPinned) {
   EXPECT_EQ(mixed.prefill_stall, 440);
   EXPECT_EQ(mixed.boundary_stall, 268);
   EXPECT_EQ(acc.time_step({decode}).total_cycles, 765);
+}
+
+// --- Labels rendered on demand -----------------------------------------------
+
+/// The label column of every write_csv row, keyed by (module, start).
+std::map<std::pair<std::string, Cycle>, std::string> csv_labels(
+    const Timeline& tl) {
+  std::ostringstream os;
+  tl.write_csv(os);
+  std::istringstream in(os.str());
+  std::map<std::pair<std::string, Cycle>, std::string> rows;
+  std::string line;
+  std::getline(in, line);  // header
+  while (std::getline(in, line)) {
+    const std::size_t a = line.find(',');
+    const std::size_t b = line.find(',', a + 1);
+    const std::size_t c = line.find(',', b + 1);
+    rows[{line.substr(0, a), std::stoll(line.substr(a + 1, b - a - 1))}] =
+        line.substr(c + 1);
+  }
+  return rows;
+}
+
+/// ledger_hash by the rule verifier.hpp documents, from label strings.
+std::uint64_t reference_hash(const OpGraph& g, const ScheduleStats& st,
+                             const std::vector<std::string>& labels) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix_byte = [&h](unsigned char b) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  };
+  const auto mix_u64 = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i)
+      mix_byte(static_cast<unsigned char>(v >> (8 * i)));
+  };
+  mix_u64(static_cast<std::uint64_t>(g.size()));
+  mix_u64(static_cast<std::uint64_t>(st.weight_load_cycles));
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    mix_u64(static_cast<std::uint64_t>(g.ops()[i].resource));
+    mix_u64(labels[i].size());
+    for (const char c : labels[i]) mix_byte(static_cast<unsigned char>(c));
+    mix_u64(static_cast<std::uint64_t>(st.intervals[i].start));
+    mix_u64(static_cast<std::uint64_t>(st.intervals[i].end));
+    mix_u64(static_cast<std::uint64_t>(st.result_ready[i]));
+  }
+  return h;
+}
+
+/// Every op's rendered label is the label of its write_csv row, and the
+/// canonical hash is the reference hash over those rows' labels.
+void expect_labels_render_consistently(const OpGraph& g,
+                                       const ScheduleStats& st,
+                                       const Timeline& tl,
+                                       const std::string& what) {
+  const auto rows = csv_labels(tl);
+  ASSERT_EQ(rows.size(), static_cast<std::size_t>(g.size())) << what;
+  std::vector<std::string> labels;
+  for (int i = 0; i < g.size(); ++i) {
+    const auto ui = static_cast<std::size_t>(i);
+    const auto row = rows.find(
+        {op_resource_name(g.ops()[ui].resource), st.intervals[ui].start});
+    ASSERT_NE(row, rows.end()) << what << ": op " << i;
+    EXPECT_EQ(g.label(i), row->second) << what << ": op " << i;
+    EXPECT_EQ(tl.label(st.intervals[ui]), row->second) << what;
+    labels.push_back(row->second);
+  }
+  EXPECT_EQ(ledger_hash(g, st), reference_hash(g, st, labels)) << what;
+}
+
+TEST(LabelRendering, BuilderLabelsMatchCsvRowsAndHash) {
+  // Three-digit heads and slots; sublayer labels longer than the
+  // small-string buffer (16+ chars), longer than the hash's stack buffer
+  // (200+ chars), and empty (rendered "sub<N>.").
+  const std::string long_label(230, 'L');
+  std::vector<int> many_slots;
+  for (int r = 0; r < 101; ++r) many_slots.push_back(1 + r % 13);
+  const FusedLane lane{
+      {SublayerPlan::mha_cached_batch("s123.enc0.c17.self", many_slots, 64,
+                                      1, 101),
+       SublayerPlan::mha_cached_batch(long_label, {5, 9}, 101 * 64, 101, 0),
+       SublayerPlan::ffn("", 2, 64, 256)},
+      false};
+  Timeline tl;
+  const FusedRun run = schedule_fused_lanes(accel_config(), tl, {lane},
+                                            IssuePolicy::kGreedy);
+  ASSERT_TRUE(verify_fused(run).ok());
+  expect_labels_render_consistently(run.graph, run.stats, tl, "fused");
+  // Spot-check the rendering rule itself.
+  std::vector<std::string> all;
+  for (int i = 0; i < run.graph.size(); ++i) all.push_back(run.graph.label(i));
+  for (const char* want :
+       {"s123.enc0.c17.self.prefetch", "s123.enc0.c17.self.head0.slot100.QKt",
+        "s123.enc0.c17.self.head0.slot100.softmax", "s123.enc0.c17.self.G0",
+        "sub2.prefetch", "sub2.H3", "sub2.LayerNorm"})
+    EXPECT_NE(std::find(all.begin(), all.end(), want), all.end()) << want;
+  EXPECT_NE(std::find(all.begin(), all.end(), long_label + ".head100.QWq"),
+            all.end());
+  EXPECT_NE(
+      std::find(all.begin(), all.end(), long_label + ".head100.slot1.AV"),
+      all.end());
+  EXPECT_NE(std::find(all.begin(), all.end(), long_label + ".G100"),
+            all.end());
+}
+
+TEST(LabelRendering, FreeTextLabelsMatchCsvRowsAndHash) {
+  const std::string long_text(300, 't');
+  OpGraph g;
+  const int k = g.add_sa({10, 10, 0}, {}, OpNode::kStaticWeight, "k");
+  const int d = g.add_sa({10, 10, 0}, {}, k, std::string("d with spaces"));
+  const int sm = g.add_softmax(20, 4, d, long_text);
+  g.add_sa({9, 1, 0}, {sm}, OpNode::kStaticWeight, "", sm);
+  g.add_layernorm(7, {sm}, "head0.LayerNorm");
+  Timeline tl;
+  const ScheduleStats st = schedule_ops(g, 64, IssuePolicy::kGreedy, tl);
+  ASSERT_TRUE(verify_schedule(g, st).ok());
+  EXPECT_EQ(g.label(sm), long_text);
+  EXPECT_EQ(g.label(3), "");
+  expect_labels_render_consistently(g, st, tl, "free text");
 }
 
 // --- One tampered-schedule test per diagnostic code --------------------------
