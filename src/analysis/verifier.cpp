@@ -237,8 +237,8 @@ VerifyResult verify_schedule(const OpGraph& g, const ScheduleStats& st,
   }
 
   // --- Single occupancy: no two intervals overlap on the same resource -----
-  // One id list per resource, sorted by (start, id); reused by the
-  // program-order pin below.
+  // One id list per resource, sorted by (start, id); the prefetch-chain and
+  // program-order checks below reuse it.
   std::vector<std::size_t> ids;
   const auto ids_by_start = [&](OpResource r) {
     ids.clear();

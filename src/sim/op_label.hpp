@@ -46,8 +46,6 @@ struct OpLabel {
   std::int32_t slot = -1;
   std::int32_t block = -1;
   OpKind kind = OpKind::kText;
-
-  bool operator==(const OpLabel&) const = default;
 };
 
 /// The prefix strings OpLabel::prefix indexes, stored back to back in one

@@ -77,7 +77,7 @@ class ModuleTimeline {
   const std::vector<Interval>& intervals() const { return intervals_; }
 
  private:
-  friend class Timeline;  // repoints labels_ when the Timeline is copied
+  friend class Timeline;  // relinks labels_ on copy and move
 
   std::string name_;
   LabelTable* labels_;
