@@ -108,7 +108,7 @@ std::string_view LabelTable::prefix(int id) const {
 
 std::size_t LabelTable::render(const OpLabel& label,
                                std::span<char> out) const {
-  BoundedSink sink{out};
+  BoundedSink sink{out, 0};
   render_pieces(prefix(label.prefix), label, sink);
   return sink.len;
 }
