@@ -53,9 +53,9 @@ enum class IssuePolicy { kProgramOrder, kGreedy };
 struct OpNode {
   OpResource resource = OpResource::kSa;
   /// True for ops belonging to a prefill (encoder chunk) lane of a mixed
-  /// prefill/decode step ledger (PR 6). An attribution tag: the fused
-  /// composer splits SA busy cycles between the lanes by it, and the
-  /// decode-only pass (end_time_without_prefill) leaves these ops out.
+  /// prefill/decode step ledger. An attribution tag: the fused composer
+  /// splits SA busy cycles between the lanes by it, and the decode-only
+  /// pass (end_time_without_prefill) leaves these ops out.
   bool prefill = false;
   OpLabel label;
   Cycle duration = 0;        ///< busy occupancy on the resource
