@@ -140,7 +140,7 @@ def lint_pointer_maps(path: pathlib.Path, text: str, lines: list[str],
             errors.append(
                 f"{path}:{i}: pointer-keyed-iteration: range-for over a "
                 f"lookup-only pointer-keyed map — iterate an "
-                f"insertion-ordered mirror (e.g. CaptureStore::mha_order) "
+                f"insertion-ordered vector (e.g. CaptureStore::mha) "
                 f"instead")
 
 

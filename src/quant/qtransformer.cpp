@@ -2,6 +2,33 @@
 
 namespace tfacc {
 
+namespace {
+
+// The entry of `blocks` whose weights are `w`, or nullptr. A model has at
+// most 3 x layers blocks of a kind, so a scan is all a lookup needs.
+template <typename Blocks, typename W>
+auto find_block(Blocks& blocks, const W& w) -> decltype(&blocks.front()) {
+  for (auto& block : blocks)
+    if (block.weights == &w) return &block;
+  return nullptr;
+}
+
+// Reinstalls the FP32 default backend on `model` when it leaves scope, on
+// the exception path too: a backend left installed would outlive what it
+// captured (a CaptureStore) or keep serving the wrong arithmetic.
+class Fp32BackendOnExit {
+ public:
+  explicit Fp32BackendOnExit(Transformer& model) : model_(model) {}
+  ~Fp32BackendOnExit() { model_.set_backend(ResBlockBackend{}); }
+  Fp32BackendOnExit(const Fp32BackendOnExit&) = delete;
+  Fp32BackendOnExit& operator=(const Fp32BackendOnExit&) = delete;
+
+ private:
+  Transformer& model_;
+};
+
+}  // namespace
+
 ResBlockBackend capturing_backend(CaptureStore& store) {
   // Only the batch-style hooks capture; the cached-MHA hooks keep their
   // reference defaults, so drive this backend with
@@ -9,16 +36,19 @@ ResBlockBackend capturing_backend(CaptureStore& store) {
   ResBlockBackend b;
   b.mha = [&store](const MatF& q, const MatF& kv, const MhaWeights& w,
                    const Mask& mask) {
-    if (store.mha.find(&w) == store.mha.end()) store.mha_order.push_back(&w);
-    auto& calib = store.mha[&w];
-    calib.q.push_back(q);
-    calib.kv.push_back(kv);
-    calib.mask.push_back(mask);
+    CaptureStore::Mha* block = find_block(store.mha, w);
+    if (block == nullptr)
+      block = &store.mha.emplace_back(CaptureStore::Mha{&w, {}});
+    block->calib.q.push_back(q);
+    block->calib.kv.push_back(kv);
+    block->calib.mask.push_back(mask);
     return mha_resblock(q, kv, w, mask);
   };
   b.ffn = [&store](const MatF& x, const FfnWeights& w) {
-    if (store.ffn.find(&w) == store.ffn.end()) store.ffn_order.push_back(&w);
-    store.ffn[&w].push_back(x);
+    CaptureStore::Ffn* block = find_block(store.ffn, w);
+    if (block == nullptr)
+      block = &store.ffn.emplace_back(CaptureStore::Ffn{&w, {}});
+    block->inputs.push_back(x);
     return ffn_resblock(x, w);
   };
   return b;
@@ -30,39 +60,38 @@ QuantizedTransformer QuantizedTransformer::build(
   TFACC_CHECK_ARG(!calib_sources.empty());
 
   CaptureStore store;
-  model.set_backend(capturing_backend(store));
-  // Full recompute: the capturing backend only hooks the batch-style
-  // mha/ffn calls, and calibration wants the same growing-prefix inputs
-  // deployment's batch ResBlocks would see.
-  for (const auto& src : calib_sources)
-    model.translate_greedy(src, max_len, DecodeMode::kFullRecompute);
-  model.set_backend(ResBlockBackend{});
+  {
+    const Fp32BackendOnExit restore(model);
+    model.set_backend(capturing_backend(store));
+    // Full recompute: the capturing backend only hooks the batch-style
+    // mha/ffn calls, and calibration wants the same growing-prefix inputs
+    // deployment's batch ResBlocks would see.
+    for (const auto& src : calib_sources)
+      model.translate_greedy(src, max_len, DecodeMode::kFullRecompute);
+  }
 
-  // Quantize in first-capture order, not hash-map order: the maps are keyed
-  // by weight addresses, and iterating them would make the build sequence
-  // (and any diagnostics it emits) depend on allocator placement.
   QuantizedTransformer qt;
-  for (const MhaWeights* weights : store.mha_order)
-    qt.mha_.emplace(weights, MhaQuantized::build(*weights, store.mha.at(weights),
-                                                 impl, method));
-  for (const FfnWeights* weights : store.ffn_order)
-    qt.ffn_.emplace(weights, FfnQuantized::build(*weights,
-                                                 store.ffn.at(weights), method));
+  for (const CaptureStore::Mha& b : store.mha)
+    qt.mha_.push_back(
+        {b.weights, MhaQuantized::build(*b.weights, b.calib, impl, method)});
+  for (const CaptureStore::Ffn& b : store.ffn)
+    qt.ffn_.push_back(
+        {b.weights, FfnQuantized::build(*b.weights, b.inputs, method)});
   return qt;
 }
 
 const MhaQuantized& QuantizedTransformer::mha_for(const MhaWeights& w) const {
-  const auto it = mha_.find(&w);
-  TFACC_CHECK_ARG_MSG(it != mha_.end(),
+  const MhaBlock* block = find_block(mha_, w);
+  TFACC_CHECK_ARG_MSG(block != nullptr,
                       "MHA block was not seen during calibration");
-  return it->second;
+  return block->q;
 }
 
 const FfnQuantized& QuantizedTransformer::ffn_for(const FfnWeights& w) const {
-  const auto it = ffn_.find(&w);
-  TFACC_CHECK_ARG_MSG(it != ffn_.end(),
+  const FfnBlock* block = find_block(ffn_, w);
+  TFACC_CHECK_ARG_MSG(block != nullptr,
                       "FFN block was not seen during calibration");
-  return it->second;
+  return block->q;
 }
 
 ResBlockBackend QuantizedTransformer::backend() const {
@@ -110,10 +139,9 @@ TokenSeq QuantizedTransformer::translate_greedy(Transformer& model,
                                                 const TokenSeq& src,
                                                 int max_len,
                                                 DecodeMode mode) const {
+  const Fp32BackendOnExit restore(model);
   model.set_backend(backend());
-  TokenSeq out = model.translate_greedy(src, max_len, mode);
-  model.set_backend(ResBlockBackend{});
-  return out;
+  return model.translate_greedy(src, max_len, mode);
 }
 
 }  // namespace tfacc

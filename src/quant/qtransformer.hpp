@@ -4,7 +4,6 @@
 // model. This is the software side of the Section V.A experiment.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "quant/qresblock.hpp"
@@ -12,34 +11,38 @@
 
 namespace tfacc {
 
-/// FP32 inputs observed at each ResBlock during a calibration run,
-/// keyed by the address of the block's weights inside the model.
-///
-/// The maps are lookup-only accumulators: anything that must iterate over
-/// the captured blocks (QuantizedTransformer::build) walks `mha_order` /
-/// `ffn_order` instead, which record first-capture order — pointer-keyed
-/// hash iteration depends on where the allocator placed the weights, and a
-/// build that quantizes blocks in allocator order is not reproducible.
+/// FP32 inputs observed at each ResBlock during a calibration run: one entry
+/// per block, in first-capture order, which for a translation is (stack,
+/// layer, sublayer) order. A block is identified by the address of its
+/// weights inside the model.
 struct CaptureStore {
-  std::unordered_map<const MhaWeights*, MhaQuantized::Calibration>
-      mha;  // lint: lookup-only
-  std::unordered_map<const FfnWeights*, std::vector<MatF>>
-      ffn;  // lint: lookup-only
-  std::vector<const MhaWeights*> mha_order;  ///< first-capture order
-  std::vector<const FfnWeights*> ffn_order;  ///< first-capture order
+  struct Mha {
+    const MhaWeights* weights;
+    MhaQuantized::Calibration calib;
+  };
+  struct Ffn {
+    const FfnWeights* weights;
+    std::vector<MatF> inputs;
+  };
+  std::vector<Mha> mha;
+  std::vector<Ffn> ffn;
 };
 
 /// A backend that behaves exactly like the FP32 reference but records every
 /// block input into `store` (which must outlive the backend's use).
 ResBlockBackend capturing_backend(CaptureStore& store);
 
-/// All ResBlocks of one model, quantized. Keys are weight addresses inside
-/// the Transformer used at build time, so that model object must stay alive
-/// (and unmoved) for the lifetime of this object.
+/// All ResBlocks of one model, quantized. A block is found by the address of
+/// its FP32 weights, so the TransformerWeights of the model used at build
+/// time must stay alive for the lifetime of this object. Every Transformer
+/// view over those same weights (see Transformer's shared-weights
+/// constructor) can use it: the blocks hold no mutable state, so views on
+/// different threads may share one QuantizedTransformer.
 class QuantizedTransformer {
  public:
   /// Calibrate by greedily translating `calib_sources` with the FP32 model,
-  /// then quantize every block.
+  /// then quantize every block. `model` gets the FP32 default backend back
+  /// on every exit, also when calibration throws.
   static QuantizedTransformer build(Transformer& model,
                                     const std::vector<TokenSeq>& calib_sources,
                                     int max_len, SoftmaxImpl impl,
@@ -51,20 +54,29 @@ class QuantizedTransformer {
   /// rows, so incremental decode is bit-identical to full recompute.
   ResBlockBackend backend() const;
 
+  /// The quantized block of `w`; CheckError for weights the model does not
+  /// own. A scan over at most 3 x layers blocks.
   const MhaQuantized& mha_for(const MhaWeights& w) const;
   const FfnQuantized& ffn_for(const FfnWeights& w) const;
 
-  /// Convenience: translate with the quantized backend installed, restoring
-  /// the model's previous (FP32) backend afterwards.
+  /// Convenience: translate with the quantized backend installed, then
+  /// reinstall the FP32 default backend (also when the decode throws).
   TokenSeq translate_greedy(Transformer& model, const TokenSeq& src,
                             int max_len,
                             DecodeMode mode = DecodeMode::kKvCache) const;
 
  private:
-  // Accessed only through find() (mha_for / ffn_for); nothing iterates, so
-  // pointer keys cannot leak allocator order into any report or ledger.
-  std::unordered_map<const MhaWeights*, MhaQuantized> mha_;  // lint: lookup-only
-  std::unordered_map<const FfnWeights*, FfnQuantized> ffn_;  // lint: lookup-only
+  /// One entry per block, in CaptureStore order.
+  struct MhaBlock {
+    const MhaWeights* weights;
+    MhaQuantized q;
+  };
+  struct FfnBlock {
+    const FfnWeights* weights;
+    FfnQuantized q;
+  };
+  std::vector<MhaBlock> mha_;
+  std::vector<FfnBlock> ffn_;
 };
 
 }  // namespace tfacc

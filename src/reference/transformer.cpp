@@ -67,10 +67,15 @@ MatF positional_encoding(int max_len, int d_model) {
 }
 
 Transformer::Transformer(TransformerWeights weights)
-    : weights_(std::move(weights)),
-      pos_encoding_(std::make_shared<const MatF>(
-          positional_encoding(kInitialPositions, weights_.config.d_model))) {
-  weights_.config.validate();
+    : Transformer(
+          std::make_shared<const TransformerWeights>(std::move(weights))) {}
+
+Transformer::Transformer(std::shared_ptr<const TransformerWeights> weights)
+    : weights_(std::move(weights)) {
+  TFACC_CHECK_ARG_MSG(weights_ != nullptr, "Transformer needs weights");
+  weights_->config.validate();
+  pos_encoding_ = std::make_shared<const MatF>(
+      positional_encoding(kInitialPositions, weights_->config.d_model));
 }
 
 std::shared_ptr<const MatF> Transformer::positions(int rows) const {
@@ -78,20 +83,20 @@ std::shared_ptr<const MatF> Transformer::positions(int rows) const {
   if (rows > pos_encoding_->rows()) {
     const int grown = std::max(rows, 2 * pos_encoding_->rows());
     pos_encoding_ = std::make_shared<const MatF>(
-        positional_encoding(grown, weights_.config.d_model));
+        positional_encoding(grown, weights_->config.d_model));
   }
   return pos_encoding_;
 }
 
 MatF Transformer::embed(const TokenSeq& tokens, const MatF& embedding) const {
   TFACC_CHECK_ARG(!tokens.empty());
-  const int d_model = weights_.config.d_model;
+  const int d_model = weights_->config.d_model;
   const float scale = std::sqrt(static_cast<float>(d_model));
   const auto pe = positions(static_cast<int>(tokens.size()));
   MatF out(static_cast<int>(tokens.size()), d_model);
   for (int r = 0; r < out.rows(); ++r) {
     const int id = tokens[static_cast<std::size_t>(r)];
-    TFACC_CHECK_ARG_MSG(id >= 0 && id < weights_.vocab_size,
+    TFACC_CHECK_ARG_MSG(id >= 0 && id < weights_->vocab_size,
                         "token id " << id);
     for (int c = 0; c < d_model; ++c)
       out(r, c) = embedding(id, c) * scale + (*pe)(r, c);
@@ -100,11 +105,11 @@ MatF Transformer::embed(const TokenSeq& tokens, const MatF& embedding) const {
 }
 
 MatF Transformer::encode(const TokenSeq& src) const {
-  MatF x = embed(src, weights_.src_embedding);
+  MatF x = embed(src, weights_->src_embedding);
   const int s = x.rows();
   // Padding tokens (id 0) at the tail are masked from attention keys.
   const Mask mask = padding_mask(s, s, unpadded_length(src));
-  for (const auto& layer : weights_.encoder_layers) {
+  for (const auto& layer : weights_->encoder_layers) {
     x = backend_.mha(x, x, layer.mha, mask);
     x = backend_.ffn(x, layer.ffn);
   }
@@ -113,11 +118,11 @@ MatF Transformer::encode(const TokenSeq& src) const {
 
 MatF Transformer::decode_states(const TokenSeq& tgt, const MatF& memory,
                                 int src_valid_len) const {
-  MatF y = embed(tgt, weights_.tgt_embedding);
+  MatF y = embed(tgt, weights_->tgt_embedding);
   const int t = y.rows();
   const Mask self_mask = causal_mask(t);
   const Mask cross_mask = padding_mask(t, memory.rows(), src_valid_len);
-  for (const auto& layer : weights_.decoder_layers) {
+  for (const auto& layer : weights_->decoder_layers) {
     y = backend_.mha(y, y, layer.self_mha, self_mask);
     y = backend_.mha(y, memory, layer.cross_mha, cross_mask);
     y = backend_.ffn(y, layer.ffn);
@@ -130,7 +135,7 @@ std::vector<float> Transformer::next_token_logits(const TokenSeq& tgt,
                                                   int src_valid_len) const {
   const MatF states = decode_states(tgt, memory, src_valid_len);
   const MatF last = states.block(states.rows() - 1, 0, 1, states.cols());
-  const MatF logits = gemm(last, weights_.output_projection);
+  const MatF logits = gemm(last, weights_->output_projection);
   std::vector<float> out(static_cast<std::size_t>(logits.cols()));
   for (int c = 0; c < logits.cols(); ++c)
     out[static_cast<std::size_t>(c)] = logits(0, c);
@@ -143,9 +148,9 @@ DecodeState Transformer::begin_decode(const MatF& memory,
   DecodeState state;
   state.memory_rows = memory.rows();
   state.src_valid = src_valid_len;
-  state.self_kv.reserve(weights_.decoder_layers.size());
-  state.cross_kv.reserve(weights_.decoder_layers.size());
-  for (const auto& layer : weights_.decoder_layers) {
+  state.self_kv.reserve(weights_->decoder_layers.size());
+  state.cross_kv.reserve(weights_->decoder_layers.size());
+  for (const auto& layer : weights_->decoder_layers) {
     state.self_kv.push_back(backend_.mha_self_cache(layer.self_mha));
     state.cross_kv.emplace_back(
         backend_.mha_cross_cache(memory, layer.cross_mha));
@@ -165,17 +170,17 @@ void Transformer::decode_step_batch(const std::vector<DecodeState*>& states,
                                     MatF& logits) const {
   TFACC_CHECK_ARG(!states.empty() && states.size() == tokens.size());
   const int n = static_cast<int>(states.size());
-  const int vocab = weights_.output_projection.cols();
+  const int vocab = weights_->output_projection.cols();
   if (logits.rows() != n || logits.cols() != vocab) logits = MatF(n, vocab);
 
-  const int d_model = weights_.config.d_model;
+  const int d_model = weights_->config.d_model;
   const float scale = std::sqrt(static_cast<float>(d_model));
   int max_pos = 0;
   for (int i = 0; i < n; ++i) {
     const DecodeState& s = *states[static_cast<std::size_t>(i)];
-    TFACC_CHECK_ARG(s.self_kv.size() == weights_.decoder_layers.size());
+    TFACC_CHECK_ARG(s.self_kv.size() == weights_->decoder_layers.size());
     const int tok = tokens[static_cast<std::size_t>(i)];
-    TFACC_CHECK_ARG_MSG(tok >= 0 && tok < weights_.vocab_size,
+    TFACC_CHECK_ARG_MSG(tok >= 0 && tok < weights_->vocab_size,
                         "token id " << tok);
     max_pos = std::max(max_pos, s.steps);
   }
@@ -194,7 +199,7 @@ void Transformer::decode_step_batch(const std::vector<DecodeState*>& states,
     const DecodeState& s = *states[static_cast<std::size_t>(i)];
     const int tok = tokens[static_cast<std::size_t>(i)];
     for (int c = 0; c < d_model; ++c)
-      y(i, c) = weights_.tgt_embedding(tok, c) * scale + (*pe)(s.steps, c);
+      y(i, c) = weights_->tgt_embedding(tok, c) * scale + (*pe)(s.steps, c);
     // Row `steps` of causal_mask(steps + 1): every row the self cache holds
     // after this step's append.
     sc.self_masks.push_back(no_mask(1, s.steps + 1));
@@ -203,8 +208,8 @@ void Transformer::decode_step_batch(const std::vector<DecodeState*>& states,
 
   sc.self_caches.resize(states.size());
   sc.cross_caches.resize(states.size());
-  for (std::size_t li = 0; li < weights_.decoder_layers.size(); ++li) {
-    const auto& layer = weights_.decoder_layers[li];
+  for (std::size_t li = 0; li < weights_->decoder_layers.size(); ++li) {
+    const auto& layer = weights_->decoder_layers[li];
     for (std::size_t i = 0; i < states.size(); ++i) {
       sc.self_caches[i] = states[i]->self_kv[li].get();
       sc.cross_caches[i] = states[i]->cross_kv[li].get();
@@ -217,7 +222,7 @@ void Transformer::decode_step_batch(const std::vector<DecodeState*>& states,
   }
   for (DecodeState* s : states) ++s->steps;
 
-  kernels::gemm_f32_into(y, weights_.output_projection, logits);
+  kernels::gemm_f32_into(y, weights_->output_projection, logits);
 }
 
 TokenSeq Transformer::translate_beam(const TokenSeq& src, int max_len,

@@ -83,9 +83,16 @@ enum class DecodeMode {
 /// Encoder-decoder Transformer inference engine.
 class Transformer {
  public:
+  /// Takes `weights` into a read-only block of its own.
   explicit Transformer(TransformerWeights weights);
+  /// A view over weights that other Transformers may share (the cards of a
+  /// serving farm): nothing is copied. The view owns only its backend and
+  /// positional table, and never writes the weights, so views may decode
+  /// concurrently. QuantizedTransformer blocks are addressed by these
+  /// weights, so one quantization serves every view over them.
+  explicit Transformer(std::shared_ptr<const TransformerWeights> weights);
 
-  const TransformerWeights& weights() const { return weights_; }
+  const TransformerWeights& weights() const { return *weights_; }
 
   /// Replace the ResBlock implementations (e.g. with the accelerator).
   void set_backend(ResBlockBackend backend) { backend_ = std::move(backend); }
@@ -164,7 +171,7 @@ class Transformer {
   std::shared_ptr<const MatF> positions(int rows) const
       TFACC_EXCLUDES(pos_mu_);
 
-  TransformerWeights weights_;
+  std::shared_ptr<const TransformerWeights> weights_;  // never null
   ResBlockBackend backend_;
   mutable Mutex pos_mu_;
   mutable std::shared_ptr<const MatF> pos_encoding_

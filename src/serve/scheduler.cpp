@@ -120,21 +120,16 @@ long ScheduleReport::prefill_chunks() const {
   return n;
 }
 
-// One card: a host model copy, the INT8 quantization of its blocks (keyed by
-// weight addresses inside *this* model, hence per-card) and a cycle-level
-// simulator. The functional backends skip the parts they do not need.
+// One card's mutable state: a Transformer view over the farm's shared
+// weights (its own backend and positional table) and, on the accelerator
+// backend, a cycle-level simulator. The INT8 model is the farm's.
 struct Scheduler::Card {
   Transformer model;
-  std::optional<QuantizedTransformer> qt;
   std::optional<Accelerator> acc;
 
-  Card(const TransformerWeights& weights,
-       const std::vector<TokenSeq>& calib_sources,
+  Card(std::shared_ptr<const TransformerWeights> weights,
        const SchedulerConfig& cfg)
-      : model(weights) {
-    if (cfg.backend != ServeBackend::kReference)
-      qt.emplace(QuantizedTransformer::build(model, calib_sources,
-                                             cfg.max_len, cfg.softmax));
+      : model(std::move(weights)) {
     if (cfg.backend == ServeBackend::kAccelerator) acc.emplace(cfg.accel);
   }
 };
@@ -235,7 +230,8 @@ struct Scheduler::CardRun {
   enum class Drain { kCompleted, kParked };
 
   CardRun(const SchedulerConfig& config, std::size_t card_id, Card& card_ref,
-          AdmissionGate& gate_ref, ScheduleReport& report)
+          const QuantizedTransformer* qt, AdmissionGate& gate_ref,
+          ScheduleReport& report)
       : cfg(config),
         c(card_id),
         card(card_ref),
@@ -249,12 +245,11 @@ struct Scheduler::CardRun {
         card.model.set_backend(ResBlockBackend{});
         break;
       case ServeBackend::kQuantized:
-        card.model.set_backend(card.qt->backend());
+        card.model.set_backend(qt->backend());
         break;
       case ServeBackend::kAccelerator:
         fuser.emplace(*card.acc, &stats);
-        card.model.set_backend(
-            accelerator_backend(*card.qt, *card.acc, &*fuser));
+        card.model.set_backend(accelerator_backend(*qt, *card.acc, &*fuser));
         break;
     }
   }
@@ -564,25 +559,19 @@ Scheduler::Scheduler(const TransformerWeights& weights,
   TFACC_CHECK_ARG_MSG(
       cfg_.backend == ServeBackend::kReference || !calib_sources.empty(),
       "need at least one calibration sentence");
+  // One copy of the weights and one calibration serve the whole farm:
+  // calibration is deterministic, so every card would build the same INT8
+  // model. Its blocks are addressed by the shared weights, so card 0's view
+  // calibrates for every card.
+  weights_ = std::make_shared<const TransformerWeights>(weights);
+  cards_.reserve(static_cast<std::size_t>(cfg_.num_cards));
+  for (int c = 0; c < cfg_.num_cards; ++c)
+    cards_.push_back(std::make_unique<Card>(weights_, cfg_));
+  if (cfg_.backend != ServeBackend::kReference)
+    qt_.emplace(QuantizedTransformer::build(cards_.front()->model,
+                                            calib_sources, cfg_.max_len,
+                                            cfg_.softmax));
   pool_ = std::make_unique<WorkerPool>(effective_threads(cfg_));
-  // Card setups are independent (each copies the weights and calibrates its
-  // own quantization), so build them concurrently on the pool like run()
-  // decodes.
-  cards_.resize(static_cast<std::size_t>(cfg_.num_cards));
-  FirstError error;
-  std::vector<WorkerPool::Job> jobs;
-  jobs.reserve(cards_.size());
-  for (std::size_t c = 0; c < cards_.size(); ++c)
-    jobs.push_back([&, c]() -> WorkerPool::Status {
-      try {
-        cards_[c] = std::make_unique<Card>(weights, calib_sources, cfg_);
-      } catch (...) {
-        error.capture();
-      }
-      return WorkerPool::Status::kDone;
-    });
-  pool_->run(std::move(jobs));
-  error.rethrow_if_set();
 }
 
 Scheduler::~Scheduler() = default;
@@ -626,8 +615,8 @@ ScheduleReport Scheduler::run(const std::vector<TokenSeq>& sources,
   std::vector<std::unique_ptr<CardRun>> runs;
   runs.reserve(cards_.size());
   for (std::size_t c = 0; c < cards_.size(); ++c)
-    runs.push_back(
-        std::make_unique<CardRun>(cfg_, c, *cards_[c], gate, rep));
+    runs.push_back(std::make_unique<CardRun>(
+        cfg_, c, *cards_[c], qt_ ? &*qt_ : nullptr, gate, rep));
   FirstError error;
   std::vector<WorkerPool::Job> jobs;
   jobs.reserve(cards_.size());

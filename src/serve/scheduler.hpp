@@ -25,6 +25,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/backend.hpp"
@@ -121,13 +122,15 @@ struct ScheduleReport {
   long prefill_chunks() const;
 };
 
-/// Continuous-batching decode farm. Construction pays the per-card setup
-/// (weight copy + INT8 calibration) once; run() may be called repeatedly.
+/// Continuous-batching decode farm. Construction pays the set-up once: one
+/// copy of the weights and one INT8 calibration, shared read-only by every
+/// card, whatever num_cards is. run() may be called repeatedly.
 class Scheduler {
  public:
-  /// `weights` is copied into every card. `calib_sources` drive the INT8
-  /// calibration (identical across cards because calibration is
-  /// deterministic); they may be empty for ServeBackend::kReference.
+  /// `weights` is copied once; the cards are views over that copy, so the
+  /// caller's weights may die right after construction. `calib_sources`
+  /// drive the one INT8 calibration; they may be empty for
+  /// ServeBackend::kReference.
   Scheduler(const TransformerWeights& weights,
             const std::vector<TokenSeq>& calib_sources,
             SchedulerConfig cfg = {});
@@ -155,6 +158,10 @@ class Scheduler {
   struct CardRun;  // resumable per-card step machine (scheduler.cpp)
 
   SchedulerConfig cfg_;
+  // The served model, shared read-only. Declared before cards_, so the
+  // cards, whose views and backends point into it, are destroyed first.
+  std::shared_ptr<const TransformerWeights> weights_;
+  std::optional<QuantizedTransformer> qt_;  // absent on kReference
   std::vector<std::unique_ptr<Card>> cards_;
   std::unique_ptr<WorkerPool> pool_;
 };

@@ -44,13 +44,20 @@ TEST(CapturingBackend, RecordsEveryBlockInvocation) {
   model.set_backend(ResBlockBackend{});
   // 1 encoder MHA + 1 decoder self + 1 decoder cross = 3 distinct MHA blocks;
   // 2 distinct FFN blocks (encoder + decoder).
-  EXPECT_EQ(store.mha.size(), 3u);
-  EXPECT_EQ(store.ffn.size(), 2u);
+  ASSERT_EQ(store.mha.size(), 3u);
+  ASSERT_EQ(store.ffn.size(), 2u);
   for (const auto& [w, calib] : store.mha) {
     EXPECT_GT(calib.q.size(), 0u);
     EXPECT_EQ(calib.q.size(), calib.kv.size());
     EXPECT_EQ(calib.q.size(), calib.mask.size());
   }
+  // First-capture order is (stack, layer, sublayer) order.
+  const TransformerWeights& weights = model.weights();
+  EXPECT_EQ(store.mha[0].weights, &weights.encoder_layers[0].mha);
+  EXPECT_EQ(store.mha[1].weights, &weights.decoder_layers[0].self_mha);
+  EXPECT_EQ(store.mha[2].weights, &weights.decoder_layers[0].cross_mha);
+  EXPECT_EQ(store.ffn[0].weights, &weights.encoder_layers[0].ffn);
+  EXPECT_EQ(store.ffn[1].weights, &weights.decoder_layers[0].ffn);
 }
 
 TEST(QuantizedTransformer, BuildsAndTranslatesCloseToFp32) {
@@ -87,6 +94,31 @@ TEST(QuantizedTransformer, TranslateRestoresBackend) {
   qt.translate_greedy(model, {3, 4}, 6);
   // After the quantized call the FP32 backend must be active again.
   EXPECT_EQ(model.translate_greedy({3, 4}, 6), fp32_before);
+}
+
+// A throw out of calibration or out of a quantized decode must leave the
+// FP32 default backend installed: at build(), the capturing backend would
+// otherwise write into the dead CaptureStore on the next encode (the ASan
+// job catches that); at translate_greedy, the INT8 backend would stay on.
+TEST(QuantizedTransformer, BuildThatThrowsRestoresFp32Backend) {
+  Rng rng(7);
+  Transformer model = make_model(20, rng);
+  const MatF fp32 = model.encode({3, 4, 5});
+  // Token 99 is outside the 20-token vocabulary.
+  EXPECT_THROW(QuantizedTransformer::build(model, {{3, 4, 5}, {3, 99}}, 6,
+                                           SoftmaxImpl::kHardware),
+               CheckError);
+  EXPECT_TRUE(model.encode({3, 4, 5}) == fp32);
+}
+
+TEST(QuantizedTransformer, TranslateThatThrowsRestoresFp32Backend) {
+  Rng rng(8);
+  Transformer model = make_model(20, rng);
+  const MatF fp32 = model.encode({3, 4, 5});
+  const auto qt = QuantizedTransformer::build(model, {{3, 4, 5}}, 6,
+                                              SoftmaxImpl::kHardware);
+  EXPECT_THROW(qt.translate_greedy(model, {3, 99}, 6), CheckError);
+  EXPECT_TRUE(model.encode({3, 4, 5}) == fp32);
 }
 
 TEST(AcceleratorBackend, AgreesWithQuantizedBackendBitForBit) {

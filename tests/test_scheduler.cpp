@@ -398,6 +398,40 @@ TEST(SchedulerReference, BeamBitIdenticalToSerial) {
     EXPECT_EQ(rep.outputs[i], serial[i]) << "sentence " << i;
 }
 
+// --- One model per farm -------------------------------------------------------
+
+// The farm copies the weights once, and its cards share that copy and one
+// INT8 model. Built from a temporary, so a card that kept a reference to
+// the caller's weights reads freed memory (the ASan job), and with a
+// thread per card a shared block that gets written races (the TSan job).
+TEST(SchedulerShared, FarmOwnsItsWeights) {
+  for (const ServeBackend backend :
+       {ServeBackend::kQuantized, ServeBackend::kAccelerator}) {
+    SchedulerConfig cfg = base_config(backend, 3, 4);
+    cfg.host_threads = 0;
+    Rng farm_rng(96);
+    // The weights die at the end of this statement, before run().
+    Scheduler sched(TransformerWeights::random(hw_config(), 20, farm_rng),
+                    calib_sources(), cfg);
+
+    Rng serial_rng(96);
+    Transformer model(TransformerWeights::random(hw_config(), 20, serial_rng));
+    const auto qt = QuantizedTransformer::build(model, calib_sources(), 12,
+                                                SoftmaxImpl::kHardware);
+    const auto serial =
+        serial_greedy(model, backend, &qt, ragged_sources(), 12);
+
+    for (int run = 0; run < 2; ++run) {
+      const ScheduleReport rep = sched.run(ragged_sources());
+      ASSERT_EQ(rep.outputs.size(), serial.size());
+      for (std::size_t i = 0; i < serial.size(); ++i)
+        EXPECT_EQ(rep.outputs[i], serial[i])
+            << "backend " << static_cast<int>(backend) << " run " << run
+            << " sentence " << i;
+    }
+  }
+}
+
 // --- Adversarial shapes -------------------------------------------------------
 
 TEST(SchedulerShapes, OneSentenceOnEightCardFarm) {
