@@ -42,6 +42,18 @@ constexpr std::int32_t saturate_i32(std::int64_t v) {
                           std::numeric_limits<std::int32_t>::max()));
 }
 
+/// Round a float to nearest, half away from zero, and saturate it to T's
+/// range; NaN becomes 0. Clamps before rounding: llround's result is
+/// unspecified past int64, where x86 returns INT64_MIN and would flip +inf
+/// or 1e19 to T's minimum.
+template <typename T>
+T saturate_round(float v) {
+  if (std::isnan(v)) return 0;
+  constexpr auto lo = static_cast<float>(std::numeric_limits<T>::min());
+  constexpr auto hi = static_cast<float>(std::numeric_limits<T>::max());
+  return static_cast<T>(std::llround(clamp(v, lo, hi)));
+}
+
 /// Arithmetic shift right with round-to-nearest, half away from zero.
 /// This matches a hardware rounding adder in front of the shifter.
 constexpr std::int64_t rounding_shift_right(std::int64_t v, int shift) {

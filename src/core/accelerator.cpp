@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/verifier.hpp"
-#include "tensor/ops.hpp"
 
 namespace tfacc {
 
@@ -77,35 +76,15 @@ Accelerator::Accelerator(AcceleratorConfig cfg) : cfg_(cfg) {
 
 MatI8 Accelerator::forward_mha(const MhaQuantized& block, const MatI8& q,
                                const MatI8& kv, const Mask& mask) const {
-  TFACC_CHECK_ARG(q.cols() == block.d_model && kv.cols() == block.d_model);
-  TFACC_CHECK_ARG(mask.rows() == q.rows() && mask.cols() == kv.rows());
   TFACC_CHECK_ARG_MSG(block.head_dim == cfg_.sa_cols,
                       "head_dim " << block.head_dim << " != SA columns "
                                   << cfg_.sa_cols);
-
-  // Functional pass, op for op in the program order of Algorithm 1 (a
-  // schedule may reorder timing-wise; data results are unaffected because
-  // reordered ops are data-independent by construction).
-  const int hd = block.head_dim;
-  MatI8 p(q.rows(), block.d_model);
-  for (int h = 0; h < block.num_heads; ++h) {
-    const auto& head = block.heads[static_cast<std::size_t>(h)];
-    const MatI8 q1 = head.wq.forward(q);
-    const MatI8 k1 = head.wk.forward(kv);
-    const MatI32 scores = gemm_nt_i8(q1, k1);
-    const MatI8 probs = block.softmax(scores, mask, h);
-    const MatI8 v1 = head.wv.forward(kv);
-    const MatI32 a_acc = gemm_i8(probs, v1);
-    p.set_block(0, h * hd, requantize_i8(a_acc, head.av_requant));
-  }
-
-  // Full-width packed W_G projection. The requantizer and residual adders
-  // are column-independent, so this is bit-identical to the per-head_dim
-  // column-block loop the controller executes (and that the seed modeled).
-  const MatI32 g_acc = block.wg.accumulate(p);
-  const MatI16 g_proj = requantize_i16(g_acc, block.wg_to_g);
-  const MatI16 g_res = requantize_i8_to_i16(q, block.residual_to_g);
-  return block.norm(saturating_add_i16(g_proj, g_res));
+  // Functional pass: the quantized model's arithmetic. Algorithm 1 may
+  // reorder the ops timing-wise, but reordered ops are data-independent,
+  // and the full-width W_G projection, requantizer and residual adders are
+  // column-independent, so this is bit-identical to the per-head_dim
+  // column-block loop the controller executes.
+  return block.forward(q, kv, mask);
 }
 
 Accelerator::MhaResult Accelerator::run_mha(const MhaQuantized& block,
@@ -125,19 +104,13 @@ Accelerator::MhaResult Accelerator::run_mha(const MhaQuantized& block,
 
 MatI8 Accelerator::forward_ffn(const FfnQuantized& block,
                                const MatI8& x) const {
-  TFACC_CHECK_ARG(x.cols() == block.d_model);
   TFACC_CHECK_ARG(block.d_model % cfg_.sa_cols == 0 &&
                   block.d_ff % cfg_.sa_cols == 0);
-
-  // One full-width packed GEMM per layer (W₁ then W₂). The per-SA-column
-  // requantizers (including per-column granularity) are column-independent,
-  // so the output is bit-identical to the per-64-column block loop the
-  // controller executes (and that the seed modeled).
-  const MatI8 hidden = block.w1.forward_relu(x);
-  const MatI32 g_acc = block.w2.accumulate(hidden);
-  const MatI16 g_proj = requantize_i16(g_acc, block.w2_to_g);
-  const MatI16 g_res = requantize_i8_to_i16(x, block.residual_to_g);
-  return block.norm(saturating_add_i16(g_proj, g_res));
+  // One full-width GEMM per layer (W₁ then W₂): the per-SA-column
+  // requantizers (per-column granularity included) are column-independent,
+  // so the quantized model's pass is bit-identical to the per-64-column
+  // block loop the controller executes.
+  return block.forward(x);
 }
 
 Accelerator::FfnResult Accelerator::run_ffn(const FfnQuantized& block,

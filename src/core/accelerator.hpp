@@ -137,9 +137,11 @@ class Accelerator {
                                  const std::vector<const QuantKvCache*>& caches,
                                  const std::vector<const Mask*>& masks,
                                  int projected_rows) const;
-  /// Algorithm 1 lines 14-22.
+  /// Algorithm 1 lines 14-22: FfnQuantized::forward once the block's
+  /// widths tile the SA columns.
   MatI8 forward_ffn(const FfnQuantized& block, const MatI8& x) const;
-  /// Algorithm 1 lines 1-13.
+  /// Algorithm 1 lines 1-13: MhaQuantized::forward once head_dim equals
+  /// the SA column count.
   MatI8 forward_mha(const MhaQuantized& block, const MatI8& q,
                     const MatI8& kv, const Mask& mask) const;
 

@@ -36,11 +36,7 @@ MatI16 saturating_add_i16(const MatI16& a, const MatI16& b) {
 
 MatI16 requantize_i8_to_i16(const MatI8& m, const FixedPointScale& s) {
   MatI16 out(m.rows(), m.cols());
-  for (int r = 0; r < m.rows(); ++r) {
-    const std::int8_t* mr = m.row(r);
-    std::int16_t* orow = out.row(r);
-    for (int c = 0; c < m.cols(); ++c) orow[c] = s.apply_i16(mr[c]);
-  }
+  kernels::requantize_i8_to_i16_into(m, s.mantissa, s.shift, out);
   return out;
 }
 
@@ -80,7 +76,7 @@ QuantizedLinear QuantizedLinear::build(const MatF& w,
     const float ws = mx > 0.0f ? mx / 127.0f : 1.0f;
     q.col_w_scale[static_cast<std::size_t>(j)] = ws;
     for (int r = 0; r < w.rows(); ++r)
-      q.w(r, j) = saturate_i8(std::llround(w(r, j) / ws));
+      q.w(r, j) = saturate_round<std::int8_t>(w(r, j) / ws);
     // Clamp before rounding, as quantize_bias does.
     const double qb = std::clamp(bias[static_cast<std::size_t>(j)] /
                                      (static_cast<double>(in_scale) * ws),

@@ -234,7 +234,8 @@ void mask_ptrs_into(const std::vector<Mask>& masks, BatchHookScratch& s);
 MatI16 saturating_add_i16(const MatI16& a, const MatI16& b);
 
 /// Requantize an INT8 matrix to INT16 under a fixed-point scale
-/// (the residual path: q_in_scale → g_scale).
+/// (the residual path: q_in_scale → g_scale); dispatched through
+/// kernels::requantize_i8_to_i16_into.
 MatI16 requantize_i8_to_i16(const MatI8& m, const FixedPointScale& s);
 
 }  // namespace tfacc

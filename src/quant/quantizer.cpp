@@ -62,9 +62,7 @@ QuantParams calibrate(const std::vector<MatF>& samples, int qmax,
 MatI8 quantize_i8(const MatF& m, QuantParams p) {
   TFACC_CHECK_ARG(p.scale > 0.0f);
   MatI8 out(m.rows(), m.cols());
-  for (int r = 0; r < m.rows(); ++r)
-    for (int c = 0; c < m.cols(); ++c)
-      out(r, c) = saturate_i8(std::llround(m(r, c) / p.scale));
+  kernels::quantize_i8_into(m, p.scale, out);
   return out;
 }
 
@@ -73,7 +71,7 @@ MatI16 quantize_i16(const MatF& m, QuantParams p) {
   MatI16 out(m.rows(), m.cols());
   for (int r = 0; r < m.rows(); ++r)
     for (int c = 0; c < m.cols(); ++c)
-      out(r, c) = saturate_i16(std::llround(m(r, c) / p.scale));
+      out(r, c) = saturate_round<std::int16_t>(m(r, c) / p.scale);
   return out;
 }
 
@@ -82,7 +80,7 @@ std::vector<std::int8_t> quantize_i8(const std::vector<float>& v,
   TFACC_CHECK_ARG(p.scale > 0.0f);
   std::vector<std::int8_t> out(v.size());
   for (std::size_t i = 0; i < v.size(); ++i)
-    out[i] = saturate_i8(std::llround(v[i] / p.scale));
+    out[i] = saturate_round<std::int8_t>(v[i] / p.scale);
   return out;
 }
 

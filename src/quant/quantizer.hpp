@@ -31,7 +31,10 @@ QuantParams calibrate(const MatF& values, int qmax,
 QuantParams calibrate(const std::vector<MatF>& samples, int qmax,
                       CalibMethod method = CalibMethod::kMaxAbs);
 
-/// Round-to-nearest symmetric quantization.
+/// Symmetric quantization: raw = saturate_round(x / scale), i.e. round half
+/// away from zero, ±inf and huge values saturate to the type's limits, NaN
+/// becomes 0. The MatF int8 overload is the dispatched hook quantizer
+/// (kernels::quantize_i8_into).
 MatI8 quantize_i8(const MatF& m, QuantParams p);
 MatI16 quantize_i16(const MatF& m, QuantParams p);
 std::vector<std::int8_t> quantize_i8(const std::vector<float>& v,

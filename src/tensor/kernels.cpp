@@ -126,6 +126,26 @@ void requantize_scalar(const MatI32& acc, std::int32_t mantissa, int shift,
           static_cast<std::int64_t>(acc(r, c)) * mantissa, shift));
 }
 
+/// The hook quantizer's loop: one IEEE division and saturate_round per
+/// element.
+void quantize_i8_scalar(const MatF& x, float scale, MatI8& out) {
+  for (int r = 0; r < x.rows(); ++r)
+    for (int c = 0; c < x.cols(); ++c)
+      out(r, c) = saturate_round<std::int8_t>(x(r, c) / scale);
+}
+
+/// The residual requantizer's original loop, verbatim: apply_i16 per
+/// element.
+void requantize_i8_to_i16_scalar(const MatI8& m, std::int32_t mantissa,
+                                 int shift, MatI16& out) {
+  const FixedPointScale s{mantissa, shift};
+  for (int r = 0; r < m.rows(); ++r) {
+    const std::int8_t* mr = m.row(r);
+    std::int16_t* orow = out.row(r);
+    for (int c = 0; c < m.cols(); ++c) orow[c] = s.apply_i16(mr[c]);
+  }
+}
+
 /// LayerNormUnit::row's accumulator loop, verbatim.
 void layernorm_stats_scalar(const std::int16_t* g, int n, std::int64_t* sum,
                             std::int64_t* sumsq) {
@@ -404,21 +424,64 @@ __attribute__((target("avx2"))) __m256i requant_round_clamp_avx2(
   return x;
 }
 
+/// The broadcast operands of one (mantissa, shift) requantization that
+/// saturates to [lo, hi]; 1 ≤ shift ≤ 48.
+struct RequantAvx2 {
+  __m256i mvec, bias, offset, offset_shifted, lo, hi;
+  __m128i count;
+};
+
+__attribute__((target("avx2"))) RequantAvx2 requant_avx2(std::int32_t mantissa,
+                                                        int shift,
+                                                        std::int64_t lo,
+                                                        std::int64_t hi) {
+  return {_mm256_set1_epi64x(mantissa),
+          _mm256_set1_epi64x(std::int64_t{1} << (shift - 1)),
+          _mm256_set1_epi64x(std::int64_t{1} << 62),
+          _mm256_set1_epi64x((std::int64_t{1} << 62) >> shift),
+          _mm256_set1_epi64x(lo),
+          _mm256_set1_epi64x(hi),
+          _mm_cvtsi32_si128(shift)};
+}
+
 /// Eight int32 lanes → eight clamped int32 results in lane order: multiply
 /// the even and odd dwords separately (mul_epi32 eats the low dword of each
 /// 64-bit lane), round/clamp each half, then re-interleave the low dwords.
 __attribute__((target("avx2"))) __m256i requant_8lanes_avx2(
-    const std::int32_t* in, __m256i mvec, __m256i bias, __m128i count,
-    __m256i offset, __m256i offset_shifted, __m256i lo, __m256i hi) {
-  const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in));
-  const __m256i pe = _mm256_mul_epi32(x, mvec);  // dwords 0,2,4,6
+    __m256i x, const RequantAvx2& k) {
+  const __m256i pe = _mm256_mul_epi32(x, k.mvec);  // dwords 0,2,4,6
   const __m256i po = _mm256_mul_epi32(
-      _mm256_shuffle_epi32(x, _MM_SHUFFLE(3, 3, 1, 1)), mvec);  // 1,3,5,7
-  const __m256i re = requant_round_clamp_avx2(pe, bias, count, offset,
-                                              offset_shifted, lo, hi);
-  const __m256i ro = requant_round_clamp_avx2(po, bias, count, offset,
-                                              offset_shifted, lo, hi);
+      _mm256_shuffle_epi32(x, _MM_SHUFFLE(3, 3, 1, 1)), k.mvec);  // 1,3,5,7
+  const __m256i re = requant_round_clamp_avx2(pe, k.bias, k.count, k.offset,
+                                              k.offset_shifted, k.lo, k.hi);
+  const __m256i ro = requant_round_clamp_avx2(po, k.bias, k.count, k.offset,
+                                              k.offset_shifted, k.lo, k.hi);
   return _mm256_blend_epi32(re, _mm256_slli_epi64(ro, 32), 0b10101010);
+}
+
+/// Stores eight int32 lanes, each within int8 range, to out[0, 8): byte 0
+/// of each dword per 128-bit lane, then the two lanes' words joined.
+__attribute__((target("avx2"))) void store_8lanes_i8_avx2(__m256i v,
+                                                          std::int8_t* out) {
+  const __m256i pick = _mm256_setr_epi8(
+      0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,  //
+      0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
+  const __m256i join = _mm256_setr_epi32(0, 4, 0, 0, 0, 0, 0, 0);
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(out),
+                   _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+                       _mm256_shuffle_epi8(v, pick), join)));
+}
+
+/// Stores eight int32 lanes, each within int16 range, to out[0, 8).
+__attribute__((target("avx2"))) void store_8lanes_i16_avx2(__m256i v,
+                                                           std::int16_t* out) {
+  const __m256i pick = _mm256_setr_epi8(
+      0, 1, 4, 5, 8, 9, 12, 13, -1, -1, -1, -1, -1, -1, -1, -1,  //
+      0, 1, 4, 5, 8, 9, 12, 13, -1, -1, -1, -1, -1, -1, -1, -1);
+  const __m256i join = _mm256_setr_epi32(0, 1, 4, 5, 0, 0, 0, 0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                   _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+                       _mm256_shuffle_epi8(v, pick), join)));
 }
 
 __attribute__((target("avx2"))) void requantize_i8_avx2(const MatI32& acc,
@@ -429,31 +492,16 @@ __attribute__((target("avx2"))) void requantize_i8_avx2(const MatI32& acc,
     requantize_scalar(acc, mantissa, shift, out);
     return;
   }
-  const __m256i mvec = _mm256_set1_epi64x(mantissa);
-  const __m256i bias = _mm256_set1_epi64x(std::int64_t{1} << (shift - 1));
-  const __m128i count = _mm_cvtsi32_si128(shift);
-  const __m256i offset = _mm256_set1_epi64x(std::int64_t{1} << 62);
-  const __m256i offset_shifted =
-      _mm256_set1_epi64x((std::int64_t{1} << 62) >> shift);
-  const __m256i lo = _mm256_set1_epi64x(-128);
-  const __m256i hi = _mm256_set1_epi64x(127);
-  // Byte 0 of each dword, per 128-bit lane (clamped → truncation is exact).
-  const __m256i pick = _mm256_setr_epi8(
-      0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,  //
-      0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
-  const __m256i join = _mm256_setr_epi32(0, 4, 0, 0, 0, 0, 0, 0);
+  const RequantAvx2 k = requant_avx2(mantissa, shift, -128, 127);
   const int n = acc.cols();
   for (int r = 0; r < acc.rows(); ++r) {
     const std::int32_t* in = acc.row(r);
     std::int8_t* o = out.row(r);
     int c = 0;
     for (; c + 8 <= n; c += 8) {
-      const __m256i merged = requant_8lanes_avx2(
-          in + c, mvec, bias, count, offset, offset_shifted, lo, hi);
-      const __m256i packed =
-          _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(merged, pick), join);
-      _mm_storel_epi64(reinterpret_cast<__m128i*>(o + c),
-                       _mm256_castsi256_si128(packed));
+      const __m256i v =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + c));
+      store_8lanes_i8_avx2(requant_8lanes_avx2(v, k), o + c);
     }
     for (; c < n; ++c)
       o[c] = saturate_i8(rounding_shift_right(
@@ -469,36 +517,87 @@ __attribute__((target("avx2"))) void requantize_i16_avx2(const MatI32& acc,
     requantize_scalar(acc, mantissa, shift, out);
     return;
   }
-  const __m256i mvec = _mm256_set1_epi64x(mantissa);
-  const __m256i bias = _mm256_set1_epi64x(std::int64_t{1} << (shift - 1));
-  const __m128i count = _mm_cvtsi32_si128(shift);
-  const __m256i offset = _mm256_set1_epi64x(std::int64_t{1} << 62);
-  const __m256i offset_shifted =
-      _mm256_set1_epi64x((std::int64_t{1} << 62) >> shift);
-  const __m256i lo = _mm256_set1_epi64x(-32768);
-  const __m256i hi = _mm256_set1_epi64x(32767);
-  // Bytes 0–1 of each dword, per 128-bit lane.
-  const __m256i pick = _mm256_setr_epi8(
-      0, 1, 4, 5, 8, 9, 12, 13, -1, -1, -1, -1, -1, -1, -1, -1,  //
-      0, 1, 4, 5, 8, 9, 12, 13, -1, -1, -1, -1, -1, -1, -1, -1);
-  const __m256i join = _mm256_setr_epi32(0, 1, 4, 5, 0, 0, 0, 0);
+  const RequantAvx2 k = requant_avx2(mantissa, shift, -32768, 32767);
   const int n = acc.cols();
   for (int r = 0; r < acc.rows(); ++r) {
     const std::int32_t* in = acc.row(r);
     std::int16_t* o = out.row(r);
     int c = 0;
     for (; c + 8 <= n; c += 8) {
-      const __m256i merged = requant_8lanes_avx2(
-          in + c, mvec, bias, count, offset, offset_shifted, lo, hi);
-      const __m256i packed =
-          _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(merged, pick), join);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(o + c),
-                       _mm256_castsi256_si128(packed));
+      const __m256i v =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + c));
+      store_8lanes_i16_avx2(requant_8lanes_avx2(v, k), o + c);
     }
     for (; c < n; ++c)
       o[c] = saturate_i16(rounding_shift_right(
           static_cast<std::int64_t>(in[c]) * mantissa, shift));
   }
+}
+
+// --- AVX2 INT8 boundary kernels --------------------------------------------
+// Both are elementwise and run over the matrix as one contiguous row.
+//
+// The residual requantizer sign-extends eight int8 lanes to int32 and runs
+// them through the INT32 requantizer's lanes: |v·mantissa| ≤ 2⁷·2³¹ = 2³⁸
+// for any int32 mantissa, inside the emulated shift's envelope.
+//
+// The hook quantizer divides exactly as the scalar loop does, q = x / scale,
+// then rounds half away from zero without llround: t = trunc(q) and
+// f = q − t are exact in float (f is q itself below 1, and above it
+// q/2 < t ≤ q, so Sterbenz's lemma applies), so r = t + [f ≥ ½] − [f ≤ −½]
+// is llround(q) wherever that is defined; past 2²³ every float is an integer,
+// f = 0 and r = t. Clamping r to [−128, 127] equals the scalar clamp before
+// rounding: rounding is monotone and keeps the integer bounds. ±inf have
+// f = NaN, take no step and clamp to the bounds; NaN lanes are zeroed.
+
+__attribute__((target("avx2"))) __m256i quantize_8lanes_avx2(const float* x,
+                                                             __m256 scale) {
+  const __m256 q = _mm256_div_ps(_mm256_loadu_ps(x), scale);
+  const __m256 t = _mm256_round_ps(q, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  const __m256 f = _mm256_sub_ps(q, t);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 up = _mm256_and_ps(
+      _mm256_cmp_ps(f, _mm256_set1_ps(0.5f), _CMP_GE_OQ), one);
+  const __m256 down = _mm256_and_ps(
+      _mm256_cmp_ps(f, _mm256_set1_ps(-0.5f), _CMP_LE_OQ), one);
+  __m256 r = _mm256_sub_ps(_mm256_add_ps(t, up), down);
+  r = _mm256_min_ps(_mm256_max_ps(r, _mm256_set1_ps(-128.0f)),
+                    _mm256_set1_ps(127.0f));
+  r = _mm256_and_ps(r, _mm256_cmp_ps(q, q, _CMP_ORD_Q));  // NaN → 0
+  return _mm256_cvttps_epi32(r);
+}
+
+__attribute__((target("avx2"))) void quantize_i8_avx2(const MatF& x,
+                                                      float scale,
+                                                      MatI8& out) {
+  const float* in = x.data();
+  std::int8_t* o = out.data();
+  const std::size_t n = x.size();
+  const __m256 s = _mm256_set1_ps(scale);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8)
+    store_8lanes_i8_avx2(quantize_8lanes_avx2(in + i, s), o + i);
+  for (; i < n; ++i) o[i] = saturate_round<std::int8_t>(in[i] / scale);
+}
+
+__attribute__((target("avx2"))) void requantize_i8_to_i16_avx2(
+    const MatI8& m, std::int32_t mantissa, int shift, MatI16& out) {
+  if (shift < 1 || shift > 48) {
+    requantize_i8_to_i16_scalar(m, mantissa, shift, out);
+    return;
+  }
+  const RequantAvx2 k = requant_avx2(mantissa, shift, -32768, 32767);
+  const std::int8_t* in = m.data();
+  std::int16_t* o = out.data();
+  const std::size_t n = m.size();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i v = _mm256_cvtepi8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(in + i)));
+    store_8lanes_i16_avx2(requant_8lanes_avx2(v, k), o + i);
+  }
+  const FixedPointScale s{mantissa, shift};
+  for (; i < n; ++i) o[i] = s.apply_i16(in[i]);
 }
 
 // --- AVX2 LayerNorm row kernels --------------------------------------------
@@ -629,6 +728,8 @@ struct KernelTable {
                          MatI32&);
   void (*requantize_i8)(const MatI32&, std::int32_t, int, MatI8&);
   void (*requantize_i16)(const MatI32&, std::int32_t, int, MatI16&);
+  void (*quantize_i8)(const MatF&, float, MatI8&);
+  void (*requantize_i8_to_i16)(const MatI8&, std::int32_t, int, MatI16&);
   void (*layernorm_stats)(const std::int16_t*, int, std::int64_t*,
                           std::int64_t*);
   void (*layernorm_finish)(const std::int16_t*, int, std::int64_t,
@@ -643,6 +744,8 @@ constexpr KernelTable kScalarTable = {
     .gemm_i8_packed = gemm_packed_scalar<std::int8_t, std::int32_t>,
     .requantize_i8 = requantize_scalar<std::int8_t>,
     .requantize_i16 = requantize_scalar<std::int16_t>,
+    .quantize_i8 = quantize_i8_scalar,
+    .requantize_i8_to_i16 = requantize_i8_to_i16_scalar,
     .layernorm_stats = layernorm_stats_scalar,
     .layernorm_finish = layernorm_finish_scalar,
 };
@@ -655,6 +758,8 @@ constexpr KernelTable kAvx2Table = {
     .gemm_i8_packed = gemm_i8_packed_avx2,
     .requantize_i8 = requantize_i8_avx2,
     .requantize_i16 = requantize_i16_avx2,
+    .quantize_i8 = quantize_i8_avx2,
+    .requantize_i8_to_i16 = requantize_i8_to_i16_avx2,
     .layernorm_stats = layernorm_stats_avx2,
     .layernorm_finish = layernorm_finish_avx2,
 };
@@ -770,6 +875,17 @@ void requantize_i16_into(const MatI32& acc, std::int32_t mantissa, int shift,
                          MatI16& out) {
   TFACC_CHECK_ARG(out.rows() == acc.rows() && out.cols() == acc.cols());
   table().requantize_i16(acc, mantissa, shift, out);
+}
+
+void quantize_i8_into(const MatF& x, float scale, MatI8& out) {
+  TFACC_CHECK_ARG(out.rows() == x.rows() && out.cols() == x.cols());
+  table().quantize_i8(x, scale, out);
+}
+
+void requantize_i8_to_i16_into(const MatI8& m, std::int32_t mantissa,
+                               int shift, MatI16& out) {
+  TFACC_CHECK_ARG(out.rows() == m.rows() && out.cols() == m.cols());
+  table().requantize_i8_to_i16(m, mantissa, shift, out);
 }
 
 void layernorm_stats(const std::int16_t* g, int n, std::int64_t* sum,

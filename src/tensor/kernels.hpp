@@ -1,5 +1,9 @@
 // GEMM, requantize and LayerNorm row kernels behind a runtime-checked
-// dispatch table.
+// dispatch table, plus the two elementwise stages at the INT8 boundary of
+// every MHA/FFN ResBlock (Fig. 5): the FP32 → INT8 hook quantizer and the
+// INT8 → INT16 residual requantizer. The accumulator ReLU between the
+// GEMM and the requantizer (tensor/ops relu_i32) is a branch-free clamp
+// outside the table.
 //
 // Two implementations, selectable per process:
 //
@@ -112,6 +116,21 @@ void requantize_i8_into(const MatI32& acc, std::int32_t mantissa, int shift,
 /// out(r,c) = FixedPointScale{mantissa, shift}.apply_i16(acc(r,c)).
 void requantize_i16_into(const MatI32& acc, std::int32_t mantissa, int shift,
                          MatI16& out);
+
+// --- Dispatched INT8 boundary of a ResBlock --------------------------------
+// Elementwise: the AVX2 kernels run over a matrix as one contiguous row.
+
+/// out(r,c) = saturate_round<int8_t>(x(r,c) / scale): the FP32 → INT8 hook
+/// quantizer. Both kinds run the same IEEE division (no reciprocal
+/// multiply), so they are bit-identical on every input, ±inf, huge values
+/// and NaN (→ 0) included.
+void quantize_i8_into(const MatF& x, float scale, MatI8& out);
+
+/// out(r,c) = FixedPointScale{mantissa, shift}.apply_i16(m(r,c)): the INT8
+/// residual into the INT16 G domain. Any int32 mantissa and shift; the AVX2
+/// path takes 1 ≤ shift ≤ 48 (|m·mantissa| < 2³⁸), scalar otherwise.
+void requantize_i8_to_i16_into(const MatI8& m, std::int32_t mantissa,
+                               int shift, MatI16& out);
 
 // --- Dispatched LayerNorm row kernels --------------------------------------
 // The fixed-point LayerNorm datapath of hwarith/layernorm_unit.cpp, split

@@ -1,5 +1,7 @@
 #include "tensor/ops.hpp"
 
+#include <algorithm>
+
 #include "tensor/kernels.hpp"
 
 namespace tfacc {
@@ -113,12 +115,12 @@ MatF relu(const MatF& a) {
   return out;
 }
 
-MatI32 relu_i32(const MatI32& a) {
-  MatI32 out = a;
-  for (int r = 0; r < out.rows(); ++r)
-    for (int c = 0; c < out.cols(); ++c)
-      if (out(r, c) < 0) out(r, c) = 0;
-  return out;
+MatI32 relu_i32(MatI32 a) {
+  // A branch-free clamp the compiler vectorizes: a sign test per element
+  // mispredicts on about half of an accumulator row.
+  std::int32_t* v = a.data();
+  for (std::size_t i = 0; i < a.size(); ++i) v[i] = std::max(v[i], 0);
+  return a;
 }
 
 void fill_uniform(MatF& m, Rng& rng, float lo, float hi) {

@@ -85,9 +85,10 @@ MatF add_bias(const MatF& a, const std::vector<float>& bias);
 /// Add an int32 bias row vector to an int32 accumulator matrix.
 MatI32 add_bias_i32(const MatI32& a, const std::vector<std::int32_t>& bias);
 
-/// Elementwise max(x, 0).
+/// Elementwise max(x, 0). relu_i32 clamps its argument in place, so an
+/// accumulator temporary moves in and out without a copy.
 MatF relu(const MatF& a);
-MatI32 relu_i32(const MatI32& a);
+MatI32 relu_i32(MatI32 a);
 
 /// Column sums (bias-gradient shape).
 std::vector<float> col_sums(const MatF& a);

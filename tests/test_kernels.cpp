@@ -6,12 +6,15 @@
 // on all three backends (enforced with a global operator-new counter).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -449,8 +452,132 @@ TEST_P(KernelEquivalence, LayerNormFinishFallbackEdges) {
                               -1000, 1000);
 }
 
+// --- The INT8 boundary of a ResBlock ----------------------------------------
+// The hook quantizer, the INT8 → INT16 residual requantizer and the INT32
+// accumulator ReLU run at every MHA/FFN sublayer boundary. Each kind is
+// checked against an oracle that shares none of the kernels' arithmetic; the
+// quantizer is checked against the scalar table too.
+
+/// x / scale rounded half away from zero by std::round (not llround),
+/// saturated to int8; NaN → 0.
+int quantize_oracle(float x, float scale) {
+  const float q = x / scale;
+  if (std::isnan(q)) return 0;
+  return static_cast<int>(std::clamp(std::round(q), -128.0f, 127.0f));
+}
+
+/// The quantizer grid at scale s: zeros, ties and the float just below ½,
+/// the saturation edges, denormals, ±FLT_MAX, ±inf, NaN and ±2⁶³·s, then
+/// seeded random values spread past the int8 range and seeded exact ties.
+std::vector<float> quantizer_values(float s, Rng& rng) {
+  using lim = std::numeric_limits<float>;
+  const float below_half = std::nextafter(0.5f, 0.0f);
+  std::vector<float> v = {lim::quiet_NaN()};
+  for (const float m : {0.5f, 1.5f, 2.5f, below_half, 126.5f, 127.5f})
+    v.insert(v.end(), {m * s, -m * s});
+  for (const float m : {128.5f, 0x1p63f})
+    v.insert(v.end(), {m * s, -m * s});
+  for (const float x : {0.0f, lim::denorm_min(), lim::min() / 4, lim::max()})
+    v.insert(v.end(), {x, -x});
+  v.insert(v.end(), {lim::infinity(), -lim::infinity()});
+  for (int i = 0; i < 40; ++i) {
+    v.push_back(static_cast<float>(rng.uniform(-300.0, 300.0)) * s);
+    v.push_back((static_cast<float>(rng.uniform_int(-140, 140)) + 0.5f) * s);
+  }
+  return v;
+}
+
+TEST_P(KernelEquivalence, QuantizeI8RoundsHalfAwayFromZero) {
+  Rng rng(6502);
+  for (const float s : {1.0f, 0.25f, 0.0123f, 3.1e-5f, 7.5f}) {
+    const std::vector<float> values = quantizer_values(s, rng);
+    // Widths 1–40 cross every vector tail; successive widths start the
+    // value list at different offsets, so each value meets many lanes.
+    for (int width = 1; width <= 40; ++width) {
+      MatF x(3, width);
+      for (std::size_t i = 0; i < x.size(); ++i)
+        x.data()[i] = values[(static_cast<std::size_t>(width) * 7 + i) %
+                             values.size()];
+      MatI8 want(3, width);
+      {
+        KindGuard g(kernels::Kind::kScalar);
+        kernels::quantize_i8_into(x, s, want);
+      }
+      KindGuard g(GetParam());
+      MatI8 got(3, width);
+      kernels::quantize_i8_into(x, s, got);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        const float v = x.data()[i];
+        ASSERT_EQ(int{got.data()[i]}, int{want.data()[i]})
+            << "quantize_i8 of " << v << " at scale " << s << ", width "
+            << width << " under kernel "
+            << kernels::kind_name(kernels::selected());
+        ASSERT_EQ(int{got.data()[i]}, quantize_oracle(v, s))
+            << "quantize_i8 of " << v << " at scale " << s << ", width "
+            << width << " under kernel "
+            << kernels::kind_name(kernels::selected());
+      }
+    }
+  }
+}
+
+TEST_P(KernelEquivalence, RequantizeI8ToI16MatchesFixedPointScale) {
+  KindGuard g(GetParam());
+  // All 256 int8 values in 7×37 = 259 elements (32 vector steps and a
+  // 3-element tail), and the extremes in an all-tail 1×5 row.
+  MatI8 all(7, 37);
+  for (std::size_t i = 0; i < all.size(); ++i)
+    all.data()[i] = static_cast<std::int8_t>(static_cast<int>(i % 256) - 128);
+  const MatI8 edges{{-128, -1, 0, 1, 127}};
+  Rng rng(2187);
+  const std::int32_t mantissas[] = {0, 1, 1 << 14, (1 << 15) - 1, -12345,
+                                    rng.uniform_int(1 << 14, (1 << 15) - 1),
+                                    std::numeric_limits<std::int32_t>::max()};
+  // Every shift from_double can produce: the AVX2 path's 1..48, and the
+  // scalar detour on both sides of it (shift 0 and left shifts, 49..62).
+  for (const std::int32_t mantissa : mantissas)
+    for (int shift = FixedPointScale::kMinShift;
+         shift <= FixedPointScale::kMaxShift; ++shift) {
+      const FixedPointScale s{mantissa, shift};
+      for (const MatI8* m : {&std::as_const(all), &edges}) {
+        MatI16 got(m->rows(), m->cols());
+        kernels::requantize_i8_to_i16_into(*m, mantissa, shift, got);
+        for (std::size_t i = 0; i < m->size(); ++i)
+          ASSERT_EQ(got.data()[i], s.apply_i16(m->data()[i]))
+              << "requantize_i8_to_i16 of " << int{m->data()[i]}
+              << ", mantissa " << mantissa << " shift " << shift
+              << " under kernel " << kernels::kind_name(kernels::selected());
+      }
+    }
+}
+
+TEST_P(KernelEquivalence, ReluI32ClampsInPlace) {
+  KindGuard g(GetParam());
+  // A mixed-sign 37-wide row: whole vectors and a tail, with the int32
+  // extremes at both ends.
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  Rng rng(1618);
+  MatI32 acc(1, 37);
+  for (std::size_t i = 0; i < acc.size(); ++i)
+    acc.data()[i] = rng.uniform_int(-1000, 1000);
+  const std::int32_t edges[] = {kMin, -1, 0, 1, kMax};
+  for (std::size_t e = 0; e < std::size(edges); ++e) {
+    acc.data()[e] = edges[e];
+    acc.data()[acc.size() - 1 - e] = edges[e];
+  }
+  const MatI32 before = acc;
+  const std::int32_t* buffer = acc.data();
+  const MatI32 got = relu_i32(std::move(acc));
+  EXPECT_EQ(got.data(), buffer) << "relu_i32 copied its argument";
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got.data()[i], std::max(before.data()[i], 0))
+        << "relu_i32 at " << i;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKinds, KernelEquivalence,
-                         ::testing::Values(kernels::Kind::kSimd),
+                         ::testing::Values(kernels::Kind::kScalar,
+                                           kernels::Kind::kSimd),
                          [](const auto& info) {
                            return std::string(kernels::kind_name(info.param));
                          });

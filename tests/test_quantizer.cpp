@@ -2,7 +2,10 @@
 // fixed-point requantization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "quant/quantizer.hpp"
 #include "tensor/compare.hpp"
@@ -52,6 +55,51 @@ TEST(Quantize, SaturatesOutOfRange) {
   const MatI8 q = quantize_i8(m, QuantParams{0.1f});
   EXPECT_EQ(q(0, 0), 127);
   EXPECT_EQ(q(0, 1), -128);
+}
+
+// Every overload saturates ±inf and values past int64 (where llround alone
+// returns INT64_MIN on x86, the negative limit after saturation), maps NaN
+// to 0 and rounds ties half away from zero. A row of 14 fills the
+// dispatched int8 quantizer's 8-lane body and its tail.
+constexpr float kPow2Scale = 0.25f;  // every x / scale below is exact
+
+void expect_quantizes(const std::vector<float>& x, const std::vector<int>& i8,
+                      const std::vector<int>& i16) {
+  MatF m(1, static_cast<int>(x.size()));
+  std::copy(x.begin(), x.end(), m.data());
+  const QuantParams p{kPow2Scale};
+  const MatI8 q8 = quantize_i8(m, p);
+  const MatI16 q16 = quantize_i16(m, p);
+  const std::vector<std::int8_t> qv = quantize_i8(x, p);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const int c = static_cast<int>(i);
+    EXPECT_EQ(q8(0, c), i8[i]) << "quantize_i8 of " << x[i];
+    EXPECT_EQ(q16(0, c), i16[i]) << "quantize_i16 of " << x[i];
+    EXPECT_EQ(qv[i], i8[i]) << "quantize_i8 (vector) of " << x[i];
+  }
+}
+
+TEST(Quantize, SaturatesInfinitiesAndHugeValues) {
+  constexpr float inf = std::numeric_limits<float>::infinity();
+  constexpr float huge = 1e19f * kPow2Scale;  // x / scale = 1e19 > 2^63
+  expect_quantizes(
+      {inf, -inf, huge, -huge, inf, huge, -inf, -huge, 200 * kPow2Scale,
+       inf, huge, -huge, -inf, inf},
+      {127, -128, 127, -128, 127, 127, -128, -128, 127, 127, 127, -128, -128,
+       127},
+      {32767, -32768, 32767, -32768, 32767, 32767, -32768, -32768, 200,
+       32767, 32767, -32768, -32768, 32767});
+}
+
+TEST(Quantize, NanIsZeroAndTiesRoundAwayFromZero) {
+  constexpr float nan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float s = kPow2Scale;
+  expect_quantizes(
+      {nan, 0.5f * s, -0.5f * s, 1.5f * s, -1.5f * s, 2.5f * s, -2.5f * s,
+       std::nextafter(0.5f, 0.0f) * s, nan, 0.5f * s, -0.5f * s, 2.5f * s,
+       -2.5f * s, -0.0f},
+      {0, 1, -1, 2, -2, 3, -3, 0, 0, 1, -1, 3, -3, 0},
+      {0, 1, -1, 2, -2, 3, -3, 0, 0, 1, -1, 3, -3, 0});
 }
 
 TEST(Quantize, I16RoundTrip) {
