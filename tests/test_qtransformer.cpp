@@ -3,6 +3,7 @@
 // the guards that keep extreme but finite weights out of undefined behaviour.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -119,6 +120,177 @@ TEST(QuantizedTransformer, TranslateThatThrowsRestoresFp32Backend) {
                                               SoftmaxImpl::kHardware);
   EXPECT_THROW(qt.translate_greedy(model, {3, 99}, 6), CheckError);
   EXPECT_TRUE(model.encode({3, 4, 5}) == fp32);
+}
+
+// --- Calibration capture ----------------------------------------------------
+// A full-recompute greedy decode reruns every decoder block over each
+// growing prefix, so its capture holds every row a block is ever calibrated
+// on, most of them many times. build() must quantize every block exactly as
+// block builds over that capture do.
+
+/// How a greedy decode capped at max_len ended.
+enum class Exit { kEmpty, kEos, kCap };
+
+Exit exit_of(const TokenSeq& out, int max_len) {
+  if (out.empty()) return Exit::kEmpty;
+  return static_cast<int>(out.size()) == max_len ? Exit::kCap : Exit::kEos;
+}
+
+/// The capture of a full-recompute greedy decode of `src` on the FP32 model;
+/// the decoded tokens go to `out`.
+CaptureStore full_recompute_capture(Transformer& model, const TokenSeq& src,
+                                    int max_len, TokenSeq& out) {
+  CaptureStore store;
+  model.set_backend(capturing_backend(store));
+  out = model.translate_greedy(src, max_len, DecodeMode::kFullRecompute);
+  model.set_backend(ResBlockBackend{});
+  return store;
+}
+
+/// The entry of `blocks` for the weights `w`, appended when missing.
+template <typename Blocks, typename W>
+auto& entry_for(Blocks& blocks, const W* w) {
+  for (auto& b : blocks)
+    if (b.weights == w) return b;
+  return blocks.emplace_back(typename Blocks::value_type{w, {}});
+}
+
+template <typename T>
+void append(std::vector<T>& to, const std::vector<T>& from) {
+  to.insert(to.end(), from.begin(), from.end());
+}
+
+/// Every sentence's capture in one store, blocks in first-capture order.
+CaptureStore pool(const std::vector<CaptureStore>& captures) {
+  CaptureStore all;
+  for (const CaptureStore& c : captures) {
+    for (const CaptureStore::Mha& b : c.mha) {
+      MhaQuantized::Calibration& calib = entry_for(all.mha, b.weights).calib;
+      append(calib.q, b.calib.q);
+      append(calib.kv, b.calib.kv);
+      append(calib.mask, b.calib.mask);
+    }
+    for (const CaptureStore::Ffn& b : c.ffn)
+      append(entry_for(all.ffn, b.weights).inputs, b.inputs);
+  }
+  return all;
+}
+
+void expect_same(float a, float b, const char* what) {
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(a), std::bit_cast<std::uint32_t>(b))
+      << what << ": " << a << " vs " << b;
+}
+
+void expect_same(const FixedPointScale& a, const FixedPointScale& b,
+                 const char* what) {
+  EXPECT_EQ(a.mantissa, b.mantissa) << what;
+  EXPECT_EQ(a.shift, b.shift) << what;
+}
+
+void expect_same(const QuantizedLinear& a, const QuantizedLinear& b,
+                 const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_TRUE(a.w == b.w);
+  EXPECT_EQ(a.bias, b.bias);
+  expect_same(a.in_scale, b.in_scale, "in_scale");
+  expect_same(a.w_scale, b.w_scale, "w_scale");
+  expect_same(a.out_scale, b.out_scale, "out_scale");
+  expect_same(a.requant, b.requant, "requant");
+  ASSERT_EQ(a.col_w_scale.size(), b.col_w_scale.size());
+  for (std::size_t j = 0; j < a.col_w_scale.size(); ++j) {
+    expect_same(a.col_w_scale[j], b.col_w_scale[j], "col_w_scale");
+    expect_same(a.col_requant[j], b.col_requant[j], "col_requant");
+  }
+}
+
+void expect_same(const MhaQuantized& a, const MhaQuantized& b) {
+  expect_same(a.q_in_scale, b.q_in_scale, "q_in_scale");
+  expect_same(a.kv_in_scale, b.kv_in_scale, "kv_in_scale");
+  ASSERT_EQ(a.heads.size(), b.heads.size());
+  for (std::size_t h = 0; h < a.heads.size(); ++h) {
+    SCOPED_TRACE(::testing::Message() << "head " << h);
+    expect_same(a.heads[h].wq, b.heads[h].wq, "wq");
+    expect_same(a.heads[h].wk, b.heads[h].wk, "wk");
+    expect_same(a.heads[h].wv, b.heads[h].wv, "wv");
+    expect_same(a.heads[h].av_requant, b.heads[h].av_requant, "av_requant");
+  }
+  expect_same(a.p_scale, b.p_scale, "p_scale");
+  expect_same(a.wg, b.wg, "wg");
+  expect_same(a.g_scale, b.g_scale, "g_scale");
+  expect_same(a.wg_to_g, b.wg_to_g, "wg_to_g");
+  expect_same(a.residual_to_g, b.residual_to_g, "residual_to_g");
+  expect_same(a.out_scale, b.out_scale, "out_scale");
+  expect_same(a.norm.out_scale(), b.norm.out_scale(), "norm.out_scale");
+}
+
+void expect_same(const FfnQuantized& a, const FfnQuantized& b) {
+  expect_same(a.in_scale, b.in_scale, "in_scale");
+  expect_same(a.w1, b.w1, "w1");
+  expect_same(a.w2, b.w2, "w2");
+  expect_same(a.g_scale, b.g_scale, "g_scale");
+  expect_same(a.w2_to_g, b.w2_to_g, "w2_to_g");
+  expect_same(a.residual_to_g, b.residual_to_g, "residual_to_g");
+  expect_same(a.out_scale, b.out_scale, "out_scale");
+  expect_same(a.norm.out_scale(), b.norm.out_scale(), "norm.out_scale");
+}
+
+/// Quantizes every block of `store` on its own and expects `qt` to hold the
+/// very same block.
+void expect_blocks_match(const QuantizedTransformer& qt,
+                         const CaptureStore& store, SoftmaxImpl impl,
+                         CalibMethod method) {
+  for (std::size_t i = 0; i < store.mha.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "MHA block " << i);
+    const CaptureStore::Mha& b = store.mha[i];
+    expect_same(qt.mha_for(*b.weights),
+                MhaQuantized::build(*b.weights, b.calib, impl, method));
+  }
+  for (std::size_t i = 0; i < store.ffn.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "FFN block " << i);
+    const CaptureStore::Ffn& b = store.ffn[i];
+    expect_same(qt.ffn_for(*b.weights),
+                FfnQuantized::build(*b.weights, b.inputs, method));
+  }
+}
+
+TEST(QuantizedTransformer, BuildMatchesFullRecomputeCapture) {
+  constexpr int kVocab = 24;
+  constexpr int kMaxLen = 6;
+  constexpr float kEosBoost = 8.0f;
+  for (const ModelConfig& cfg : {hw_tiny(), ModelConfig::tiny()}) {
+    SCOPED_TRACE(cfg.name);
+    Rng rng(16);
+    TransformerWeights weights = TransformerWeights::random(cfg, kVocab, rng);
+    // A larger EOS column makes EOS win some steps, first steps included.
+    for (int r = 0; r < weights.output_projection.rows(); ++r)
+      weights.output_projection(r, kEosId) *= kEosBoost;
+    Transformer model(std::move(weights));
+
+    std::vector<TokenSeq> sources;
+    std::vector<CaptureStore> captures;
+    int exits[3] = {0, 0, 0};
+    for (int i = 0; i < 8; ++i) {
+      TokenSeq src(static_cast<std::size_t>(rng.uniform_int(2, 7)));
+      for (int& t : src) t = rng.uniform_int(3, kVocab - 1);
+      TokenSeq out;
+      captures.push_back(full_recompute_capture(model, src, kMaxLen, out));
+      ++exits[static_cast<int>(exit_of(out, kMaxLen))];
+      sources.push_back(std::move(src));
+    }
+    // Each way a decode ends must occur, or the pin proves less than it says.
+    EXPECT_GT(exits[static_cast<int>(Exit::kEmpty)], 0);
+    EXPECT_GT(exits[static_cast<int>(Exit::kEos)], 0);
+    EXPECT_GT(exits[static_cast<int>(Exit::kCap)], 0);
+
+    const CaptureStore all = pool(captures);
+    const std::size_t enc = model.weights().encoder_layers.size();
+    const std::size_t dec = model.weights().decoder_layers.size();
+    ASSERT_EQ(all.mha.size(), enc + 2 * dec);
+    ASSERT_EQ(all.ffn.size(), enc + dec);
+    const auto qt = QuantizedTransformer::build(model, sources, kMaxLen,
+                                                SoftmaxImpl::kHardware);
+    expect_blocks_match(qt, all, SoftmaxImpl::kHardware, CalibMethod::kMaxAbs);
+  }
 }
 
 TEST(AcceleratorBackend, AgreesWithQuantizedBackendBitForBit) {
