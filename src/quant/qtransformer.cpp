@@ -1,5 +1,7 @@
 #include "quant/qtransformer.hpp"
 
+#include <algorithm>
+
 namespace tfacc {
 
 namespace {
@@ -31,8 +33,10 @@ class Fp32BackendOnExit {
 
 ResBlockBackend capturing_backend(CaptureStore& store) {
   // Only the batch-style hooks capture; the cached-MHA hooks keep their
-  // reference defaults, so drive this backend with
-  // DecodeMode::kFullRecompute (as build() does) to record every block.
+  // reference defaults, so drive this backend with batch calls (encode,
+  // decode_states, as build() does) to record every block. A greedy decode
+  // falls back to full recompute, which records each prefix row again at
+  // every later step.
   ResBlockBackend b;
   b.mha = [&store](const MatF& q, const MatF& kv, const MhaWeights& w,
                    const Mask& mask) {
@@ -62,12 +66,20 @@ QuantizedTransformer QuantizedTransformer::build(
   CaptureStore store;
   {
     const Fp32BackendOnExit restore(model);
-    model.set_backend(capturing_backend(store));
-    // Full recompute: the capturing backend only hooks the batch-style
-    // mha/ffn calls, and calibration wants the same growing-prefix inputs
-    // deployment's batch ResBlocks would see.
-    for (const auto& src : calib_sources)
-      model.translate_greedy(src, max_len, DecodeMode::kFullRecompute);
+    for (const TokenSeq& src : calib_sources) {
+      // Decode on the FP32 KV-cache path, then capture one teacher-forced
+      // pass over every token the decode fed: BOS + output, less the last
+      // output token when the length cap stopped the decode. Attention is
+      // causal and every other op is row-independent, so the pass computes
+      // each row exactly as the decode step that fed it did.
+      model.set_backend(ResBlockBackend{});
+      const TokenSeq out = model.translate_greedy(src, max_len);
+      TokenSeq fed{kBosId};
+      fed.insert(fed.end(), out.begin(), out.end());
+      fed.resize(std::min(fed.size(), static_cast<std::size_t>(max_len)));
+      model.set_backend(capturing_backend(store));
+      model.decode_states(fed, model.encode(src), unpadded_length(src));
+    }
   }
 
   QuantizedTransformer qt;

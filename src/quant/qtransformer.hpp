@@ -40,9 +40,13 @@ ResBlockBackend capturing_backend(CaptureStore& store);
 /// different threads may share one QuantizedTransformer.
 class QuantizedTransformer {
  public:
-  /// Calibrate by greedily translating `calib_sources` with the FP32 model,
-  /// then quantize every block. `model` gets the FP32 default backend back
-  /// on every exit, also when calibration throws.
+  /// Calibrate by greedily translating `calib_sources` on the FP32 model's
+  /// KV-cache path, capture one teacher-forced pass over the tokens each
+  /// decode fed, then quantize every block. A block sees each distinct row
+  /// of those decodes once, so every `method` ranks each row once; max-abs
+  /// scales equal those of a full-recompute capture, which repeats rows.
+  /// `model` gets the FP32 default backend back on every exit, also when
+  /// calibration throws.
   static QuantizedTransformer build(Transformer& model,
                                     const std::vector<TokenSeq>& calib_sources,
                                     int max_len, SoftmaxImpl impl,

@@ -125,8 +125,8 @@ TEST(QuantizedTransformer, TranslateThatThrowsRestoresFp32Backend) {
 // --- Calibration capture ----------------------------------------------------
 // A full-recompute greedy decode reruns every decoder block over each
 // growing prefix, so its capture holds every row a block is ever calibrated
-// on, most of them many times. build() must quantize every block exactly as
-// block builds over that capture do.
+// on, most of them many times. Under max-abs, build() must quantize every
+// block exactly as block builds over that capture do.
 
 /// How a greedy decode capped at max_len ended.
 enum class Exit { kEmpty, kEos, kCap };
@@ -155,23 +155,28 @@ auto& entry_for(Blocks& blocks, const W* w) {
   return blocks.emplace_back(typename Blocks::value_type{w, {}});
 }
 
+/// Appends `from` to `to`, or only its last element with `last_only`.
 template <typename T>
-void append(std::vector<T>& to, const std::vector<T>& from) {
-  to.insert(to.end(), from.begin(), from.end());
+void append(std::vector<T>& to, const std::vector<T>& from, bool last_only) {
+  to.insert(to.end(), last_only ? from.end() - 1 : from.begin(), from.end());
 }
 
 /// Every sentence's capture in one store, blocks in first-capture order.
-CaptureStore pool(const std::vector<CaptureStore>& captures) {
+/// With `last_only`, each block keeps one sample per sentence, its last: an
+/// encoder block sees one sample per sentence anyway, and a decoder block's
+/// last is the final decode step, whose prefix holds every row an earlier
+/// step saw.
+CaptureStore pool(const std::vector<CaptureStore>& captures, bool last_only) {
   CaptureStore all;
   for (const CaptureStore& c : captures) {
     for (const CaptureStore::Mha& b : c.mha) {
       MhaQuantized::Calibration& calib = entry_for(all.mha, b.weights).calib;
-      append(calib.q, b.calib.q);
-      append(calib.kv, b.calib.kv);
-      append(calib.mask, b.calib.mask);
+      append(calib.q, b.calib.q, last_only);
+      append(calib.kv, b.calib.kv, last_only);
+      append(calib.mask, b.calib.mask, last_only);
     }
     for (const CaptureStore::Ffn& b : c.ffn)
-      append(entry_for(all.ffn, b.weights).inputs, b.inputs);
+      append(entry_for(all.ffn, b.weights).inputs, b.inputs, last_only);
   }
   return all;
 }
@@ -282,7 +287,7 @@ TEST(QuantizedTransformer, BuildMatchesFullRecomputeCapture) {
     EXPECT_GT(exits[static_cast<int>(Exit::kEos)], 0);
     EXPECT_GT(exits[static_cast<int>(Exit::kCap)], 0);
 
-    const CaptureStore all = pool(captures);
+    const CaptureStore all = pool(captures, /*last_only=*/false);
     const std::size_t enc = model.weights().encoder_layers.size();
     const std::size_t dec = model.weights().decoder_layers.size();
     ASSERT_EQ(all.mha.size(), enc + 2 * dec);
@@ -290,6 +295,15 @@ TEST(QuantizedTransformer, BuildMatchesFullRecomputeCapture) {
     const auto qt = QuantizedTransformer::build(model, sources, kMaxLen,
                                                 SoftmaxImpl::kHardware);
     expect_blocks_match(qt, all, SoftmaxImpl::kHardware, CalibMethod::kMaxAbs);
+
+    // A percentile sees repeats, so build() must rank each distinct row
+    // once, as the KV-cache decode computes it: over each sentence's last
+    // full-recompute step.
+    const auto qt999 = QuantizedTransformer::build(
+        model, sources, kMaxLen, SoftmaxImpl::kHardware,
+        CalibMethod::kPercentile999);
+    expect_blocks_match(qt999, pool(captures, /*last_only=*/true),
+                        SoftmaxImpl::kHardware, CalibMethod::kPercentile999);
   }
 }
 
