@@ -143,9 +143,17 @@ struct Fixed {
   static constexpr std::int32_t kOne = std::int32_t{1} << FracBits;
 
   static Fixed from_raw(std::int32_t r) { return Fixed{r}; }
+  /// Round v·2^FracBits to nearest, half away from zero, and saturate it to
+  /// int32; NaN becomes 0. Clamps before the integer cast, which is
+  /// undefined for ±inf and for values past int64.
   static Fixed from_double(double v) {
-    return Fixed{saturate_i32(static_cast<std::int64_t>(
-        v * static_cast<double>(kOne) + (v >= 0 ? 0.5 : -0.5)))};
+    if (std::isnan(v)) return Fixed{0};
+    constexpr auto lo =
+        static_cast<double>(std::numeric_limits<std::int32_t>::min());
+    constexpr auto hi =
+        static_cast<double>(std::numeric_limits<std::int32_t>::max());
+    const double x = clamp(v * static_cast<double>(kOne), lo, hi);
+    return Fixed{static_cast<std::int32_t>(x + (x >= 0 ? 0.5 : -0.5))};
   }
   double to_double() const { return static_cast<double>(raw) / kOne; }
 

@@ -1,10 +1,15 @@
 // Unit tests for src/common: checks, fixed point, configuration presets.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "common/check.hpp"
 #include "common/config.hpp"
 #include "common/fixed_point.hpp"
 #include "common/random.hpp"
+#include "hwarith/exp_ln.hpp"
 
 namespace tfacc {
 namespace {
@@ -88,6 +93,32 @@ TEST(Fixed, ConvertsAndAdds) {
   EXPECT_DOUBLE_EQ(a.to_double(), 1.5);
   EXPECT_EQ((a + Q10::from_double(0.25)).raw, 1792);
   EXPECT_EQ((a - a).raw, 0);
+}
+
+TEST(Fixed, FromDoubleSaturatesOutOfRangeAndNonFinite) {
+  using Q10 = Fixed<10>;
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  const double inf = std::numeric_limits<double>::infinity();
+  // 1e16 · 2^10 is past int64, where the cast used to be undefined.
+  for (const double v : {inf, 1e16, 2097152.0})
+    EXPECT_EQ(Q10::from_double(v).raw, kMax) << v;
+  for (const double v : {-inf, -1e16, -2097152.5})
+    EXPECT_EQ(Q10::from_double(v).raw, kMin) << v;
+  EXPECT_EQ(Q10::from_double(std::nan("")).raw, 0);
+  // Values in range still round half away from zero.
+  EXPECT_EQ(Q10::from_double(2097151.9990234375).raw, kMax);
+  EXPECT_EQ(Q10::from_double(-0.5 / 1024).raw, -1);
+  EXPECT_EQ(Q10::from_double(0.49 / 1024).raw, 0);
+
+  // The float helpers of the softmax units reach from_double: an EXP input
+  // far below range gives 0, an LN input far above saturates.
+  EXPECT_EQ(hw::exp_unit(-1e16), 0.0);
+  EXPECT_EQ(hw::exp_unit(-inf), 0.0);
+  const double ln_max =
+      static_cast<double>(hw::ln_unit_q10(kMax)) / hw::kSoftmaxOne;
+  EXPECT_EQ(hw::ln_unit(1e16), ln_max);
+  EXPECT_EQ(hw::ln_unit(inf), ln_max);
 }
 
 TEST(ModelConfig, Table1PresetsSatisfyThePattern) {
