@@ -329,16 +329,12 @@ void step_card(State& st, int c, Explorer& ex) {
       }
       case Pc::kCompute: {
         // One packed step: every active row decodes one token; the clock
-        // charges one cycle per row (ragged finishes via decode_len).
+        // charges one cycle per row (ragged finishes via decode_len). A
+        // finished sentence keeps its slot through the mid-step drain.
         Cycle cost = 0;
         for (auto& hyp : cd.active) {
           --hyp.second;
           ++cost;
-        }
-        for (std::size_t i = cd.active.size(); i-- > 0;) {
-          if (cd.active[i].second > 0) continue;
-          cd.active.erase(cd.active.begin() + static_cast<std::ptrdiff_t>(i));
-          --cd.reserved;
         }
         cd.clock += cost;
         cd.pc = Pc::kMidDrain;
@@ -386,6 +382,13 @@ void step_card(State& st, int c, Explorer& ex) {
         return;
       }
       case Pc::kMidPublish: {
+        // finish_step: finished sentences vacate their slots, then the
+        // clock is published.
+        for (std::size_t i = cd.active.size(); i-- > 0;) {
+          if (cd.active[i].second > 0) continue;
+          cd.active.erase(cd.active.begin() + static_cast<std::ptrdiff_t>(i));
+          --cd.reserved;
+        }
         cd.pc = Pc::kTop;
         gate_publish(st, c, cd.clock, ex);
         return;

@@ -87,7 +87,7 @@ struct TamperCase {
 };
 
 constexpr TamperCase kTamperCases[] = {
-    {GateTamper::kFrozenKey, GateDiagCode::kKey, 2, 4, 3},
+    {GateTamper::kFrozenKey, GateDiagCode::kKey, 1, 4, 3},
     {GateTamper::kLostUnpark, GateDiagCode::kDeadlock, 2, 2, 1},
     {GateTamper::kDoubleGrant, GateDiagCode::kDup, 1, 2, 3},
     {GateTamper::kDropGrant, GateDiagCode::kLost, 2, 2, 2},
