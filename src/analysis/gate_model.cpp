@@ -1,33 +1,27 @@
 #include "analysis/gate_model.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
 
 #include "common/check.hpp"
+#include "serve/admission_gate.hpp"
+#include "serve/card_admission.hpp"
 
 namespace tfacc {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Abstract state. Everything below mirrors a named piece of the real
-// implementation; each mirror cites its source so drift is reviewable.
+// Model state: the shipped AdmissionGate::Protocol (slots + request queue)
+// and each card's shipped CardAdmission, plus what the model adds: the
+// card's step phase, a compute model and the WorkerPool park bit.
 // ---------------------------------------------------------------------------
 
-/// AdmissionGate::Phase (serve/admission_gate.hpp).
-enum class Phase : std::uint8_t { kIdle, kPending, kGranted, kHeld };
-
-/// AdmissionGate::Slot. `outcome`/`req` stand in for the Grant payload
-/// (burst arrivals: kPending never occurs, next_arrival is dead).
-struct Slot {
-  bool live = true;
-  Cycle clock = 0;
-  Phase phase = Phase::kIdle;
-  Cycle key = 0;
-  bool popped = false;  ///< grant outcome: true=kPopped, false=kDrained
-  int req = -1;         ///< popped request id
-};
+using Protocol = AdmissionGate::Protocol;
+using Phase = Protocol::Phase;
+using PopOutcome = RequestQueue::PopOutcome;
 
 /// Scheduler::CardRun::StepPhase plus an explicit publish point (publish
 /// is its own mutex acquisition in finish_step, so it is its own atomic
@@ -37,36 +31,32 @@ enum class Pc : std::uint8_t {
   kTopDrain,
   kCompute,
   kMidDrain,
-  kMidPublish,
+  kPublish,
 };
 
-/// The abstracted CardRun (burst arrivals): clock is busy(), active holds
-/// (id, remaining decode steps), pending mirrors pending_admits (activation
-/// is deferred until the drain completes).
+/// One card: `clock` is busy() — one tick per decoded row, plus one per
+/// admitted sentence under proxy keys; `active` holds (id, remaining decode
+/// steps).
 struct Card {
+  explicit Card(const GateModelConfig& cfg)
+      : admission(cfg.slots_per_card, cfg.slot_demand, cfg.proxy_keys) {}
+
+  CardAdmission admission;
   Pc pc = Pc::kTop;
   bool done = false;
   bool parked = false;  ///< WorkerPool: kParked, waiting for unpark
-  bool posted = false;
-  bool holding = false;
-  bool queue_drained = false;
   Cycle clock = 0;
-  Cycle snapshot = 0;  ///< busy_snapshot at the step top
-  Cycle spec_key = 0;  ///< frozen key the spec mandates for the live post
-  int admitted_in_drain = 0;
-  int reserved = 0;
-  std::vector<std::pair<int, int>> active;  ///< (id, remaining steps)
-  std::vector<int> pending;                 ///< admitted, not yet active
-  std::vector<int> admitted;                ///< admission log (request ids)
+  Cycle spec_key = 0;  ///< frozen key the card last asked the gate to post
+  std::vector<std::pair<int, int>> active;
+  std::vector<int> admitted;  ///< admission log (request ids)
 };
 
-/// Whole-model state: cards + gate + sharded queue + the last resolved pop
-/// (the (key, id)-order check needs exactly one event of history, so it
-/// lives in the memoized state).
+/// Whole-model state: cards + gate + the last resolved pop (the (key, id)
+/// order check needs exactly one event of history, so it lives in the
+/// memoized state).
 struct State {
   std::vector<Card> cards;
-  std::vector<Slot> slots;
-  std::vector<std::vector<int>> shards;  ///< RequestQueue, ids only
+  Protocol gate;
   Cycle last_pop_key = 0;
   int last_pop_card = -1;
   bool tamper_armed = true;  ///< one-shot tampers not yet fired
@@ -100,313 +90,188 @@ std::string fmt_pair(Cycle key, int card) {
 }
 
 // ---------------------------------------------------------------------------
-// RequestQueue mirror (serve/request_queue.cpp): burst arrivals, so the
-// arrival-aware try_pop degenerates to owner-front / thief-back over the
-// most loaded sibling (first-lowest index wins victim ties, as the real
-// scan does with its strict `>` comparison).
+// The gate as CardAdmission sees it. Each member is one critical section of
+// AdmissionGate, run on the model's Protocol; every grant it returns goes
+// through the invariant probes. The tampers act here, from outside the
+// shipped code.
 // ---------------------------------------------------------------------------
 
-/// Returns true and sets `id` on kPopped; false means kDrained.
-bool queue_pop(State& st, int c, int& id) {
-  std::vector<int>& own = st.shards[static_cast<std::size_t>(c)];
-  if (!own.empty()) {
-    id = own.front();
-    own.erase(own.begin());
-    return true;
+struct ModelGate {
+  State& st;
+  Explorer& ex;
+  bool ran = false;  ///< this transition's gate operation has executed
+
+  void reserve(std::size_t c, Cycle key) {
+    ran = true;
+    Card& cd = st.cards[c];
+    cd.spec_key = key;
+    // Tamper: post the live clock (what a naive implementation reading the
+    // in-step cycle counter would do) instead of the frozen snapshot.
+    granted(st.gate.reserve(
+        c, ex.cfg.tamper == GateTamper::kFrozenKey ? cd.clock : key));
   }
-  int victim = -1;
-  std::size_t victim_load = 0;
-  for (std::size_t s = 0; s < st.shards.size(); ++s) {
-    if (static_cast<int>(s) == c) continue;
-    if (st.shards[s].size() > victim_load) {
-      victim_load = st.shards[s].size();
-      victim = static_cast<int>(s);
-    }
+  bool try_consume(std::size_t c, AdmissionGate::Grant* out) {
+    ran = true;
+    return st.gate.try_consume(c, out);  // the one op that never scans
   }
-  if (victim < 0) return false;
-  std::vector<int>& v = st.shards[static_cast<std::size_t>(victim)];
-  id = v.back();
-  v.pop_back();
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// AdmissionGate mirror (serve/admission_gate.cpp). Every helper below is
-// one critical section of the real gate; scan() is scan_locked() with the
-// invariant probes (and the seeded tampers) spliced in.
-// ---------------------------------------------------------------------------
-
-void scan(State& st, Explorer& ex) {
-  if (ex.stop) return;
-  const std::size_t n = st.slots.size();
-
-  // The real scan: global-minimum blocking pair, phase-agnostic. First
-  // index among equal keys wins (strict `<`), i.e. the id tie-break.
-  std::size_t min_c = n;
-  Cycle min_k = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Slot& s = st.slots[i];
-    if (!s.live) continue;
-    const Cycle k = s.phase == Phase::kIdle ? s.clock : s.key;
-    if (min_c == n || k < min_k) {
-      min_c = i;
-      min_k = k;
-    }
+  void release(std::size_t c) {
+    ran = true;
+    granted(st.gate.release(c));
+  }
+  void publish(std::size_t c, Cycle t) {
+    ran = true;
+    granted(st.gate.publish(c, t));
+  }
+  void retire(std::size_t c) {
+    ran = true;
+    granted(st.gate.retire(c));
   }
 
-  // Pick the slot to grant. Faithful protocol: the minimum, iff pending.
-  std::size_t grant_c = n;
-  if (ex.cfg.tamper == GateTamper::kNonMinGrant) {
-    // Tamper: grant the maximal pending pair whenever one exists.
+  void granted(std::optional<std::size_t> g) {
+    if (g) on_grant(*g);
+    if (ex.cfg.tamper != GateTamper::kNonMinGrant || ex.stop) return;
+    // Tamper: also grant the maximal pending pair whenever one is left.
+    const std::size_t n = st.gate.slots.size();
+    std::size_t pick = n;
     for (std::size_t i = 0; i < n; ++i) {
-      const Slot& s = st.slots[i];
+      const Protocol::Slot& s = st.gate.slots[i];
       if (!s.live || s.phase != Phase::kPending) continue;
-      if (grant_c == n || s.key >= st.slots[grant_c].key) grant_c = i;
+      if (pick == n || s.key >= st.gate.slots[pick].key) pick = i;
     }
-  } else if (min_c < n && st.slots[min_c].phase == Phase::kPending) {
-    grant_c = min_c;
+    if (pick == n) return;
+    st.gate.grant(pick);
+    on_grant(pick);
   }
-  if (grant_c == n) return;
 
-  Slot& s = st.slots[grant_c];
-  const int card = static_cast<int>(grant_c);
-  ++ex.result.grants;
+  void on_grant(std::size_t g) {
+    if (ex.stop) return;
+    const int card = static_cast<int>(g);
+    Protocol::Slot& s = st.gate.slots[g];
+    ++ex.result.grants;
 
-  // GATE-ORDER probe 1: the granted pair must be <= every live blocking
-  // pair (pops enter the total order at the global minimum).
-  for (std::size_t i = 0; i < n; ++i) {
-    const Slot& o = st.slots[i];
-    if (!o.live || i == grant_c) continue;
-    const Cycle k = o.phase == Phase::kIdle ? o.clock : o.key;
-    if (k < s.key || (k == s.key && i < grant_c)) {
+    // GATE-ORDER probe 1: the granted pair must be <= every live blocking
+    // pair (pops enter the total order at the global minimum).
+    for (std::size_t i = 0; i < st.gate.slots.size(); ++i) {
+      const Protocol::Slot& o = st.gate.slots[i];
+      if (!o.live || i == g) continue;
+      const Cycle k = o.blocking_key();
+      if (k < s.key || (k == s.key && i < g)) {
+        ex.fail(GateDiagCode::kOrder, card,
+                "granted " + fmt_pair(s.key, card) + " while live pair " +
+                    fmt_pair(k, static_cast<int>(i)) + " is smaller");
+        return;
+      }
+    }
+    // GATE-ORDER probe 2: the pop log is non-decreasing in (key, id).
+    if (st.last_pop_card >= 0 &&
+        (s.key < st.last_pop_key ||
+         (s.key == st.last_pop_key && card < st.last_pop_card))) {
       ex.fail(GateDiagCode::kOrder, card,
-              "granted " + fmt_pair(s.key, card) + " while live pair " +
-                  fmt_pair(k, static_cast<int>(i)) + " is smaller");
+              "pop " + fmt_pair(s.key, card) + " resolved after pop " +
+                  fmt_pair(st.last_pop_key, st.last_pop_card));
       return;
     }
+    // GATE-KEY probe: the pop must execute at the frozen key the card's
+    // step-top snapshot mandated, never at a live clock.
+    if (s.key != st.cards[g].spec_key) {
+      ex.fail(GateDiagCode::kKey, card,
+              "pop executed at key=" + std::to_string(s.key) +
+                  " but the frozen step-top snapshot key is " +
+                  std::to_string(st.cards[g].spec_key));
+      return;
+    }
+    st.last_pop_key = s.key;
+    st.last_pop_card = card;
+
+    if (s.grant.outcome == PopOutcome::kPopped && st.tamper_armed) {
+      if (ex.cfg.tamper == GateTamper::kDoubleGrant) {
+        // Tamper (one-shot): leave the request in the queue as well.
+        st.tamper_armed = false;
+        st.gate.queue.push(s.grant.req);
+      } else if (ex.cfg.tamper == GateTamper::kDropGrant) {
+        // Tamper (one-shot): discard the popped request, report drained.
+        st.tamper_armed = false;
+        s.grant.outcome = PopOutcome::kDrained;
+      }
+    }
+
+    // on_grant: WorkerPool::unpark(card). The shipped gate calls it after
+    // releasing its mutex; modeling it inside the grant transition is
+    // exact, because unpark only marks the job runnable: an unpark that
+    // lands before its card parks still leaves the job runnable, so a late
+    // unpark cannot be lost.
+    if (ex.cfg.tamper != GateTamper::kLostUnpark) st.cards[g].parked = false;
   }
-  // GATE-ORDER probe 2: the pop log is non-decreasing in (key, id).
-  if (st.last_pop_card >= 0 &&
-      (s.key < st.last_pop_key ||
-       (s.key == st.last_pop_key && card < st.last_pop_card))) {
-    ex.fail(GateDiagCode::kOrder, card,
-            "pop " + fmt_pair(s.key, card) + " resolved after pop " +
-                fmt_pair(st.last_pop_key, st.last_pop_card));
-    return;
-  }
-  // GATE-KEY probe: the pop must execute at the frozen key the card's
-  // step-top snapshot mandated, never at a live clock.
-  const Card& cd = st.cards[grant_c];
-  if (s.key != cd.spec_key) {
-    ex.fail(GateDiagCode::kKey, card,
-            "pop executed at key=" + std::to_string(s.key) +
-                " but the frozen step-top snapshot key is " +
-                std::to_string(cd.spec_key));
-    return;
-  }
-  st.last_pop_key = s.key;
-  st.last_pop_card = card;
-
-  // The pop itself, under the gate mutex, at the frozen key.
-  int id = -1;
-  bool popped = queue_pop(st, card, id);
-  if (popped && ex.cfg.tamper == GateTamper::kDoubleGrant &&
-      st.tamper_armed) {
-    // Tamper (one-shot): leave the request in the queue as well.
-    st.tamper_armed = false;
-    st.shards[grant_c % st.shards.size()].insert(
-        st.shards[grant_c % st.shards.size()].begin(), id);
-  }
-  if (popped && ex.cfg.tamper == GateTamper::kDropGrant && st.tamper_armed) {
-    // Tamper (one-shot): discard the popped request, report drained.
-    st.tamper_armed = false;
-    popped = false;
-    id = -1;
-  }
-  s.popped = popped;
-  s.req = id;
-  s.phase = Phase::kGranted;
-
-  // on_grant_: WorkerPool::unpark(card), still under the gate mutex.
-  if (ex.cfg.tamper != GateTamper::kLostUnpark)
-    st.cards[grant_c].parked = false;
-}
-
-void gate_reserve(State& st, int c, Cycle key, Explorer& ex) {
-  Slot& s = st.slots[static_cast<std::size_t>(c)];
-  TFACC_CHECK(s.phase == Phase::kIdle || s.phase == Phase::kHeld);
-  s.key = std::max(key, s.clock);
-  s.clock = s.key;
-  s.phase = Phase::kPending;
-  scan(st, ex);
-}
-
-bool gate_try_consume(State& st, int c, bool& popped, int& req) {
-  Slot& s = st.slots[static_cast<std::size_t>(c)];
-  if (s.phase != Phase::kGranted) {
-    TFACC_CHECK(s.phase == Phase::kPending);
-    return false;
-  }
-  popped = s.popped;
-  req = s.req;
-  s.phase = Phase::kHeld;
-  return true;  // no scan: try_consume is the one op that never resolves
-}
-
-void gate_release(State& st, int c, Explorer& ex) {
-  Slot& s = st.slots[static_cast<std::size_t>(c)];
-  TFACC_CHECK(s.phase == Phase::kHeld);
-  s.phase = Phase::kIdle;
-  scan(st, ex);
-}
-
-void gate_publish(State& st, int c, Cycle t, Explorer& ex) {
-  Slot& s = st.slots[static_cast<std::size_t>(c)];
-  s.clock = std::max(s.clock, t);
-  scan(st, ex);
-}
-
-void gate_retire(State& st, int c, Explorer& ex) {
-  Slot& s = st.slots[static_cast<std::size_t>(c)];
-  s.live = false;
-  s.phase = Phase::kIdle;
-  scan(st, ex);
-}
+};
 
 // ---------------------------------------------------------------------------
-// CardRun mirror (serve/scheduler.cpp, burst arrivals). One
-// call = one DFS transition: run card-local code until exactly one gate
-// operation has executed, then return. Parking happens at try_consume
-// (the op that returned false), matching Drain::kParked.
+// Scheduler::CardRun with a one-transition compute. One call = one DFS
+// transition: run card-local code until exactly one gate operation has
+// executed, then return. Parking happens at a try_consume that comes back
+// pending, matching CardAdmission::Drain::kParked.
 // ---------------------------------------------------------------------------
 
-/// CardRun::admission_key, accelerator vs functional-proxy flavors. Burst
-/// arrivals pin clock_floor to 0, so the floor term vanishes.
-Cycle frozen_key(const Card& cd, const GateModelConfig& cfg) {
-  return cfg.proxy_keys
-             ? cd.snapshot + static_cast<Cycle>(cd.admitted_in_drain)
-             : cd.snapshot;
-}
-
-void complete_drain(Card& cd);
-
-void post_reservation(State& st, int c, Explorer& ex) {
-  Card& cd = st.cards[static_cast<std::size_t>(c)];
-  cd.spec_key = frozen_key(cd, ex.cfg);
-  // Tamper: post the live clock (what a naive implementation reading the
-  // in-step cycle counter would do) instead of the frozen snapshot.
-  const Cycle posted =
-      ex.cfg.tamper == GateTamper::kFrozenKey ? cd.clock : cd.spec_key;
-  cd.posted = true;
-  gate_reserve(st, c, posted, ex);
+/// CardRun::admit_pending: the drain's pops become active sentences.
+void admit_pending(Card& cd, const GateModelConfig& cfg) {
+  for (const TranslationRequest& req : cd.admission.pending_admits) {
+    const int id = static_cast<int>(req.id);
+    cd.admitted.push_back(id);
+    cd.active.emplace_back(id, decode_len(id));
+    if (cfg.proxy_keys) ++cd.clock;  // proxy busy() counts admissions
+  }
+  cd.admission.pending_admits.clear();
 }
 
 void step_card(State& st, int c, Explorer& ex) {
-  Card& cd = st.cards[static_cast<std::size_t>(c)];
-  const int slots = ex.cfg.slots_per_card;
-  for (;;) {
+  const std::size_t i = static_cast<std::size_t>(c);
+  Card& cd = st.cards[i];
+  ModelGate gate{st, ex};
+  while (!gate.ran) {
     switch (cd.pc) {
-      case Pc::kTop: {
-        if (cd.queue_drained && cd.active.empty() && cd.pending.empty()) {
+      case Pc::kTop:
+        if (!cd.admission.top(gate, i, cd.clock)) {
           cd.done = true;
-          gate_retire(st, c, ex);
-          return;
-        }
-        cd.snapshot = cd.clock;
-        cd.admitted_in_drain = 0;
-        if (!cd.active.empty()) {
-          cd.pc = Pc::kCompute;
-          // Post the step's reservation BEFORE the compute so a sibling's
-          // scan can resolve it mid-step (the convoy-free core).
-          if (!cd.posted && !cd.queue_drained && cd.reserved + 1 <= slots) {
-            post_reservation(st, c, ex);
-            return;
-          }
           break;
         }
-        cd.pc = Pc::kTopDrain;
+        cd.pc = cd.active.empty() ? Pc::kTopDrain : Pc::kCompute;
         break;
-      }
-      case Pc::kCompute: {
-        // One packed step: every active row decodes one token; the clock
-        // charges one cycle per row (ragged finishes via decode_len). A
-        // finished sentence keeps its slot through the mid-step drain.
-        Cycle cost = 0;
-        for (auto& hyp : cd.active) {
-          --hyp.second;
-          ++cost;
+      case Pc::kCompute:
+        // One packed step: every active sentence decodes one token on each
+        // of its slot_demand rows, one tick per row.
+        for (auto& sentence : cd.active) {
+          --sentence.second;
+          cd.clock += ex.cfg.slot_demand;
         }
-        cd.clock += cost;
         cd.pc = Pc::kMidDrain;
         break;
-      }
       case Pc::kTopDrain:
       case Pc::kMidDrain: {
-        if (cd.holding) {
-          cd.holding = false;
-          if (cd.queue_drained || cd.reserved + 1 > slots) {
-            // Done popping this drain: yield the turn, then complete (the
-            // completion continuation is card-local, next case below).
-            complete_drain(cd);
-            gate_release(st, c, ex);
-            return;
-          }
-          post_reservation(st, c, ex);  // keep the turn, re-reserve
-          return;
-        }
-        if (!cd.posted) {
-          if (cd.queue_drained || cd.reserved + 1 > slots) {
-            complete_drain(cd);  // nothing to collect; no gate op
-            break;
-          }
-          post_reservation(st, c, ex);
-          return;
-        }
-        bool popped = false;
-        int req = -1;
-        if (!gate_try_consume(st, c, popped, req)) {
+        const CardAdmission::Drain d = cd.admission.drain_step(gate, i);
+        if (d == CardAdmission::Drain::kParked) {
           cd.parked = true;  // WorkerPool: park until on_grant unparks
-          return;
+          break;
         }
-        cd.posted = false;
-        cd.holding = true;
-        if (!popped) {
-          cd.queue_drained = true;  // burst: empty is final
-        } else {
-          ++cd.reserved;
-          ++cd.admitted_in_drain;
-          cd.admitted.push_back(req);
-          cd.pending.push_back(req);  // pack defers the encode
-          if (ex.cfg.proxy_keys) ++cd.clock;  // proxy busy() counts admits
-        }
-        return;
+        if (d == CardAdmission::Drain::kMore) break;
+        admit_pending(cd, ex.cfg);
+        if (cd.pc == Pc::kMidDrain)
+          cd.pc = Pc::kPublish;
+        else
+          cd.pc = cd.active.empty() ? Pc::kTop : Pc::kCompute;
+        break;
       }
-      case Pc::kMidPublish: {
-        // finish_step: finished sentences vacate their slots, then the
-        // clock is published.
-        for (std::size_t i = cd.active.size(); i-- > 0;) {
-          if (cd.active[i].second > 0) continue;
-          cd.active.erase(cd.active.begin() + static_cast<std::ptrdiff_t>(i));
-          --cd.reserved;
+      case Pc::kPublish:
+        // CardRun::finish_step: finished sentences vacate their slots, then
+        // the card publishes its clock.
+        for (std::size_t k = cd.active.size(); k-- > 0;) {
+          if (cd.active[k].second > 0) continue;
+          cd.active.erase(cd.active.begin() + static_cast<std::ptrdiff_t>(k));
+          cd.admission.vacate();
         }
         cd.pc = Pc::kTop;
-        gate_publish(st, c, cd.clock, ex);
-        return;
-      }
+        gate.publish(i, cd.admission.virtual_time(cd.clock));
+        break;
     }
   }
-}
-
-/// Drain completed: activate deferred admissions and pick the next phase
-/// (CardRun::admit_pending + the resume() phase hand-off).
-void complete_drain(Card& cd) {
-  for (const int id : cd.pending)
-    cd.active.emplace_back(id, decode_len(id));
-  cd.pending.clear();
-  if (cd.pc == Pc::kTopDrain)
-    cd.pc = cd.active.empty() ? Pc::kTop : Pc::kCompute;
-  else
-    cd.pc = Pc::kMidPublish;  // close_step/finish_step publish the clock
 }
 
 // ---------------------------------------------------------------------------
@@ -422,34 +287,41 @@ std::string encode(const State& st) {
   std::string out;
   out.reserve(256);
   for (const Card& c : st.cards) {
+    const CardAdmission& a = c.admission;
     append_int(out, static_cast<int>(c.pc));
-    append_int(out, (c.done << 5) | (c.parked << 4) | (c.posted << 3) |
-                        (c.holding << 2) | (c.queue_drained << 1));
+    append_int(out, (c.done << 6) | (c.parked << 5) | (a.posted << 4) |
+                        (a.holding << 3) | (a.queue_drained << 2) |
+                        (a.arrivals_pending << 1));
     append_int(out, c.clock);
-    append_int(out, c.snapshot);
+    append_int(out, a.busy_snapshot);
+    append_int(out, a.clock_floor);
     append_int(out, c.spec_key);
-    append_int(out, c.admitted_in_drain);
-    append_int(out, c.reserved);
-    for (const auto& hyp : c.active) {
-      append_int(out, hyp.first);
-      append_int(out, hyp.second);
+    append_int(out, a.admitted_in_drain);
+    append_int(out, a.reserved);
+    for (const auto& sentence : c.active) {
+      append_int(out, sentence.first);
+      append_int(out, sentence.second);
     }
     out += ';';
-    for (const int id : c.pending) append_int(out, id);
+    for (const TranslationRequest& req : a.pending_admits)
+      append_int(out, static_cast<long long>(req.id));
     out += ';';
     for (const int id : c.admitted) append_int(out, id);
     out += '|';
   }
-  for (const Slot& s : st.slots) {
-    append_int(out, (s.live << 3) | (static_cast<int>(s.phase) << 1) |
-                        static_cast<int>(s.popped));
+  for (const Protocol::Slot& s : st.gate.slots) {
+    const bool popped = s.grant.outcome == PopOutcome::kPopped;
+    append_int(out, (s.live << 4) | (static_cast<int>(s.phase) << 2) |
+                        static_cast<int>(s.grant.outcome));
     append_int(out, s.clock);
     append_int(out, s.key);
-    append_int(out, s.req);
+    append_int(out, popped ? static_cast<long long>(s.grant.req.id) : -1);
+    append_int(out, s.grant.next_arrival);
     out += '|';
   }
-  for (const auto& shard : st.shards) {
-    for (const int id : shard) append_int(out, id);
+  for (const auto& shard : st.gate.queue.shards()) {
+    for (const TranslationRequest& req : shard)
+      append_int(out, static_cast<long long>(req.id));
     out += '|';
   }
   append_int(out, st.last_pop_key);
@@ -491,13 +363,11 @@ void check_quiescence(const State& st, Explorer& ex) {
       return;
     }
   }
-  for (const auto& shard : st.shards) {
-    if (!shard.empty()) {
-      ex.fail(GateDiagCode::kLost, -1,
-              "queue still holds " + std::to_string(shard.size()) +
-                  " request(s) after every card retired");
-      return;
-    }
+  if (st.gate.queue.pending() > 0) {
+    ex.fail(GateDiagCode::kLost, -1,
+            "queue still holds " + std::to_string(st.gate.queue.pending()) +
+                " request(s) after every card retired");
+    return;
   }
   const std::string fp = terminal_fingerprint(st);
   if (ex.result.terminal_fingerprint.empty()) {
@@ -595,22 +465,29 @@ GateModelResult check_gate_model(const GateModelConfig& cfg) {
       cfg.num_requests >= 0 && cfg.num_requests <= 4,
       "num_requests must be in [0, 4], got " << cfg.num_requests);
   TFACC_CHECK_ARG_MSG(
-      cfg.slots_per_card >= 1,
-      "slots_per_card must be >= 1, got " << cfg.slots_per_card);
+      cfg.slot_demand >= 1 && cfg.slot_demand <= cfg.slots_per_card,
+      "slot_demand must be in [1, slots_per_card], got "
+          << cfg.slot_demand << " with slots_per_card "
+          << cfg.slots_per_card);
+  TFACC_CHECK_ARG_MSG(cfg.arrival_gap >= 0,
+                      "arrival_gap must be >= 0, got " << cfg.arrival_gap);
 
-  Explorer ex(cfg);
-  State init;
-  init.cards.resize(static_cast<std::size_t>(cfg.num_cards));
-  init.slots.resize(static_cast<std::size_t>(cfg.num_cards));
-  init.shards.resize(static_cast<std::size_t>(cfg.num_cards));
   // Scheduler::run pushes sources in order; RequestQueue deals them
   // round-robin across the card shards.
+  RequestQueue queue(cfg.num_cards);
   for (int id = 0; id < cfg.num_requests; ++id)
-    init.shards[static_cast<std::size_t>(id % cfg.num_cards)].push_back(id);
+    queue.push(TranslationRequest{static_cast<std::uint64_t>(id), {},
+                                  id * cfg.arrival_gap});
+  const std::size_t n = static_cast<std::size_t>(cfg.num_cards);
+  State init{std::vector<Card>(n, Card(cfg)), Protocol(n, std::move(queue))};
 
+  Explorer ex(cfg);
   ex.seen.insert(encode(init));
   ex.result.states = 1;
   dfs(init, ex, 0);
+  if (!ex.stop && ex.result.terminals == 0)
+    ex.fail(GateDiagCode::kDeadlock, -1,
+            "no interleaving quiesces: every path cycles (livelock)");
   return ex.result;
 }
 

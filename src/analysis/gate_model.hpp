@@ -1,28 +1,28 @@
-// Exhaustive model checker for the AdmissionGate reservation protocol
-// (PR 10 tentpole, pillar 2).
+// Exhaustive model checker for the AdmissionGate reservation protocol.
 //
 // Clang's -Wthread-safety proves the *lock discipline* of the serve stack
-// (every slot access under mu_, see serve/admission_gate.hpp), but not the
+// (all gate state under mu_, see serve/admission_gate.hpp), but not the
 // *protocol*: that pops resolve in global (key, id) order, that no
 // interleaving deadlocks, that no grant is lost or duplicated. TSan can
 // only sample interleavings the host scheduler happens to produce. This
-// module closes that gap with a small-scope exhaustive search: an
-// abstracted replica of the card step machine (Scheduler::CardRun, the
-// serve loop's one admission path, under burst arrivals) driving a
-// faithful replica of the gate
-// (reserve / try_consume / release / publish / retire over
+// module closes that gap with a small-scope exhaustive search over the
+// shipped code itself: each card runs the shipped CardAdmission (the
+// admission bookkeeping of Scheduler::CardRun) with a one-transition
+// compute model, against the shipped AdmissionGate::Protocol and its
+// RequestQueue (reserve / try_consume / release / publish / retire over
 // kIdle/kPending/kGranted/kHeld), explored by memoized DFS over EVERY
 // interleaving of gate operations for small farms (num_cards <= 4,
-// num_requests <= 4).
+// num_requests <= 4), with burst or staggered arrivals and greedy or beam
+// slot demand.
 //
-// The abstraction is sound for the protocol because the gate mutex
-// serializes all shared state: the only scheduling choices that matter are
-// which card performs its next gate operation, so one DFS transition =
-// "card c runs until its next gate op (inclusive)". Card-local compute is
-// deterministic and invisible to siblings. A card whose try_consume comes
-// back pending parks (WorkerPool) and is re-enabled only by the on_grant
-// unpark — modeled exactly, so a lost wakeup shows up as a reachable
-// deadlock, not a hang.
+// The search is sound for the protocol because the gate mutex serializes
+// all shared state: the only scheduling choices that matter are which card
+// performs its next gate operation, so one DFS transition = "card c runs
+// until its next gate op (inclusive)". Card-local compute is deterministic
+// and invisible to siblings. A card whose try_consume comes back pending
+// parks (WorkerPool) and is re-enabled only by the grant's unpark —
+// modeled exactly, so a lost wakeup shows up as a reachable deadlock, not
+// a hang.
 //
 // Invariants checked (stable codes, tools/gate_model_check keys on them):
 //   GATE-ORDER     pops resolve in non-decreasing (key, id) order, and a
@@ -30,7 +30,8 @@
 //   GATE-KEY       every pop executes at the card's frozen step-top
 //                  snapshot key, never at a live (host-dependent) clock
 //   GATE-DEADLOCK  some interleaving reaches a state with live cards but
-//                  no enabled transition (e.g. a lost unpark)
+//                  no enabled transition (e.g. a lost unpark), or no
+//                  interleaving quiesces at all (a livelock)
 //   GATE-LOST      at quiescence a request was popped but never admitted
 //                  (or still sits in the queue after every card retired)
 //   GATE-DUP       at quiescence some request was admitted more than once
@@ -39,8 +40,9 @@
 //                  determinism claim the thread-stress test samples,
 //                  proven here over the whole space
 //
-// `--tamper` (GateTamper) seeds one protocol bug per mode and the checker
-// must catch each with its precise code — proving the wall can fail.
+// `--tamper` (GateTamper) seeds one protocol bug per mode from the checker
+// side of the shipped code, and the checker must catch each with its
+// precise code — proving the wall can fail.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +57,7 @@ namespace tfacc {
 enum class GateDiagCode {
   kOrder,     ///< GATE-ORDER: pop order / minimality violated
   kKey,       ///< GATE-KEY: pop executed at a non-frozen key
-  kDeadlock,  ///< GATE-DEADLOCK: reachable state with no enabled card
+  kDeadlock,  ///< GATE-DEADLOCK: no enabled card, or no quiescent state
   kLost,      ///< GATE-LOST: request never admitted at quiescence
   kDup,       ///< GATE-DUP: request admitted more than once
   kNondet,    ///< GATE-NONDET: terminal state differs across interleavings
@@ -85,19 +87,25 @@ enum class GateTamper {
   kDoubleGrant,  ///< first pop leaves the request in the queue -> GATE-DUP
   kDropGrant,    ///< first popped request is discarded (reported as
                  ///  drained)                      -> GATE-LOST
-  kNonMinGrant,  ///< scan grants the maximal pending pair instead of the
-                 ///  global minimum               -> GATE-ORDER
+  kNonMinGrant,  ///< the maximal pending pair is granted too, whether or
+                 ///  not it is the global minimum  -> GATE-ORDER
 };
 
 const char* gate_tamper_name(GateTamper tamper);
 
-/// One model configuration: a burst of `num_requests` requests (ids
-/// 0..M-1, all arrived at t=0, decode lengths 1 + id % 2 so finishes are
-/// ragged) over `num_cards` cards with `slots_per_card` hypothesis slots.
+/// One model configuration: `num_requests` requests (ids 0..M-1, decode
+/// lengths 1 + id % 2 so finishes are ragged) over `num_cards` cards with
+/// `slots_per_card` hypothesis slots.
 struct GateModelConfig {
   int num_cards = 2;
   int num_requests = 2;
   int slots_per_card = 2;
+  /// Slots one sentence occupies, each decoding one row per step:
+  /// SchedulerConfig::slot_demand() (1 greedy, beam_size beam).
+  int slot_demand = 1;
+  /// Request i arrives at simulated time i * arrival_gap, as Scheduler::run
+  /// takes arrivals; 0 is a burst.
+  Cycle arrival_gap = 0;
   /// false: accelerator keys (admissions charge nothing; every pop of a
   /// drain keys at the step-top snapshot). true: functional-proxy keys
   /// (each admission charges one tick; successive pops key one apart) —

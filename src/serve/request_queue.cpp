@@ -1,6 +1,7 @@
 #include "serve/request_queue.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 #include "common/check.hpp"
@@ -8,27 +9,17 @@
 namespace tfacc {
 
 RequestQueue::RequestQueue(int num_shards)
-    : shards_(static_cast<std::size_t>(num_shards)) {
+    : shards_(static_cast<std::size_t>(std::max(num_shards, 0))) {
   TFACC_CHECK_ARG_MSG(num_shards >= 1,
                       "num_shards must be >= 1, got " << num_shards);
 }
 
 void RequestQueue::push(TranslationRequest req) {
-  TFACC_CHECK_MSG(!closed(), "push after close");
-  Shard& shard =
-      shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) %
-              shards_.size()];
-  const MutexLock lock(shard.mu);
-  shard.q.push_back(std::move(req));
-}
-
-void RequestQueue::close() { closed_.store(true, std::memory_order_release); }
-
-bool RequestQueue::try_pop(int shard, TranslationRequest& out) {
-  // "Everything has arrived": reduces to the original owner-front /
-  // thief-back pop (the back-most arrived entry IS the back).
-  return try_pop(shard, std::numeric_limits<Cycle>::max(), out) ==
-         PopOutcome::kPopped;
+  TFACC_CHECK_ARG_MSG(req.arrival >= last_arrival_,
+                      "arrivals must be non-decreasing, got "
+                          << req.arrival << " after " << last_arrival_);
+  last_arrival_ = req.arrival;
+  shards_[next_shard_++ % shards_.size()].push_back(std::move(req));
 }
 
 RequestQueue::PopOutcome RequestQueue::try_pop(int shard, Cycle now,
@@ -36,65 +27,47 @@ RequestQueue::PopOutcome RequestQueue::try_pop(int shard, Cycle now,
                                                Cycle* next_arrival) {
   TFACC_CHECK_ARG(shard >= 0 &&
                   shard < static_cast<int>(shards_.size()));
-  {
-    Shard& own = shards_[static_cast<std::size_t>(shard)];
-    const MutexLock lock(own.mu);
-    if (!own.q.empty() && own.q.front().arrival <= now) {
-      out = std::move(own.q.front());
-      own.q.pop_front();
-      return PopOutcome::kPopped;
-    }
+  std::deque<TranslationRequest>& own =
+      shards_[static_cast<std::size_t>(shard)];
+  if (!own.empty() && own.front().arrival <= now) {
+    out = std::move(own.front());
+    own.pop_front();
+    return PopOutcome::kPopped;
   }
-  // Steal from the most loaded sibling that holds an arrived request. A
-  // victim may drain between the scan and the steal; rescan until a steal
-  // lands, nothing has arrived, or everything is empty.
-  for (;;) {
-    int victim = -1;
-    std::size_t victim_load = 0;
-    bool any_request = false;
-    Cycle earliest = std::numeric_limits<Cycle>::max();
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      Shard& sh = shards_[s];
-      const MutexLock lock(sh.mu);
-      const auto& q = sh.q;
-      if (q.empty()) continue;
-      any_request = true;
-      for (const TranslationRequest& r : q)
-        earliest = std::min(earliest, r.arrival);
-      if (static_cast<int>(s) == shard) continue;
-      // Per-shard FIFO order is arrival-sorted (see header), so the front
-      // tells whether anything in the shard has arrived.
-      if (q.front().arrival <= now && q.size() > victim_load) {
-        victim_load = q.size();
-        victim = static_cast<int>(s);
-      }
-    }
-    if (!any_request) return PopOutcome::kDrained;
-    if (victim < 0) {
-      if (next_arrival != nullptr) *next_arrival = earliest;
-      return PopOutcome::kPending;
-    }
-    Shard& v = shards_[static_cast<std::size_t>(victim)];
-    const MutexLock lock(v.mu);
-    // Thief-back among eligibles: the back-most entry that has arrived
-    // (the plain back once every arrival has passed).
-    std::ptrdiff_t idx = -1;
-    for (std::size_t i = 0; i < v.q.size(); ++i)
-      if (v.q[i].arrival <= now) idx = static_cast<std::ptrdiff_t>(i);
-    if (idx >= 0) {
-      out = std::move(v.q[static_cast<std::size_t>(idx)]);
-      v.q.erase(v.q.begin() + idx);
-      return PopOutcome::kPopped;
-    }
+  // Steal from the most loaded sibling that holds an arrived request. Every
+  // shard is arrival-sorted, so its front holds its earliest arrival.
+  std::deque<TranslationRequest>* victim = nullptr;
+  bool any_request = false;
+  Cycle earliest = std::numeric_limits<Cycle>::max();
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    std::deque<TranslationRequest>& q = shards_[s];
+    if (q.empty()) continue;
+    any_request = true;
+    earliest = std::min(earliest, q.front().arrival);
+    if (static_cast<int>(s) == shard) continue;
+    if (q.front().arrival <= now &&
+        (victim == nullptr || q.size() > victim->size()))
+      victim = &q;
   }
+  if (!any_request) return PopOutcome::kDrained;
+  if (victim == nullptr) {
+    if (next_arrival != nullptr) *next_arrival = earliest;
+    return PopOutcome::kPending;
+  }
+  // Thief-back among eligibles: the back-most entry that has arrived (the
+  // plain back once every arrival has passed).
+  const auto arrived_end = std::upper_bound(
+      victim->begin(), victim->end(), now,
+      [](Cycle t, const TranslationRequest& r) { return t < r.arrival; });
+  const auto it = std::prev(arrived_end);
+  out = std::move(*it);
+  victim->erase(it);
+  return PopOutcome::kPopped;
 }
 
 std::size_t RequestQueue::pending() const {
   std::size_t n = 0;
-  for (const Shard& s : shards_) {
-    const MutexLock lock(s.mu);
-    n += s.q.size();
-  }
+  for (const std::deque<TranslationRequest>& q : shards_) n += q.size();
   return n;
 }
 

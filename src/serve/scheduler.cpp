@@ -14,6 +14,7 @@
 #include "core/schedules.hpp"
 #include "reference/search.hpp"
 #include "serve/admission_gate.hpp"
+#include "serve/card_admission.hpp"
 #include "serve/worker_pool.hpp"
 
 namespace tfacc {
@@ -202,17 +203,14 @@ struct FirstError {
 
 // The per-card step loop, structured as a resumable machine so a pool
 // worker can park it (only) when it truly cannot progress. One iteration is
-// kTop → [kTopDrain] → kStepCompute → kMidDrain → kTop. The admission drain
-// runs MID-step (after the expensive decode compute, inside the
-// still-open step ledger): a newly admitted sentence is never decode-ready
-// in its admission step — its prefill chunks are non-empty, so it
-// contributes no gather rows — and its first chunk rides this step's
-// ledger exactly as when admission ran at the top, so the composed step
-// ledger (and every modeled metric) is unchanged while the admission wait
-// overlaps the step's host compute. A card with nothing in flight drains at
-// the top instead (kTopDrain), since it has no step to overlap.
+// kTop → [kTopDrain] → kStepCompute → kMidDrain → kTop; the admission
+// bookkeeping between the gate operations is CardAdmission's (see
+// serve/card_admission.hpp for why the drain runs mid-step). A newly
+// admitted sentence is never decode-ready in its admission step: its
+// prefill chunks are non-empty, so it contributes no gather rows.
 struct Scheduler::CardRun {
   using Status = WorkerPool::Status;
+  using Drain = CardAdmission::Drain;
 
   // One admitted sentence: its id, its search state machine, and the
   // not-yet-timed prefill chunks of its encoder pass. A sentence
@@ -227,7 +225,6 @@ struct Scheduler::CardRun {
   };
 
   enum class StepPhase { kTop, kTopDrain, kStepCompute, kMidDrain };
-  enum class Drain { kCompleted, kParked };
 
   CardRun(const SchedulerConfig& config, std::size_t card_id, Card& card_ref,
           const QuantizedTransformer* qt, AdmissionGate& gate_ref,
@@ -239,7 +236,8 @@ struct Scheduler::CardRun {
         rep(report),
         stats(report.per_card[card_id]),
         step_stats(report.per_card_steps[card_id]),
-        demand(cfg.slot_demand()) {
+        admission(cfg.slots_per_card, cfg.slot_demand(),
+                  cfg.backend != ServeBackend::kAccelerator) {
     switch (cfg.backend) {
       case ServeBackend::kReference:
         card.model.set_backend(ResBlockBackend{});
@@ -261,8 +259,7 @@ struct Scheduler::CardRun {
   // Virtual clock driving the admission order: simulated ResBlock cycles on
   // the accelerator; a work proxy (rows stepped + sentences admitted +
   // prefill chunks spliced) for the functional backends, which have no
-  // cycle model. `clock_floor` fast-forwards an idle card past an arrival
-  // gap so the admission order stays well-defined with staggered arrivals.
+  // cycle model.
   Cycle busy() const {
     return cfg.backend == ServeBackend::kAccelerator
                ? stats.total_cycles()
@@ -270,48 +267,17 @@ struct Scheduler::CardRun {
                                     step_stats.sentences +
                                     step_stats.prefill_chunks);
   }
-  Cycle virtual_time() const { return std::max(clock_floor, busy()); }
-
-  // Frozen reservation key. Pops happen mid-step, when the step's own
-  // charges have already moved the live clock, so keys come from the
-  // top-of-iteration snapshot: on the accelerator an admission charges
-  // nothing (the capture defers all timing), so every pop this iteration
-  // keys at the snapshot; the functional proxy counts each admitted
-  // sentence, so successive pops key one tick apart.
-  Cycle admission_key() const {
-    const Cycle base = cfg.backend == ServeBackend::kAccelerator
-                           ? busy_snapshot
-                           : busy_snapshot +
-                                 static_cast<Cycle>(admitted_in_drain);
-    return std::max(clock_floor, base);
-  }
-
-  void post_reservation() {
-    gate.reserve(c, admission_key());
-    posted = true;
-  }
 
   Status resume() {
     for (;;) {
       switch (phase) {
         case StepPhase::kTop: {
-          if (queue_drained && active.empty() && pending_admits.empty()) {
-            gate.retire(c);
+          if (!admission.top(gate, c, busy())) {
             detach();
             return Status::kDone;
           }
-          busy_snapshot = busy();
-          admitted_in_drain = 0;
-          if (!active.empty()) {
-            // Post the step's reservation BEFORE the decode compute so a
-            // sibling's scan can resolve it while this thread crunches.
-            if (!posted && !queue_drained &&
-                reserved + demand <= cfg.slots_per_card)
-              post_reservation();
-            phase = StepPhase::kStepCompute;
-          } else {
-            phase = StepPhase::kTopDrain;
-          }
+          phase = active.empty() ? StepPhase::kTopDrain
+                                 : StepPhase::kStepCompute;
           break;
         }
         case StepPhase::kTopDrain: {
@@ -340,64 +306,20 @@ struct Scheduler::CardRun {
 
   // Fill every vacant slot via the reservation protocol. Never blocks the
   // host: a pending grant parks the job (kParked) and the resume re-enters
-  // here. Completed leaves the gate slot idle (no reservation) unless the
-  // card parked.
+  // here.
   Drain drain() {
-    for (;;) {
-      if (holding) {
-        // Just consumed a pop: keep the turn and re-reserve while vacancy
-        // remains, else yield it.
-        if (queue_drained || reserved + demand > cfg.slots_per_card) {
-          gate.release(c);
-          holding = false;
-          return Drain::kCompleted;
-        }
-        gate.reserve(c, admission_key());
-        holding = false;
-        posted = true;
-      } else if (!posted) {
-        if (queue_drained || reserved + demand > cfg.slots_per_card)
-          return Drain::kCompleted;
-        post_reservation();
-      }
-      AdmissionGate::Grant g;
-      if (!gate.try_consume(c, &g)) return Drain::kParked;
-      posted = false;
-      holding = true;
-      switch (g.outcome) {
-        case RequestQueue::PopOutcome::kDrained:
-          queue_drained = true;  // closed before run(): empty is final
-          break;                 // loop head releases and completes
-        case RequestQueue::PopOutcome::kPending:
-          if (active.empty() && pending_admits.empty()) {
-            // Nothing in flight: idle the card forward to the next arrival
-            // so its reservation key (and the admission order) advances.
-            clock_floor = std::max(clock_floor, g.next_arrival);
-            // loop head re-reserves at the raised key
-          } else {
-            // Work in flight: keep stepping, arrivals re-check next step.
-            gate.release(c);
-            holding = false;
-            return Drain::kCompleted;
-          }
-          break;
-        case RequestQueue::PopOutcome::kPopped:
-          // Encode deferred until the drain completes (admit_pending) — the
-          // capture charges nothing, so later pops' keys are unaffected.
-          reserved += demand;
-          ++step_stats.sentences;
-          step_stats.admitted.push_back(g.req.id);
-          ++admitted_in_drain;
-          pending_admits.push_back(std::move(g.req));
-          break;
-      }
-    }
+    Drain d = admission.drain_step(gate, c);
+    while (d == Drain::kMore) d = admission.drain_step(gate, c);
+    return d;
   }
 
   void admit_pending() {
-    for (TranslationRequest& req : pending_admits)
+    for (TranslationRequest& req : admission.pending_admits) {
+      ++step_stats.sentences;
+      step_stats.admitted.push_back(req.id);
       active.push_back(make_active(req));
-    pending_admits.clear();
+    }
+    admission.pending_admits.clear();
   }
 
   // One bit-exact host-side encoder pass NOW (outputs can never depend on
@@ -505,13 +427,13 @@ struct Scheduler::CardRun {
     for (std::size_t ai = 0; ai < active.size();) {
       if (active[ai].search->done()) {
         rep.outputs[active[ai].id] = active[ai].search->result();
-        reserved -= demand;
+        admission.vacate();
         active.erase(active.begin() + static_cast<std::ptrdiff_t>(ai));
       } else {
         ++ai;
       }
     }
-    gate.publish(c, virtual_time());
+    gate.publish(c, admission.virtual_time(busy()));
   }
 
   // --- wiring ---------------------------------------------------------------
@@ -522,21 +444,11 @@ struct Scheduler::CardRun {
   ScheduleReport& rep;
   AcceleratorStats& stats;
   CardStepStats& step_stats;
-  const int demand;
   std::optional<DecodeStepFuser> fuser;  // accelerator backend only
-
-  // --- admission state ------------------------------------------------------
-  std::vector<Active> active;
-  int reserved = 0;  // slots claimed by admitted sentences (demand each)
-  Cycle clock_floor = 0;
-  bool queue_drained = false;
-  bool posted = false;   // reservation outstanding (pending or granted)
-  bool holding = false;  // consumed a grant, turn not yet yielded
-  Cycle busy_snapshot = 0;   // busy() at the top of this iteration
-  int admitted_in_drain = 0;
-  std::vector<TranslationRequest> pending_admits;  // encode deferred
+  CardAdmission admission;
 
   // --- step state -----------------------------------------------------------
+  std::vector<Active> active;
   StepPhase phase = StepPhase::kTop;
   int rows = 0;
   // Per-iteration gather/scatter buffers, hoisted so their capacities
@@ -586,14 +498,10 @@ ScheduleReport Scheduler::run(const std::vector<TokenSeq>& sources,
                       "arrivals must be empty or one per source, got "
                           << arrivals.size() << " for " << sources.size()
                           << " sources");
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+  for (std::size_t i = 0; i < arrivals.size(); ++i)
     TFACC_CHECK_ARG_MSG(arrivals[i] >= 0,
                         "arrivals must be >= 0, got " << arrivals[i]
                             << " at index " << i);
-    TFACC_CHECK_ARG_MSG(i == 0 || arrivals[i - 1] <= arrivals[i],
-                        "arrivals must be non-decreasing, got "
-                            << arrivals[i] << " after " << arrivals[i - 1]);
-  }
   ScheduleReport rep;
   rep.clock_mhz = cfg_.accel.clock_mhz;
   rep.outputs.resize(sources.size());
@@ -602,15 +510,13 @@ ScheduleReport Scheduler::run(const std::vector<TokenSeq>& sources,
   for (CardStepStats& s : rep.per_card_steps)
     s.rows_hist.assign(static_cast<std::size_t>(cfg_.slots_per_card) + 1, 0);
 
+  // push checks that the arrivals are non-decreasing.
   RequestQueue queue(cfg_.num_cards);
-  // Sorted-arrival pushes keep every shard's FIFO arrival-sorted, which the
-  // arrival-aware try_pop relies on (see request_queue.hpp).
   for (std::size_t i = 0; i < sources.size(); ++i)
     queue.push(TranslationRequest{static_cast<std::uint64_t>(i), sources[i],
                                   arrivals.empty() ? 0 : arrivals[i]});
-  queue.close();
 
-  AdmissionGate gate(cards_.size(), queue,
+  AdmissionGate gate(cards_.size(), std::move(queue),
                      [this](std::size_t j) { pool_->unpark(j); });
   std::vector<std::unique_ptr<CardRun>> runs;
   runs.reserve(cards_.size());

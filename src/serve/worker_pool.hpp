@@ -1,13 +1,12 @@
 // Persistent host worker pool owned by the Scheduler (PR 9), hoisted out of
 // scheduler.cpp into an annotatable header (PR 10): the threads are spawned
-// once at construction and reused by every run() (and by the concurrent
-// card builds), replacing the old per-run spawn/join. Job i is pinned to
-// worker i % threads, so a card's state is only ever touched by one thread
-// across park/unpark cycles. A job returns kParked when it cannot progress
-// (admission grant pending); unpark(i) makes it runnable again. With one
-// effective thread there are no workers at all: run() drives every job
-// cooperatively on the calling thread — the forced-serial mode the
-// thread-stress test compares against.
+// once at construction and reused by every run(), replacing the old
+// per-run spawn/join. Job i is pinned to worker i % threads, so a card's
+// state is only ever touched by one thread across park/unpark cycles. A
+// job returns kParked when it cannot progress (admission grant pending);
+// unpark(i) makes it runnable again. With one effective thread there are
+// no workers at all: run() drives every job cooperatively on the calling
+// thread — the forced-serial mode the thread-stress test compares against.
 //
 // Concurrency contract (machine-checked): every mutable scheduling field is
 // guarded by mu_ (TFACC_GUARDED_BY below — compile-time under Clang's
@@ -16,10 +15,10 @@
 // the lock around the invocation, and re-acquires to record the outcome.
 // workers_ and threads_ are written only during construction / destruction
 // and never resized afterwards, so they need no guard. AdmissionGate's
-// grant callback calls unpark() while holding the *gate* mutex — the lock
-// order is gate → pool, and no pool code ever calls into the gate while
-// holding mu_, so the order is acyclic. std::thread objects are constructed
-// nowhere else in the tree (lint rule thread-spawn).
+// grant callback calls unpark() after releasing the gate mutex, and no pool
+// code calls into the gate while holding mu_, so mu_ is never taken under
+// another lock. std::thread objects are constructed nowhere else in the
+// tree (lint rule thread-spawn).
 #pragma once
 
 #include <cstddef>
@@ -56,7 +55,9 @@ class WorkerPool {
 
   /// Make a parked job runnable again and wake its worker. Callable from
   /// any thread (the admission gate's grant callback, possibly while that
-  /// thread is executing a different job).
+  /// thread is executing a different job). It only sets a flag, so an
+  /// unpark that lands before the job parks is not lost: the job runs again
+  /// and finds its grant.
   void unpark(std::size_t job) TFACC_EXCLUDES(mu_);
 
  private:
@@ -68,9 +69,9 @@ class WorkerPool {
   // parked with work remaining would be a deadlock — unreachable, because a
   // job only parks on a pending reservation, and the gate grants the
   // minimal pending reservation at every interaction (the grant callback
-  // marks its job runnable before the owner can observe it parked);
+  // marks its job runnable before the granting job returns);
   // tools/gate_model_check proves deadlock-freedom over every interleaving
-  // of the abstracted protocol.
+  // of the shipped protocol.
   void run_inline() TFACC_EXCLUDES(mu_);
 
   void worker_main(std::size_t w) TFACC_EXCLUDES(mu_);

@@ -30,23 +30,31 @@ std::string describe(const GateModelConfig& cfg, const GateModelResult& res) {
   return "cards=" + std::to_string(cfg.num_cards) +
          " reqs=" + std::to_string(cfg.num_requests) +
          " slots=" + std::to_string(cfg.slots_per_card) +
-         (cfg.proxy_keys ? " proxy" : " accel") + "\n" + res.to_string();
+         (cfg.proxy_keys ? " proxy" : " accel") +
+         " demand=" + std::to_string(cfg.slot_demand) +
+         " gap=" + std::to_string(cfg.arrival_gap) + "\n" + res.to_string();
 }
 
 // --------------------------------------------------------------------------
 // Faithful protocol: clean over the whole small-scope grid.
 // --------------------------------------------------------------------------
 
+// Greedy and beam (two slots per sentence), burst and staggered arrivals.
 TEST(GateModel, FaithfulProtocolVerifiesCleanAcrossGrid) {
   for (int cards = 1; cards <= 3; ++cards)
     for (int reqs = 0; reqs <= 3; ++reqs)
       for (int slots = 1; slots <= 3; ++slots)
-        for (const bool proxy : {false, true}) {
-          const GateModelConfig cfg = config(cards, reqs, slots, proxy);
-          const GateModelResult res = check_gate_model(cfg);
-          EXPECT_TRUE(res.ok()) << describe(cfg, res);
-          EXPECT_GE(res.terminals, 1) << describe(cfg, res);
-        }
+        for (const bool proxy : {false, true})
+          for (const int demand : {1, 2})
+            for (const Cycle gap : {0, 1, 2}) {
+              if (demand > slots) continue;
+              GateModelConfig cfg = config(cards, reqs, slots, proxy);
+              cfg.slot_demand = demand;
+              cfg.arrival_gap = gap;
+              const GateModelResult res = check_gate_model(cfg);
+              EXPECT_TRUE(res.ok()) << describe(cfg, res);
+              EXPECT_EQ(res.terminals, 1) << describe(cfg, res);
+            }
 }
 
 // The acceptance bound: cards=3, requests=3 explored exhaustively with

@@ -101,17 +101,20 @@ std::vector<TokenSeq> serial_greedy(Transformer& model, ServeBackend backend,
 
 // --- RequestQueue -------------------------------------------------------------
 
+using Pop = RequestQueue::PopOutcome;
+
+// Burst pops: every request has arrived by then.
+constexpr Cycle kAfterAll = std::numeric_limits<Cycle>::max();
+
 TEST(RequestQueue, SingleShardFifoOrder) {
   RequestQueue q(1);
   for (std::uint64_t i = 0; i < 5; ++i) q.push({i, {3}});
-  q.close();
   TranslationRequest req;
   for (std::uint64_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(q.try_pop(0, req));
+    ASSERT_EQ(q.try_pop(0, kAfterAll, req), Pop::kPopped);
     EXPECT_EQ(req.id, i);
   }
-  EXPECT_FALSE(q.try_pop(0, req));
-  EXPECT_TRUE(q.closed());
+  EXPECT_EQ(q.try_pop(0, kAfterAll, req), Pop::kDrained);
 }
 
 TEST(RequestQueue, StealsFromLoadedSibling) {
@@ -120,23 +123,82 @@ TEST(RequestQueue, StealsFromLoadedSibling) {
   for (std::uint64_t i = 0; i < 5; ++i) q.push({i, {3}});
   TranslationRequest req;
   // Drain shard 2's own item, then force it to steal twice.
-  ASSERT_TRUE(q.try_pop(2, req));
+  ASSERT_EQ(q.try_pop(2, kAfterAll, req), Pop::kPopped);
   EXPECT_EQ(req.id, 2u);
   std::set<std::uint64_t> stolen;
-  ASSERT_TRUE(q.try_pop(2, req));
+  ASSERT_EQ(q.try_pop(2, kAfterAll, req), Pop::kPopped);
   stolen.insert(req.id);
-  ASSERT_TRUE(q.try_pop(2, req));
+  ASSERT_EQ(q.try_pop(2, kAfterAll, req), Pop::kPopped);
   stolen.insert(req.id);
   // Thieves take the back of a sibling deque.
   EXPECT_TRUE(stolen.count(3) == 1 || stolen.count(4) == 1);
   EXPECT_EQ(q.pending(), 2u);
 }
 
+TEST(RequestQueue, StealsBackMostArrivedWhileOwnFrontIsPending) {
+  RequestQueue q(2);
+  // Shard 0: ids 0, 2, 4 at 0, 2, 8. Shard 1: ids 1, 3, 5 at 1, 3, 9.
+  const Cycle arrival[] = {0, 1, 2, 3, 8, 9};
+  for (std::uint64_t i = 0; i < 6; ++i) q.push({i, {3}, arrival[i]});
+  TranslationRequest req;
+  ASSERT_EQ(q.try_pop(0, 3, req), Pop::kPopped);
+  EXPECT_EQ(req.id, 0u);
+  ASSERT_EQ(q.try_pop(0, 3, req), Pop::kPopped);
+  EXPECT_EQ(req.id, 2u);
+  // Own front (id 4) arrives at 8: steal shard 1's back-most arrived entry,
+  // id 3, not its back (id 5, arriving at 9) nor its front.
+  ASSERT_EQ(q.try_pop(0, 3, req), Pop::kPopped);
+  EXPECT_EQ(req.id, 3u);
+  ASSERT_EQ(q.try_pop(0, 3, req), Pop::kPopped);
+  EXPECT_EQ(req.id, 1u);
+  EXPECT_EQ(q.pending(), 2u);
+}
+
+TEST(RequestQueue, NothingArrivedIsPendingUntilEarliestFront) {
+  RequestQueue q(3);
+  // Shard 0: ids 0, 3 at 5, 9. Shard 1: id 1 at 6. Shard 2: id 2 at 7.
+  const Cycle arrival[] = {5, 6, 7, 9};
+  for (std::uint64_t i = 0; i < 4; ++i) q.push({i, {3}, arrival[i]});
+  TranslationRequest req;
+  Cycle next = -1;
+  EXPECT_EQ(q.try_pop(1, 4, req, &next), Pop::kPending);
+  EXPECT_EQ(next, 5);  // a sibling's front
+  next = -1;
+  EXPECT_EQ(q.try_pop(0, 4, req, &next), Pop::kPending);
+  EXPECT_EQ(next, 5);  // the own front
+  EXPECT_EQ(q.try_pop(2, 4, req), Pop::kPending);  // next_arrival optional
+  EXPECT_EQ(q.pending(), 4u);
+  ASSERT_EQ(q.try_pop(1, 5, req), Pop::kPopped);
+  EXPECT_EQ(req.id, 0u);
+}
+
+TEST(RequestQueue, EveryShardEmptyIsDrained) {
+  RequestQueue q(3);
+  TranslationRequest req;
+  Cycle next = -1;
+  EXPECT_EQ(q.try_pop(1, 0, req, &next), Pop::kDrained);
+  EXPECT_EQ(next, -1);
+  q.push({7, {3}, 4});
+  EXPECT_EQ(q.try_pop(1, 0, req), Pop::kPending);
+  ASSERT_EQ(q.try_pop(1, 4, req), Pop::kPopped);
+  EXPECT_EQ(req.id, 7u);
+  EXPECT_EQ(q.try_pop(0, kAfterAll, req), Pop::kDrained);
+}
+
+TEST(RequestQueue, RejectsOutOfOrderPush) {
+  RequestQueue q(2);
+  q.push({0, {3}, 5});
+  q.push({1, {3}, 5});  // equal arrivals are in order
+  EXPECT_THROW(q.push({2, {3}, 4}), CheckError);
+  EXPECT_EQ(q.pending(), 2u);
+}
+
 TEST(RequestQueue, RejectsBadShard) {
   RequestQueue q(2);
   TranslationRequest req;
-  EXPECT_THROW(q.try_pop(2, req), CheckError);
+  EXPECT_THROW(q.try_pop(2, kAfterAll, req), CheckError);
   EXPECT_THROW(RequestQueue(0), CheckError);
+  EXPECT_THROW(RequestQueue(-1), CheckError);
 }
 
 // --- Config validation --------------------------------------------------------

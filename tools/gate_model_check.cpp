@@ -1,13 +1,15 @@
-// gate_model_check — exhaustive AdmissionGate protocol checker (PR 10).
+// gate_model_check — exhaustive AdmissionGate protocol checker.
 //
 // Companion to schedule_lint: where that tool verifies the *schedules* the
 // builders emit, this one verifies the *concurrency protocol* that orders
 // them. It sweeps a grid of small farm shapes (cards x requests x slots,
-// both admission-key flavors) and, for each, explores EVERY interleaving
-// of gate operations with the memoized DFS in analysis/gate_model.hpp,
-// asserting the PR 9 reservation invariants: pops resolve in global
-// (key, id) order, no reachable deadlock, no lost or duplicated grant at
-// quiescence, and one unique terminal state (determinism).
+// both admission-key flavors, greedy and beam slot demand, burst and
+// staggered arrivals) and, for each, explores EVERY interleaving of the
+// shipped gate, queue and card admission code with the memoized DFS in
+// analysis/gate_model.hpp, asserting the reservation invariants: pops
+// resolve in global (key, id) order, no reachable deadlock, no lost or
+// duplicated grant at quiescence, and one unique terminal state
+// (determinism).
 //
 //   gate_model_check [--grid=small|full] [--verbose]
 //     exit 0: every config explored exhaustively with zero diagnostics
@@ -40,6 +42,10 @@ std::string config_name(const GateModelConfig& cfg) {
                      " reqs=" + std::to_string(cfg.num_requests) +
                      " slots=" + std::to_string(cfg.slots_per_card) +
                      (cfg.proxy_keys ? " [proxy-keys]" : " [accel-keys]");
+  if (cfg.slot_demand != 1)
+    name += " demand=" + std::to_string(cfg.slot_demand);
+  if (cfg.arrival_gap != 0)
+    name += " gap=" + std::to_string(cfg.arrival_gap);
   if (cfg.tamper != GateTamper::kNone)
     name += std::string(" tamper=") + gate_tamper_name(cfg.tamper);
   return name;
@@ -59,6 +65,11 @@ void lint_config(Lint& lint, const GateModelConfig& cfg) {
                 res.to_string().c_str());
 }
 
+/// Staggered arrivals: request i arrives at i * kArrivalGap, a gap of one
+/// to two decode steps of a one-sentence card, so pops both find nothing
+/// arrived while work is in flight and fast-forward an idle card.
+constexpr Cycle kArrivalGap = 2;
+
 void sweep(Lint& lint, bool full) {
   const int max_cards = full ? 4 : 3;
   const int max_reqs = full ? 4 : 3;
@@ -66,14 +77,19 @@ void sweep(Lint& lint, bool full) {
   for (int cards = 1; cards <= max_cards; ++cards)
     for (int reqs = 0; reqs <= max_reqs; ++reqs)
       for (int slots = 1; slots <= max_slots; ++slots)
-        for (const bool proxy : {false, true}) {
-          GateModelConfig cfg;
-          cfg.num_cards = cards;
-          cfg.num_requests = reqs;
-          cfg.slots_per_card = slots;
-          cfg.proxy_keys = proxy;
-          lint_config(lint, cfg);
-        }
+        for (const bool proxy : {false, true})
+          for (const int demand : {1, 2})
+            for (const Cycle gap : {Cycle{0}, kArrivalGap}) {
+              if (demand > slots) continue;
+              GateModelConfig cfg;
+              cfg.num_cards = cards;
+              cfg.num_requests = reqs;
+              cfg.slots_per_card = slots;
+              cfg.proxy_keys = proxy;
+              cfg.slot_demand = demand;
+              cfg.arrival_gap = gap;
+              lint_config(lint, cfg);
+            }
 }
 
 /// The tamper grid: each seeded bug with the (documented) code that must
