@@ -107,8 +107,8 @@ struct ModelGate {
     cd.spec_key = key;
     // Tamper: post the live clock (what a naive implementation reading the
     // in-step cycle counter would do) instead of the frozen snapshot.
-    granted(st.gate.reserve(
-        c, ex.cfg.tamper == GateTamper::kFrozenKey ? cd.clock : key));
+    const bool live = ex.cfg.tamper == GateTamper::kFrozenKey;
+    granted(st.gate.reserve(c, live ? cd.clock : key));
   }
   bool try_consume(std::size_t c, AdmissionGate::Grant* out) {
     ran = true;
@@ -466,9 +466,7 @@ GateModelResult check_gate_model(const GateModelConfig& cfg) {
       "num_requests must be in [0, 4], got " << cfg.num_requests);
   TFACC_CHECK_ARG_MSG(
       cfg.slot_demand >= 1 && cfg.slot_demand <= cfg.slots_per_card,
-      "slot_demand must be in [1, slots_per_card], got "
-          << cfg.slot_demand << " with slots_per_card "
-          << cfg.slots_per_card);
+      "slot_demand must be in [1, slots_per_card], got " << cfg.slot_demand);
   TFACC_CHECK_ARG_MSG(cfg.arrival_gap >= 0,
                       "arrival_gap must be >= 0, got " << cfg.arrival_gap);
 

@@ -75,9 +75,7 @@ class AdmissionGate {
       Grant grant;
 
       /// A live slot blocks its siblings at (blocking_key(), its index).
-      Cycle blocking_key() const {
-        return phase == Phase::kIdle ? clock : key;
-      }
+      Cycle blocking_key() const { return phase == Phase::kIdle ? clock : key; }
     };
 
     Protocol(std::size_t n, RequestQueue q);

@@ -70,9 +70,11 @@ class CardAdmission {
   /// The held grant found no arrived request while work is in flight: yield
   /// the turn; the next step's reservation retries.
   bool arrivals_pending = false;
-  bool queue_drained = false;  ///< pushes precede the run: empty is final
+  /// Pushes precede the run, so an empty queue is final.
+  bool queue_drained = false;
   int reserved = 0;  ///< slots claimed by admitted sentences (demand each)
-  Cycle clock_floor = 0;    ///< idle fast-forward past an arrival gap
+  /// Idle fast-forward past an arrival gap.
+  Cycle clock_floor = 0;
   Cycle busy_snapshot = 0;  ///< busy at the top of this step
   int admitted_in_drain = 0;
   /// Popped this drain; the caller encodes them once the drain completes
@@ -85,10 +87,8 @@ class CardAdmission {
   // step-top snapshot: every pop of a step keys at the snapshot, one tick
   // apart per earlier pop under proxy keys.
   Cycle admission_key() const {
-    const Cycle base =
-        busy_snapshot + (proxy_keys_ ? static_cast<Cycle>(admitted_in_drain)
-                                     : Cycle{0});
-    return std::max(clock_floor, base);
+    const int charged = proxy_keys_ ? admitted_in_drain : 0;
+    return std::max(clock_floor, busy_snapshot + charged);
   }
 
   bool can_pop() const {

@@ -25,8 +25,7 @@ void RequestQueue::push(TranslationRequest req) {
 RequestQueue::PopOutcome RequestQueue::try_pop(int shard, Cycle now,
                                                TranslationRequest& out,
                                                Cycle* next_arrival) {
-  TFACC_CHECK_ARG(shard >= 0 &&
-                  shard < static_cast<int>(shards_.size()));
+  TFACC_CHECK_ARG(shard >= 0 && shard < static_cast<int>(shards_.size()));
   std::deque<TranslationRequest>& own =
       shards_[static_cast<std::size_t>(shard)];
   if (!own.empty() && own.front().arrival <= now) {

@@ -166,7 +166,8 @@ TEST(RequestQueue, NothingArrivedIsPendingUntilEarliestFront) {
   next = -1;
   EXPECT_EQ(q.try_pop(0, 4, req, &next), Pop::kPending);
   EXPECT_EQ(next, 5);  // the own front
-  EXPECT_EQ(q.try_pop(2, 4, req), Pop::kPending);  // next_arrival optional
+  // next_arrival is optional.
+  EXPECT_EQ(q.try_pop(2, 4, req), Pop::kPending);
   EXPECT_EQ(q.pending(), 4u);
   ASSERT_EQ(q.try_pop(1, 5, req), Pop::kPopped);
   EXPECT_EQ(req.id, 0u);
