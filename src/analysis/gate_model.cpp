@@ -1,6 +1,5 @@
 #include "analysis/gate_model.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <sstream>
 #include <unordered_set>
