@@ -128,6 +128,9 @@ TEST(QuantizedTransformer, TranslateThatThrowsRestoresFp32Backend) {
 // on, most of them many times. Under max-abs, build() must quantize every
 // block exactly as block builds over that capture do.
 
+constexpr int kCalibVocab = 24;
+constexpr int kCalibMaxLen = 6;
+
 /// How a greedy decode capped at max_len ended.
 enum class Exit { kEmpty, kEos, kCap };
 
@@ -258,29 +261,40 @@ void expect_blocks_match(const QuantizedTransformer& qt,
   }
 }
 
+/// Random weights of `cfg` over a 24-token vocabulary, with the EOS column
+/// of the output projection boosted so that EOS wins some steps, first steps
+/// included.
+TransformerWeights eos_boosted_weights(const ModelConfig& cfg, Rng& rng) {
+  TransformerWeights weights =
+      TransformerWeights::random(cfg, kCalibVocab, rng);
+  for (int r = 0; r < weights.output_projection.rows(); ++r)
+    weights.output_projection(r, kEosId) *= 8.0f;
+  return weights;
+}
+
+/// Eight random calibration sources of 2 to 7 tokens.
+std::vector<TokenSeq> calib_sources(Rng& rng) {
+  std::vector<TokenSeq> sources(8);
+  for (TokenSeq& src : sources) {
+    src.resize(static_cast<std::size_t>(rng.uniform_int(2, 7)));
+    for (int& t : src) t = rng.uniform_int(3, kCalibVocab - 1);
+  }
+  return sources;
+}
+
 TEST(QuantizedTransformer, BuildMatchesFullRecomputeCapture) {
-  constexpr int kVocab = 24;
-  constexpr int kMaxLen = 6;
-  constexpr float kEosBoost = 8.0f;
   for (const ModelConfig& cfg : {hw_tiny(), ModelConfig::tiny()}) {
     SCOPED_TRACE(cfg.name);
     Rng rng(16);
-    TransformerWeights weights = TransformerWeights::random(cfg, kVocab, rng);
-    // A larger EOS column makes EOS win some steps, first steps included.
-    for (int r = 0; r < weights.output_projection.rows(); ++r)
-      weights.output_projection(r, kEosId) *= kEosBoost;
-    Transformer model(std::move(weights));
+    Transformer model(eos_boosted_weights(cfg, rng));
+    const std::vector<TokenSeq> sources = calib_sources(rng);
 
-    std::vector<TokenSeq> sources;
     std::vector<CaptureStore> captures;
     int exits[3] = {0, 0, 0};
-    for (int i = 0; i < 8; ++i) {
-      TokenSeq src(static_cast<std::size_t>(rng.uniform_int(2, 7)));
-      for (int& t : src) t = rng.uniform_int(3, kVocab - 1);
+    for (const TokenSeq& src : sources) {
       TokenSeq out;
-      captures.push_back(full_recompute_capture(model, src, kMaxLen, out));
-      ++exits[static_cast<int>(exit_of(out, kMaxLen))];
-      sources.push_back(std::move(src));
+      captures.push_back(full_recompute_capture(model, src, kCalibMaxLen, out));
+      ++exits[static_cast<int>(exit_of(out, kCalibMaxLen))];
     }
     // Each way a decode ends must occur, or the pin proves less than it says.
     EXPECT_GT(exits[static_cast<int>(Exit::kEmpty)], 0);
@@ -292,7 +306,7 @@ TEST(QuantizedTransformer, BuildMatchesFullRecomputeCapture) {
     const std::size_t dec = model.weights().decoder_layers.size();
     ASSERT_EQ(all.mha.size(), enc + 2 * dec);
     ASSERT_EQ(all.ffn.size(), enc + dec);
-    const auto qt = QuantizedTransformer::build(model, sources, kMaxLen,
+    const auto qt = QuantizedTransformer::build(model, sources, kCalibMaxLen,
                                                 SoftmaxImpl::kHardware);
     expect_blocks_match(qt, all, SoftmaxImpl::kHardware, CalibMethod::kMaxAbs);
 
@@ -300,10 +314,118 @@ TEST(QuantizedTransformer, BuildMatchesFullRecomputeCapture) {
     // once, as the KV-cache decode computes it: over each sentence's last
     // full-recompute step.
     const auto qt999 = QuantizedTransformer::build(
-        model, sources, kMaxLen, SoftmaxImpl::kHardware,
+        model, sources, kCalibMaxLen, SoftmaxImpl::kHardware,
         CalibMethod::kPercentile999);
     expect_blocks_match(qt999, pool(captures, /*last_only=*/true),
                         SoftmaxImpl::kHardware, CalibMethod::kPercentile999);
+  }
+}
+
+// --- Golden pin of the whole build ------------------------------------------
+// FNV-1a 64 over every calibrated field of every block, in (stack, layer,
+// sublayer) order: the bits of each float scale, each FixedPointScale, the
+// INT8 weights and INT32 biases, and each LayerNorm unit's out_scale. The
+// comparison above builds both sides through the same block builds, so
+// this hash is what holds build() itself still.
+
+class BuildHash {
+ public:
+  std::uint64_t value() const { return h_; }
+
+  void add(const QuantizedTransformer& qt, const TransformerWeights& w) {
+    for (const auto& layer : w.encoder_layers) {
+      add(qt.mha_for(layer.mha));
+      add(qt.ffn_for(layer.ffn));
+    }
+    for (const auto& layer : w.decoder_layers) {
+      add(qt.mha_for(layer.self_mha));
+      add(qt.mha_for(layer.cross_mha));
+      add(qt.ffn_for(layer.ffn));
+    }
+  }
+
+ private:
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= b[i];
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(float v) {
+    const auto bits = std::bit_cast<std::uint32_t>(v);
+    bytes(&bits, sizeof bits);
+  }
+  void add(const FixedPointScale& s) {
+    bytes(&s.mantissa, sizeof s.mantissa);
+    bytes(&s.shift, sizeof s.shift);
+  }
+  void add(const QuantizedLinear& q) {
+    bytes(q.w.data(), q.w.size());
+    bytes(q.bias.data(), q.bias.size() * sizeof(std::int32_t));
+    add(q.in_scale);
+    add(q.w_scale);
+    add(q.out_scale);
+    add(q.requant);
+    for (std::size_t j = 0; j < q.col_w_scale.size(); ++j) {
+      add(q.col_w_scale[j]);
+      add(q.col_requant[j]);
+    }
+  }
+  void add(const MhaQuantized& m) {
+    add(m.q_in_scale);
+    add(m.kv_in_scale);
+    for (const MhaQuantized::Head& h : m.heads) {
+      add(h.wq);
+      add(h.wk);
+      add(h.wv);
+      add(h.av_requant);
+    }
+    add(m.p_scale);
+    add(m.wg);
+    add(m.g_scale);
+    add(m.wg_to_g);
+    add(m.residual_to_g);
+    add(m.out_scale);
+    add(m.norm.out_scale());
+  }
+  void add(const FfnQuantized& f) {
+    add(f.in_scale);
+    add(f.w1);
+    add(f.w2);
+    add(f.g_scale);
+    add(f.w2_to_g);
+    add(f.residual_to_g);
+    add(f.out_scale);
+    add(f.norm.out_scale());
+  }
+
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+TEST(QuantizedTransformer, BuildOutputIsPinned) {
+  struct Pin {
+    ModelConfig cfg;
+    CalibMethod method;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {hw_tiny(), CalibMethod::kMaxAbs, 0xf41662437ece52f2ULL},
+      {hw_tiny(), CalibMethod::kPercentile999, 0x23f95abffb65d1e8ULL},
+      {ModelConfig::tiny(), CalibMethod::kMaxAbs, 0x506f4d1e81d695dbULL},
+      {ModelConfig::tiny(), CalibMethod::kPercentile999, 0xf10ecef832389d65ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(::testing::Message()
+                 << pin.cfg.name << " method " << static_cast<int>(pin.method));
+    Rng rng(16);
+    Transformer model(eos_boosted_weights(pin.cfg, rng));
+    const auto qt =
+        QuantizedTransformer::build(model, calib_sources(rng), kCalibMaxLen,
+                                    SoftmaxImpl::kHardware, pin.method);
+    BuildHash h;
+    h.add(qt, model.weights());
+    EXPECT_EQ(h.value(), pin.hash) << std::hex << "0x" << h.value();
   }
 }
 
