@@ -14,12 +14,46 @@ namespace {
 // rounding in the requantizers cannot saturate calibration-range values.
 constexpr int kI16CalibMax = 32000;
 
-float scale_of(const std::vector<MatF>& samples, int qmax,
-               CalibMethod method) {
-  return calibrate(samples, qmax, method).scale;
+}  // namespace
+
+// --- Calibration ranges ------------------------------------------------------
+
+MhaRanges::MhaRanges(std::size_t num_heads, CalibMethod method)
+    : q_in(method),
+      kv_in(method),
+      q1(num_heads, RangeObserver(method)),
+      k1(num_heads, RangeObserver(method)),
+      v1(num_heads, RangeObserver(method)),
+      p(method),
+      g(method),
+      out(method) {}
+
+void MhaRanges::query(std::size_t h, const MatF& q1_rows) {
+  q1.at(h).add(q1_rows);
 }
 
-}  // namespace
+void MhaRanges::key_value(std::size_t h, const MatF& k1_rows,
+                          const MatF& v1_rows) {
+  k1.at(h).add(k1_rows);
+  v1.at(h).add(v1_rows);
+}
+
+void MhaRanges::output(const MatF& p_rows, const MatF& g_rows,
+                       const MatF& out_rows) {
+  p.add(p_rows);
+  g.add(g_rows);
+  out.add(out_rows);
+}
+
+FfnRanges::FfnRanges(CalibMethod method)
+    : in(method), hidden(method), g(method), out(method) {}
+
+void FfnRanges::output(const MatF& hidden_rows, const MatF& g_rows,
+                       const MatF& out_rows) {
+  hidden.add(hidden_rows);
+  g.add(g_rows);
+  out.add(out_rows);
+}
 
 MatI16 saturating_add_i16(const MatI16& a, const MatI16& b) {
   TFACC_CHECK_ARG(a.same_shape(b));
@@ -125,13 +159,13 @@ MatI8 QuantizedLinear::forward_relu(const MatI8& x) const {
 
 // --- MhaQuantized ------------------------------------------------------------
 
-MhaQuantized MhaQuantized::build(const MhaWeights& w, const Calibration& calib,
-                                 SoftmaxImpl impl, CalibMethod method,
+MhaQuantized MhaQuantized::build(const MhaWeights& w, const MhaRanges& ranges,
+                                 SoftmaxImpl impl,
                                  WeightGranularity granularity) {
   TFACC_CHECK_ARG(!w.heads.empty());
-  TFACC_CHECK_ARG(!calib.q.empty());
-  TFACC_CHECK_ARG(calib.q.size() == calib.kv.size() &&
-                  calib.q.size() == calib.mask.size());
+  TFACC_CHECK_ARG(ranges.q1.size() == w.heads.size() &&
+                  ranges.k1.size() == w.heads.size() &&
+                  ranges.v1.size() == w.heads.size());
   const int head_dim = w.heads.front().wq.cols();
   TFACC_CHECK_ARG_MSG(impl != SoftmaxImpl::kHardware || head_dim == 64,
                       "the Fig. 6 datapath hard-codes the /8 = sqrt(64) scale");
@@ -141,47 +175,21 @@ MhaQuantized MhaQuantized::build(const MhaWeights& w, const Calibration& calib,
   m.num_heads = static_cast<int>(w.heads.size());
   m.head_dim = head_dim;
   m.softmax_impl = impl;
-  m.q_in_scale = scale_of(calib.q, 127, method);
-  m.kv_in_scale = scale_of(calib.kv, 127, method);
-
-  // FP32 calibration pass: collect per-head projection ranges and the ranges
-  // of P, G and the LayerNorm output over all samples.
-  const std::size_t n_samples = calib.q.size();
-  std::vector<std::vector<MatF>> q1s(w.heads.size()), k1s(w.heads.size()),
-      v1s(w.heads.size());
-  std::vector<MatF> ps, gs, outs;
-  for (std::size_t s = 0; s < n_samples; ++s) {
-    std::vector<MatF> head_outputs;
-    for (std::size_t h = 0; h < w.heads.size(); ++h) {
-      const auto& head = w.heads[h];
-      MatF q1 = add_bias(gemm(calib.q[s], head.wq), head.bq);
-      MatF k1 = add_bias(gemm(calib.kv[s], head.wk), head.bk);
-      MatF v1 = add_bias(gemm(calib.kv[s], head.wv), head.bv);
-      head_outputs.push_back(attention_head(q1, k1, v1, calib.mask[s]));
-      q1s[h].push_back(std::move(q1));
-      k1s[h].push_back(std::move(k1));
-      v1s[h].push_back(std::move(v1));
-    }
-    MatF p = hconcat(head_outputs);
-    MatF g = add(calib.q[s], add_bias(gemm(p, w.wg), w.bg));
-    outs.push_back(layer_norm(g, w.norm));
-    ps.push_back(std::move(p));
-    gs.push_back(std::move(g));
-  }
-
-  m.p_scale = scale_of(ps, 127, method);
-  m.g_scale = scale_of(gs, kI16CalibMax, method);
-  m.out_scale = scale_of(outs, 127, method);
+  m.q_in_scale = ranges.q_in.scale(127);
+  m.kv_in_scale = ranges.kv_in.scale(127);
+  m.p_scale = ranges.p.scale(127);
+  m.g_scale = ranges.g.scale(kI16CalibMax);
+  m.out_scale = ranges.out.scale(127);
 
   m.heads.resize(w.heads.size());
   for (std::size_t h = 0; h < w.heads.size(); ++h) {
     Head& qh = m.heads[h];
     qh.wq = QuantizedLinear::build(w.heads[h].wq, w.heads[h].bq, m.q_in_scale,
-                                   scale_of(q1s[h], 127, method), granularity);
+                                   ranges.q1[h].scale(127), granularity);
     qh.wk = QuantizedLinear::build(w.heads[h].wk, w.heads[h].bk, m.kv_in_scale,
-                                   scale_of(k1s[h], 127, method), granularity);
+                                   ranges.k1[h].scale(127), granularity);
     qh.wv = QuantizedLinear::build(w.heads[h].wv, w.heads[h].bv, m.kv_in_scale,
-                                   scale_of(v1s[h], 127, method), granularity);
+                                   ranges.v1[h].scale(127), granularity);
     qh.av_requant = FixedPointScale::from_double(
         static_cast<double>(hw::kProbScale) * qh.wv.out_scale / m.p_scale);
   }
@@ -196,6 +204,22 @@ MhaQuantized MhaQuantized::build(const MhaWeights& w, const Calibration& calib,
                                    m.g_scale);
   m.norm = hw::LayerNormUnit::build(w.norm, m.out_scale);
   return m;
+}
+
+MhaQuantized MhaQuantized::build(const MhaWeights& w, const Calibration& calib,
+                                 SoftmaxImpl impl, CalibMethod method,
+                                 WeightGranularity granularity) {
+  TFACC_CHECK_ARG(!w.heads.empty());
+  TFACC_CHECK_ARG(!calib.q.empty());
+  TFACC_CHECK_ARG(calib.q.size() == calib.kv.size() &&
+                  calib.q.size() == calib.mask.size());
+  MhaRanges ranges(w.heads.size(), method);
+  for (std::size_t s = 0; s < calib.q.size(); ++s) {
+    ranges.q_in.add(calib.q[s]);
+    ranges.kv_in.add(calib.kv[s]);
+    mha_resblock_observed(calib.q[s], calib.kv[s], w, calib.mask[s], &ranges);
+  }
+  return build(w, ranges, impl, granularity);
 }
 
 MatI8 MhaQuantized::softmax(const MatI32& scores, const Mask& mask,
@@ -350,28 +374,17 @@ MatI8 MhaQuantized::forward_cached_batch(
 
 // --- FfnQuantized ------------------------------------------------------------
 
-FfnQuantized FfnQuantized::build(const FfnWeights& w,
-                                 const std::vector<MatF>& x_samples,
-                                 CalibMethod method, float in_scale_override,
+FfnQuantized FfnQuantized::build(const FfnWeights& w, const FfnRanges& ranges,
+                                 float in_scale_override,
                                  WeightGranularity granularity) {
-  TFACC_CHECK_ARG(!x_samples.empty());
   FfnQuantized f;
   f.d_model = w.w1.rows();
   f.d_ff = w.w1.cols();
   f.in_scale = in_scale_override > 0.0f ? in_scale_override
-                                        : scale_of(x_samples, 127, method);
-
-  std::vector<MatF> hiddens, gs, outs;
-  for (const auto& x : x_samples) {
-    MatF hidden = relu(add_bias(gemm(x, w.w1), w.b1));
-    MatF g = add(x, add_bias(gemm(hidden, w.w2), w.b2));
-    outs.push_back(layer_norm(g, w.norm));
-    hiddens.push_back(std::move(hidden));
-    gs.push_back(std::move(g));
-  }
-  const float h_scale = scale_of(hiddens, 127, method);
-  f.g_scale = scale_of(gs, kI16CalibMax, method);
-  f.out_scale = scale_of(outs, 127, method);
+                                        : ranges.in.scale(127);
+  const float h_scale = ranges.hidden.scale(127);
+  f.g_scale = ranges.g.scale(kI16CalibMax);
+  f.out_scale = ranges.out.scale(127);
 
   f.w1 = QuantizedLinear::build(w.w1, w.b1, f.in_scale, h_scale, granularity);
   f.w2 = QuantizedLinear::build(w.w2, w.b2, h_scale, f.g_scale);
@@ -382,6 +395,19 @@ FfnQuantized FfnQuantized::build(const FfnWeights& w,
                                    f.g_scale);
   f.norm = hw::LayerNormUnit::build(w.norm, f.out_scale);
   return f;
+}
+
+FfnQuantized FfnQuantized::build(const FfnWeights& w,
+                                 const std::vector<MatF>& x_samples,
+                                 CalibMethod method, float in_scale_override,
+                                 WeightGranularity granularity) {
+  TFACC_CHECK_ARG(!x_samples.empty());
+  FfnRanges ranges(method);
+  for (const MatF& x : x_samples) {
+    ranges.in.add(x);
+    ffn_resblock_observed(x, w, &ranges);
+  }
+  return build(w, ranges, in_scale_override, granularity);
 }
 
 MatI8 FfnQuantized::forward(const MatI8& x) const {

@@ -97,6 +97,37 @@ struct QuantizedLinear {
   MatI8 forward_relu(const MatI8& x) const;
 };
 
+/// The activation ranges an MHA block's INT8 build needs: its Q and K=V
+/// inputs, each head's Q/K/V projections, P, G and the output. As an
+/// MhaObserver it folds what an observed FP32 block reports; the inputs are
+/// the caller's to fold (a cached self-attention step's K=V input is its
+/// query rows).
+struct MhaRanges final : MhaObserver {
+  MhaRanges(std::size_t num_heads, CalibMethod method);
+
+  RangeObserver q_in, kv_in;
+  std::vector<RangeObserver> q1, k1, v1;  ///< per head
+  RangeObserver p, g, out;
+
+  void query(std::size_t h, const MatF& q1_rows) override;
+  void key_value(std::size_t h, const MatF& k1_rows,
+                 const MatF& v1_rows) override;
+  void output(const MatF& p_rows, const MatF& g_rows,
+              const MatF& out_rows) override;
+};
+
+/// The activation ranges an FFN block's INT8 build needs: its input, the
+/// hidden layer, G and the output. As an FfnObserver it folds what an
+/// observed FP32 block reports; the input is the caller's to fold.
+struct FfnRanges final : FfnObserver {
+  explicit FfnRanges(CalibMethod method);
+
+  RangeObserver in, hidden, g, out;
+
+  void output(const MatF& hidden_rows, const MatF& g_rows,
+              const MatF& out_rows) override;
+};
+
 /// Quantized MHA ResBlock (Fig. 3a datapath).
 struct MhaQuantized {
   int d_model = 0;
@@ -127,8 +158,14 @@ struct MhaQuantized {
     std::vector<Mask> mask;
   };
 
-  /// `granularity` applies to the INT8-output projections (W_Q/W_K/W_V);
-  /// W_G requantizes into the INT16 residual domain and stays per-tensor.
+  /// Quantize from the folded ranges; runs no FP32 GEMM. `granularity`
+  /// applies to the INT8-output projections (W_Q/W_K/W_V); W_G requantizes
+  /// into the INT16 residual domain and stays per-tensor.
+  static MhaQuantized build(
+      const MhaWeights& w, const MhaRanges& ranges, SoftmaxImpl impl,
+      WeightGranularity granularity = WeightGranularity::kPerTensor);
+  /// Fold the samples through the observed FP32 block, then build from
+  /// their ranges.
   static MhaQuantized build(
       const MhaWeights& w, const Calibration& calib, SoftmaxImpl impl,
       CalibMethod method = CalibMethod::kMaxAbs,
@@ -189,8 +226,16 @@ struct FfnQuantized {
   float out_scale = 1.0f;
   hw::LayerNormUnit norm = {};
 
-  /// `granularity` applies to W_1 (INT8 hidden output); W_2 requantizes
-  /// into the INT16 residual domain and stays per-tensor.
+  /// Quantize from the folded ranges; runs no FP32 GEMM. A positive
+  /// `in_scale_override` replaces the input range's scale. `granularity`
+  /// applies to W_1 (INT8 hidden output); W_2 requantizes into the INT16
+  /// residual domain and stays per-tensor.
+  static FfnQuantized build(
+      const FfnWeights& w, const FfnRanges& ranges,
+      float in_scale_override = 0.0f,
+      WeightGranularity granularity = WeightGranularity::kPerTensor);
+  /// Fold the samples through the observed FP32 block, then build from
+  /// their ranges.
   static FfnQuantized build(
       const FfnWeights& w, const std::vector<MatF>& x_samples,
       CalibMethod method = CalibMethod::kMaxAbs,

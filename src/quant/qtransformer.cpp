@@ -17,7 +17,8 @@ auto find_block(Blocks& blocks, const W& w) -> decltype(&blocks.front()) {
 
 // Reinstalls the FP32 default backend on `model` when it leaves scope, on
 // the exception path too: a backend left installed would outlive what it
-// captured (a CaptureStore) or keep serving the wrong arithmetic.
+// folds into (the calibration's ranges) or keep serving the wrong
+// arithmetic.
 class Fp32BackendOnExit {
  public:
   explicit Fp32BackendOnExit(Transformer& model) : model_(model) {}
@@ -29,66 +30,103 @@ class Fp32BackendOnExit {
   Transformer& model_;
 };
 
-}  // namespace
-
-ResBlockBackend capturing_backend(CaptureStore& store) {
-  // Only the batch-style hooks capture; the cached-MHA hooks keep their
-  // reference defaults, so drive this backend with batch calls (encode,
-  // decode_states, as build() does) to record every block. A greedy decode
-  // falls back to full recompute, which records each prefix row again at
-  // every later step.
-  ResBlockBackend b;
-  b.mha = [&store](const MatF& q, const MatF& kv, const MhaWeights& w,
-                   const Mask& mask) {
-    CaptureStore::Mha* block = find_block(store.mha, w);
-    if (block == nullptr)
-      block = &store.mha.emplace_back(CaptureStore::Mha{&w, {}});
-    block->calib.q.push_back(q);
-    block->calib.kv.push_back(kv);
-    block->calib.mask.push_back(mask);
-    return mha_resblock(q, kv, w, mask);
+// The ranges of every block one calibration has seen, in first-seen order.
+struct BlockRanges {
+  struct Mha {
+    const MhaWeights* weights;
+    MhaRanges ranges;
   };
-  b.ffn = [&store](const MatF& x, const FfnWeights& w) {
-    CaptureStore::Ffn* block = find_block(store.ffn, w);
+  struct Ffn {
+    const FfnWeights* weights;
+    FfnRanges ranges;
+  };
+
+  MhaRanges& of(const MhaWeights& w) {
+    Mha* block = find_block(mha, w);
     if (block == nullptr)
-      block = &store.ffn.emplace_back(CaptureStore::Ffn{&w, {}});
-    block->inputs.push_back(x);
-    return ffn_resblock(x, w);
+      block = &mha.emplace_back(Mha{&w, MhaRanges(w.heads.size(), method)});
+    return block->ranges;
+  }
+  FfnRanges& of(const FfnWeights& w) {
+    Ffn* block = find_block(ffn, w);
+    if (block == nullptr) block = &ffn.emplace_back(Ffn{&w, FfnRanges(method)});
+    return block->ranges;
+  }
+
+  CalibMethod method;
+  std::vector<Mha> mha;
+  std::vector<Ffn> ffn;
+};
+
+// The FP32 reference backend, folding every value a block's INT8 build
+// needs into that block's ranges as it computes it. Each hook folds the
+// block's inputs; the observed forms fold the rest.
+ResBlockBackend calibrating_backend(BlockRanges& blocks) {
+  ResBlockBackend b;
+  b.mha = [&blocks](const MatF& q, const MatF& kv, const MhaWeights& w,
+                    const Mask& mask) {
+    MhaRanges& r = blocks.of(w);
+    r.q_in.add(q);
+    r.kv_in.add(kv);
+    return mha_resblock_observed(q, kv, w, mask, &r);
+  };
+  b.ffn = [&blocks](const MatF& x, const FfnWeights& w) {
+    FfnRanges& r = blocks.of(w);
+    r.in.add(x);
+    return ffn_resblock_observed(x, w, &r);
+  };
+  // begin_decode takes each layer's self cache before its cross cache, so
+  // taking the block here keeps first-seen order the model's order.
+  b.mha_self_cache = [&blocks](const MhaWeights& w) {
+    blocks.of(w);
+    return ref_mha_self_cache(w);
+  };
+  // The cross cache projects the encoder memory once per sentence: its K=V
+  // input, and each head's K/V rows.
+  b.mha_cross_cache = [&blocks](const MatF& memory, const MhaWeights& w) {
+    MhaRanges& r = blocks.of(w);
+    r.kv_in.add(memory);
+    MhaCachePtr cache = ref_mha_cross_cache(memory, w);
+    const auto& ref = static_cast<const RefMhaCache&>(*cache);
+    for (std::size_t h = 0; h < ref.k.size(); ++h)
+      r.key_value(h, ref.k[h], ref.v[h]);
+    return cache;
+  };
+  // A decode step's query rows are also the K=V input of the rows it
+  // appends.
+  b.mha_cached_batch = [&blocks](const MatF& q,
+                                 const std::vector<MhaCache*>& caches,
+                                 const MhaWeights& w,
+                                 const std::vector<Mask>& masks, bool append) {
+    MhaRanges& r = blocks.of(w);
+    r.q_in.add(q);
+    if (append) r.kv_in.add(q);
+    return ref_mha_cached_batch_observed(q, caches, w, masks, append, &r);
   };
   return b;
 }
+
+}  // namespace
 
 QuantizedTransformer QuantizedTransformer::build(
     Transformer& model, const std::vector<TokenSeq>& calib_sources,
     int max_len, SoftmaxImpl impl, CalibMethod method) {
   TFACC_CHECK_ARG(!calib_sources.empty());
 
-  CaptureStore store;
+  BlockRanges blocks{method, {}, {}};
   {
     const Fp32BackendOnExit restore(model);
-    for (const TokenSeq& src : calib_sources) {
-      // Decode on the FP32 KV-cache path, then capture one teacher-forced
-      // pass over every token the decode fed: BOS + output, less the last
-      // output token when the length cap stopped the decode. Attention is
-      // causal and every other op is row-independent, so the pass computes
-      // each row exactly as the decode step that fed it did.
-      model.set_backend(ResBlockBackend{});
-      const TokenSeq out = model.translate_greedy(src, max_len);
-      TokenSeq fed{kBosId};
-      fed.insert(fed.end(), out.begin(), out.end());
-      fed.resize(std::min(fed.size(), static_cast<std::size_t>(max_len)));
-      model.set_backend(capturing_backend(store));
-      model.decode_states(fed, model.encode(src), unpadded_length(src));
-    }
+    model.set_backend(calibrating_backend(blocks));
+    for (const TokenSeq& src : calib_sources)
+      model.translate_greedy(src, max_len);
   }
 
   QuantizedTransformer qt;
-  for (const CaptureStore::Mha& b : store.mha)
-    qt.mha_.push_back(
-        {b.weights, MhaQuantized::build(*b.weights, b.calib, impl, method)});
-  for (const CaptureStore::Ffn& b : store.ffn)
-    qt.ffn_.push_back(
-        {b.weights, FfnQuantized::build(*b.weights, b.inputs, method)});
+  for (const BlockRanges::Mha& b : blocks.mha)
+    qt.mha_.push_back({b.weights, MhaQuantized::build(*b.weights, b.ranges,
+                                                      impl)});
+  for (const BlockRanges::Ffn& b : blocks.ffn)
+    qt.ffn_.push_back({b.weights, FfnQuantized::build(*b.weights, b.ranges)});
   return qt;
 }
 

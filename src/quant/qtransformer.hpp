@@ -1,7 +1,8 @@
-// Post-training quantization of a whole Transformer: capture per-ResBlock
-// calibration inputs by running FP32 inference, build the quantized blocks,
-// and expose a ResBlockBackend that routes every block through its INT8
-// model. This is the software side of the Section V.A experiment.
+// Post-training quantization of a whole Transformer: range every ResBlock's
+// activations while the FP32 model decodes the calibration set, build the
+// quantized blocks from those ranges, and expose a ResBlockBackend that
+// routes every block through its INT8 model. This is the software side of
+// the Section V.A experiment.
 #pragma once
 
 #include <vector>
@@ -10,27 +11,6 @@
 #include "reference/transformer.hpp"
 
 namespace tfacc {
-
-/// FP32 inputs observed at each ResBlock during a calibration run: one entry
-/// per block, in first-capture order, which for a translation is (stack,
-/// layer, sublayer) order. A block is identified by the address of its
-/// weights inside the model.
-struct CaptureStore {
-  struct Mha {
-    const MhaWeights* weights;
-    MhaQuantized::Calibration calib;
-  };
-  struct Ffn {
-    const FfnWeights* weights;
-    std::vector<MatF> inputs;
-  };
-  std::vector<Mha> mha;
-  std::vector<Ffn> ffn;
-};
-
-/// A backend that behaves exactly like the FP32 reference but records every
-/// block input into `store` (which must outlive the backend's use).
-ResBlockBackend capturing_backend(CaptureStore& store);
 
 /// All ResBlocks of one model, quantized. A block is found by the address of
 /// its FP32 weights, so the TransformerWeights of the model used at build
@@ -41,12 +21,14 @@ ResBlockBackend capturing_backend(CaptureStore& store);
 class QuantizedTransformer {
  public:
   /// Calibrate by greedily translating `calib_sources` on the FP32 model's
-  /// KV-cache path, capture one teacher-forced pass over the tokens each
-  /// decode fed, then quantize every block. A block sees each distinct row
-  /// of those decodes once, so every `method` ranks each row once; max-abs
-  /// scales equal those of a full-recompute capture, which repeats rows.
-  /// `model` gets the FP32 default backend back on every exit, also when
-  /// calibration throws.
+  /// KV-cache path, the only FP32 pass: as the decode computes each block,
+  /// every value that block's INT8 build needs is folded into its ranges
+  /// (MhaRanges, FfnRanges). Then every block is built from its ranges, in
+  /// (stack, layer, sublayer) order, with no GEMM. A block sees each
+  /// distinct row of those decodes once, so every `method` ranks each row
+  /// once; max-abs scales equal those of a full-recompute capture, which
+  /// repeats rows. `model` gets the FP32 default backend back on every
+  /// exit, also when calibration throws.
   static QuantizedTransformer build(Transformer& model,
                                     const std::vector<TokenSeq>& calib_sources,
                                     int max_len, SoftmaxImpl impl,
@@ -70,7 +52,7 @@ class QuantizedTransformer {
                             DecodeMode mode = DecodeMode::kKvCache) const;
 
  private:
-  /// One entry per block, in CaptureStore order.
+  /// One entry per block, in calibration's first-seen order.
   struct MhaBlock {
     const MhaWeights* weights;
     MhaQuantized q;

@@ -7,56 +7,51 @@
 
 namespace tfacc {
 
-namespace {
+void RangeObserver::add(const float* values, std::size_t n) {
+  if (method_ == CalibMethod::kPercentile999) {
+    for (std::size_t i = 0; i < n; ++i) abs_.push_back(std::abs(values[i]));
+  } else {
+    // The first value seeds the maximum, as std::max_element's does.
+    std::size_t i = 0;
+    if (count_ == 0 && n > 0) max_abs_ = std::abs(values[i++]);
+    for (; i < n; ++i) max_abs_ = std::max(max_abs_, std::abs(values[i]));
+  }
+  count_ += n;
+}
 
-float reduce_range(std::vector<float> absvals, int qmax, CalibMethod method) {
-  if (absvals.empty()) return 1.0f;
-  float bound = 0.0f;
-  switch (method) {
-    case CalibMethod::kMaxAbs:
-      bound = *std::max_element(absvals.begin(), absvals.end());
-      break;
-    case CalibMethod::kPercentile999: {
-      const auto k = static_cast<std::size_t>(
-          0.999 * static_cast<double>(absvals.size() - 1));
-      std::nth_element(absvals.begin(), absvals.begin() + k, absvals.end());
-      bound = absvals[k];
-      break;
-    }
+float RangeObserver::scale(int qmax) const {
+  TFACC_CHECK_ARG(qmax > 0);
+  if (count_ == 0) return 1.0f;
+  float bound = max_abs_;
+  if (method_ == CalibMethod::kPercentile999) {
+    std::vector<float> ranked = abs_;
+    const auto k =
+        static_cast<std::size_t>(0.999 * static_cast<double>(count_ - 1));
+    std::nth_element(ranked.begin(), ranked.begin() + k, ranked.end());
+    bound = ranked[k];
   }
   if (bound <= 0.0f) return 1.0f;
   return bound / static_cast<float>(qmax);
 }
 
-}  // namespace
-
 QuantParams calibrate(const std::vector<float>& values, int qmax,
                       CalibMethod method) {
-  TFACC_CHECK_ARG(qmax > 0);
-  std::vector<float> absvals(values.size());
-  std::transform(values.begin(), values.end(), absvals.begin(),
-                 [](float v) { return std::abs(v); });
-  return QuantParams{reduce_range(std::move(absvals), qmax, method)};
+  RangeObserver range(method);
+  range.add(values.data(), values.size());
+  return QuantParams{range.scale(qmax)};
 }
 
 QuantParams calibrate(const MatF& values, int qmax, CalibMethod method) {
-  TFACC_CHECK_ARG(qmax > 0);
-  std::vector<float> absvals;
-  absvals.reserve(values.size());
-  for (int r = 0; r < values.rows(); ++r)
-    for (int c = 0; c < values.cols(); ++c)
-      absvals.push_back(std::abs(values(r, c)));
-  return QuantParams{reduce_range(std::move(absvals), qmax, method)};
+  RangeObserver range(method);
+  range.add(values);
+  return QuantParams{range.scale(qmax)};
 }
 
 QuantParams calibrate(const std::vector<MatF>& samples, int qmax,
                       CalibMethod method) {
-  TFACC_CHECK_ARG(qmax > 0);
-  std::vector<float> absvals;
-  for (const auto& m : samples)
-    for (int r = 0; r < m.rows(); ++r)
-      for (int c = 0; c < m.cols(); ++c) absvals.push_back(std::abs(m(r, c)));
-  return QuantParams{reduce_range(std::move(absvals), qmax, method)};
+  RangeObserver range(method);
+  for (const MatF& m : samples) range.add(m);
+  return QuantParams{range.scale(qmax)};
 }
 
 MatI8 quantize_i8(const MatF& m, QuantParams p) {

@@ -4,6 +4,7 @@
 // fixed-point multiplier of common/fixed_point.hpp).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "common/fixed_point.hpp"
@@ -22,7 +23,32 @@ enum class CalibMethod {
   kPercentile999,  ///< scale = 99.9th percentile of |x| / qmax (clips outliers)
 };
 
-/// Compute a scale so values map into [-qmax, qmax].
+/// Folds values into one range as they arrive, so a calibration set need
+/// not be kept: kMaxAbs keeps one running maximum of |x|, kPercentile999
+/// keeps every |x|. However the values are split across add() calls,
+/// scale() is the same, bit for bit.
+class RangeObserver {
+ public:
+  explicit RangeObserver(CalibMethod method = CalibMethod::kMaxAbs)
+      : method_(method) {}
+
+  void add(const float* values, std::size_t n);
+  void add(const MatF& m) { add(m.data(), m.size()); }
+
+  /// The scale that maps the range into [-qmax, qmax]: the bound (max|x|, or
+  /// the 99.9th percentile of |x|) over qmax; 1.0 when no value was added or
+  /// the bound is zero.
+  float scale(int qmax) const;
+
+ private:
+  CalibMethod method_;
+  std::size_t count_ = 0;
+  float max_abs_ = 0.0f;    // kMaxAbs
+  std::vector<float> abs_;  // kPercentile999
+};
+
+/// Compute a scale so values map into [-qmax, qmax]: RangeObserver's scale
+/// over the values.
 QuantParams calibrate(const std::vector<float>& values, int qmax,
                       CalibMethod method = CalibMethod::kMaxAbs);
 QuantParams calibrate(const MatF& values, int qmax,

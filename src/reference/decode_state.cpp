@@ -33,6 +33,14 @@ MhaCachePtr ref_mha_cross_cache(const MatF& memory, const MhaWeights& w) {
 MatF ref_mha_cached_batch(const MatF& q, const std::vector<MhaCache*>& caches,
                           const MhaWeights& w, const std::vector<Mask>& masks,
                           bool append) {
+  return ref_mha_cached_batch_observed(q, caches, w, masks, append, nullptr);
+}
+
+MatF ref_mha_cached_batch_observed(const MatF& q,
+                                   const std::vector<MhaCache*>& caches,
+                                   const MhaWeights& w,
+                                   const std::vector<Mask>& masks, bool append,
+                                   MhaObserver* obs) {
   const int n = q.rows();
   TFACC_CHECK_ARG(static_cast<int>(caches.size()) == n &&
                   static_cast<int>(masks.size()) == n);
@@ -54,8 +62,10 @@ MatF ref_mha_cached_batch(const MatF& q, const std::vector<MhaCache*>& caches,
         ref.k[h].append_rows(k_new.block(r, 0, 1, head_dim));
         ref.v[h].append_rows(v_new.block(r, 0, 1, head_dim));
       }
+      if (obs != nullptr) obs->key_value(h, k_new, v_new);
     }
     const MatF qi = add_bias(gemm(q, head.wq), head.bq);
+    if (obs != nullptr) obs->query(h, qi);
     for (int r = 0; r < n; ++r) {
       const auto& ref =
           dynamic_cast<const RefMhaCache&>(*caches[static_cast<std::size_t>(r)]);
@@ -64,8 +74,7 @@ MatF ref_mha_cached_batch(const MatF& q, const std::vector<MhaCache*>& caches,
                                  ref.v[h], masks[static_cast<std::size_t>(r)]));
     }
   }
-  const MatF g = add(q, add_bias(gemm(p, w.wg), w.bg));
-  return layer_norm(g, w.norm);
+  return mha_output_stage(q, p, w, obs);
 }
 
 DecodeState DecodeState::clone() const {

@@ -60,6 +60,15 @@ MhaCachePtr ref_mha_cross_cache(const MatF& memory, const MhaWeights& w);
 MatF ref_mha_cached_batch(const MatF& q, const std::vector<MhaCache*>& caches,
                           const MhaWeights& w, const std::vector<Mask>& masks,
                           bool append);
+/// ref_mha_cached_batch, reporting to `obs` when it is not null: per head
+/// the query projection and, with `append`, the K/V rows it appends; then
+/// P, G and the output. Without an observer it is ref_mha_cached_batch,
+/// allocation for allocation, so a warm step still allocates nothing.
+MatF ref_mha_cached_batch_observed(const MatF& q,
+                                   const std::vector<MhaCache*>& caches,
+                                   const MhaWeights& w,
+                                   const std::vector<Mask>& masks, bool append,
+                                   MhaObserver* obs);
 
 /// The whole incremental-decode state of one hypothesis: per-decoder-layer
 /// self-attention caches (grown one row per step) and cross-attention caches

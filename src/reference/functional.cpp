@@ -85,40 +85,68 @@ MatF attention_head(const MatF& q, const MatF& k, const MatF& v,
 
 namespace {
 
-MatF mha_sublayer(const MatF& q, const MatF& kv, const MhaWeights& w,
-                  const Mask& mask) {
-  std::vector<MatF> head_outputs;
-  head_outputs.reserve(w.heads.size());
-  for (const auto& head : w.heads) {
+// P: each head's attention over its own projections of q and kv, written
+// into its column block; each head's projections go to `obs`.
+MatF mha_heads(const MatF& q, const MatF& kv, const MhaWeights& w,
+               const Mask& mask, MhaObserver* obs) {
+  const int head_dim = w.heads.front().wv.cols();
+  MatF p(q.rows(), static_cast<int>(w.heads.size()) * head_dim);
+  for (std::size_t h = 0; h < w.heads.size(); ++h) {
+    const auto& head = w.heads[h];
     const MatF qi = add_bias(gemm(q, head.wq), head.bq);
     const MatF ki = add_bias(gemm(kv, head.wk), head.bk);
     const MatF vi = add_bias(gemm(kv, head.wv), head.bv);
-    head_outputs.push_back(attention_head(qi, ki, vi, mask));
+    if (obs != nullptr) {
+      obs->query(h, qi);
+      obs->key_value(h, ki, vi);
+    }
+    p.set_block(0, static_cast<int>(h) * head_dim,
+                attention_head(qi, ki, vi, mask));
   }
-  const MatF p = hconcat(head_outputs);           // s × d_model
-  return add_bias(gemm(p, w.wg), w.bg);           // s × d_model
+  return p;
 }
 
 }  // namespace
 
+MatF mha_output_stage(const MatF& q, const MatF& p, const MhaWeights& w,
+                      MhaObserver* obs) {
+  const MatF g = add(q, add_bias(gemm(p, w.wg), w.bg));
+  MatF out = layer_norm(g, w.norm);
+  if (obs != nullptr) obs->output(p, g, out);
+  return out;
+}
+
 MatF mha_pre_norm(const MatF& q, const MatF& kv, const MhaWeights& w,
                   const Mask& mask) {
-  return add(q, mha_sublayer(q, kv, w, mask));
+  return add(q, add_bias(gemm(mha_heads(q, kv, w, mask, nullptr), w.wg), w.bg));
+}
+
+MatF mha_resblock_observed(const MatF& q, const MatF& kv, const MhaWeights& w,
+                           const Mask& mask, MhaObserver* obs) {
+  return mha_output_stage(q, mha_heads(q, kv, w, mask, obs), w, obs);
 }
 
 MatF mha_resblock(const MatF& q, const MatF& kv, const MhaWeights& w,
                   const Mask& mask) {
-  return layer_norm(mha_pre_norm(q, kv, w, mask), w.norm);
+  return mha_resblock_observed(q, kv, w, mask, nullptr);
 }
 
 MatF ffn_pre_norm(const MatF& x, const FfnWeights& w) {
   const MatF hidden = relu(add_bias(gemm(x, w.w1), w.b1));
-  const MatF y = add_bias(gemm(hidden, w.w2), w.b2);
-  return add(x, y);
+  return add(x, add_bias(gemm(hidden, w.w2), w.b2));
+}
+
+MatF ffn_resblock_observed(const MatF& x, const FfnWeights& w,
+                           FfnObserver* obs) {
+  const MatF hidden = relu(add_bias(gemm(x, w.w1), w.b1));
+  const MatF g = add(x, add_bias(gemm(hidden, w.w2), w.b2));
+  MatF out = layer_norm(g, w.norm);
+  if (obs != nullptr) obs->output(hidden, g, out);
+  return out;
 }
 
 MatF ffn_resblock(const MatF& x, const FfnWeights& w) {
-  return layer_norm(ffn_pre_norm(x, w), w.norm);
+  return ffn_resblock_observed(x, w, nullptr);
 }
 
 }  // namespace tfacc

@@ -1,4 +1,4 @@
-// Tests for whole-model quantization: calibration capture, backend routing,
+// Tests for whole-model quantization: calibration, backend routing,
 // agreement between the quantized backend and the accelerator backend, and
 // the guards that keep extreme but finite weights out of undefined behaviour.
 #include <gtest/gtest.h>
@@ -33,32 +33,23 @@ Transformer make_model(int vocab, Rng& rng) {
   return Transformer(TransformerWeights::random(hw_tiny(), vocab, rng));
 }
 
-TEST(CapturingBackend, RecordsEveryBlockInvocation) {
-  Rng rng(1);
-  Transformer model = make_model(20, rng);
-  CaptureStore store;
-  model.set_backend(capturing_backend(store));
-  // The capturing backend overrides only the batch-style mha/ffn hooks, so
-  // supports_cached_decode() is false and the decode loop falls back to
-  // full recompute — every block invocation must be recorded.
-  model.translate_greedy({3, 4, 5}, 6);
-  model.set_backend(ResBlockBackend{});
-  // 1 encoder MHA + 1 decoder self + 1 decoder cross = 3 distinct MHA blocks;
-  // 2 distinct FFN blocks (encoder + decoder).
-  ASSERT_EQ(store.mha.size(), 3u);
-  ASSERT_EQ(store.ffn.size(), 2u);
-  for (const auto& [w, calib] : store.mha) {
-    EXPECT_GT(calib.q.size(), 0u);
-    EXPECT_EQ(calib.q.size(), calib.kv.size());
-    EXPECT_EQ(calib.q.size(), calib.mask.size());
+TEST(QuantizedTransformer, BuildQuantizesEveryBlock) {
+  for (const ModelConfig& cfg : {hw_tiny(), ModelConfig::tiny()}) {
+    SCOPED_TRACE(cfg.name);
+    Rng rng(1);
+    Transformer model(TransformerWeights::random(cfg, 20, rng));
+    const auto qt = QuantizedTransformer::build(model, {{3, 4, 5}}, 6,
+                                                SoftmaxImpl::kHardware);
+    for (const auto& layer : model.weights().encoder_layers) {
+      EXPECT_NO_THROW(qt.mha_for(layer.mha));
+      EXPECT_NO_THROW(qt.ffn_for(layer.ffn));
+    }
+    for (const auto& layer : model.weights().decoder_layers) {
+      EXPECT_NO_THROW(qt.mha_for(layer.self_mha));
+      EXPECT_NO_THROW(qt.mha_for(layer.cross_mha));
+      EXPECT_NO_THROW(qt.ffn_for(layer.ffn));
+    }
   }
-  // First-capture order is (stack, layer, sublayer) order.
-  const TransformerWeights& weights = model.weights();
-  EXPECT_EQ(store.mha[0].weights, &weights.encoder_layers[0].mha);
-  EXPECT_EQ(store.mha[1].weights, &weights.decoder_layers[0].self_mha);
-  EXPECT_EQ(store.mha[2].weights, &weights.decoder_layers[0].cross_mha);
-  EXPECT_EQ(store.ffn[0].weights, &weights.encoder_layers[0].ffn);
-  EXPECT_EQ(store.ffn[1].weights, &weights.decoder_layers[0].ffn);
 }
 
 TEST(QuantizedTransformer, BuildsAndTranslatesCloseToFp32) {
@@ -98,8 +89,8 @@ TEST(QuantizedTransformer, TranslateRestoresBackend) {
 }
 
 // A throw out of calibration or out of a quantized decode must leave the
-// FP32 default backend installed: at build(), the capturing backend would
-// otherwise write into the dead CaptureStore on the next encode (the ASan
+// FP32 default backend installed: at build(), the calibrating backend would
+// otherwise fold into build()'s dead ranges on the next encode (the ASan
 // job catches that); at translate_greedy, the INT8 backend would stay on.
 TEST(QuantizedTransformer, BuildThatThrowsRestoresFp32Backend) {
   Rng rng(7);
@@ -139,6 +130,49 @@ Exit exit_of(const TokenSeq& out, int max_len) {
   return static_cast<int>(out.size()) == max_len ? Exit::kCap : Exit::kEos;
 }
 
+/// The entry of `blocks` for the weights `w`, appended when missing.
+template <typename Blocks, typename W>
+auto& entry_for(Blocks& blocks, const W* w) {
+  for (auto& b : blocks)
+    if (b.weights == w) return b;
+  return blocks.emplace_back(typename Blocks::value_type{w, {}});
+}
+
+/// Every block input seen while capturing_backend(store) is installed: one
+/// entry per block, in first-capture order.
+struct CaptureStore {
+  struct Mha {
+    const MhaWeights* weights;
+    MhaQuantized::Calibration calib;
+  };
+  struct Ffn {
+    const FfnWeights* weights;
+    std::vector<MatF> inputs;
+  };
+  std::vector<Mha> mha;
+  std::vector<Ffn> ffn;
+};
+
+/// The FP32 reference, recording every block input into `store`. Only the
+/// batch hooks record, so supports_cached_decode() is false and a decode on
+/// it recomputes in full.
+ResBlockBackend capturing_backend(CaptureStore& store) {
+  ResBlockBackend b;
+  b.mha = [&store](const MatF& q, const MatF& kv, const MhaWeights& w,
+                   const Mask& mask) {
+    MhaQuantized::Calibration& calib = entry_for(store.mha, &w).calib;
+    calib.q.push_back(q);
+    calib.kv.push_back(kv);
+    calib.mask.push_back(mask);
+    return mha_resblock(q, kv, w, mask);
+  };
+  b.ffn = [&store](const MatF& x, const FfnWeights& w) {
+    entry_for(store.ffn, &w).inputs.push_back(x);
+    return ffn_resblock(x, w);
+  };
+  return b;
+}
+
 /// The capture of a full-recompute greedy decode of `src` on the FP32 model;
 /// the decoded tokens go to `out`.
 CaptureStore full_recompute_capture(Transformer& model, const TokenSeq& src,
@@ -148,14 +182,6 @@ CaptureStore full_recompute_capture(Transformer& model, const TokenSeq& src,
   out = model.translate_greedy(src, max_len, DecodeMode::kFullRecompute);
   model.set_backend(ResBlockBackend{});
   return store;
-}
-
-/// The entry of `blocks` for the weights `w`, appended when missing.
-template <typename Blocks, typename W>
-auto& entry_for(Blocks& blocks, const W* w) {
-  for (auto& b : blocks)
-    if (b.weights == w) return b;
-  return blocks.emplace_back(typename Blocks::value_type{w, {}});
 }
 
 /// Appends `from` to `to`, or only its last element with `last_only`.
