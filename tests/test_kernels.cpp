@@ -8,12 +8,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <new>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -134,6 +136,17 @@ MatF rand_f32(int r, int c, Rng& rng) {
   return m;
 }
 
+/// What expect_same compares: a float's bit pattern, so that a ±0 or
+/// NaN-payload difference between the kernel tables fails; other types as
+/// they are.
+template <typename T>
+auto bit_pattern(T v) {
+  if constexpr (std::is_same_v<T, float>)
+    return std::bit_cast<std::uint32_t>(v);
+  else
+    return v;
+}
+
 template <typename T>
 void expect_same(const Matrix<T>& got, const Matrix<T>& want,
                  const char* what, const Shape& s) {
@@ -141,10 +154,10 @@ void expect_same(const Matrix<T>& got, const Matrix<T>& want,
   ASSERT_EQ(got.cols(), want.cols());
   for (int r = 0; r < got.rows(); ++r)
     for (int c = 0; c < got.cols(); ++c)
-      ASSERT_EQ(got(r, c), want(r, c))
+      ASSERT_EQ(bit_pattern(got(r, c)), bit_pattern(want(r, c)))
           << what << " (" << s.m << 'x' << s.k << 'x' << s.n << ") at (" << r
-          << ',' << c << ") under kernel "
-          << kernels::kind_name(kernels::selected());
+          << ',' << c << "): " << got(r, c) << " vs " << want(r, c)
+          << " under kernel " << kernels::kind_name(kernels::selected());
 }
 
 // --- Cross-kind bit-identity over the shape grid ----------------------------
@@ -204,6 +217,37 @@ TEST_P(KernelEquivalence, MatchesScalarBitExact) {
     kernels::gemm_i8_packed_bias_into(a8, p8, bias, got_i32);
     expect_same(got_i32, want_bias, "gemm_i8_packed_bias", s);
   }
+}
+
+// Sums of signed zeros: a row of A that is all −0 against positive B gives
+// −0 products only, so the output's sign shows how a kernel seeds its
+// accumulator (+0 in the scalar table). n = 19 crosses the 8-wide AVX2 step
+// and its scalar tail.
+TEST_P(KernelEquivalence, F32SignedZerosMatchScalarBitExact) {
+  const Shape s{3, 9, 19};
+  Rng rng(77);
+  MatF a = rand_f32(s.m, s.k, rng);
+  MatF b(s.k, s.n), bt(s.n, s.k);
+  fill_uniform(b, rng, 0.5f, 1.0f);
+  fill_uniform(bt, rng, 0.5f, 1.0f);
+  for (int p = 0; p < s.k; ++p) {
+    a(0, p) = -0.0f;
+    a(1, p) = p % 2 == 0 ? -0.0f : 0.0f;
+    b(p, 3) = -0.0f;  // a column of −0 against every row
+    bt(3, p) = -0.0f;
+  }
+  MatF want(s.m, s.n), want_nt(s.m, s.n);
+  {
+    KindGuard g(kernels::Kind::kScalar);
+    kernels::gemm_f32_into(a, b, want);
+    kernels::gemm_nt_f32_into(a, bt, want_nt);
+  }
+  KindGuard g(GetParam());
+  MatF got(s.m, s.n);
+  kernels::gemm_f32_into(a, b, got);
+  expect_same(got, want, "gemm_f32", s);
+  kernels::gemm_nt_f32_into(a, bt, got);
+  expect_same(got, want_nt, "gemm_nt_f32", s);
 }
 
 // --- The int8 A·Bᵀ microkernel's tile edges ----------------------------------

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -39,6 +41,105 @@ TEST(Calibrate, MultiSampleTakesGlobalRange) {
   b(0, 1) = -12.7f;
   const QuantParams p = calibrate(std::vector<MatF>{a, b}, 127);
   EXPECT_NEAR(p.scale, 0.1f, 1e-6);
+}
+
+// --- RangeObserver against a flat oracle ------------------------------------
+// The oracle ranks the flattened |x| with the standard algorithms. The
+// observer must give its scale bit for bit, whether a matrix arrives whole
+// or row by row across many add() calls, as a cached decode delivers it.
+
+/// The scale of `values` from scratch: std::max_element or std::nth_element
+/// over the flattened |x|.
+float oracle_scale(const MatF& values, int qmax, CalibMethod method) {
+  std::vector<float> absvals(values.data(), values.data() + values.size());
+  for (float& v : absvals) v = std::abs(v);
+  if (absvals.empty()) return 1.0f;
+  float bound = 0.0f;
+  if (method == CalibMethod::kMaxAbs) {
+    bound = *std::max_element(absvals.begin(), absvals.end());
+  } else {
+    const auto k = static_cast<std::size_t>(
+        0.999 * static_cast<double>(absvals.size() - 1));
+    std::nth_element(absvals.begin(), absvals.begin() + k, absvals.end());
+    bound = absvals[k];
+  }
+  return bound <= 0.0f ? 1.0f : bound / static_cast<float>(qmax);
+}
+
+std::uint32_t bits(float f) { return std::bit_cast<std::uint32_t>(f); }
+
+/// Expects the observer, fed `m` whole or row by row, and calibrate() to
+/// give the oracle's scale under both methods at both qmax values.
+void expect_matches_oracle(const MatF& m) {
+  for (const CalibMethod method :
+       {CalibMethod::kMaxAbs, CalibMethod::kPercentile999}) {
+    for (const int qmax : {127, 32000}) {
+      SCOPED_TRACE(::testing::Message() << "method "
+                                        << static_cast<int>(method)
+                                        << " qmax " << qmax);
+      const float want = oracle_scale(m, qmax, method);
+      RangeObserver whole(method);
+      whole.add(m);
+      RangeObserver rows(method);
+      for (int r = 0; r < m.rows(); ++r) rows.add(m.block(r, 0, 1, m.cols()));
+      EXPECT_EQ(bits(whole.scale(qmax)), bits(want)) << want;
+      EXPECT_EQ(bits(rows.scale(qmax)), bits(want)) << want;
+      EXPECT_EQ(bits(calibrate(m, qmax, method).scale), bits(want)) << want;
+    }
+  }
+}
+
+TEST(RangeObserver, RowByRowMatchesFlatOracle) {
+  Rng rng(21);
+  // 1073 values: the percentile's rank falls inside, not on the maximum.
+  MatF m(37, 29);
+  fill_normal(m, rng, 0.0f, 3.0f);
+  m(5, 7) = -40.0f;  // an outlier the percentile clips
+  m(30, 2) = 39.0f;
+  expect_matches_oracle(m);
+}
+
+TEST(RangeObserver, EmptyAndAllZeroGiveUnitScale) {
+  expect_matches_oracle(MatF(0, 5));
+  expect_matches_oracle(MatF(4, 3));
+  for (const CalibMethod method :
+       {CalibMethod::kMaxAbs, CalibMethod::kPercentile999}) {
+    RangeObserver range(method);
+    EXPECT_EQ(range.scale(127), 1.0f);
+    range.add(MatF(0, 5));
+    EXPECT_EQ(range.scale(127), 1.0f);
+    range.add(MatF(2, 3));
+    EXPECT_EQ(range.scale(32000), 1.0f);
+  }
+}
+
+TEST(RangeObserver, SignedZerosAndInfinities) {
+  const float inf = std::numeric_limits<float>::infinity();
+  expect_matches_oracle(MatF{{-0.0f, 0.0f}, {0.0f, -0.0f}});
+  // An infinity first seeds the maximum; one in a later row replaces it.
+  expect_matches_oracle(MatF{{-inf, 0.5f}, {-0.0f, 2.0f}, {0.0f, 1.0f}});
+  expect_matches_oracle(MatF{{-0.0f, 0.5f}, {-2.0f, 0.0f}, {inf, -inf}});
+  // Enough values that the percentile's rank is finite among infinities.
+  MatF m(40, 50);
+  for (int r = 0; r < m.rows(); ++r)
+    for (int c = 0; c < m.cols(); ++c)
+      m(r, c) = (r + c) % 2 == 0 ? -0.0f : static_cast<float>(r - c);
+  m(0, 1) = -inf;
+  m(39, 48) = inf;
+  expect_matches_oracle(m);
+}
+
+// A NaN first poisons max_element's maximum and a later one is passed
+// over; the running maximum keeps that, row split or not.
+TEST(RangeObserver, MaxAbsTreatsNanAsMaxElementDoes) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const MatF& m : {MatF{{nan, 1.0f}, {2.0f, -3.0f}},
+                        MatF{{1.0f, nan}, {-3.0f, 2.0f}}}) {
+    const float want = oracle_scale(m, 127, CalibMethod::kMaxAbs);
+    RangeObserver rows;
+    for (int r = 0; r < m.rows(); ++r) rows.add(m.block(r, 0, 1, m.cols()));
+    EXPECT_EQ(bits(rows.scale(127)), bits(want)) << want;
+  }
 }
 
 TEST(Quantize, RoundTripErrorBoundedByHalfStep) {
