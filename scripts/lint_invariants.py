@@ -140,8 +140,8 @@ def lint_pointer_maps(path: pathlib.Path, text: str, lines: list[str],
             errors.append(
                 f"{path}:{i}: pointer-keyed-iteration: range-for over a "
                 f"lookup-only pointer-keyed map — iterate an "
-                f"insertion-ordered vector (e.g. CaptureStore::mha) "
-                f"instead")
+                f"insertion-ordered vector (e.g. QuantizedTransformer's "
+                f"block lists) instead")
 
 
 def lint_nondeterminism(path: pathlib.Path, lines: list[str],

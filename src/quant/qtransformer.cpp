@@ -75,12 +75,6 @@ ResBlockBackend calibrating_backend(BlockRanges& blocks) {
     r.in.add(x);
     return ffn_resblock_observed(x, w, &r);
   };
-  // begin_decode takes each layer's self cache before its cross cache, so
-  // taking the block here keeps first-seen order the model's order.
-  b.mha_self_cache = [&blocks](const MhaWeights& w) {
-    blocks.of(w);
-    return ref_mha_self_cache(w);
-  };
   // The cross cache projects the encoder memory once per sentence: its K=V
   // input, and each head's K/V rows.
   b.mha_cross_cache = [&blocks](const MatF& memory, const MhaWeights& w) {

@@ -62,8 +62,8 @@ MatF ref_mha_cached_batch(const MatF& q, const std::vector<MhaCache*>& caches,
                           bool append);
 /// ref_mha_cached_batch, reporting to `obs` when it is not null: per head
 /// the query projection and, with `append`, the K/V rows it appends; then
-/// P, G and the output. Without an observer it is ref_mha_cached_batch,
-/// allocation for allocation, so a warm step still allocates nothing.
+/// P, G and the output. Without an observer it is ref_mha_cached_batch and
+/// allocates nothing more, so a warm step still allocates nothing.
 MatF ref_mha_cached_batch_observed(const MatF& q,
                                    const std::vector<MhaCache*>& caches,
                                    const MhaWeights& w,

@@ -133,7 +133,8 @@ MatF mha_resblock(const MatF& q, const MatF& kv, const MhaWeights& w,
 
 MatF ffn_pre_norm(const MatF& x, const FfnWeights& w) {
   const MatF hidden = relu(add_bias(gemm(x, w.w1), w.b1));
-  return add(x, add_bias(gemm(hidden, w.w2), w.b2));
+  const MatF y = add_bias(gemm(hidden, w.w2), w.b2);
+  return add(x, y);
 }
 
 MatF ffn_resblock_observed(const MatF& x, const FfnWeights& w,

@@ -72,7 +72,7 @@ MatF mha_resblock(const MatF& q, const MatF& kv, const MhaWeights& w,
                   const Mask& mask);
 /// mha_resblock, reporting each head's Q/K/V projections, then P, G and the
 /// output to `obs` when it is not null. Without an observer it is
-/// mha_resblock, allocation for allocation.
+/// mha_resblock.
 MatF mha_resblock_observed(const MatF& q, const MatF& kv, const MhaWeights& w,
                            const Mask& mask, MhaObserver* obs);
 
