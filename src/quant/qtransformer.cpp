@@ -1,7 +1,5 @@
 #include "quant/qtransformer.hpp"
 
-#include <algorithm>
-
 namespace tfacc {
 
 namespace {

@@ -48,8 +48,8 @@ TEST(Calibrate, MultiSampleTakesGlobalRange) {
 // observer must give its scale bit for bit, whether a matrix arrives whole
 // or row by row across many add() calls, as a cached decode delivers it.
 
-/// The scale of `values` from scratch: std::max_element or std::nth_element
-/// over the flattened |x|.
+/// The scale of `values` computed directly: std::max_element or
+/// std::nth_element over the flattened |x|.
 float oracle_scale(const MatF& values, int qmax, CalibMethod method) {
   std::vector<float> absvals(values.data(), values.data() + values.size());
   for (float& v : absvals) v = std::abs(v);
