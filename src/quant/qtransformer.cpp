@@ -115,8 +115,8 @@ QuantizedTransformer QuantizedTransformer::build(
 
   QuantizedTransformer qt;
   for (const BlockRanges::Mha& b : blocks.mha)
-    qt.mha_.push_back({b.weights, MhaQuantized::build(*b.weights, b.ranges,
-                                                      impl)});
+    qt.mha_.push_back(
+        {b.weights, MhaQuantized::build(*b.weights, b.ranges, impl)});
   for (const BlockRanges::Ffn& b : blocks.ffn)
     qt.ffn_.push_back({b.weights, FfnQuantized::build(*b.weights, b.ranges)});
   return qt;

@@ -25,8 +25,8 @@ float RangeObserver::scale(int qmax) const {
   float bound = max_abs_;
   if (method_ == CalibMethod::kPercentile999) {
     std::vector<float> ranked = abs_;
-    const auto k =
-        static_cast<std::size_t>(0.999 * static_cast<double>(count_ - 1));
+    const auto k = static_cast<std::size_t>(
+        0.999 * static_cast<double>(count_ - 1));
     std::nth_element(ranked.begin(), ranked.begin() + k, ranked.end());
     bound = ranked[k];
   }

@@ -36,11 +36,9 @@ MatF ref_mha_cached_batch(const MatF& q, const std::vector<MhaCache*>& caches,
   return ref_mha_cached_batch_observed(q, caches, w, masks, append, nullptr);
 }
 
-MatF ref_mha_cached_batch_observed(const MatF& q,
-                                   const std::vector<MhaCache*>& caches,
-                                   const MhaWeights& w,
-                                   const std::vector<Mask>& masks, bool append,
-                                   MhaObserver* obs) {
+MatF ref_mha_cached_batch_observed(
+    const MatF& q, const std::vector<MhaCache*>& caches, const MhaWeights& w,
+    const std::vector<Mask>& masks, bool append, MhaObserver* obs) {
   const int n = q.rows();
   TFACC_CHECK_ARG(static_cast<int>(caches.size()) == n &&
                   static_cast<int>(masks.size()) == n);

@@ -64,11 +64,9 @@ MatF ref_mha_cached_batch(const MatF& q, const std::vector<MhaCache*>& caches,
 /// the query projection and, with `append`, the K/V rows it appends; then
 /// P, G and the output. Without an observer it is ref_mha_cached_batch and
 /// allocates nothing more, so a warm step still allocates nothing.
-MatF ref_mha_cached_batch_observed(const MatF& q,
-                                   const std::vector<MhaCache*>& caches,
-                                   const MhaWeights& w,
-                                   const std::vector<Mask>& masks, bool append,
-                                   MhaObserver* obs);
+MatF ref_mha_cached_batch_observed(
+    const MatF& q, const std::vector<MhaCache*>& caches, const MhaWeights& w,
+    const std::vector<Mask>& masks, bool append, MhaObserver* obs);
 
 /// The whole incremental-decode state of one hypothesis: per-decoder-layer
 /// self-attention caches (grown one row per step) and cross-attention caches

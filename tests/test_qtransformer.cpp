@@ -442,13 +442,13 @@ TEST(QuantizedTransformer, BuildOutputIsPinned) {
       {ModelConfig::tiny(), CalibMethod::kPercentile999, 0xf10ecef832389d65ULL},
   };
   for (const Pin& pin : pins) {
-    SCOPED_TRACE(::testing::Message()
-                 << pin.cfg.name << " method " << static_cast<int>(pin.method));
+    const int method = static_cast<int>(pin.method);
+    SCOPED_TRACE(::testing::Message() << pin.cfg.name << " method " << method);
     Rng rng(16);
     Transformer model(eos_boosted_weights(pin.cfg, rng));
-    const auto qt =
-        QuantizedTransformer::build(model, calib_sources(rng), kCalibMaxLen,
-                                    SoftmaxImpl::kHardware, pin.method);
+    const std::vector<TokenSeq> sources = calib_sources(rng);
+    const auto qt = QuantizedTransformer::build(
+        model, sources, kCalibMaxLen, SoftmaxImpl::kHardware, pin.method);
     BuildHash h;
     h.add(qt, model.weights());
     EXPECT_EQ(h.value(), pin.hash) << std::hex << "0x" << h.value();

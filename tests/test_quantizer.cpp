@@ -74,9 +74,8 @@ void expect_matches_oracle(const MatF& m) {
   for (const CalibMethod method :
        {CalibMethod::kMaxAbs, CalibMethod::kPercentile999}) {
     for (const int qmax : {127, 32000}) {
-      SCOPED_TRACE(::testing::Message() << "method "
-                                        << static_cast<int>(method)
-                                        << " qmax " << qmax);
+      const int id = static_cast<int>(method);
+      SCOPED_TRACE(::testing::Message() << "method " << id << " qmax " << qmax);
       const float want = oracle_scale(m, qmax, method);
       RangeObserver whole(method);
       whole.add(m);
@@ -133,11 +132,12 @@ TEST(RangeObserver, SignedZerosAndInfinities) {
 // over; the running maximum keeps that, row split or not.
 TEST(RangeObserver, MaxAbsTreatsNanAsMaxElementDoes) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  for (const MatF& m : {MatF{{nan, 1.0f}, {2.0f, -3.0f}},
-                        MatF{{1.0f, nan}, {-3.0f, 2.0f}}}) {
-    const float want = oracle_scale(m, 127, CalibMethod::kMaxAbs);
+  const MatF nan_first{{nan, 1.0f}, {2.0f, -3.0f}};
+  const MatF nan_later{{1.0f, nan}, {-3.0f, 2.0f}};
+  for (const MatF* m : {&nan_first, &nan_later}) {
+    const float want = oracle_scale(*m, 127, CalibMethod::kMaxAbs);
     RangeObserver rows;
-    for (int r = 0; r < m.rows(); ++r) rows.add(m.block(r, 0, 1, m.cols()));
+    for (int r = 0; r < m->rows(); ++r) rows.add(m->block(r, 0, 1, m->cols()));
     EXPECT_EQ(bits(rows.scale(127)), bits(want)) << want;
   }
 }
