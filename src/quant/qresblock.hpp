@@ -61,7 +61,7 @@ struct QuantizedLinear {
   WeightGranularity granularity = WeightGranularity::kPerTensor;
   std::vector<float> col_w_scale;            // per column, when per-column
   std::vector<FixedPointScale> col_requant;  // per column, when per-column
-  PackedI8 wpack;  // Bᵀ pack of w for the packed GEMM kernels
+  PackedI8 wpack;  // column-panel pack of w for the packed GEMM kernels
 
   /// Largest inner dimension build() accepts: every k-term int8 dot product
   /// (|Σ| ≤ k·2¹⁴) fits int32.

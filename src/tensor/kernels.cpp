@@ -1,5 +1,6 @@
 #include "tensor/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -100,9 +101,8 @@ void gemm_packed_scalar(const Matrix<T>& a, const PackedB<T>& bp,
     const T* arow = a.row(i);
     Acc* orow = out.row(i);
     for (int j = 0; j < bp.n; ++j) {
-      const T* brow = bp.row(j);
       Acc acc = bias != nullptr ? static_cast<Acc>(bias[j]) : Acc{};
-      for (int p = 0; p < k; ++p) acc += static_cast<Acc>(arow[p]) * brow[p];
+      for (int p = 0; p < k; ++p) acc += static_cast<Acc>(arow[p]) * bp(p, j);
       orow[j] = acc;
     }
   }
@@ -245,10 +245,8 @@ __attribute__((target("avx2"))) void gemm_f32_avx2(const MatF& a,
 }
 
 // --- AVX2 INT8 A·Bᵀ microkernel --------------------------------------------
-// The attention scores (B given as n×k rows) and the packed-weight
-// projections (B packed as Bᵀ, row stride k_pad) are one problem:
-//
-//   out(i, j) = seed(j) + Σ_p a(i, p)·b(j, p),   rows of A and B contiguous.
+// The attention scores: out(i, j) = Σ_p a(i, p)·b(j, p), rows of A and B
+// contiguous, k elements each.
 //
 // A tile is MR rows of A times NR rows of B whose MR·NR 256-bit accumulators
 // stay in registers: each widened A row feeds NR madds and each widened B row
@@ -259,23 +257,17 @@ __attribute__((target("avx2"))) void gemm_f32_avx2(const MatF& a,
 // step among them, run r×4 tiles so that their reduction is still shared by
 // four outputs. Columns past the last whole tile run one at a time (4×1,
 // r×1). The 16-wide steps stop at k rounded down to 16 and a scalar loop
-// finishes the k tail: A is not padded, so B's zero padding does not make
-// the tail free. The products are exact (cvtepi8_epi16 + madd_epi16) and the
-// sums are reordered integer additions, so the result equals the scalar
-// loop's wherever that loop is defined: |Σ| ≤ k·2¹⁴, and
-// QuantizedLinear::build clamps each bias so that seed + Σ fits int32,
-// partial sums included.
+// finishes the k tail. The products are exact (cvtepi8_epi16 + madd_epi16)
+// and the sums are reordered integer additions, so the result equals the
+// scalar loop's wherever that loop is defined: |Σ| ≤ k·2¹⁴.
 
-/// The operands of one out = seed ⊕ A·Bᵀ call (row strides in elements).
+/// The operands of one out = A·Bᵀ call.
 struct AbtI8 {
   const std::int8_t* a;
-  std::size_t lda;
   const std::int8_t* b;
-  std::size_t ldb;
-  const std::int32_t* seed;  // one per output column, or null for zero
   std::int32_t* out;
-  std::size_t ldo;
-  int k;
+  std::size_t ldo;  // output row stride in elements
+  int k;            // row length of A and B
 };
 
 __attribute__((target("avx2"))) __m256i widen16_i8(const std::int8_t* p) {
@@ -301,10 +293,10 @@ std::int32_t* abt_out(const AbtI8& g, int i, int j) {
 /// Adds the k tail [k16, k) of the mr×nr outputs at (i, j): the scalar loop.
 void abt_tail_i8(const AbtI8& g, int i, int j, int mr, int nr, int k16) {
   for (int r = 0; r < mr; ++r) {
-    const std::int8_t* ar = g.a + static_cast<std::size_t>(i + r) * g.lda;
+    const std::int8_t* ar = g.a + static_cast<std::size_t>(i + r) * g.k;
     std::int32_t* orow = abt_out(g, i + r, j);
     for (int c = 0; c < nr; ++c) {
-      const std::int8_t* bc = g.b + static_cast<std::size_t>(j + c) * g.ldb;
+      const std::int8_t* bc = g.b + static_cast<std::size_t>(j + c) * g.k;
       std::int32_t dot = 0;
       for (int p = k16; p < g.k; ++p)
         dot += static_cast<std::int32_t>(ar[p]) * bc[p];
@@ -317,24 +309,18 @@ void abt_tail_i8(const AbtI8& g, int i, int j, int mr, int nr, int k16) {
 template <int MR, int NR>
 __attribute__((target("avx2"))) void abt_tile_i8_avx2(const AbtI8& g, int i,
                                                       int j) {
-  const std::int8_t* a = g.a + static_cast<std::size_t>(i) * g.lda;
-  const std::int8_t* b = g.b + static_cast<std::size_t>(j) * g.ldb;
+  const std::int8_t* a = g.a + static_cast<std::size_t>(i) * g.k;
+  const std::int8_t* b = g.b + static_cast<std::size_t>(j) * g.k;
   // Accumulators in (row, column) order, padded with zeros to whole groups
-  // of four for the reduction. Column c's bias seeds lane 0 of its
-  // accumulators.
+  // of four for the reduction.
   constexpr int kAcc = (MR * NR + 3) / 4 * 4;
   __m256i acc[kAcc] = {};
-  if (g.seed != nullptr)
-    for (int r = 0; r < MR; ++r)
-      for (int c = 0; c < NR; ++c)
-        acc[r * NR + c] =
-            _mm256_setr_epi32(g.seed[j + c], 0, 0, 0, 0, 0, 0, 0);
   const int k16 = g.k / 16 * 16;
   for (int p = 0; p < k16; p += 16) {
     __m256i aw[MR];
-    for (int r = 0; r < MR; ++r) aw[r] = widen16_i8(a + r * g.lda + p);
+    for (int r = 0; r < MR; ++r) aw[r] = widen16_i8(a + r * g.k + p);
     for (int c = 0; c < NR; ++c) {
-      const __m256i bw = widen16_i8(b + c * g.ldb + p);
+      const __m256i bw = widen16_i8(b + c * g.k + p);
       for (int r = 0; r < MR; ++r)
         acc[r * NR + c] =
             _mm256_add_epi32(acc[r * NR + c], _mm256_madd_epi16(aw[r], bw));
@@ -365,9 +351,12 @@ __attribute__((target("avx2"))) void abt_rows_i8_avx2(const AbtI8& g, int i,
   for (; j < n; ++j) abt_tile_i8_avx2<MR, 1>(g, i, j);
 }
 
-/// out (m×n) = seed ⊕ A·Bᵀ through the microkernel.
-__attribute__((target("avx2"))) void gemm_abt_i8_avx2(const AbtI8& g, int m,
-                                                      int n) {
+__attribute__((target("avx2"))) void gemm_nt_i8_avx2(const MatI8& a,
+                                                     const MatI8& b,
+                                                     MatI32& out) {
+  const AbtI8 g{a.data(), b.data(), out.data(),
+                static_cast<std::size_t>(b.rows()), a.cols()};
+  const int m = a.rows(), n = b.rows();
   int i = 0;
   for (; i + 4 <= m; i += 4) {
     int j = 0;
@@ -379,22 +368,189 @@ __attribute__((target("avx2"))) void gemm_abt_i8_avx2(const AbtI8& g, int m,
   if (m - i == 3) abt_rows_i8_avx2<3>(g, i, n);
 }
 
-__attribute__((target("avx2"))) void gemm_nt_i8_avx2(const MatI8& a,
-                                                     const MatI8& b,
-                                                     MatI32& out) {
-  const auto k = static_cast<std::size_t>(a.cols());
-  gemm_abt_i8_avx2({a.data(), k, b.data(), k, nullptr, out.data(),
-                    static_cast<std::size_t>(b.rows()), a.cols()},
-                   a.rows(), b.rows());
+// --- AVX2 packed-B INT8 GEMM -----------------------------------------------
+// out = seed ⊕ A·B over the k-pair column panels of tensor/pack.hpp, one
+// block of MR ≤ 4 rows of A at a time. Per chunk of kPackedKChunk k, the
+// block's A rows are widened to int16 into a stack buffer, an odd k's last
+// pair padded with a zero, so that a row's k-pair (a[2q], a[2q+1]) is one
+// int32 to broadcast. madd_epi16 of that broadcast against a panel's widened
+// k-pair gives the pair's terms of the panel's eight output columns, so an
+// accumulator holds eight consecutive outputs of one row. It is seeded with
+// a vector load of the bias (or, on later chunks, of out itself) and stored
+// straight back to the output row: no horizontal reduction and no scalar
+// edge. A partial last panel loads and stores through a lane mask, and the
+// pack's zero padding makes an odd k's last pair inert.
+//
+// A tile is MR rows × NP panels: 4×2 over full row blocks (8 accumulators,
+// 2 widened panels and a broadcast: 11 of the 16 ymm registers), r×3 over
+// the 1–3 remainder rows, whose fewer rows amortize a widened panel less;
+// the column edge runs what is left of NP. The products are exact (|pair
+// sum| ≤ 2·128² = 2¹⁵) and the sums are reordered integer additions, so the
+// result equals the scalar loop's wherever that loop is defined: |Σ| ≤
+// k·2¹⁴, and QuantizedLinear::build clamps each bias so that seed + Σ fits
+// int32, partial sums included.
+
+constexpr int kPanelCols = PackedI8::kPanelCols;
+constexpr int kChunkPairs = kPackedKChunk / 2;
+static_assert(kPackedKChunk % 16 == 0, "a chunk is whole 16-wide widenings");
+
+/// What every tile of one k-chunk of one row block shares.
+struct PanelChunkI8 {
+  const std::int32_t* a;     // widened A: row r's pairs at a + r·kChunkPairs
+  const std::int8_t* b;      // panel 0 at the chunk's first pair
+  std::size_t panel_stride;  // elements per panel
+  int pairs;                 // k-pairs in the chunk
+  const std::int32_t* seed;  // bias on the first chunk, or null for zero
+  bool from_out;             // later chunks: seed from out
+  std::int32_t* out;         // row 0 of the block
+  std::size_t ldo;           // output row stride in elements
+};
+
+/// Widens the kc ≤ kPackedKChunk int8 values at a to ⌈kc/2⌉ int16 k-pairs
+/// at w (32-byte aligned), an odd kc's last pair padded with a zero.
+__attribute__((target("avx2"))) void widen_pairs_i8(const std::int8_t* a,
+                                                    int kc, std::int32_t* w) {
+  int x = 0;
+  for (; x + 16 <= kc; x += 16)
+    _mm256_store_si256(reinterpret_cast<__m256i*>(w + x / 2),
+                       widen16_i8(a + x));
+  if (x < kc) {
+    alignas(16) std::int8_t tail[16] = {};
+    std::memcpy(tail, a + x, static_cast<std::size_t>(kc - x));
+    _mm256_store_si256(reinterpret_cast<__m256i*>(w + x / 2),
+                       widen16_i8(tail));
+  }
+}
+
+/// Eight int32 lanes at p: all of them, or with `masked` those under mask.
+__attribute__((target("avx2"))) __m256i load_lanes(const std::int32_t* p,
+                                                   bool masked,
+                                                   __m256i mask) {
+  return masked ? _mm256_maskload_epi32(p, mask)
+                : _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+
+__attribute__((target("avx2"))) void store_lanes(std::int32_t* p, bool masked,
+                                                 __m256i mask, __m256i v) {
+  if (masked) _mm256_maskstore_epi32(p, mask, v);
+  else _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+
+/// The MR × 8·NP outputs of panels [pan, pan + NP); with kMaskLast the last
+/// panel is partial and `mask` selects its columns.
+template <int MR, int NP, bool kMaskLast>
+__attribute__((target("avx2"))) void panel_tile_i8_avx2(const PanelChunkI8& g,
+                                                        int pan,
+                                                        __m256i mask) {
+  // Copied out of g, which the output stores might alias as far as the
+  // compiler can tell.
+  const int j = pan * kPanelCols;
+  std::int32_t* const out = g.out + j;
+  const std::size_t ldo = g.ldo;
+  __m256i acc[MR][NP];
+#pragma GCC unroll 4
+  for (int c = 0; c < NP; ++c) {
+    const bool masked = kMaskLast && c == NP - 1;
+    const int col = c * kPanelCols;
+    if (g.from_out) {
+#pragma GCC unroll 4
+      for (int r = 0; r < MR; ++r)
+        acc[r][c] = load_lanes(out + r * ldo + col, masked, mask);
+    } else {
+      const __m256i s = g.seed != nullptr
+                            ? load_lanes(g.seed + j + col, masked, mask)
+                            : _mm256_setzero_si256();
+#pragma GCC unroll 4
+      for (int r = 0; r < MR; ++r) acc[r][c] = s;
+    }
+  }
+  const std::int8_t* b = g.b + static_cast<std::size_t>(pan) * g.panel_stride;
+  for (int q = 0; q < g.pairs; ++q) {
+    __m256i bw[NP];
+#pragma GCC unroll 4
+    for (int c = 0; c < NP; ++c)
+      bw[c] = widen16_i8(b + c * g.panel_stride + q * PackedI8::kPairElems);
+#pragma GCC unroll 4
+    for (int r = 0; r < MR; ++r) {
+      const __m256i av = _mm256_set1_epi32(g.a[r * kChunkPairs + q]);
+#pragma GCC unroll 4
+      for (int c = 0; c < NP; ++c)
+        acc[r][c] = _mm256_add_epi32(acc[r][c], _mm256_madd_epi16(av, bw[c]));
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < MR; ++r)
+#pragma GCC unroll 4
+    for (int c = 0; c < NP; ++c)
+      store_lanes(out + r * ldo + c * kPanelCols, kMaskLast && c == NP - 1,
+                  mask, acc[r][c]);
+}
+
+/// The last `count` ≤ NP panels from `pan`, the last of them partial when
+/// `partial`: one tile of that many panels.
+template <int MR, int NP>
+__attribute__((target("avx2"))) void panel_edge_i8_avx2(const PanelChunkI8& g,
+                                                        int pan, int count,
+                                                        bool partial,
+                                                        __m256i mask) {
+  if constexpr (NP > 0) {
+    if (count < NP) {
+      panel_edge_i8_avx2<MR, NP - 1>(g, pan, count, partial, mask);
+    } else if (partial) {
+      panel_tile_i8_avx2<MR, NP, true>(g, pan, mask);
+    } else {
+      panel_tile_i8_avx2<MR, NP, false>(g, pan, mask);
+    }
+  }
+}
+
+/// Rows [i, i + MR) of out = seed ⊕ A·B.
+template <int MR>
+__attribute__((target("avx2"))) void panel_rows_i8_avx2(
+    const MatI8& a, int i, const PackedI8& bp, const std::int32_t* bias,
+    MatI32& out) {
+  constexpr int NP = MR == 4 ? 2 : 3;
+  alignas(32) std::int32_t aw[MR * kChunkPairs];
+  const int full = bp.n / kPanelCols;
+  const int panels = (bp.n + kPanelCols - 1) / kPanelCols;
+  const __m256i mask = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(bp.n % kPanelCols),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  PanelChunkI8 g{.a = aw,
+                 .b = nullptr,
+                 .panel_stride = bp.panel_stride(),
+                 .pairs = 0,
+                 .seed = bias,
+                 .from_out = false,
+                 .out = out.row(i),
+                 .ldo = static_cast<std::size_t>(bp.n)};
+  // One pass per chunk; a k = 0 product is one empty pass that stores the
+  // seed.
+  for (int k0 = 0; k0 == 0 || k0 < bp.k; k0 += kPackedKChunk) {
+    const int kc = std::min(kPackedKChunk, bp.k - k0);
+    for (int r = 0; r < MR; ++r)
+      widen_pairs_i8(a.row(i + r) + k0, kc, aw + r * kChunkPairs);
+    g.b = bp.data.data() +
+          static_cast<std::size_t>(k0 / 2) * PackedI8::kPairElems;
+    g.pairs = (kc + 1) / 2;
+    g.from_out = k0 > 0;
+    int pan = 0;
+    for (; pan + NP <= full; pan += NP)
+      panel_tile_i8_avx2<MR, NP, false>(g, pan, mask);
+    panel_edge_i8_avx2<MR, NP>(g, pan, panels - pan, panels > full, mask);
+  }
 }
 
 __attribute__((target("avx2"))) void gemm_i8_packed_avx2(
     const MatI8& a, const PackedI8& bp, const std::int32_t* bias,
     MatI32& out) {
-  gemm_abt_i8_avx2({a.data(), static_cast<std::size_t>(a.cols()),
-                    bp.data.data(), static_cast<std::size_t>(bp.k_pad), bias,
-                    out.data(), static_cast<std::size_t>(bp.n), a.cols()},
-                   a.rows(), bp.n);
+  if (bp.n == 0) return;
+  const int m = a.rows();
+  int i = 0;
+  for (; i + 4 <= m; i += 4) panel_rows_i8_avx2<4>(a, i, bp, bias, out);
+  if (m - i == 1) panel_rows_i8_avx2<1>(a, i, bp, bias, out);
+  if (m - i == 2) panel_rows_i8_avx2<2>(a, i, bp, bias, out);
+  if (m - i == 3) panel_rows_i8_avx2<3>(a, i, bp, bias, out);
 }
 
 // --- AVX2 requantization ---------------------------------------------------
@@ -411,25 +567,30 @@ __attribute__((target("avx2"))) void gemm_i8_packed_avx2(
 // 32-bit lanes — it sign-extends the low dword of each 64-bit lane, which
 // is exactly the int32 accumulator value.
 
-/// Round, emulated-arithmetic-shift, and clamp four int64 products.
-__attribute__((target("avx2"))) __m256i requant_round_clamp_avx2(
-    __m256i prod, __m256i bias, __m128i count, __m256i offset,
-    __m256i offset_shifted, __m256i lo, __m256i hi) {
-  const __m256i neg = _mm256_cmpgt_epi64(_mm256_setzero_si256(), prod);
-  __m256i x = _mm256_add_epi64(_mm256_add_epi64(prod, bias), neg);
-  x = _mm256_sub_epi64(_mm256_srl_epi64(_mm256_add_epi64(x, offset), count),
-                       offset_shifted);
-  x = _mm256_blendv_epi8(x, hi, _mm256_cmpgt_epi64(x, hi));
-  x = _mm256_blendv_epi8(x, lo, _mm256_cmpgt_epi64(lo, x));
-  return x;
-}
-
 /// The broadcast operands of one (mantissa, shift) requantization that
 /// saturates to [lo, hi]; 1 ≤ shift ≤ 48.
 struct RequantAvx2 {
   __m256i mvec, bias, offset, offset_shifted, lo, hi;
   __m128i count;
 };
+
+/// Clamps four int64 lanes to [lo, hi].
+__attribute__((target("avx2"))) __m256i clamp_epi64(__m256i x, __m256i lo,
+                                                    __m256i hi) {
+  x = _mm256_blendv_epi8(x, hi, _mm256_cmpgt_epi64(x, hi));
+  return _mm256_blendv_epi8(x, lo, _mm256_cmpgt_epi64(lo, x));
+}
+
+/// Round, emulated-arithmetic-shift, and clamp four int64 products.
+__attribute__((target("avx2"))) __m256i requant_round_clamp_avx2(
+    __m256i prod, const RequantAvx2& k) {
+  const __m256i neg = _mm256_cmpgt_epi64(_mm256_setzero_si256(), prod);
+  __m256i x = _mm256_add_epi64(_mm256_add_epi64(prod, k.bias), neg);
+  x = _mm256_sub_epi64(
+      _mm256_srl_epi64(_mm256_add_epi64(x, k.offset), k.count),
+      k.offset_shifted);
+  return clamp_epi64(x, k.lo, k.hi);
+}
 
 __attribute__((target("avx2"))) RequantAvx2 requant_avx2(std::int32_t mantissa,
                                                         int shift,
@@ -444,6 +605,14 @@ __attribute__((target("avx2"))) RequantAvx2 requant_avx2(std::int32_t mantissa,
           _mm_cvtsi32_si128(shift)};
 }
 
+/// Eight int32 lanes in order from the int32 values of the even (dwords 0,
+/// 2, 4, 6) and the odd (1, 3, 5, 7) lanes, each held sign-extended in an
+/// int64 lane: the low dwords re-interleaved.
+__attribute__((target("avx2"))) __m256i join_even_odd_avx2(__m256i even,
+                                                           __m256i odd) {
+  return _mm256_blend_epi32(even, _mm256_slli_epi64(odd, 32), 0b10101010);
+}
+
 /// Eight int32 lanes → eight clamped int32 results in lane order: multiply
 /// the even and odd dwords separately (mul_epi32 eats the low dword of each
 /// 64-bit lane), round/clamp each half, then re-interleave the low dwords.
@@ -452,11 +621,8 @@ __attribute__((target("avx2"))) __m256i requant_8lanes_avx2(
   const __m256i pe = _mm256_mul_epi32(x, k.mvec);  // dwords 0,2,4,6
   const __m256i po = _mm256_mul_epi32(
       _mm256_shuffle_epi32(x, _MM_SHUFFLE(3, 3, 1, 1)), k.mvec);  // 1,3,5,7
-  const __m256i re = requant_round_clamp_avx2(pe, k.bias, k.count, k.offset,
-                                              k.offset_shifted, k.lo, k.hi);
-  const __m256i ro = requant_round_clamp_avx2(po, k.bias, k.count, k.offset,
-                                              k.offset_shifted, k.lo, k.hi);
-  return _mm256_blend_epi32(re, _mm256_slli_epi64(ro, 32), 0b10101010);
+  return join_even_odd_avx2(requant_round_clamp_avx2(pe, k),
+                            requant_round_clamp_avx2(po, k));
 }
 
 /// Stores eight int32 lanes, each within int8 range, to out[0, 8): byte 0
@@ -604,12 +770,14 @@ __attribute__((target("avx2"))) void requantize_i8_to_i16_avx2(
 // Stats: 8 int16 lanes per iteration; squares via pmulld on sign-extended
 // int32 (≤ 2¹⁵·2¹⁵ = 2³⁰, exact — pmaddwd would wrap on a (−32768)² pair),
 // both reductions widened to four int64 lane accumulators, so any n is exact.
-// Finish: 4 int64 lanes; t = n·g − sum stays within int32 for n ≤ 2¹⁴
-// (|t| ≤ 2n·2¹⁵ ≤ 2³⁰), so mul_epi32 on the low dwords is exact, and both
-// rounding shifts reuse the requantizer's branchless reformulation. The
-// intermediate clamp bounds are a no-op by Cauchy–Schwarz: Σtⱼ² = n·V gives
-// |norm| ≤ √n·2¹³ < 2²¹, hence |norm·γq| < 2⁵² — inside the emulated
-// arithmetic shift's valid range.
+// Finish: 8 lanes per step. t = n·g − sum is computed in int32 lanes, which
+// hold it for n ≤ 2¹⁴ (|t| ≤ 2n·2¹⁵ ≤ 2³⁰). As in the requantizer, the even
+// and the odd dwords then run as four int64 lanes each (mul_epi32 on the low
+// dwords is exact) through both rounding shifts' branchless reformulation,
+// take βq sign-extended and the int8 clamp, and the eight results are
+// stored as bytes in one go. The intermediate clamp bounds are a no-op by
+// Cauchy–Schwarz: Σtⱼ² = n·V gives |norm| ≤ √n·2¹³ < 2²¹, hence
+// |norm·γq| < 2⁵² — inside the emulated arithmetic shift's valid range.
 
 __attribute__((target("avx2"))) void layernorm_stats_avx2(const std::int16_t* g,
                                                           int n,
@@ -646,11 +814,25 @@ __attribute__((target("avx2"))) void layernorm_stats_avx2(const std::int16_t* g,
   *sumsq = q;
 }
 
+/// Four lanes of the finish loop, from t = n·g − sum, γq and βq in the low
+/// dword of each int64 lane.
+__attribute__((target("avx2"))) __m256i layernorm_finish_4lanes_avx2(
+    __m256i t, __m256i gq, __m256i bq, const RequantAvx2& norm,
+    const RequantAvx2& gamma, __m256i i8lo, __m256i i8hi) {
+  const __m256i nv = requant_round_clamp_avx2(_mm256_mul_epi32(t, norm.mvec),
+                                              norm);
+  const __m256i scaled =
+      requant_round_clamp_avx2(_mm256_mul_epi32(nv, gq), gamma);
+  // mul_epi32 by one sign-extends βq's low dword.
+  const __m256i bq64 = _mm256_mul_epi32(bq, _mm256_set1_epi64x(1));
+  return clamp_epi64(_mm256_add_epi64(scaled, bq64), i8lo, i8hi);
+}
+
 __attribute__((target("avx2"))) void layernorm_finish_avx2(
     const std::int16_t* g, int n, std::int64_t sum, std::int32_t rs_mantissa,
     int norm_shift, int gamma_shift, const std::int32_t* gq,
     const std::int32_t* bq, std::int8_t* out) {
-  // t = n·g − sum must fit the int32 low dword (n ≤ 2¹⁴ bounds |t| ≤ 2³⁰)
+  // t = n·g − sum must fit the int32 lanes (n ≤ 2¹⁴ bounds |t| ≤ 2³⁰)
   // and both emulated arithmetic shifts need 1 ≤ s ≤ 48 (see requantize).
   if (n > 16384 || norm_shift < 1 || norm_shift > 48 || gamma_shift < 1 ||
       gamma_shift > 48) {
@@ -658,52 +840,36 @@ __attribute__((target("avx2"))) void layernorm_finish_avx2(
                             gq, bq, out);
     return;
   }
-  const __m256i nvec = _mm256_set1_epi64x(n);
-  const __m256i sumv = _mm256_set1_epi64x(sum);
-  const __m256i mant = _mm256_set1_epi64x(rs_mantissa);
-  const __m256i offset = _mm256_set1_epi64x(std::int64_t{1} << 62);
-  const __m256i nbias = _mm256_set1_epi64x(std::int64_t{1} << (norm_shift - 1));
-  const __m128i ncount = _mm_cvtsi32_si128(norm_shift);
-  const __m256i noff_sh =
-      _mm256_set1_epi64x((std::int64_t{1} << 62) >> norm_shift);
-  const __m256i gbias =
-      _mm256_set1_epi64x(std::int64_t{1} << (gamma_shift - 1));
-  const __m128i gcount = _mm_cvtsi32_si128(gamma_shift);
-  const __m256i goff_sh =
-      _mm256_set1_epi64x((std::int64_t{1} << 62) >> gamma_shift);
-  const __m256i wide_lo = _mm256_set1_epi64x(-(std::int64_t{1} << 40));
-  const __m256i wide_hi = _mm256_set1_epi64x(std::int64_t{1} << 40);
+  const __m256i nvec = _mm256_set1_epi32(n);
+  // Modular: the int32 lanes of t are its low dwords whatever sum is.
+  const __m256i sumv = _mm256_set1_epi32(static_cast<std::int32_t>(sum));
+  constexpr std::int64_t kWide = std::int64_t{1} << 40;
+  const RequantAvx2 norm = requant_avx2(rs_mantissa, norm_shift, -kWide, kWide);
+  // The γ stage's mantissas are the per-lane γq; its mvec goes unused.
+  const RequantAvx2 gamma = requant_avx2(0, gamma_shift, -kWide, kWide);
   const __m256i i8lo = _mm256_set1_epi64x(-128);
   const __m256i i8hi = _mm256_set1_epi64x(127);
-  alignas(32) std::int64_t lanes[4];
+  constexpr int kOdd = _MM_SHUFFLE(3, 3, 1, 1);
   int j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256i g64 = _mm256_cvtepi16_epi64(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(g + j)));
-    const __m256i t = _mm256_sub_epi64(_mm256_mul_epi32(nvec, g64), sumv);
-    const __m256i norm =
-        requant_round_clamp_avx2(_mm256_mul_epi32(t, mant), nbias, ncount,
-                                 offset, noff_sh, wide_lo, wide_hi);
-    const __m256i gq64 = _mm256_cvtepi32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(gq + j)));
-    const __m256i scaled =
-        requant_round_clamp_avx2(_mm256_mul_epi32(norm, gq64), gbias, gcount,
-                                 offset, goff_sh, wide_lo, wide_hi);
-    const __m256i bq64 = _mm256_cvtepi32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bq + j)));
-    __m256i res = _mm256_add_epi64(scaled, bq64);
-    res = _mm256_blendv_epi8(res, i8hi, _mm256_cmpgt_epi64(res, i8hi));
-    res = _mm256_blendv_epi8(res, i8lo, _mm256_cmpgt_epi64(i8lo, res));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), res);
-    out[j] = static_cast<std::int8_t>(lanes[0]);
-    out[j + 1] = static_cast<std::int8_t>(lanes[1]);
-    out[j + 2] = static_cast<std::int8_t>(lanes[2]);
-    out[j + 3] = static_cast<std::int8_t>(lanes[3]);
+  for (; j + 8 <= n; j += 8) {
+    const __m256i g32 = _mm256_cvtepi16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(g + j)));
+    const __m256i t = _mm256_sub_epi32(_mm256_mullo_epi32(g32, nvec), sumv);
+    const __m256i gqv =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(gq + j));
+    const __m256i bqv =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bq + j));
+    const __m256i even = layernorm_finish_4lanes_avx2(t, gqv, bqv, norm,
+                                                      gamma, i8lo, i8hi);
+    const __m256i odd = layernorm_finish_4lanes_avx2(
+        _mm256_shuffle_epi32(t, kOdd), _mm256_shuffle_epi32(gqv, kOdd),
+        _mm256_shuffle_epi32(bqv, kOdd), norm, gamma, i8lo, i8hi);
+    store_8lanes_i8_avx2(join_even_odd_avx2(even, odd), out + j);
   }
   for (; j < n; ++j) {
     const std::int64_t t = static_cast<std::int64_t>(n) * g[j] - sum;
-    const std::int64_t norm = rounding_shift_right(t * rs_mantissa, norm_shift);
-    const std::int64_t scaled = rounding_shift_right(norm * gq[j], gamma_shift);
+    const std::int64_t nv = rounding_shift_right(t * rs_mantissa, norm_shift);
+    const std::int64_t scaled = rounding_shift_right(nv * gq[j], gamma_shift);
     out[j] = saturate_i8(scaled + bq[j]);
   }
 }

@@ -88,6 +88,11 @@ void gemm_nt_i8_into(const MatI8& a, const MatI8& b, MatI32& out);
 
 // --- Packed-B GEMMs (B pre-packed at weight-load time, tensor/pack.hpp) ----
 
+/// The AVX2 packed kernel widens A to int16 this many k at a time (even, so
+/// that a chunk holds whole k-pairs). Exposed so that the tile-edge tests can
+/// cross the chunk edges.
+inline constexpr int kPackedKChunk = 512;
+
 /// C = A·B with B packed. Exact (identical to gemm_i8 on unpack(bp)).
 void gemm_i8_packed_into(const MatI8& a, const PackedI8& bp, MatI32& out);
 

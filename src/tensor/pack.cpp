@@ -1,19 +1,29 @@
 #include "tensor/pack.hpp"
 
+#include <algorithm>
+
 namespace tfacc {
 namespace {
 
 template <typename T>
 PackedB<T> pack_b(const Matrix<T>& b) {
-  constexpr int kPadElems = static_cast<int>(64 / sizeof(T));
+  constexpr int kPanelCols = PackedB<T>::kPanelCols;
   PackedB<T> out;
   out.k = b.rows();
   out.n = b.cols();
-  out.k_pad = (b.rows() + kPadElems - 1) / kPadElems * kPadElems;
-  out.data.assign(static_cast<std::size_t>(out.n) * out.k_pad, T{});
-  for (int j = 0; j < out.n; ++j) {
-    T* dst = out.data.data() + static_cast<std::size_t>(j) * out.k_pad;
-    for (int p = 0; p < out.k; ++p) dst[p] = b(p, j);
+  const int k = out.k, n = out.n;
+  const int panels = (n + kPanelCols - 1) / kPanelCols;
+  const std::size_t stride = out.panel_stride();
+  out.data.assign(static_cast<std::size_t>(panels) * stride, T{});
+  // Panel by panel, so that the writes run front to back through the block.
+  for (int p = 0; p < panels; ++p) {
+    const int cols = std::min(kPanelCols, n - p * kPanelCols);
+    T* panel = out.data.data() + static_cast<std::size_t>(p) * stride;
+    for (int r = 0; r < k; ++r) {
+      const T* src = b.row(r) + p * kPanelCols;
+      T* dst = panel + out.offset(r, 0);
+      for (int c = 0; c < cols; ++c) dst[2 * c] = src[c];
+    }
   }
   return out;
 }
@@ -21,10 +31,8 @@ PackedB<T> pack_b(const Matrix<T>& b) {
 template <typename T>
 Matrix<T> unpack_b(const PackedB<T>& p) {
   Matrix<T> out(p.k, p.n);
-  for (int j = 0; j < p.n; ++j) {
-    const T* src = p.row(j);
-    for (int r = 0; r < p.k; ++r) out(r, j) = src[r];
-  }
+  for (int r = 0; r < p.k; ++r)
+    for (int c = 0; c < p.n; ++c) out(r, c) = p(r, c);
   return out;
 }
 

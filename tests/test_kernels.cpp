@@ -180,13 +180,12 @@ TEST_P(KernelEquivalence, MatchesScalarBitExact) {
       v = rng.uniform_int(-100000, 100000);
 
     MatI32 want_i8(s.m, s.n), want_i16(s.m, s.n), want_nt_i8(s.m, s.n);
-    MatF want_f(s.m, s.n), want_nt_f(s.m, s.n);
+    MatF want_f(s.m, s.n);
     {
       KindGuard g(kernels::Kind::kScalar);
       kernels::gemm_i8_into(a8, b8, want_i8);
       kernels::gemm_i16_into(a16, b16, want_i16);
       kernels::gemm_f32_into(af, bf, want_f);
-      kernels::gemm_nt_f32_into(af, bt, want_nt_f);
       kernels::gemm_nt_i8_into(a8, b8t, want_nt_i8);
     }
 
@@ -199,6 +198,10 @@ TEST_P(KernelEquivalence, MatchesScalarBitExact) {
     MatF got_f(s.m, s.n);
     kernels::gemm_f32_into(af, bf, got_f);
     expect_same(got_f, want_f, "gemm_f32", s);
+    // The f32 A·Bᵀ against A·B of the transpose under the same kind: both
+    // sum each element in ascending p from +0, a multiply then an add.
+    MatF want_nt_f(s.m, s.n);
+    kernels::gemm_f32_into(af, transpose(bt), want_nt_f);
     kernels::gemm_nt_f32_into(af, bt, got_f);
     expect_same(got_f, want_nt_f, "gemm_nt_f32", s);
     kernels::gemm_nt_i8_into(a8, b8t, got_i32);
@@ -245,17 +248,24 @@ TEST_P(KernelEquivalence, F32SignedZerosMatchScalarBitExact) {
   expect_same(got, want, "gemm_f32", s);
 }
 
-// --- The int8 A·Bᵀ microkernel's tile edges ----------------------------------
-// The microkernel behind gemm_nt_i8 and the packed GEMMs runs 4×2 tiles over
-// full 4-row blocks, r×4 tiles over the 1–3 remainder rows, single columns at
-// the n edge, and a scalar loop over the k tail past the 16-wide steps. The
-// grid crosses every one of those edges, with the scalar table as the oracle.
+// --- The int8 GEMM kernels' tile edges --------------------------------------
+// The A·Bᵀ microkernel behind gemm_nt_i8 runs 4×2 tiles over full 4-row
+// blocks, r×4 tiles over the 1–3 remainder rows, single columns at the n
+// edge, and a scalar loop over the k tail past the 16-wide steps. The
+// packed kernel runs 4-row blocks and 1–3-row remainder blocks, tiles of
+// two panels (three on the remainder rows) and fewer at the n edge, a
+// masked partial last panel, an odd k's zero-padded last pair, and a new
+// pass per chunk of kernels::kPackedKChunk k. The grid crosses every one of
+// those edges, with the scalar table as the oracle.
 
 TEST_P(KernelEquivalence, AbtTileEdgesMatchScalar) {
+  constexpr int kChunk = kernels::kPackedKChunk;
   Rng rng(1717);
   for (const int m : {1, 2, 3, 4, 5, 7, 8, 16, 17})
-    for (const int n : {1, 2, 3, 4, 5, 63, 64, 65})
-      for (const int k : {0, 1, 15, 16, 17, 31, 32, 33, 64, 65, 2048}) {
+    for (const int n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 24, 25, 63, 64,
+                        65})
+      for (const int k : {0, 1, 15, 16, 17, 31, 32, 33, 64, 65, kChunk - 1,
+                          kChunk, kChunk + 1, 2048}) {
         const Shape s{m, k, n};
         const MatI8 a = rand_i8(m, k, rng);
         const MatI8 bt = rand_i8(n, k, rng);  // Bᵀ, the A·Bᵀ operand
@@ -311,32 +321,39 @@ TEST_P(KernelEquivalence, AbtExtremeOperandsAreExact) {
       {"A, B 127/-128 in phase", true, true, 0, 1024 * (127 * 127 + 128 * 128)},
       {"A, B 127/-128 out of phase", true, true, 1, 1024 * (2 * 127 * -128)},
   };
-  for (const int m : {1, 5, 7}) {  // 4×2, 4×1, r×4 and r×1 tiles
-    const int n = 5;
-    const Shape s{m, kK, n};
-    for (const Case& c : cases) {
-      const MatI8 a = extreme_i8(m, kK, c.a_alt, 0);
-      const MatI8 bt = extreme_i8(n, kK, c.b_alt, c.b_phase);
-      const PackedI8 bp = pack_b_i8(transpose(bt));
-      // A bias at the clamp bound QuantizedLinear::build enforces: with the
-      // largest dot it lands exactly on INT32_MAX (resp. near INT32_MIN).
-      const std::int32_t seed = c.dot > 0 ? kBound : -kBound;
-      const std::vector<std::int32_t> bias(static_cast<std::size_t>(n), seed);
-      MatI32 want(m, n), want_bias(m, n);
-      want.fill(c.dot);
-      want_bias.fill(seed + c.dot);
-      for (const kernels::Kind kind : {kernels::Kind::kScalar, GetParam()}) {
-        KindGuard g(kind);
-        MatI32 got(m, n);
-        kernels::gemm_nt_i8_into(a, bt, got);
-        expect_same(got, want, c.what, s);
-        kernels::gemm_i8_packed_into(a, bp, got);
-        expect_same(got, want, c.what, s);
-        kernels::gemm_i8_packed_bias_into(a, bp, bias, got);
-        expect_same(got, want_bias, c.what, s);
+  // Every pair sum of the all-(−128) case is exactly 2¹⁵. m crosses the
+  // A·Bᵀ kernel's 4×2, 4×1, r×4 and r×1 tiles and the packed kernel's 4-row
+  // and remainder blocks; n = 5 is one partial panel, n = 17 two full panels
+  // and a partial one.
+  for (const int m : {1, 5, 7})
+    for (const int n : {5, 17}) {
+      const Shape s{m, kK, n};
+      for (const Case& c : cases) {
+        const MatI8 a = extreme_i8(m, kK, c.a_alt, 0);
+        const MatI8 bt = extreme_i8(n, kK, c.b_alt, c.b_phase);
+        const PackedI8 bp = pack_b_i8(transpose(bt));
+        // A bias at the clamp bound QuantizedLinear::build enforces: with
+        // the largest dot it lands exactly on INT32_MAX (resp. near
+        // INT32_MIN).
+        const std::int32_t seed = c.dot > 0 ? kBound : -kBound;
+        const std::vector<std::int32_t> bias(static_cast<std::size_t>(n),
+                                             seed);
+        MatI32 want(m, n), want_bias(m, n);
+        want.fill(c.dot);
+        want_bias.fill(seed + c.dot);
+        for (const kernels::Kind kind :
+             {kernels::Kind::kScalar, GetParam()}) {
+          KindGuard g(kind);
+          MatI32 got(m, n);
+          kernels::gemm_nt_i8_into(a, bt, got);
+          expect_same(got, want, c.what, s);
+          kernels::gemm_i8_packed_into(a, bp, got);
+          expect_same(got, want, c.what, s);
+          kernels::gemm_i8_packed_bias_into(a, bp, bias, got);
+          expect_same(got, want_bias, c.what, s);
+        }
       }
     }
-  }
 }
 
 TEST_P(KernelEquivalence, RequantizeMatchesFixedPointScale) {
@@ -664,6 +681,28 @@ TEST(SoftmaxRowDispatch, RowsMatchScalarBitExact) {
 }
 
 // --- Packed layout ----------------------------------------------------------
+// pack_b_* stores B (k×n) as ⌈n/8⌉ column panels of ⌈k/2⌉ k-pairs, and
+// k-pair q of panel p as B(2q, 8p + c), B(2q + 1, 8p + c) for c = 0..7, zero
+// past k or n. The check walks the storage itself, so it pins the layout the
+// AVX2 kernel reads, not only the accessor. kShapes has partial last panels
+// (n = 1, 3, 7, 31, 65, 100) and odd k (1, 5, 7, 33, 127).
+
+template <typename T>
+void expect_panel_layout(const PackedB<T>& p, const Matrix<T>& b) {
+  const std::size_t panels = (static_cast<std::size_t>(b.cols()) + 7) / 8;
+  const std::size_t pair_run = (static_cast<std::size_t>(b.rows()) + 1) / 2;
+  const std::size_t panel_elems = pair_run * 16;
+  ASSERT_EQ(p.data.size(), panels * panel_elems);
+  for (std::size_t e = 0; e < p.data.size(); ++e) {
+    const std::size_t within = e % panel_elems;
+    const int r = static_cast<int>(2 * (within / 16) + within % 2);
+    const int c = static_cast<int>(8 * (e / panel_elems) + within % 16 / 2);
+    const bool inside = r < b.rows() && c < b.cols();
+    ASSERT_EQ(p.data[e], inside ? b(r, c) : T{0})
+        << "element " << e << " holds B(" << r << ',' << c << ") of "
+        << b.rows() << 'x' << b.cols() << (inside ? "" : ", padding");
+  }
+}
 
 TEST(PackB, RoundTripsAndPadsWithZeros) {
   Rng rng(7);
@@ -672,27 +711,28 @@ TEST(PackB, RoundTripsAndPadsWithZeros) {
     const PackedI8 p8 = pack_b_i8(b8);
     EXPECT_EQ(p8.k, s.k);
     EXPECT_EQ(p8.n, s.n);
-    EXPECT_EQ(p8.k_pad % 64, 0);  // int8: 64 elements per 64 bytes
-    EXPECT_GE(p8.k_pad, s.k);
     EXPECT_EQ(unpack_b_i8(p8), b8);
-    for (int j = 0; j < p8.n; ++j)
-      for (int x = p8.k; x < p8.k_pad; ++x)
-        ASSERT_EQ(p8.row(j)[x], 0) << "pad row " << j << " elem " << x;
+    expect_panel_layout(p8, b8);
 
     const MatI16 b16 = rand_i16(s.k, s.n, rng);
     const PackedI16 p16 = pack_b_i16(b16);
-    EXPECT_EQ(p16.k_pad % 32, 0);  // int16: 32 elements per 64 bytes
+    EXPECT_EQ(p16.k, s.k);
+    EXPECT_EQ(p16.n, s.n);
     EXPECT_EQ(unpack_b_i16(p16), b16);
+    expect_panel_layout(p16, b16);
   }
 }
 
 TEST(PackB, RowsAreCacheLineAligned) {
+  // The pack's block starts on a cache line, and panels are whole k-pairs,
+  // so no k-pair (16 bytes of int8, 32 of int16) straddles a line.
   Rng rng(8);
-  const MatI8 b = rand_i8(100, 7, rng);
-  const PackedI8 p = pack_b_i8(b);
-  for (int j = 0; j < p.n; ++j)
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p.row(j)) % 64, 0u)
-        << "row " << j;
+  const PackedI8 p8 = pack_b_i8(rand_i8(101, 23, rng));
+  const PackedI16 p16 = pack_b_i16(rand_i16(101, 23, rng));
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p8.data.data()) % 64, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p16.data.data()) % 64, 0u);
+  EXPECT_EQ(p8.panel_stride() % 16, 0u);
+  EXPECT_EQ(p16.panel_stride() * sizeof(std::int16_t) % 32, 0u);
 }
 
 // --- Dispatch knob ----------------------------------------------------------
