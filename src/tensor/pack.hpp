@@ -38,12 +38,9 @@ struct PackedB {
 
   bool empty() const { return n == 0; }
 
-  /// k-pairs per panel.
-  int pairs() const { return (k + 1) / 2; }
-
-  /// Elements per panel.
+  /// Elements per panel: ⌈k/2⌉ k-pairs.
   std::size_t panel_stride() const {
-    return static_cast<std::size_t>(pairs()) * kPairElems;
+    return static_cast<std::size_t>((k + 1) / 2) * kPairElems;
   }
 
   /// Offset of B(r, c) in data, 0 ≤ r < k, 0 ≤ c < n.
