@@ -305,10 +305,11 @@ void abt_tail_i8(const AbtI8& g, int i, int j, int mr, int nr, int k16) {
   }
 }
 
-/// The MR×NR output tile at (i, j).
+/// The MR×NR output tile at (i, j). Not inlined: GCC 12 inlines the tiles
+/// into gemm_nt_i8_avx2, and there they ran up to 17% slower (16×512×64).
 template <int MR, int NR>
-__attribute__((target("avx2"))) void abt_tile_i8_avx2(const AbtI8& g, int i,
-                                                      int j) {
+__attribute__((target("avx2"), noinline)) void abt_tile_i8_avx2(
+    const AbtI8& g, int i, int j) {
   const std::int8_t* a = g.a + static_cast<std::size_t>(i) * g.k;
   const std::int8_t* b = g.b + static_cast<std::size_t>(j) * g.k;
   // Accumulators in (row, column) order, padded with zeros to whole groups
