@@ -1,7 +1,8 @@
 // Kernel sweep: ns/GEMM and GMAC/s of both kernel kinds (scalar loop, SIMD)
 // at the GEMM shapes the serve step loop actually issues, in the three int8
 // forms the datapath runs: dense A·B, the packed-B fused-bias projection and
-// A·Bᵀ (the attention scores, B given as n×k). Every timed result is first
+// A·Bᵀ (the attention scores, B given as n×k), and in FP32 at the shapes of
+// calibration's decode steps and of the logits. Every timed result is first
 // checked bit-identical to the scalar reference — a kernel that drifts never
 // publishes a number.
 //
@@ -55,10 +56,33 @@ constexpr Shape kShapes[] = {
     {"attn scores 1x64x24", 1, 64, 24},
 };
 
-/// Repeats `fn` until ~`budget_s` of wall time, three times, and returns the
-/// fastest pass's mean ns per call. Minimum-of-means: preemption by another
-/// process only ever *slows* a pass, so the fastest pass is the cleanest
-/// estimate — this keeps the CI smoke gate from flapping on a shared runner.
+// The FP32 GEMMs: calibration's lockstep decode steps at transformer-base
+// width (one row per calibration sentence into the head, d_model and d_ff
+// sized weights), the encoder over a 7-token source, and the logits of 16
+// slot rows over the nmt and base decoders' 51-token vocabulary.
+constexpr Shape kF32Shapes[] = {
+    {"calib head proj 1x512x64", 1, 512, 64},
+    {"calib proj 1x512x512", 1, 512, 512},
+    {"calib ffn up 1x512x2048", 1, 512, 2048},
+    {"calib head proj 4x512x64", 4, 512, 64},
+    {"calib proj 4x512x512", 4, 512, 512},
+    {"calib ffn up 4x512x2048", 4, 512, 2048},
+    {"encoder ffn up 7x512x2048", 7, 512, 2048},
+    {"nmt logits 16x64x51", 16, 64, 51},
+    {"base logits 16x512x51", 16, 512, 51},
+};
+
+// Calls per timed pass at the least, however long they take: one scalar
+// packed GEMM at the headline shape takes longer than a smoke pass's budget,
+// and a pass of one or two calls left the gated ratio spread ~2× from run
+// to run.
+constexpr long kMinCallsPerPass = 8;
+
+/// Repeats `fn` until ~`budget_s` of wall time and kMinCallsPerPass calls,
+/// three times, and returns the fastest pass's mean ns per call.
+/// Minimum-of-means: preemption by another process only ever *slows* a
+/// pass, so the fastest pass is the cleanest estimate — this keeps the CI
+/// smoke gate from flapping on a shared runner.
 template <typename Fn>
 double time_ns(const Fn& fn, double budget_s) {
   fn();  // warm: pool classes, pack, icache
@@ -71,7 +95,7 @@ double time_ns(const Fn& fn, double budget_s) {
       fn();
       ++iters;
       elapsed = seconds_since(t0);
-    } while (elapsed < budget_s);
+    } while (elapsed < budget_s || iters < kMinCallsPerPass);
     const double ns = 1e9 * elapsed / static_cast<double>(iters);
     if (pass == 0 || ns < best) best = ns;
   }
@@ -80,6 +104,15 @@ double time_ns(const Fn& fn, double budget_s) {
 
 bool check_i32(const MatI32& got, const MatI32& want, const char* what) {
   if (got == want) return true;
+  std::printf("FATAL: %s diverged from the scalar reference\n", what);
+  return false;
+}
+
+/// Bit patterns, so that a ±0 or NaN-payload difference counts as a drift.
+bool check_f32(const MatF& got, const MatF& want, const char* what) {
+  if (got.size() == want.size() &&
+      std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) == 0)
+    return true;
   std::printf("FATAL: %s diverged from the scalar reference\n", what);
   return false;
 }
@@ -103,7 +136,7 @@ int main(int argc, char** argv) {
   json.key("smoke").value(smoke);
   bench::write_host_info(json);
 
-  bench::title(std::string("GEMM kernel sweep (int8 -> int32, ") +
+  bench::title(std::string("GEMM kernel sweep (int8 -> int32, then f32; ") +
                kernels::capability() + " host" + (smoke ? ", smoke" : "") +
                ")");
   std::printf("%-26s | %6s | %10s %10s %10s | %7s | %7s\n",
@@ -177,6 +210,46 @@ int main(int argc, char** argv) {
       json.key("packed_gmac_per_s").value(macs / packed_ns);
       json.key("speedup_vs_scalar")
           .value(scalar_ns > 0 ? scalar_ns / packed_ns : 1.0);
+      json.end_object();
+    }
+  }
+  json.end_array();
+
+  std::printf("\n%-26s | %6s | %10s | %7s | %7s\n", "f32 shape (m x k x n)",
+              "kernel", "ns", "GMAC/s", "vs scal");
+  bench::rule(70);
+  json.key("sweep_f32").begin_array();
+  for (const Shape& s : kF32Shapes) {
+    MatF a(s.m, s.k), b(s.k, s.n);
+    fill_uniform(a, rng, -1.0f, 1.0f);
+    fill_uniform(b, rng, -1.0f, 1.0f);
+    MatF want(s.m, s.n);
+    kernels::set_kind(kernels::Kind::kScalar);
+    kernels::gemm_f32_into(a, b, want);
+
+    const double macs = static_cast<double>(s.m) * s.k * s.n;
+    double scalar_ns = 0.0;
+    for (const kernels::Kind kind : kinds) {
+      kernels::set_kind(kind);
+      MatF out(s.m, s.n);
+      kernels::gemm_f32_into(a, b, out);
+      identical = check_f32(out, want, "gemm_f32") && identical;
+      const double ns =
+          time_ns([&] { kernels::gemm_f32_into(a, b, out); }, budget_s);
+      if (kind == kernels::Kind::kScalar) scalar_ns = ns;
+      const double speedup = scalar_ns > 0 ? scalar_ns / ns : 1.0;
+      std::printf("%-26s | %6s | %10.0f | %7.2f | %6.2fx\n", s.label,
+                  kernels::kind_name(kind), ns, macs / ns, speedup);
+
+      json.begin_object();
+      json.key("shape").value(s.label);
+      json.key("m").value(s.m);
+      json.key("k").value(s.k);
+      json.key("n").value(s.n);
+      json.key("kernel").value(kernels::kind_name(kind));
+      json.key("ns_per_gemm").value(ns);
+      json.key("gmac_per_s").value(macs / ns);
+      json.key("speedup_vs_scalar").value(speedup);
       json.end_object();
     }
   }

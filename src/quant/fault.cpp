@@ -23,27 +23,34 @@ std::int64_t inject_bit_flips(MatI8& m, double ber, Rng& rng) {
   return flips;
 }
 
+namespace {
+
+// Flips the bits of a layer's weights in (row, column, bit) order, as
+// inject_bit_flips does on the unpacked matrix, so a seed draws the same
+// flips whatever the weights' layout.
+std::int64_t inject_layer_flips(QuantizedLinear& layer, double ber, Rng& rng) {
+  MatI8 w = unpack_b_i8(layer.wpack);
+  const std::int64_t flips = inject_bit_flips(w, ber, rng);
+  layer.wpack = pack_b_i8(w);
+  return flips;
+}
+
+}  // namespace
+
 std::int64_t inject_faults(MhaQuantized& block, double ber, Rng& rng) {
   std::int64_t flips = 0;
   for (auto& head : block.heads) {
-    flips += inject_bit_flips(head.wq.w, ber, rng);
-    flips += inject_bit_flips(head.wk.w, ber, rng);
-    flips += inject_bit_flips(head.wv.w, ber, rng);
-    // The GEMM kernels read wpack, not w — re-pack the flipped bits.
-    head.wq.repack();
-    head.wk.repack();
-    head.wv.repack();
+    flips += inject_layer_flips(head.wq, ber, rng);
+    flips += inject_layer_flips(head.wk, ber, rng);
+    flips += inject_layer_flips(head.wv, ber, rng);
   }
-  flips += inject_bit_flips(block.wg.w, ber, rng);
-  block.wg.repack();
+  flips += inject_layer_flips(block.wg, ber, rng);
   return flips;
 }
 
 std::int64_t inject_faults(FfnQuantized& block, double ber, Rng& rng) {
-  std::int64_t flips = inject_bit_flips(block.w1.w, ber, rng);
-  flips += inject_bit_flips(block.w2.w, ber, rng);
-  block.w1.repack();
-  block.w2.repack();
+  std::int64_t flips = inject_layer_flips(block.w1, ber, rng);
+  flips += inject_layer_flips(block.w2, ber, rng);
   return flips;
 }
 

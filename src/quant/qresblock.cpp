@@ -92,14 +92,13 @@ QuantizedLinear QuantizedLinear::build(const MatF& w,
   q.requant = FixedPointScale::from_double(
       static_cast<double>(in_scale) * q.w_scale / out_scale);
   if (granularity == WeightGranularity::kPerTensor) {
-    q.w = quantize_i8(w, QuantParams{q.w_scale});
+    q.wpack = pack_b_i8(quantize_i8(w, QuantParams{q.w_scale}));
     q.bias = quantize_bias(bias, in_scale, q.w_scale);
     for (std::int32_t& b : q.bias) b = std::clamp(b, -bound, bound);
-    q.repack();
     return q;
   }
   // Per-column: each output channel gets its own scale and requantizer.
-  q.w = MatI8(w.rows(), w.cols());
+  MatI8 wq(w.rows(), w.cols());
   q.bias.resize(static_cast<std::size_t>(w.cols()));
   q.col_w_scale.resize(static_cast<std::size_t>(w.cols()));
   q.col_requant.resize(static_cast<std::size_t>(w.cols()));
@@ -110,7 +109,7 @@ QuantizedLinear QuantizedLinear::build(const MatF& w,
     const float ws = mx > 0.0f ? mx / 127.0f : 1.0f;
     q.col_w_scale[static_cast<std::size_t>(j)] = ws;
     for (int r = 0; r < w.rows(); ++r)
-      q.w(r, j) = saturate_round<std::int8_t>(w(r, j) / ws);
+      wq(r, j) = saturate_round<std::int8_t>(w(r, j) / ws);
     // Clamp before rounding, as quantize_bias does.
     const double qb = std::clamp(bias[static_cast<std::size_t>(j)] /
                                      (static_cast<double>(in_scale) * ws),
@@ -120,17 +119,12 @@ QuantizedLinear QuantizedLinear::build(const MatF& w,
     q.col_requant[static_cast<std::size_t>(j)] = FixedPointScale::from_double(
         static_cast<double>(in_scale) * ws / out_scale);
   }
-  q.repack();
+  q.wpack = pack_b_i8(wq);
   return q;
 }
 
 MatI32 QuantizedLinear::accumulate(const MatI8& x) const {
-  // Packed fused-bias kernel: c = bias ⊕ x·W in one pass, exactly
-  // add_bias_i32(gemm_i8(x, w), bias). The fallback covers hand-assembled
-  // layers that never called build()/repack().
-  if (wpack.k != w.rows() || wpack.n != w.cols())
-    return add_bias_i32(gemm_i8(x, w), bias);
-  MatI32 out(x.rows(), w.cols());
+  MatI32 out(x.rows(), wpack.n);
   kernels::gemm_i8_packed_bias_into(x, wpack, bias, out);
   return out;
 }

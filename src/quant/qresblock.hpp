@@ -52,7 +52,7 @@ enum class WeightGranularity { kPerTensor, kPerColumn };
 /// The requantizer folds (in_scale·w_scale[j])/out_scale into one
 /// fixed-point multiply per output column (shared when per-tensor).
 struct QuantizedLinear {
-  MatI8 w;                          // k × n, quantized weights
+  PackedI8 wpack;  // k × n quantized weights, packed for the GEMM kernels
   std::vector<std::int32_t> bias;   // n, in accumulator units
   float in_scale = 1.0f;
   float w_scale = 1.0f;             // per-tensor scale (max of col scales)
@@ -61,7 +61,6 @@ struct QuantizedLinear {
   WeightGranularity granularity = WeightGranularity::kPerTensor;
   std::vector<float> col_w_scale;            // per column, when per-column
   std::vector<FixedPointScale> col_requant;  // per column, when per-column
-  PackedI8 wpack;  // column-panel pack of w for the packed GEMM kernels
 
   /// Largest inner dimension build() accepts: every k-term int8 dot product
   /// (|Σ| ≤ k·2¹⁴) fits int32.
@@ -81,11 +80,8 @@ struct QuantizedLinear {
       float out_scale,
       WeightGranularity granularity = WeightGranularity::kPerTensor);
 
-  /// Rebuild wpack from w — call after mutating w in place (fault injection).
-  void repack() { wpack = pack_b_i8(w); }
-
-  /// INT32 accumulators of x·W + b (what leaves the systolic array + adders).
-  /// Runs the packed fused-bias kernel (bit-identical to the unpacked GEMM).
+  /// INT32 accumulators of x·W + b (what leaves the systolic array + adders):
+  /// the packed fused-bias kernel, exactly add_bias_i32(gemm_i8(x, W), b).
   MatI32 accumulate(const MatI8& x) const;
   /// Requantize accumulators of columns [col_offset, col_offset + acc.cols)
   /// — the per-64-column-block path the accelerator controller uses.

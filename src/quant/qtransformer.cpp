@@ -1,5 +1,7 @@
 #include "quant/qtransformer.hpp"
 
+#include "reference/search.hpp"
+
 namespace tfacc {
 
 namespace {
@@ -98,6 +100,42 @@ ResBlockBackend calibrating_backend(BlockRanges& blocks) {
   return b;
 }
 
+// Greedy-decodes every source on `model`'s KV-cache path in lockstep: each
+// step is one decode_step_batch with one row per sentence still decoding,
+// so each weight matrix streams once per step rather than once per step of
+// each sentence. Every FP32 op of that path is row-independent, so each
+// row, and the search it feeds, equals the sentence's own translate_greedy.
+void decode_in_lockstep(const Transformer& model,
+                        const std::vector<TokenSeq>& sources, int max_len) {
+  TFACC_CHECK_ARG(max_len > 0);
+  std::vector<GreedySearch> searches;
+  searches.reserve(sources.size());
+  for (const TokenSeq& src : sources)
+    searches.emplace_back(
+        max_len, model.begin_decode(model.encode(src), unpadded_length(src)));
+  std::vector<GreedySearch*> live;
+  std::vector<DecodeState*> states;
+  std::vector<int> tokens;
+  MatF logits;
+  for (;;) {
+    live.clear();
+    states.clear();
+    tokens.clear();
+    for (GreedySearch& s : searches) {
+      if (s.done()) continue;
+      live.push_back(&s);
+      states.push_back(&s.state(0));
+      tokens.push_back(s.input_token(0));
+    }
+    if (live.empty()) return;
+    model.decode_step_batch(states, tokens, logits);
+    for (std::size_t r = 0; r < live.size(); ++r) {
+      const float* row = logits.row(static_cast<int>(r));
+      live[r]->advance({std::vector<float>(row, row + logits.cols())});
+    }
+  }
+}
+
 }  // namespace
 
 QuantizedTransformer QuantizedTransformer::build(
@@ -109,8 +147,7 @@ QuantizedTransformer QuantizedTransformer::build(
   {
     const Fp32BackendOnExit restore(model);
     model.set_backend(calibrating_backend(blocks));
-    for (const TokenSeq& src : calib_sources)
-      model.translate_greedy(src, max_len);
+    decode_in_lockstep(model, calib_sources, max_len);
   }
 
   QuantizedTransformer qt;

@@ -21,13 +21,16 @@ namespace tfacc {
 class QuantizedTransformer {
  public:
   /// Calibrate by greedily translating `calib_sources` on the FP32 model's
-  /// KV-cache path, the only FP32 pass: as the decode computes each block,
-  /// every value that block's INT8 build needs is folded into its ranges
-  /// (MhaRanges, FfnRanges). Then every block is built from its ranges
-  /// with no GEMM. A block sees each distinct row of those decodes once,
-  /// so every `method` ranks each row once; max-abs scales equal those of
-  /// a full-recompute capture, which repeats rows. `model` gets the FP32
-  /// default backend back on every exit, also when calibration throws.
+  /// KV-cache path, the only FP32 pass: the sentences decode in lockstep,
+  /// one decode_step_batch row per sentence still decoding, and each row
+  /// equals the sentence's own translate_greedy. As the decode computes
+  /// each block, every value that block's INT8 build needs is folded into
+  /// its ranges (MhaRanges, FfnRanges). Then every block is built from its
+  /// ranges with no GEMM. A block sees each distinct row of those decodes
+  /// once, so every `method` ranks each row once; max-abs scales equal
+  /// those of a full-recompute capture, which repeats rows. `model` gets
+  /// the FP32 default backend back on every exit, also when calibration
+  /// throws.
   static QuantizedTransformer build(Transformer& model,
                                     const std::vector<TokenSeq>& calib_sources,
                                     int max_len, SoftmaxImpl impl,

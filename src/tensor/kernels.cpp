@@ -177,10 +177,11 @@ void layernorm_finish_scalar(const std::int16_t* g, int n, std::int64_t sum,
 // AVX2 kernels (x86, runtime-dispatched). Integer reductions use
 // sign-extension to int16 + pmaddwd, which is exact for int8 operands
 // (|pair sum| ≤ 2·128² < 2³¹). The f32 kernel vectorizes across output
-// columns with separate mul+add — the target attribute enables AVX2 only
-// (no FMA), so no contraction can change the scalar path's per-element
-// rounding. A kernel whose reformulation holds only inside an envelope
-// checks it first and hands other inputs to the scalar loop.
+// columns and blocks rows of A, with separate mul+add — the target
+// attribute enables AVX2 only (no FMA), so no contraction can change the
+// scalar path's per-element rounding. A kernel whose reformulation holds
+// only inside an envelope checks it first and hands other inputs to the
+// scalar loop.
 // ---------------------------------------------------------------------------
 
 #if TFACC_KERNELS_X86
@@ -218,30 +219,148 @@ __attribute__((target("avx2"))) void gemm_i8_avx2(const MatI8& a,
   }
 }
 
+// --- AVX2 FP32 GEMM --------------------------------------------------------
+// out = A·B, one block of MR ≤ 4 rows of A at a time. The block walks k in
+// groups of kF32KGroup rows of B, and each group sweeps the full width of B
+// in tiles of MR rows × NV vectors of 8 columns: an output vector is loaded
+// once per group (set to +0 on the first), takes the group's products in
+// ascending p, and is stored once, and each 8-float B vector it loads is
+// multiplied into every row of the block. So B is read once per row block,
+// front to back along its rows, where a row-at-a-time loop reads it once
+// per row: the reuse the systolic array gets from passing s rows through a
+// loaded weight block. (Tiles that run all of k walk B down its columns,
+// which ran slower than a row-at-a-time loop at n = 2048; blocking the
+// columns of a one-row product does too.) A partial last vector loads and
+// stores through a lane mask.
+//
+// Per element this is the scalar loop's arithmetic: start at +0, then per p
+// in ascending order one rounded multiply (a·b) and one rounded add (acc +
+// product) — the target attribute enables AVX2 only (no FMA), so nothing
+// contracts. The outputs are bit-identical to the scalar table's, signed
+// zeros, infinities and NaN payloads included, and a row's result does not
+// depend on the rows stacked with it. (Where two different NaNs meet in one
+// multiply or add, which one comes out is the compiler's choice of operand
+// order, in the scalar loop as here: the C++ source does not fix it.)
+
+constexpr int kF32Lanes = 8;
+constexpr int kF32KGroup = 8;
+
+/// What every tile of one k-group of one row block shares.
+struct F32Group {
+  const float* a;    // A(i, p0); row r at a + r·lda
+  std::size_t lda;
+  const float* b;    // B(p0, 0); row q at b + q·ldb
+  std::size_t ldb;
+  int kg;            // k-steps in the group
+  bool first;        // the block's first group: accumulators start at +0
+  float* out;        // out(i, 0); row r at out + r·ldb
+};
+
+/// The MR × 8·NV outputs from column j; with kMaskLast the last vector is
+/// partial and `mask` selects its columns.
+template <int MR, int NV, bool kMaskLast>
+__attribute__((target("avx2"))) void f32_tile_avx2(const F32Group& g, int j,
+                                                   __m256i mask) {
+  // Copied out of g, which the output stores might alias as far as the
+  // compiler can tell.
+  float* const out = g.out + j;
+  const float* const a = g.a;
+  const float* const b = g.b + j;
+  const std::size_t lda = g.lda, ldb = g.ldb;
+  __m256 acc[MR][NV];
+#pragma GCC unroll 4
+  for (int r = 0; r < MR; ++r)
+#pragma GCC unroll 4
+    for (int v = 0; v < NV; ++v) {
+      float* const o = out + r * ldb + v * kF32Lanes;
+      acc[r][v] = g.first                         ? _mm256_setzero_ps()
+                  : kMaskLast && v == NV - 1 ? _mm256_maskload_ps(o, mask)
+                                              : _mm256_loadu_ps(o);
+    }
+  for (int q = 0; q < g.kg; ++q) {
+    __m256 bv[NV];
+#pragma GCC unroll 4
+    for (int v = 0; v < NV; ++v) {
+      const float* const bq = b + q * ldb + v * kF32Lanes;
+      bv[v] = kMaskLast && v == NV - 1 ? _mm256_maskload_ps(bq, mask)
+                                       : _mm256_loadu_ps(bq);
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < MR; ++r) {
+      const __m256 av = _mm256_broadcast_ss(a + r * lda + q);
+#pragma GCC unroll 4
+      for (int v = 0; v < NV; ++v)
+        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(av, bv[v]));
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < MR; ++r)
+#pragma GCC unroll 4
+    for (int v = 0; v < NV; ++v) {
+      float* const o = out + r * ldb + v * kF32Lanes;
+      if (kMaskLast && v == NV - 1) _mm256_maskstore_ps(o, mask, acc[r][v]);
+      else _mm256_storeu_ps(o, acc[r][v]);
+    }
+}
+
+/// The last `count` ≤ NV vectors from column j, the last of them partial
+/// when `partial`: one tile of that many vectors.
+template <int MR, int NV>
+__attribute__((target("avx2"))) void f32_edge_avx2(const F32Group& g, int j,
+                                                   int count, bool partial,
+                                                   __m256i mask) {
+  if constexpr (NV > 0) {
+    if (count < NV) {
+      f32_edge_avx2<MR, NV - 1>(g, j, count, partial, mask);
+    } else if (partial) {
+      f32_tile_avx2<MR, NV, true>(g, j, mask);
+    } else {
+      f32_tile_avx2<MR, NV, false>(g, j, mask);
+    }
+  }
+}
+
+/// Rows [i, i + MR) of out = A·B, 0 < k.
+template <int MR>
+__attribute__((target("avx2"))) void f32_rows_avx2(const MatF& a, int i,
+                                                   const MatF& b, MatF& out) {
+  // Tiles of 4×2 vectors (8 accumulators, 2 B vectors and a broadcast) on
+  // full row blocks, r×3 on the 1–3 remainder rows.
+  constexpr int NV = MR == 4 ? 2 : 3;
+  const int k = a.cols(), n = b.cols();
+  const int full = n / kF32Lanes;
+  const int vecs = (n + kF32Lanes - 1) / kF32Lanes;
+  const __m256i mask =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(n % kF32Lanes),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  for (int p0 = 0; p0 < k; p0 += kF32KGroup) {
+    const F32Group g{.a = a.row(i) + p0,
+                     .lda = static_cast<std::size_t>(k),
+                     .b = b.row(p0),
+                     .ldb = static_cast<std::size_t>(n),
+                     .kg = std::min(kF32KGroup, k - p0),
+                     .first = p0 == 0,
+                     .out = out.row(i)};
+    int v = 0;
+    for (; v + NV <= full; v += NV)
+      f32_tile_avx2<MR, NV, false>(g, v * kF32Lanes, mask);
+    f32_edge_avx2<MR, NV>(g, v * kF32Lanes, vecs - v, vecs > full, mask);
+  }
+}
+
 __attribute__((target("avx2"))) void gemm_f32_avx2(const MatF& a,
                                                    const MatF& b, MatF& out) {
   const int m = a.rows(), k = a.cols(), n = b.cols();
-  if (n == 0) return;  // row() may be null on an empty matrix (memset UB)
-  for (int i = 0; i < m; ++i) {
-    float* orow = out.row(i);
-    std::memset(orow, 0, static_cast<std::size_t>(n) * sizeof(float));
-    const float* arow = a.row(i);
-    for (int p = 0; p < k; ++p) {
-      const float* brow = b.row(p);
-      const __m256 av = _mm256_set1_ps(arow[p]);
-      int j = 0;
-      for (; j + 8 <= n; j += 8) {
-        // Separate mul + add (no FMA in the target set): each orow[j]
-        // accumulates the same rounded products in the same order as the
-        // scalar loop.
-        const __m256 prod = _mm256_mul_ps(av, _mm256_loadu_ps(brow + j));
-        _mm256_storeu_ps(orow + j,
-                         _mm256_add_ps(_mm256_loadu_ps(orow + j), prod));
-      }
-      const float avs = arow[p];
-      for (; j < n; ++j) orow[j] += avs * brow[j];
-    }
+  if (m == 0 || n == 0) return;  // row() may be null on an empty matrix
+  if (k == 0) {
+    std::memset(out.data(), 0, out.size() * sizeof(float));
+    return;
   }
+  int i = 0;
+  for (; i + 4 <= m; i += 4) f32_rows_avx2<4>(a, i, b, out);
+  if (m - i == 1) f32_rows_avx2<1>(a, i, b, out);
+  if (m - i == 2) f32_rows_avx2<2>(a, i, b, out);
+  if (m - i == 3) f32_rows_avx2<3>(a, i, b, out);
 }
 
 // --- AVX2 INT8 A·Bᵀ microkernel --------------------------------------------

@@ -28,7 +28,8 @@
 //    (ascending p, one accumulator per output element, no FMA contraction),
 //    so both kinds produce bit-identical floats — tolerance 0, pinned
 //    explicitly in the tests. This is why the f32 GEMM kernel vectorizes
-//    across output columns rather than across the reduction.
+//    across output columns and blocks rows of A and groups of k, but never
+//    splits the reduction.
 //
 // The *_into kernels write a pre-shaped `out` and perform no allocation —
 // they are the hot-path seam under decode_step_batch.
@@ -70,7 +71,9 @@ const char* capability();
 
 // --- Dispatched GEMMs (out must be pre-shaped; overwritten, no alloc) ------
 
-/// C = A·B, float. Bit-identical across kinds (fixed summation order).
+/// C = A·B, float. Bit-identical across kinds (fixed summation order), and
+/// each row of C is the same whatever rows are stacked with it. The AVX2
+/// kernel reads each row of B once per block of up to 4 rows of A.
 void gemm_f32_into(const MatF& a, const MatF& b, MatF& out);
 
 /// C = A·B, int8 operands, int32 accumulation. Exact.

@@ -289,6 +289,50 @@ TEST(FaultInjection, DegradationGrowsWithBer) {
   EXPECT_GT(prev_cos, 0.0);  // heavily degraded but not random-sign garbage
 }
 
+// A block's layers keep only their packed weights; inject_faults flips each
+// layer as inject_bit_flips flips its unpacked matrix, layer after layer
+// (W_Q, W_K, W_V of each head, then W_G; W_1, then W_2), so a seed draws the
+// same flips whatever layout the weights are kept in.
+TEST(FaultInjection, BlockFlipsEqualUnpackedMatrixFlips) {
+  const ModelConfig cfg = micro_config();
+  Rng rng(15);
+  MhaQuantized::Calibration calib;
+  calib.q.emplace_back(4, cfg.d_model);
+  fill_normal(calib.q.back(), rng, 0, 1);
+  calib.kv.push_back(calib.q.back());
+  calib.mask.push_back(no_mask(4, 4));
+  const MhaQuantized mha = MhaQuantized::build(
+      MhaWeights::random(cfg, rng), calib, SoftmaxImpl::kFloatExact);
+  const FfnQuantized ffn =
+      FfnQuantized::build(FfnWeights::random(cfg, rng), calib.q);
+  constexpr double kBer = 0.02;
+
+  MhaQuantized faulty_mha = mha;
+  FfnQuantized faulty_ffn = ffn;
+  Rng frng(16);
+  const std::int64_t flips = inject_faults(faulty_mha, kBer, frng) +
+                             inject_faults(faulty_ffn, kBer, frng);
+  EXPECT_GT(flips, 0);
+
+  Rng mrng(16);
+  std::int64_t want_flips = 0;
+  const auto expect_flipped = [&](const QuantizedLinear& clean,
+                                  const QuantizedLinear& faulty) {
+    MatI8 w = unpack_b_i8(clean.wpack);
+    want_flips += inject_bit_flips(w, kBer, mrng);
+    EXPECT_EQ(unpack_b_i8(faulty.wpack), w);
+  };
+  for (std::size_t h = 0; h < mha.heads.size(); ++h) {
+    expect_flipped(mha.heads[h].wq, faulty_mha.heads[h].wq);
+    expect_flipped(mha.heads[h].wk, faulty_mha.heads[h].wk);
+    expect_flipped(mha.heads[h].wv, faulty_mha.heads[h].wv);
+  }
+  expect_flipped(mha.wg, faulty_mha.wg);
+  expect_flipped(ffn.w1, faulty_ffn.w1);
+  expect_flipped(ffn.w2, faulty_ffn.w2);
+  EXPECT_EQ(flips, want_flips);
+}
+
 TEST(FaultInjection, RejectsInvalidBer) {
   MatI8 m(2, 2);
   Rng rng(14);

@@ -248,6 +248,89 @@ TEST_P(KernelEquivalence, F32SignedZerosMatchScalarBitExact) {
   expect_same(got, want, "gemm_f32", s);
 }
 
+// --- The f32 GEMM kernel's tile edges ---------------------------------------
+// The AVX2 kernel runs blocks of 4 rows and a 1–3-row remainder block, walks
+// k in groups of 8, and sweeps each group over tiles of two 8-wide vectors
+// (three on the remainder rows), fewer at the n edge, the last one masked
+// when n is not a multiple of 8. The grid crosses every one of those edges,
+// with the scalar table as the oracle, compared bit for bit.
+
+TEST_P(KernelEquivalence, F32TileEdgesMatchScalar) {
+  const int ms[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 17};
+  const int ks[] = {0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 513};
+  const int ns[] = {1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 33, 47, 48, 49};
+  Rng rng(4242);
+  const auto check = [](const MatF& a, const MatF& b, const Shape& s) {
+    MatF want(s.m, s.n);
+    {
+      KindGuard g(kernels::Kind::kScalar);
+      kernels::gemm_f32_into(a, b, want);
+    }
+    // A reused output (the logits of every decode step) holds old values:
+    // the kernel must overwrite, never accumulate into, what it finds.
+    MatF got(s.m, s.n);
+    got.fill(std::numeric_limits<float>::quiet_NaN());
+    kernels::gemm_f32_into(a, b, got);
+    expect_same(got, want, "gemm_f32", s);
+    return want;
+  };
+  KindGuard g(GetParam());
+  for (const int m : ms)
+    for (const int k : ks)
+      for (const int n : ns) {
+        const Shape s{m, k, n};
+        check(rand_f32(m, k, rng), rand_f32(k, n, rng), s);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+
+  // Signed zeros across row blocks, k-groups and the masked edge: rows of
+  // all −0 and of alternating ±0, a column of −0, so that each output's
+  // sign shows how its accumulator was seeded and summed.
+  const Shape z{7, 17, 27};
+  MatF a = rand_f32(z.m, z.k, rng);
+  MatF b(z.k, z.n);
+  fill_uniform(b, rng, 0.5f, 1.0f);
+  for (int p = 0; p < z.k; ++p) {
+    a(0, p) = -0.0f;
+    a(5, p) = p % 2 == 0 ? -0.0f : 0.0f;
+    b(p, 3) = -0.0f;
+    b(p, 25) = -0.0f;
+  }
+  check(a, b, z);
+
+  // ±inf and NaN operands. inf·0 and inf − inf make the default NaN; a NaN
+  // operand's payload and sign pass through every product and sum. Which
+  // of two different NaNs an add returns is the compiler's choice of
+  // operand order in the scalar loop, so no output meets two: a payload
+  // NaN sits in rows 2 and 3 of A and column 17 of B, and the infs that
+  // make default NaNs in rows 0, 1, 4 and columns 5, 6, 12 never reach an
+  // output before that output holds the payload NaN.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nan = std::bit_cast<float>(0x7fc0'0001u);
+  const Shape e{6, 11, 19};
+  a = rand_f32(e.m, e.k, rng);
+  b = rand_f32(e.k, e.n, rng);
+  a(0, 2) = kInf;
+  a(1, 4) = -kInf;
+  a(1, 9) = kInf;
+  a(2, 0) = nan;
+  a(3, 7) = nan;
+  a(4, 10) = -kInf;
+  b(2, 5) = 0.0f;
+  b(4, 6) = kInf;
+  b(9, 6) = kInf;
+  b(0, 17) = nan;
+  b(7, 17) = nan;
+  b(10, 12) = -kInf;
+  const MatF out = check(a, b, e);
+  // The case reaches what it is about.
+  EXPECT_TRUE(std::isinf(out(0, 0)));
+  EXPECT_TRUE(std::isnan(out(0, 5)));  // inf·0
+  EXPECT_TRUE(std::isnan(out(1, 6)));  // −inf + inf
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(out(2, 0)), 0x7fc0'0001u);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(out(3, 17)), 0x7fc0'0001u);
+}
+
 // --- The int8 GEMM kernels' tile edges --------------------------------------
 // The A·Bᵀ microkernel behind gemm_nt_i8 runs 4×2 tiles over full 4-row
 // blocks, r×4 tiles over the 1–3 remainder rows, single columns at the n

@@ -12,6 +12,7 @@
 #include "core/backend.hpp"
 #include "quant/qtransformer.hpp"
 #include "tensor/compare.hpp"
+#include "tensor/kernels.hpp"
 
 namespace tfacc {
 namespace {
@@ -224,7 +225,7 @@ void expect_same(const FixedPointScale& a, const FixedPointScale& b,
 void expect_same(const QuantizedLinear& a, const QuantizedLinear& b,
                  const char* what) {
   SCOPED_TRACE(what);
-  EXPECT_TRUE(a.w == b.w);
+  EXPECT_TRUE(unpack_b_i8(a.wpack) == unpack_b_i8(b.wpack));
   EXPECT_EQ(a.bias, b.bias);
   expect_same(a.in_scale, b.in_scale, "in_scale");
   expect_same(a.w_scale, b.w_scale, "w_scale");
@@ -387,7 +388,8 @@ class BuildHash {
     bytes(&s.shift, sizeof s.shift);
   }
   void add(const QuantizedLinear& q) {
-    bytes(q.w.data(), q.w.size());
+    const MatI8 w = unpack_b_i8(q.wpack);
+    bytes(w.data(), w.size());
     bytes(q.bias.data(), q.bias.size() * sizeof(std::int32_t));
     add(q.in_scale);
     add(q.w_scale);
@@ -429,7 +431,22 @@ class BuildHash {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-TEST(QuantizedTransformer, BuildOutputIsPinned) {
+// The build's FP32 decode runs on the selected kernel table; both tables
+// must give the same build, bit for bit.
+class QuantizedBuildByKind
+    : public ::testing::TestWithParam<kernels::Kind> {
+ protected:
+  void SetUp() override {
+    saved_ = kernels::selected();
+    kernels::set_kind(GetParam());
+  }
+  void TearDown() override { kernels::set_kind(saved_); }
+
+ private:
+  kernels::Kind saved_ = kernels::Kind::kSimd;
+};
+
+TEST_P(QuantizedBuildByKind, BuildOutputIsPinned) {
   struct Pin {
     ModelConfig cfg;
     CalibMethod method;
@@ -454,6 +471,13 @@ TEST(QuantizedTransformer, BuildOutputIsPinned) {
     EXPECT_EQ(h.value(), pin.hash) << std::hex << "0x" << h.value();
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, QuantizedBuildByKind,
+                         ::testing::Values(kernels::Kind::kScalar,
+                                           kernels::Kind::kSimd),
+                         [](const auto& info) {
+                           return std::string(kernels::kind_name(info.param));
+                         });
 
 TEST(AcceleratorBackend, AgreesWithQuantizedBackendBitForBit) {
   // The accelerator computes the exact same INT8 arithmetic as the quantized
