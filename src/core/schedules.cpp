@@ -376,6 +376,19 @@ SublayerPlan SublayerPlan::mha_prefill(std::string label, int s_q, int s_kv,
   return sub;
 }
 
+std::vector<SublayerPlan> encoder_plans(const ModelConfig& m, int rows) {
+  std::vector<SublayerPlan> subs;
+  subs.reserve(static_cast<std::size_t>(2 * m.num_encoder_layers));
+  for (int l = 0; l < m.num_encoder_layers; ++l) {
+    subs.push_back(SublayerPlan::mha_prefill("enc" + std::to_string(2 * l),
+                                             rows, rows, m.d_model,
+                                             m.num_heads, rows));
+    subs.push_back(SublayerPlan::ffn("enc" + std::to_string(2 * l + 1), rows,
+                                     m.d_model, m.d_ff));
+  }
+  return subs;
+}
+
 std::vector<SublayerPlan> chunk_prefill(const std::vector<SublayerPlan>& subs,
                                         int chunk_rows) {
   TFACC_CHECK_ARG_MSG(chunk_rows >= 1,

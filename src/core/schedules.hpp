@@ -101,6 +101,13 @@ struct SublayerPlan {
                                   int project_kv_rows);
 };
 
+/// A `rows`-token sentence's full-size encoder sublayer plans, built from the
+/// model shape alone: per encoder layer one kMhaPrefill (s_q = s_kv =
+/// project_kv_rows = rows) and one kFfn, labelled "enc0", "enc1", ... in
+/// pass order. A ResBlock's cycles depend only on its shape, so these time
+/// the encoder pass on every backend.
+std::vector<SublayerPlan> encoder_plans(const ModelConfig& m, int rows);
+
 /// Split a sentence's full-size encoder sublayer plans (kMhaPrefill / kFfn)
 /// into chunks of at most `chunk_rows` query rows each, preserving order.
 /// The first chunk of each MHA sublayer carries the plan's K/V projection;

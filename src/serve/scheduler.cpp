@@ -147,24 +147,6 @@ std::unique_ptr<SentenceSearch> make_search(const SchedulerConfig& cfg,
   return std::make_unique<BeamSearch>(cfg.max_len, beam, std::move(state));
 }
 
-// Full-size encoder sublayer plans for one `rows`-token sentence, synthesized
-// from the model shape. Used by the functional backends, where no hook
-// captures the encoder pass: only the chunk COUNT matters there (it drives
-// the virtual-time admission proxy), but the shapes are kept faithful so
-// chunk_prefill splits exactly as on the accelerator.
-std::vector<SublayerPlan> encoder_plan(const ModelConfig& m, int rows) {
-  std::vector<SublayerPlan> subs;
-  subs.reserve(static_cast<std::size_t>(2 * m.num_encoder_layers));
-  for (int l = 0; l < m.num_encoder_layers; ++l) {
-    subs.push_back(SublayerPlan::mha_prefill("enc" + std::to_string(2 * l),
-                                             rows, rows, m.d_model,
-                                             m.num_heads, rows));
-    subs.push_back(SublayerPlan::ffn("enc" + std::to_string(2 * l + 1), rows,
-                                     m.d_model, m.d_ff));
-  }
-  return subs;
-}
-
 // Host threads the pool should hold: the knob, defaulted to one thread per
 // card capped at the hardware concurrency, and always clamped to num_cards
 // (a card is single-threaded, extra workers would idle).
@@ -341,8 +323,8 @@ struct Scheduler::CardRun {
       // decode-ready delay and admission proxy behave identically.
       memory = card.model.encode(req.src);
       a.chunks = chunk_prefill(
-          encoder_plan(card.model.weights().config,
-                       static_cast<int>(req.src.size())),
+          encoder_plans(card.model.weights().config,
+                        static_cast<int>(req.src.size())),
           cfg.accel.prefill_chunk_rows);
     }
     for (SublayerPlan& chunk : a.chunks)
