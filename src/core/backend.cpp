@@ -6,29 +6,10 @@ namespace tfacc {
 
 void DecodeStepFuser::begin_step() {
   TFACC_CHECK_MSG(!active_, "decode step already open");
-  TFACC_CHECK_MSG(!prefill_active_, "step opened inside prefill capture");
   TFACC_CHECK(n_subs_ == 0 && prefill_chunks_.empty());
   active_ = true;
   mha_sublayers_ = 0;
   ffn_sublayers_ = 0;
-}
-
-void DecodeStepFuser::begin_prefill() {
-  TFACC_CHECK_MSG(!prefill_active_, "prefill capture already open");
-  // A capture MAY open inside an open step: the convoy-free scheduler (PR 9)
-  // drains admissions mid-step and encodes them before the step's splice
-  // loop. The hooks stay unambiguous because every recorder checks
-  // prefill_active() first; the capture must close before end_step().
-  TFACC_CHECK(prefill_plans_.empty());
-  prefill_active_ = true;
-}
-
-std::vector<SublayerPlan> DecodeStepFuser::end_prefill() {
-  TFACC_CHECK_MSG(prefill_active_, "end_prefill without begin_prefill");
-  prefill_active_ = false;
-  std::vector<SublayerPlan> plans = std::move(prefill_plans_);
-  prefill_plans_.clear();
-  return plans;
 }
 
 void DecodeStepFuser::add_prefill_chunk(SublayerPlan chunk) {
@@ -58,7 +39,6 @@ SublayerPlan& DecodeStepFuser::next_sub(SublayerPlan::Kind kind) {
 void DecodeStepFuser::record_mha_cached_batch(const std::vector<int>& totals,
                                               int d_model, int num_heads,
                                               int project_kv_rows) {
-  TFACC_CHECK_MSG(!prefill_active_, "cached MHA under prefill capture");
   const bool serial = !active_;
   if (serial) begin_step();
   SublayerPlan& p = next_sub(SublayerPlan::Kind::kMhaCachedBatch);
@@ -70,11 +50,6 @@ void DecodeStepFuser::record_mha_cached_batch(const std::vector<int>& totals,
 }
 
 void DecodeStepFuser::record_ffn(int rows, int d_model, int d_ff) {
-  if (prefill_active_) {
-    prefill_plans_.push_back(SublayerPlan::ffn(
-        "enc" + std::to_string(prefill_plans_.size()), rows, d_model, d_ff));
-    return;
-  }
   const bool serial = !active_;
   if (serial) begin_step();
   SublayerPlan& p = next_sub(SublayerPlan::Kind::kFfn);
@@ -86,12 +61,6 @@ void DecodeStepFuser::record_ffn(int rows, int d_model, int d_ff) {
 
 void DecodeStepFuser::record_mha(int s_q, int s_kv, int d_model,
                                  int num_heads) {
-  if (prefill_active_) {
-    prefill_plans_.push_back(SublayerPlan::mha_prefill(
-        "enc" + std::to_string(prefill_plans_.size()), s_q, s_kv, d_model,
-        num_heads, s_kv));
-    return;
-  }
   TFACC_CHECK_MSG(!active_, "full MHA inside an open decode step");
   begin_step();
   SublayerPlan& p = next_sub(SublayerPlan::Kind::kMha);
@@ -104,7 +73,6 @@ void DecodeStepFuser::record_mha(int s_q, int s_kv, int d_model,
 
 RunReport DecodeStepFuser::end_step() {
   TFACC_CHECK_MSG(active_, "end_step without begin_step");
-  TFACC_CHECK_MSG(!prefill_active_, "end_step inside prefill capture");
   active_ = false;
   if (n_subs_ == 0 && prefill_chunks_.empty())
     return {};  // nothing recorded: no decode rows, no prefill chunks

@@ -57,16 +57,16 @@ struct AcceleratorStats {
 
 /// The one place accelerator_backend times anything. Each hook computes its
 /// data through Accelerator::forward_* and hands its sublayer shape to a
-/// recorder here. What happens next depends on what is open:
-///  * prefill capture — the record becomes a full-size encoder plan, which
-///    the serve loop chunks into later steps;
+/// recorder here. What happens next depends on whether a step is open:
 ///  * a step — the record joins the step's one cross-sublayer ledger. The
 ///    serve loop brackets each decode_step_batch call this way, so a card's
 ///    cycle ledger advances exactly once per card-step (the work
 ///    conservation the admission gate relies on);
 ///  * nothing (serial decode) — the record is timed at once as its own
 ///    one-sublayer ledger, which costs what the standalone builder reports.
-/// Either way end_step() is the only caller of Accelerator::time_step.
+/// Either way end_step() is the only caller of Accelerator::time_step. The
+/// serve loop encodes on an untimed backend and times the pass from its
+/// shape (encoder_plans), as prefill chunks spliced into its steps.
 class DecodeStepFuser {
  public:
   DecodeStepFuser(const Accelerator& acc, AcceleratorStats* stats)
@@ -83,28 +83,16 @@ class DecodeStepFuser {
 
   /// Hook-side recorders. Inside a step they run in the allocation-free
   /// packed step loop, so they write into recycled plan slots and a warm
-  /// step touches the heap not at all. A cached MHA under capture is a
-  /// CheckError (the encoder keeps no cache), and so is a full MHA inside
-  /// an open step without capture (the farm encodes only under capture and
-  /// never runs full recompute).
+  /// step touches the heap not at all. A full MHA inside an open step is a
+  /// CheckError: the farm encodes on an untimed backend and never runs full
+  /// recompute.
   void record_mha_cached_batch(const std::vector<int>& totals, int d_model,
                                int num_heads, int project_kv_rows);
   void record_ffn(int rows, int d_model, int d_ff);
   void record_mha(int s_q, int s_kv, int d_model, int num_heads);
 
-  // --- Prefill capture (PR 6) ----------------------------------------------
-  // Serve admission brackets encode() with begin_prefill() / end_prefill().
-  // The scheduler chunks the returned plans (chunk_prefill) and feeds them
-  // back one per step via add_prefill_chunk(); end_step() then times the
-  // chunks as prefill lanes of the step's mixed ledger.
-
-  /// Open prefill capture.
-  void begin_prefill();
-  /// True between begin_prefill() and end_prefill().
-  bool prefill_active() const { return prefill_active_; }
-  /// Close capture and return the recorded full-size encoder plans.
-  std::vector<SublayerPlan> end_prefill();
-  /// Splice one prefill chunk into the CURRENT step's ledger.
+  /// Splice one prefill chunk into the CURRENT step's ledger; end_step()
+  /// times it as a prefill lane of the step's mixed ledger.
   void add_prefill_chunk(SublayerPlan chunk);
 
  private:
@@ -115,12 +103,10 @@ class DecodeStepFuser {
   const Accelerator* acc_;
   AcceleratorStats* stats_;
   bool active_ = false;
-  bool prefill_active_ = false;
   long mha_sublayers_ = 0;
   long ffn_sublayers_ = 0;
   std::size_t n_subs_ = 0;            ///< live plans this step: subs_[0, n)
   std::vector<SublayerPlan> subs_;    ///< recycled slots, capacity persists
-  std::vector<SublayerPlan> prefill_plans_;   ///< capture: full-size plans
   std::vector<SublayerPlan> prefill_chunks_;  ///< this step's spliced chunks
   std::vector<FusedLane> lanes_;  ///< end_step's lanes, recycled per step
 };

@@ -49,9 +49,6 @@ class SoftmaxUnit {
   Matrix<std::int8_t> operator()(const MatI32& d,
                                  const Matrix<std::uint8_t>& mask) const;
 
-  /// The fixed-point conversion applied to (D − D_max); exposed for tests.
-  const FixedPointScale& input_conversion() const { return to_q10_; }
-
  private:
   std::int32_t exp_fx(std::int32_t x) const;
   std::int32_t ln_fx(std::int64_t v) const;

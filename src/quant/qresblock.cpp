@@ -129,17 +129,14 @@ MatI32 QuantizedLinear::accumulate(const MatI8& x) const {
   return out;
 }
 
-MatI8 QuantizedLinear::requantize(const MatI32& acc, int col_offset) const {
+MatI8 QuantizedLinear::requantize(const MatI32& acc) const {
   if (granularity == WeightGranularity::kPerTensor)
     return requantize_i8(acc, requant);
-  TFACC_CHECK_ARG(col_offset >= 0 &&
-                  col_offset + acc.cols() <=
-                      static_cast<int>(col_requant.size()));
+  TFACC_CHECK_ARG(acc.cols() == static_cast<int>(col_requant.size()));
   MatI8 out(acc.rows(), acc.cols());
   for (int r = 0; r < acc.rows(); ++r)
     for (int c = 0; c < acc.cols(); ++c)
-      out(r, c) = col_requant[static_cast<std::size_t>(col_offset + c)]
-                      .apply_i8(acc(r, c));
+      out(r, c) = col_requant[static_cast<std::size_t>(c)].apply_i8(acc(r, c));
   return out;
 }
 

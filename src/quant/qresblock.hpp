@@ -83,9 +83,8 @@ struct QuantizedLinear {
   /// INT32 accumulators of x·W + b (what leaves the systolic array + adders):
   /// the packed fused-bias kernel, exactly add_bias_i32(gemm_i8(x, W), b).
   MatI32 accumulate(const MatI8& x) const;
-  /// Requantize accumulators of columns [col_offset, col_offset + acc.cols)
-  /// — the per-64-column-block path the accelerator controller uses.
-  MatI8 requantize(const MatI32& acc, int col_offset = 0) const;
+  /// Requantize a full-width accumulator matrix to INT8.
+  MatI8 requantize(const MatI32& acc) const;
   /// Full INT8 output (accumulate → requantize).
   MatI8 forward(const MatI8& x) const;
   /// With ReLU applied on the accumulator before requantization (Fig. 5:

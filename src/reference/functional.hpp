@@ -89,10 +89,9 @@ MatF ffn_resblock(const MatF& x, const FfnWeights& w);
 MatF ffn_resblock_observed(const MatF& x, const FfnWeights& w,
                            FfnObserver* obs);
 
-/// The pre-LayerNorm intermediate G = x + Sublayer(x) of either ResBlock;
+/// The MHA ResBlock's pre-LayerNorm intermediate G = q + Sublayer(q, kv);
 /// exposed for LayerNorm-module validation.
 MatF mha_pre_norm(const MatF& q, const MatF& kv, const MhaWeights& w,
                   const Mask& mask);
-MatF ffn_pre_norm(const MatF& x, const FfnWeights& w);
 
 }  // namespace tfacc

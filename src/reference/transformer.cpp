@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "reference/search.hpp"
 #include "tensor/kernels.hpp"
@@ -12,6 +13,32 @@ namespace tfacc {
 namespace {
 // Initial positional-table allocation; positions() grows past it on demand.
 constexpr int kInitialPositions = 512;
+
+// The kInitialPositions-row table of each width, built once per process and
+// shared by every view over that width, so a further view (a serve card's
+// encoder view, say) builds no table. The encoding is a pure function of
+// position and width, so sharing changes no value. A view that needs more
+// rows grows a table of its own, so no decode takes this lock.
+class InitialPositions {
+ public:
+  std::shared_ptr<const MatF> get(int d_model) TFACC_EXCLUDES(mu_) {
+    const MutexLock lock(mu_);
+    std::shared_ptr<const MatF>& table = tables_[d_model];
+    if (table == nullptr)
+      table = std::make_shared<const MatF>(
+          positional_encoding(kInitialPositions, d_model));
+    return table;
+  }
+
+ private:
+  Mutex mu_;
+  std::map<int, std::shared_ptr<const MatF>> tables_ TFACC_GUARDED_BY(mu_);
+};
+
+std::shared_ptr<const MatF> initial_positions(int d_model) {
+  static InitialPositions cache;
+  return cache.get(d_model);
+}
 
 // Thread-local scratch of the packed decode step (decode_step_batch): the
 // per-slot mask and cache-pointer lists are rebuilt each step, but their
@@ -74,8 +101,7 @@ Transformer::Transformer(std::shared_ptr<const TransformerWeights> weights)
     : weights_(std::move(weights)) {
   TFACC_CHECK_ARG_MSG(weights_ != nullptr, "Transformer needs weights");
   weights_->config.validate();
-  pos_encoding_ = std::make_shared<const MatF>(
-      positional_encoding(kInitialPositions, weights_->config.d_model));
+  pos_encoding_ = initial_positions(weights_->config.d_model);
 }
 
 std::shared_ptr<const MatF> Transformer::positions(int rows) const {

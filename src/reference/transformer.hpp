@@ -86,8 +86,9 @@ class Transformer {
   /// Takes `weights` into a read-only block of its own.
   explicit Transformer(TransformerWeights weights);
   /// A view over weights that other Transformers may share (the cards of a
-  /// serving farm): nothing is copied. The view owns only its backend and
-  /// positional table, and never writes the weights, so views may decode
+  /// serving farm): nothing is copied. Every view over one width starts from
+  /// one shared positional table. The view owns only its backend and any
+  /// growth of that table, and never writes the weights, so views may decode
   /// concurrently. QuantizedTransformer blocks are addressed by these
   /// weights, so one quantization serves every view over them.
   explicit Transformer(std::shared_ptr<const TransformerWeights> weights);

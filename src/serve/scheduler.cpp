@@ -121,16 +121,20 @@ long ScheduleReport::prefill_chunks() const {
   return n;
 }
 
-// One card's mutable state: a Transformer view over the farm's shared
-// weights (its own backend and positional table) and, on the accelerator
-// backend, a cycle-level simulator. The INT8 model is the farm's.
+// One card's mutable state: two Transformer views over the farm's shared
+// weights and, on the accelerator backend, a cycle-level simulator. `model`
+// decodes on the backend each run installs (timed on the accelerator);
+// `encoder` runs admissions' encoder passes on the same backend untimed,
+// since the step loop times an encoder pass from its shape. The INT8 model
+// is the farm's.
 struct Scheduler::Card {
-  Transformer model;
   std::optional<Accelerator> acc;
+  Transformer model;
+  Transformer encoder;
 
   Card(std::shared_ptr<const TransformerWeights> weights,
        const SchedulerConfig& cfg)
-      : model(std::move(weights)) {
+      : model(weights), encoder(std::move(weights)) {
     if (cfg.backend == ServeBackend::kAccelerator) acc.emplace(cfg.accel);
   }
 };
@@ -305,28 +309,15 @@ struct Scheduler::CardRun {
   }
 
   // One bit-exact host-side encoder pass NOW (outputs can never depend on
-  // timing), its cycle cost cut into chunks the step loop splices into
-  // upcoming step ledgers.
+  // timing), its cycle cost, planned from the model shape, cut into chunks
+  // the step loop splices into upcoming step ledgers.
   Active make_active(const TranslationRequest& req) {
     Active a;
     a.id = req.id;
-    MatF memory;
-    if (fuser) {
-      // The accelerator captures the pass as full-size sublayer plans.
-      fuser->begin_prefill();
-      memory = card.model.encode(req.src);
-      a.chunks =
-          chunk_prefill(fuser->end_prefill(), cfg.accel.prefill_chunk_rows);
-    } else {
-      // Functional backends have no capture hooks for the encoder pass;
-      // synthesize the same chunk sequence from the model shape so the
-      // decode-ready delay and admission proxy behave identically.
-      memory = card.model.encode(req.src);
-      a.chunks = chunk_prefill(
-          encoder_plans(card.model.weights().config,
-                        static_cast<int>(req.src.size())),
-          cfg.accel.prefill_chunk_rows);
-    }
+    const MatF memory = card.encoder.encode(req.src);
+    const int rows = static_cast<int>(req.src.size());
+    a.chunks = chunk_prefill(encoder_plans(card.model.weights().config, rows),
+                             cfg.accel.prefill_chunk_rows);
     for (SublayerPlan& chunk : a.chunks)
       chunk.label = "s" + std::to_string(req.id) + "." + chunk.label;
     a.search = make_search(
@@ -465,6 +456,12 @@ Scheduler::Scheduler(const TransformerWeights& weights,
     qt_.emplace(QuantizedTransformer::build(cards_.front()->model,
                                             calib_sources, cfg_.max_len,
                                             cfg_.softmax));
+  for (const std::unique_ptr<Card>& card : cards_) {
+    if (cfg_.backend == ServeBackend::kQuantized)
+      card->encoder.set_backend(qt_->backend());
+    else if (cfg_.backend == ServeBackend::kAccelerator)
+      card->encoder.set_backend(accelerator_backend(*qt_, *card->acc));
+  }
   pool_ = std::make_unique<WorkerPool>(effective_threads(cfg_));
 }
 

@@ -29,7 +29,11 @@
 //    so both kinds produce bit-identical floats — tolerance 0, pinned
 //    explicitly in the tests. This is why the f32 GEMM kernel vectorizes
 //    across output columns and blocks rows of A and groups of k, but never
-//    splits the reduction.
+//    splits the reduction. One exception: where two different NaNs meet in
+//    one multiply or add, which NaN comes out is the compiler's choice of
+//    operand order, which the C++ source does not fix, so the kinds may
+//    return different NaNs there (one probe read 0xffc00002 under scalar
+//    and 0x7fc00001 under AVX2).
 //
 // The *_into kernels write a pre-shaped `out` and perform no allocation —
 // they are the hot-path seam under decode_step_batch.
@@ -71,9 +75,11 @@ const char* capability();
 
 // --- Dispatched GEMMs (out must be pre-shaped; overwritten, no alloc) ------
 
-/// C = A·B, float. Bit-identical across kinds (fixed summation order), and
-/// each row of C is the same whatever rows are stacked with it. The AVX2
-/// kernel reads each row of B once per block of up to 4 rows of A.
+/// C = A·B, float. Bit-identical across kinds (fixed summation order),
+/// except which NaN comes out where two different NaNs meet (see the
+/// contract above), and each row of C is the same whatever rows are stacked
+/// with it. The AVX2 kernel reads each row of B once per block of up to 4
+/// rows of A.
 void gemm_f32_into(const MatF& a, const MatF& b, MatF& out);
 
 /// C = A·B, int8 operands, int32 accumulation. Exact.

@@ -200,26 +200,6 @@ TEST(PerColumnQuant, MoreAccurateThanPerTensorOnSkewedColumns) {
   EXPECT_LE(out_col, out_tensor * 1.05);
 }
 
-TEST(PerColumnQuant, BlockwiseRequantizeMatchesWholeMatrix) {
-  // The accelerator requantizes per 64-column block with offsets; results
-  // must agree bit-for-bit with whole-matrix requantization.
-  Rng rng(6);
-  MatF w(32, 16), x(8, 32);
-  fill_normal(w, rng, 0, 0.4);
-  fill_normal(x, rng, 0, 1);
-  std::vector<float> b(16, 0.01f);
-  const auto ql = QuantizedLinear::build(w, b, 0.01f, 0.02f,
-                                         WeightGranularity::kPerColumn);
-  const MatI8 xi = quantize_i8(x, QuantParams{0.01f});
-  const MatI32 acc = ql.accumulate(xi);
-  const MatI8 whole = ql.requantize(acc);
-  for (int c0 = 0; c0 < 16; c0 += 4) {
-    const MatI8 blk = ql.requantize(acc.block(0, c0, acc.rows(), 4), c0);
-    for (int r = 0; r < blk.rows(); ++r)
-      for (int c = 0; c < 4; ++c) EXPECT_EQ(blk(r, c), whole(r, c0 + c));
-  }
-}
-
 TEST(PerColumnQuant, AcceleratorStaysBitExactWithPerColumnFfn) {
   ModelConfig cfg;
   cfg.d_model = 128;

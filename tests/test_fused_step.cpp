@@ -307,16 +307,11 @@ TEST(DecodeStepFuser, LifecycleIsEnforced) {
   DecodeStepFuser fuser(acc, &stats);
   EXPECT_FALSE(fuser.active());
   EXPECT_THROW(fuser.end_step(), CheckError);
-  // The encoder keeps no KV cache, so a cached MHA under prefill capture is
-  // a bug.
-  fuser.begin_prefill();
-  EXPECT_THROW(fuser.record_mha_cached_batch({9}, 64, 1, 0), CheckError);
-  EXPECT_TRUE(fuser.end_prefill().empty());
   fuser.begin_step();
   EXPECT_TRUE(fuser.active());
   EXPECT_THROW(fuser.begin_step(), CheckError);
-  // The farm encodes only under prefill capture and never runs full
-  // recompute, so a full MHA inside an open step is a bug too.
+  // The farm encodes on an untimed backend and never runs full recompute,
+  // so a full MHA inside an open step is a bug.
   EXPECT_THROW(fuser.record_mha(5, 7, 64, 1), CheckError);
   // A step in which nothing was recorded charges nothing.
   const RunReport empty = fuser.end_step();
@@ -335,65 +330,6 @@ TEST(DecodeStepFuser, LifecycleIsEnforced) {
   EXPECT_EQ(stats.ffn_runs, 1);
   EXPECT_EQ(stats.total_cycles(), step.total_cycles);
   EXPECT_EQ(stats.boundary_stall_cycles, step.boundary_stall);
-}
-
-// What prefill capture records for an encode() is what encoder_plans builds
-// from the model shape: same kinds, labels and shapes, padded sources
-// included (a padded source's plans cover its padding rows too).
-TEST(DecodeStepFuser, PrefillCaptureEqualsEncoderPlans) {
-  const std::vector<TokenSeq> calib = {{3, 4, 5}, {6, 7}};
-  std::vector<TokenSeq> sources = {{5}, {3, 4, 5, 6, 7}, {8, 9, kPadId}};
-  TokenSeq long_src;
-  for (int i = 0; i < 40; ++i) long_src.push_back(3 + i % 17);
-  sources.push_back(TokenSeq(long_src.begin(), long_src.begin() + 16));
-  sources.push_back(long_src);
-  long_src.resize(33);
-  long_src.resize(40, kPadId);
-  sources.push_back(long_src);
-  for (const int heads : {1, 2, 8}) {
-    ModelConfig m;
-    m.name = "capture-pin";
-    m.d_model = 64 * heads;
-    m.d_ff = 4 * m.d_model;
-    m.num_heads = heads;
-    m.head_dim = 64;
-    m.num_encoder_layers = 2;
-    m.num_decoder_layers = 1;
-    Rng rng(130 + static_cast<std::uint64_t>(heads));
-    Transformer model(TransformerWeights::random(m, 20, rng));
-    const auto qt = QuantizedTransformer::build(model, calib, 4,
-                                                SoftmaxImpl::kHardware);
-    const Accelerator acc;
-    AcceleratorStats stats;
-    DecodeStepFuser fuser(acc, &stats);
-    model.set_backend(accelerator_backend(qt, acc, &fuser));
-    for (const TokenSeq& src : sources) {
-      fuser.begin_prefill();
-      (void)model.encode(src);
-      const std::vector<SublayerPlan> got = fuser.end_prefill();
-      const std::vector<SublayerPlan> want =
-          encoder_plans(m, static_cast<int>(src.size()));
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        const std::string at = std::to_string(heads) + " heads, " +
-                               std::to_string(src.size()) + " rows, plan " +
-                               std::to_string(i);
-        EXPECT_EQ(got[i].kind, want[i].kind) << at;
-        EXPECT_EQ(got[i].label, want[i].label) << at;
-        EXPECT_EQ(got[i].d_model, want[i].d_model) << at;
-        EXPECT_EQ(got[i].num_heads, want[i].num_heads) << at;
-        EXPECT_EQ(got[i].s_q, want[i].s_q) << at;
-        EXPECT_EQ(got[i].s_kv, want[i].s_kv) << at;
-        EXPECT_EQ(got[i].totals, want[i].totals) << at;
-        EXPECT_EQ(got[i].project_kv_rows, want[i].project_kv_rows) << at;
-        EXPECT_EQ(got[i].rows, want[i].rows) << at;
-        EXPECT_EQ(got[i].d_ff, want[i].d_ff) << at;
-      }
-    }
-    // Capture times nothing.
-    EXPECT_EQ(stats.total_cycles(), 0);
-    model.set_backend(ResBlockBackend{});
-  }
 }
 
 // --- Serve-scheduler integration ---------------------------------------------
@@ -483,6 +419,11 @@ TEST(FusedServe, RunsAreReproducible) {
   EXPECT_EQ(a.makespan_cycles(), b.makespan_cycles());
   EXPECT_EQ(a.boundary_stall_cycles(), b.boundary_stall_cycles());
   EXPECT_EQ(a.packed_steps(), b.packed_steps());
+  // Only packed decode steps are ledgers with decode work: no encoder pass
+  // is timed as a ledger of its own.
+  for (std::size_t c = 0; c < a.per_card.size(); ++c)
+    EXPECT_EQ(a.per_card[c].fused_steps, a.per_card_steps[c].steps)
+        << "card " << c;
 }
 
 // --- Serial decode on the one timing path ------------------------------------

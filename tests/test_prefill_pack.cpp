@@ -120,18 +120,15 @@ const char* policy_name(IssuePolicy policy) {
   return policy == IssuePolicy::kGreedy ? " greedy" : " program-order";
 }
 
-// A sentence's full-size encoder plans: MHA + FFN per encoder layer.
-std::vector<SublayerPlan> encoder_plans(int rows, int d_model, int num_heads,
-                                        int d_ff, int layers) {
-  std::vector<SublayerPlan> subs;
-  for (int l = 0; l < layers; ++l) {
-    subs.push_back(SublayerPlan::mha_prefill("enc" + std::to_string(2 * l),
-                                             rows, rows, d_model, num_heads,
-                                             rows));
-    subs.push_back(SublayerPlan::ffn("enc" + std::to_string(2 * l + 1), rows,
-                                     d_model, d_ff));
-  }
-  return subs;
+// A Table I-pattern encoder of `layers` layers and `num_heads` 64-wide
+// heads (d_ff = 4·d_model), the shape encoder_plans reads.
+ModelConfig encoder_config(int num_heads, int layers) {
+  ModelConfig m;
+  m.d_model = 64 * num_heads;
+  m.d_ff = 4 * m.d_model;
+  m.num_heads = num_heads;
+  m.num_encoder_layers = layers;
+  return m;
 }
 
 // --- chunk_prefill coverage math ---------------------------------------------
@@ -140,7 +137,7 @@ TEST(ChunkPrefill, PartitionsRowsAndProjectsKvOnce) {
   for (const int rows : {1, 5, 16, 17, 33})
     for (const int chunk_rows : {1, 4, 16, 64}) {
       const auto chunks =
-          chunk_prefill(encoder_plans(rows, 512, 8, 2048, 2), chunk_rows);
+          chunk_prefill(encoder_plans(encoder_config(8, 2), rows), chunk_rows);
       int mha_rows = 0, ffn_rows = 0, projections = 0;
       for (const SublayerPlan& c : chunks) {
         if (c.kind == SublayerPlan::Kind::kMhaPrefill) {
@@ -164,7 +161,7 @@ TEST(ChunkPrefill, PartitionsRowsAndProjectsKvOnce) {
 }
 
 TEST(ChunkPrefill, ChunkLargerThanSentenceLeavesPlansWhole) {
-  const auto plans = encoder_plans(7, 64, 1, 256, 1);
+  const auto plans = encoder_plans(encoder_config(1, 1), 7);
   const auto chunks = chunk_prefill(plans, 64);
   ASSERT_EQ(chunks.size(), plans.size());
   EXPECT_EQ(chunks[0].s_q, 7);
@@ -173,7 +170,7 @@ TEST(ChunkPrefill, ChunkLargerThanSentenceLeavesPlansWhole) {
 }
 
 TEST(ChunkPrefill, SingleRowChunksMaximizeInterleaving) {
-  const auto chunks = chunk_prefill(encoder_plans(5, 64, 1, 256, 1), 1);
+  const auto chunks = chunk_prefill(encoder_plans(encoder_config(1, 1), 5), 1);
   ASSERT_EQ(chunks.size(), 10u);  // 5 MHA rows + 5 FFN rows
   for (std::size_t i = 0; i < 5; ++i)
     EXPECT_EQ(chunks[i].kind, SublayerPlan::Kind::kMhaPrefill);
@@ -182,7 +179,7 @@ TEST(ChunkPrefill, SingleRowChunksMaximizeInterleaving) {
 }
 
 TEST(ChunkPrefill, RejectsBadArguments) {
-  const auto plans = encoder_plans(4, 64, 1, 256, 1);
+  const auto plans = encoder_plans(encoder_config(1, 1), 4);
   EXPECT_THROW(chunk_prefill(plans, 0), CheckError);
   // Decode-step kinds are not prefill work.
   EXPECT_THROW(
@@ -208,8 +205,7 @@ TEST(PrefillAudit, StandaloneChunkLedgersAreLegalAcrossShapesAndPolicies) {
       for (const int chunk_rows : {1, 5, 16, 64})
         for (const int heads : {1, 8}) {
           const auto chunks = chunk_prefill(
-              encoder_plans(rows, heads * 64, heads, 4 * heads * 64, 1),
-              chunk_rows);
+              encoder_plans(encoder_config(heads, 1), rows), chunk_rows);
           for (const SublayerPlan& chunk : chunks) {
             Timeline tl;
             const FusedRun run = schedule_fused_lanes(
@@ -233,7 +229,7 @@ TEST(PrefillAudit, MixedPrefillDecodeLanesAreLegalAcrossShapesAndPolicies) {
         // exactly the shape DecodeStepFuser::end_step composes.
         std::vector<FusedLane> lanes;
         const auto chunks =
-            chunk_prefill(encoder_plans(13, 64, 1, 256, 1), chunk_rows);
+            chunk_prefill(encoder_plans(encoder_config(1, 1), 13), chunk_rows);
         for (std::size_t i = 0; i < 2 && i < chunks.size(); ++i)
           lanes.push_back(FusedLane{{chunks[i]}, true});
         std::vector<int> totals;

@@ -62,20 +62,6 @@ void lint_case(Lint& lint, const std::string& name,
                 static_cast<unsigned long long>(first.hash));
 }
 
-/// A sentence's encoder plans (MHA + FFN per layer), the prefill workload.
-std::vector<SublayerPlan> encoder_plans(int rows, int d_model, int num_heads,
-                                        int d_ff, int layers) {
-  std::vector<SublayerPlan> subs;
-  for (int l = 0; l < layers; ++l) {
-    subs.push_back(SublayerPlan::mha_prefill("enc" + std::to_string(2 * l),
-                                             rows, rows, d_model, num_heads,
-                                             rows));
-    subs.push_back(SublayerPlan::ffn("enc" + std::to_string(2 * l + 1), rows,
-                                     d_model, d_ff));
-  }
-  return subs;
-}
-
 /// The packed decode step's sublayers: self MHA, cross MHA, FFN per block.
 std::vector<SublayerPlan> decode_plans(const std::vector<int>& totals,
                                        int d_model, int num_heads, int d_ff,
@@ -177,7 +163,7 @@ void sweep(Lint& lint, bool full) {
   // the prefill/decode seam — the PR 6 invariant.
   for (const int chunk_rows : chunk_grid) {
     const auto chunks =
-        chunk_prefill(encoder_plans(13, 128, 2, 512, 1), chunk_rows);
+        chunk_prefill(encoder_plans(ModelConfig::tiny(), 13), chunk_rows);
     for (const int slots : slot_grid) {
       std::vector<FusedLane> lanes;
       for (std::size_t i = 0; i < 2 && i < chunks.size(); ++i)
