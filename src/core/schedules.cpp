@@ -1,11 +1,8 @@
 #include "core/schedules.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <iterator>
 #include <span>
 #include <string>
-#include <string_view>
 
 #include "common/check.hpp"
 #include "core/modules.hpp"
@@ -458,7 +455,6 @@ FusedRun schedule_fused_lanes(const AcceleratorConfig& cfg, Timeline& tl,
   int prev_first_sa = -1;
   int prev_decode_first_sa = -1;  // the chain as the decode lanes alone see it
   bool prev_prefill = false;
-  int idx = 0;
   int lane_idx = -1;
   bool any_prefill = false;
   bool any_decode = false;
@@ -470,17 +466,10 @@ FusedRun schedule_fused_lanes(const AcceleratorConfig& cfg, Timeline& tl,
       any_decode = true;
     int prev_ln = -1;  // the residual stream chains within a lane only
     for (const SublayerPlan& sub : lane.subs) {
-      // One label prefix per sublayer: "<label>." or "sub<N>." when the
-      // plan carries no label.
-      char sub_name[16] = "sub";
-      std::string_view name = sub.label;
-      if (name.empty()) {
-        const auto res = std::to_chars(sub_name + 3, std::end(sub_name), idx);
-        name = std::string_view(
-            sub_name, static_cast<std::size_t>(res.ptr - sub_name));
-      }
-      const int prefix = g.add_prefix({name, "."});
-      ++idx;
+      // One label prefix per sublayer: "<label>.", or none when the plan
+      // carries no label.
+      const int prefix = sub.label.empty() ? g.add_prefix({})
+                                           : g.add_prefix({sub.label, "."});
       // The sublayer's initial weight tile: an explicit load on the
       // prefetch port. The single-tile prefetch buffer frees once the
       // previous sublayer's first SA op has consumed its own tile, so that

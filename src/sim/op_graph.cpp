@@ -164,13 +164,16 @@ Cycle place_ops(const OpGraph& g, Cycle weight_load_cycles,
   }
 
   // Readiness is computed once, as an op joins the ready list: every
-  // producer has issued by then, so its result time is final. Static
-  // weights prefetch under the previous op (double buffering); only the
-  // run's first SA op sees the initial load. A static-weight SA op that
-  // became ready before the first SA op issued keeps that cold-load time,
-  // which never binds: the first SA op waits out the load itself, so the
-  // SA is free no earlier than the load's end when any other SA op issues.
-  // Dynamic operands (K₁ᵀ, V₁) cannot be loaded before they are produced.
+  // producer has issued by then, so its result time is final. A dep on a
+  // WeightLoad op (a ledger's explicit weight prefetch) is tile readiness,
+  // not data readiness, so a wait on it counts as an exposed load. Static
+  // weights prefetch under the previous op (double buffering); in a graph
+  // without explicit prefetches, only the run's first SA op sees the
+  // initial load. A static-weight SA op that became ready before the first
+  // SA op issued keeps that cold-load time, which never binds: the first SA
+  // op waits out the load itself, so the SA is free no earlier than the
+  // load's end when any other SA op issues. Dynamic operands (K₁ᵀ, V₁)
+  // cannot be loaded before they are produced.
   bool first_sa_op = true;
   s.data_ready.resize(un);
   s.tile_ready.resize(un);
@@ -179,15 +182,18 @@ Cycle place_ops(const OpGraph& g, Cycle weight_load_cycles,
   const auto make_ready = [&](int id) {
     const OpNode& op = ops[static_cast<std::size_t>(id)];
     Cycle data = 0;
-    for (const int d : g.deps(id))
-      data = std::max(data, result[static_cast<std::size_t>(d)]);
     Cycle tile = 0;
+    for (const int d : g.deps(id)) {
+      const auto ud = static_cast<std::size_t>(d);
+      Cycle& ready = ops[ud].resource == OpResource::kWeightLoad ? tile : data;
+      ready = std::max(ready, result[ud]);
+    }
     if (op.resource == OpResource::kSa) {
       if (op.weight_dep >= 0)
-        tile = result[static_cast<std::size_t>(op.weight_dep)] +
-               weight_load_cycles;
+        tile = std::max(tile, result[static_cast<std::size_t>(op.weight_dep)] +
+                                  weight_load_cycles);
       else if (first_sa_op)
-        tile = weight_load_cycles;
+        tile = std::max(tile, weight_load_cycles);
     }
     s.data_ready[static_cast<std::size_t>(id)] = data;
     s.tile_ready[static_cast<std::size_t>(id)] = tile;

@@ -8,6 +8,8 @@
 // StreamReport model rebased on a two-invocation fused ledger.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "analysis/verifier.hpp"
@@ -183,6 +185,109 @@ TEST(FusedDegenerate, OneSublayerMatchesStandaloneMha) {
       schedule_mha(AcceleratorConfig{}, tl, 64, 64, 512, 8);
   expect_one_sublayer_pin(SublayerPlan::mha("mha", 64, 64, 512, 8),
                           standalone, tl, IssuePolicy::kProgramOrder);
+}
+
+// --- Standalone timing ≡ one-lane step ledger --------------------------------
+
+/// A report's CSV trace, without its WeightLoad rows.
+std::string csv_without_weight_loads(const Timeline& tl) {
+  std::ostringstream os;
+  tl.write_csv(os);
+  std::istringstream in(os.str());
+  std::string kept;
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind("WeightLoad,", 0) != 0) kept += line + '\n';
+  return kept;
+}
+
+/// `lane` (a one-lane time_step) reports what `standalone` (time_*) does:
+/// every scalar field but the ledger hash (the lane's graph holds one more
+/// op, its prefetch, which the hash covers), and the same CSV trace once
+/// the lane's one WeightLoad row, its cold load, is dropped.
+void expect_same_report(const RunReport& standalone, const RunReport& lane,
+                        const AcceleratorConfig& cfg,
+                        const std::string& what) {
+  EXPECT_EQ(standalone.total_cycles, lane.total_cycles) << what;
+  EXPECT_EQ(standalone.sa_busy, lane.sa_busy) << what;
+  EXPECT_EQ(standalone.sa_stream, lane.sa_stream) << what;
+  EXPECT_EQ(standalone.softmax_busy, lane.softmax_busy) << what;
+  EXPECT_EQ(standalone.layernorm_busy, lane.layernorm_busy) << what;
+  EXPECT_EQ(standalone.exposed_weight_load, lane.exposed_weight_load) << what;
+  EXPECT_EQ(standalone.accum_spill, lane.accum_spill) << what;
+  EXPECT_EQ(standalone.softmax_slack_min, lane.softmax_slack_min) << what;
+  EXPECT_EQ(standalone.softmax_stall, lane.softmax_stall) << what;
+  EXPECT_EQ(standalone.boundary_stall, lane.boundary_stall) << what;
+  EXPECT_EQ(standalone.prefill_stall, lane.prefill_stall) << what;
+  EXPECT_EQ(standalone.softmax_hidden, lane.softmax_hidden) << what;
+  EXPECT_EQ(standalone.clock_mhz, lane.clock_mhz) << what;
+  EXPECT_EQ(cfg.verify_schedules, lane.ledger_hash != 0) << what;
+  const ModuleTimeline* loads = lane.timeline.find("WeightLoad");
+  ASSERT_NE(loads, nullptr) << what;
+  ASSERT_EQ(loads->intervals().size(), 1u) << what;
+  EXPECT_EQ(loads->intervals()[0].start, 0) << what;
+  EXPECT_EQ(loads->intervals()[0].end, cfg.weight_load_cycles) << what;
+  EXPECT_EQ(lane.timeline.label(loads->intervals()[0]), "prefetch") << what;
+  EXPECT_EQ(csv_without_weight_loads(standalone.timeline),
+            csv_without_weight_loads(lane.timeline))
+      << what;
+}
+
+// time_mha, time_ffn and time_mha_cached against time_step over one lane
+// holding the same unlabelled plan, for every Table I model at short,
+// odd, full-tile and multi-chunk lengths, under the knobs that change a
+// schedule, with verification off and on.
+TEST(Accelerator, StandaloneTimingEqualsOneLaneLedger) {
+  std::vector<AcceleratorConfig> cfgs(1);
+  cfgs.emplace_back().overlap_softmax = false;
+  cfgs.emplace_back().layernorm_strategy = LayerNormStrategy::kStraightforward;
+  cfgs.emplace_back().layernorm_strategy = LayerNormStrategy::kStepOne;
+  cfgs.emplace_back().weight_load_cycles = 0;
+  cfgs.emplace_back().weight_load_cycles = 128;
+  cfgs.emplace_back().accum_depth_tiles = 1;
+  AcceleratorConfig narrow;
+  narrow.sa_cols = narrow.tile_k = 32;
+  cfgs.push_back(narrow);
+  cfgs.emplace_back().softmax_pipeline_depth = 200;
+  const auto one_lane = [](const SublayerPlan& sub) {
+    return std::vector<FusedLane>{FusedLane{{sub}, false}};
+  };
+  int cases = 0;
+  for (std::size_t c = 0; c < cfgs.size(); ++c)
+    for (const bool verify : {false, true}) {
+      AcceleratorConfig cfg = cfgs[c];
+      cfg.verify_schedules = verify;
+      const Accelerator acc(cfg);
+      for (const ModelConfig& m : ModelConfig::table1())
+        for (const int s : {1, 7, 16, 64, 65, 128}) {
+          const int d = m.d_model;
+          const int heads = d / cfg.sa_cols;
+          const std::string at = m.name + " s=" + std::to_string(s) +
+                                 " config " + std::to_string(c) +
+                                 (verify ? " verified" : "");
+          for (const int s_kv : {s, s + 9}) {
+            expect_same_report(
+                acc.time_mha(s, s_kv, d, heads),
+                acc.time_step(one_lane(SublayerPlan::mha("", s, s_kv, d,
+                                                         heads))),
+                cfg, "mha s_kv=" + std::to_string(s_kv) + " " + at);
+            ++cases;
+          }
+          expect_same_report(
+              acc.time_ffn(s, d, m.d_ff),
+              acc.time_step(one_lane(SublayerPlan::ffn("", s, d, m.d_ff))),
+              cfg, "ffn " + at);
+          ++cases;
+          for (const int project : {0, 1, s}) {
+            expect_same_report(
+                acc.time_mha_cached(s, d, heads, project),
+                acc.time_step(one_lane(SublayerPlan::mha_cached_batch(
+                    "", {s}, d, heads, project))),
+                cfg, "cached project=" + std::to_string(project) + " " + at);
+            ++cases;
+          }
+        }
+    }
+  EXPECT_EQ(cases, 2592);
 }
 
 // --- Seam semantics ----------------------------------------------------------

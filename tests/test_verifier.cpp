@@ -276,7 +276,7 @@ void expect_labels_render_consistently(const OpGraph& g,
 TEST(LabelRendering, BuilderLabelsMatchCsvRowsAndHash) {
   // Three-digit heads and slots; sublayer labels longer than the
   // small-string buffer (16+ chars), longer than the hash's stack buffer
-  // (200+ chars), and empty (rendered "sub<N>.").
+  // (200+ chars), and empty (no prefix).
   const std::string long_label(230, 'L');
   std::vector<int> many_slots;
   for (int r = 0; r < 101; ++r) many_slots.push_back(1 + r % 13);
@@ -297,7 +297,7 @@ TEST(LabelRendering, BuilderLabelsMatchCsvRowsAndHash) {
   for (const char* want :
        {"s123.enc0.c17.self.prefetch", "s123.enc0.c17.self.head0.slot100.QKt",
         "s123.enc0.c17.self.head0.slot100.softmax", "s123.enc0.c17.self.G0",
-        "sub2.prefetch", "sub2.H3", "sub2.LayerNorm"})
+        "prefetch", "H3", "LayerNorm"})
     EXPECT_NE(std::find(all.begin(), all.end(), want), all.end()) << want;
   EXPECT_NE(std::find(all.begin(), all.end(), long_label + ".head100.QWq"),
             all.end());
