@@ -13,8 +13,8 @@
 //   * single occupancy   — no two intervals overlap on one resource
 //   * prefetch chain     — WeightLoad single-residency and continuity
 //                          (PR 5/6, including across the prefill/decode seam)
-//   * program-order pins — schedule_mha (Algorithm 1) and any ledger
-//                          containing a full-MHA sublayer issue in order
+//   * program-order pins — a ledger holding a full-MHA sublayer
+//                          (Algorithm 1) issues in order
 //   * lane rules         — chained sublayers of one fused lane never
 //                          interleave their SA occupancies
 //   * determinism        — a canonical FNV-1a hash of the ledger, compared
@@ -67,9 +67,9 @@ struct Diagnostic {
 };
 
 struct VerifyOptions {
-  /// The schedule claims IssuePolicy::kProgramOrder (schedule_mha, or a
-  /// fused ledger holding a full-MHA sublayer): per-resource issue order
-  /// must follow op insertion order.
+  /// The schedule claims IssuePolicy::kProgramOrder (Accelerator::time_step
+  /// issues a ledger holding a full-MHA sublayer that way): per-resource
+  /// issue order must follow op insertion order.
   bool program_order = false;
   /// Expected canonical ledger hash from a previous build of the same
   /// shapes (0 = don't check). A mismatch is a determinism violation: the

@@ -1,40 +1,13 @@
 #include "core/accelerator.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "analysis/verifier.hpp"
 
 namespace tfacc {
 
 namespace {
-
-/// Paranoid mode (cfg.verify_schedules): run the typed verifier over the
-/// ledger just built and throw with the full diagnostic list on violation.
-/// `policy` is the issue policy the builder actually used, so the verifier
-/// knows whether the program-order pin applies.
-void maybe_verify(const AcceleratorConfig& cfg, const char* what,
-                  const ScheduledRun& run, IssuePolicy policy,
-                  RunReport& rep) {
-  if (!cfg.verify_schedules) return;
-  VerifyOptions opts;
-  opts.program_order = policy == IssuePolicy::kProgramOrder;
-  const VerifyResult res = verify_schedule(run.graph, run.stats, opts);
-  TFACC_CHECK_MSG(res.ok(), what << " schedule failed verification:\n"
-                                 << res.to_string());
-  rep.ledger_hash = res.hash;  // canonical PR 7 hash, 0 when verify is off
-}
-
-void maybe_verify_fused(const AcceleratorConfig& cfg, const char* what,
-                        const FusedRun& run, IssuePolicy policy,
-                        RunReport& rep) {
-  if (!cfg.verify_schedules) return;
-  VerifyOptions opts;
-  opts.program_order = policy == IssuePolicy::kProgramOrder;
-  const VerifyResult res = verify_fused(run, opts);
-  TFACC_CHECK_MSG(res.ok(), what << " ledger failed verification:\n"
-                                 << res.to_string());
-  rep.ledger_hash = res.hash;
-}
 
 /// Busy cycles of a module that may never have been scheduled (e.g. Softmax
 /// in an FFN run). The const find() cannot create an empty ledger the way
@@ -44,28 +17,22 @@ Cycle busy_cycles_of(const Timeline& tl, const std::string& name) {
   return m == nullptr ? 0 : m->busy_cycles();
 }
 
-void finalize_report(RunReport& rep, const AcceleratorConfig& cfg,
-                     const ScheduleStats& stats) {
-  rep.clock_mhz = cfg.clock_mhz;
-  rep.total_cycles = rep.timeline.end_time();
-  rep.sa_busy = busy_cycles_of(rep.timeline, "SA");
-  rep.softmax_busy = busy_cycles_of(rep.timeline, "Softmax");
-  rep.layernorm_busy = busy_cycles_of(rep.timeline, "LayerNorm");
-  rep.sa_stream = stats.sa_stream;
-  rep.exposed_weight_load = stats.sa_exposed_load;
-  rep.accum_spill = stats.sa_spill;
-  rep.softmax_slack_min =
-      stats.softmax_edges > 0 ? stats.softmax_slack_min : 0;
-  rep.softmax_stall = stats.softmax_stall;
-  rep.softmax_hidden = rep.softmax_slack_min >= 0;
-  // Boundary cost of a standalone run: the cold load before the first SA op
-  // and the LayerNorm tail after the last. time_step overwrites this with
-  // schedule_fused_lanes' seam-aware accounting (the same number for a
-  // one-sublayer ledger).
-  if (const ModuleTimeline* sa = rep.timeline.find("SA");
-      sa != nullptr && !sa->intervals().empty())
-    rep.boundary_stall = sa->intervals().front().start +
-                         std::max<Cycle>(0, rep.total_cycles - sa->end_time());
+/// Issue policy of a step ledger: a full-MHA sublayer pins Algorithm 1
+/// program order (the paper-validated controller); everything else issues
+/// greedily. kMhaPrefill deliberately does NOT pin program order — the
+/// whole point of the mixed step is that encoder chunks interleave with the
+/// packed decode rows.
+IssuePolicy fused_policy(const std::vector<FusedLane>& lanes) {
+  for (const FusedLane& lane : lanes)
+    for (const SublayerPlan& sub : lane.subs)
+      if (sub.kind == SublayerPlan::Kind::kMha)
+        return IssuePolicy::kProgramOrder;
+  return IssuePolicy::kGreedy;
+}
+
+/// One unlabelled sublayer as the only lane of a step ledger.
+std::vector<FusedLane> one_lane(SublayerPlan sub) {
+  return {FusedLane{{std::move(sub)}, false}};
 }
 
 }  // namespace
@@ -90,16 +57,8 @@ MatI8 Accelerator::forward_mha(const MhaQuantized& block, const MatI8& q,
 Accelerator::MhaResult Accelerator::run_mha(const MhaQuantized& block,
                                             const MatI8& q, const MatI8& kv,
                                             const Mask& mask) const {
-  MhaResult res;
-  res.out = forward_mha(block, q, kv, mask);
-
-  RunReport& rep = res.report;
-  const ScheduledRun sched =
-      schedule_mha(cfg_, rep.timeline, q.rows(), kv.rows(), block.d_model,
-                   block.num_heads);
-  maybe_verify(cfg_, "run_mha", sched, IssuePolicy::kProgramOrder, rep);
-  finalize_report(rep, cfg_, sched.stats);
-  return res;
+  return {forward_mha(block, q, kv, mask),
+          time_mha(q.rows(), kv.rows(), block.d_model, block.num_heads)};
 }
 
 MatI8 Accelerator::forward_ffn(const FfnQuantized& block,
@@ -115,40 +74,24 @@ MatI8 Accelerator::forward_ffn(const FfnQuantized& block,
 
 Accelerator::FfnResult Accelerator::run_ffn(const FfnQuantized& block,
                                             const MatI8& x) const {
-  FfnResult res;
-  res.out = forward_ffn(block, x);
-
-  RunReport& rep = res.report;
-  const ScheduledRun sched =
-      schedule_ffn(cfg_, rep.timeline, x.rows(), block.d_model, block.d_ff);
-  maybe_verify(cfg_, "run_ffn", sched, IssuePolicy::kGreedy, rep);
-  finalize_report(rep, cfg_, sched.stats);
-  return res;
+  return {forward_ffn(block, x),
+          time_ffn(x.rows(), block.d_model, block.d_ff)};
 }
 
 RunReport Accelerator::time_mha(int s_q, int s_kv, int d_model,
                                 int num_heads) const {
-  TFACC_CHECK_ARG(d_model == num_heads * cfg_.sa_cols);
-  RunReport rep;
-  const ScheduledRun sched =
-      schedule_mha(cfg_, rep.timeline, s_q, s_kv, d_model, num_heads);
-  maybe_verify(cfg_, "time_mha", sched, IssuePolicy::kProgramOrder, rep);
-  finalize_report(rep, cfg_, sched.stats);
-  return rep;
+  return time_step(
+      one_lane(SublayerPlan::mha({}, s_q, s_kv, d_model, num_heads)));
 }
 
 RunReport Accelerator::time_mha_cached(int s_total, int d_model, int num_heads,
                                        int project_kv_rows) const {
-  TFACC_CHECK_ARG(s_total > 0);
-  TFACC_CHECK_ARG(project_kv_rows >= 0);
-  TFACC_CHECK_ARG(d_model == num_heads * cfg_.sa_cols);
-  RunReport rep;
-  const ScheduledRun sched =
-      schedule_mha_cached_batch(cfg_, rep.timeline, {s_total}, d_model,
-                                num_heads, project_kv_rows);
-  maybe_verify(cfg_, "time_mha_cached", sched, IssuePolicy::kGreedy, rep);
-  finalize_report(rep, cfg_, sched.stats);
-  return rep;
+  return time_step(one_lane(SublayerPlan::mha_cached_batch(
+      {}, {s_total}, d_model, num_heads, project_kv_rows)));
+}
+
+RunReport Accelerator::time_ffn(int s, int d_model, int d_ff) const {
+  return time_step(one_lane(SublayerPlan::ffn({}, s, d_model, d_ff)));
 }
 
 MatI8 Accelerator::forward_mha_cached_batch(
@@ -173,41 +116,35 @@ MatI8 Accelerator::forward_mha_cached_batch(
   return block.forward_cached_batch(q, caches, masks);
 }
 
-RunReport Accelerator::time_ffn(int s, int d_model, int d_ff) const {
-  TFACC_CHECK_ARG(d_model % cfg_.sa_cols == 0 && d_ff % cfg_.sa_cols == 0);
-  RunReport rep;
-  const ScheduledRun sched =
-      schedule_ffn(cfg_, rep.timeline, s, d_model, d_ff);
-  maybe_verify(cfg_, "time_ffn", sched, IssuePolicy::kGreedy, rep);
-  finalize_report(rep, cfg_, sched.stats);
-  return rep;
-}
-
-namespace {
-
-/// Issue policy of a step ledger: a full-MHA sublayer pins Algorithm 1
-/// program order (the paper-validated controller); everything else issues
-/// greedily like the standalone cached builders. kMhaPrefill deliberately
-/// does NOT pin program order — the whole point of the mixed step is that
-/// encoder chunks interleave with the packed decode rows.
-IssuePolicy fused_policy(const std::vector<FusedLane>& lanes) {
-  for (const FusedLane& lane : lanes)
-    for (const SublayerPlan& sub : lane.subs)
-      if (sub.kind == SublayerPlan::Kind::kMha)
-        return IssuePolicy::kProgramOrder;
-  return IssuePolicy::kGreedy;
-}
-
-}  // namespace
-
 RunReport Accelerator::time_step(const std::vector<FusedLane>& lanes) const {
   RunReport rep;
   const IssuePolicy policy = fused_policy(lanes);
   const FusedRun fused =
       schedule_fused_lanes(cfg_, rep.timeline, lanes, policy);
-  maybe_verify_fused(cfg_, "time_step", fused, policy, rep);
-  finalize_report(rep, cfg_, fused.stats);
-  // Replace the edges-only estimate with the composer's seam-aware number.
+  if (cfg_.verify_schedules) {
+    // Paranoid mode: verify the ledger just built, with the program-order
+    // pin when the policy issued in program order, and throw with the full
+    // diagnostic list on violation.
+    VerifyOptions opts;
+    opts.program_order = policy == IssuePolicy::kProgramOrder;
+    const VerifyResult res = verify_fused(fused, opts);
+    TFACC_CHECK_MSG(res.ok(), "time_step ledger failed verification:\n"
+                                  << res.to_string());
+    rep.ledger_hash = res.hash;  // canonical PR 7 hash
+  }
+  const ScheduleStats& stats = fused.stats;
+  rep.clock_mhz = cfg_.clock_mhz;
+  rep.total_cycles = rep.timeline.end_time();
+  rep.sa_busy = busy_cycles_of(rep.timeline, "SA");
+  rep.softmax_busy = busy_cycles_of(rep.timeline, "Softmax");
+  rep.layernorm_busy = busy_cycles_of(rep.timeline, "LayerNorm");
+  rep.sa_stream = stats.sa_stream;
+  rep.exposed_weight_load = stats.sa_exposed_load;
+  rep.accum_spill = stats.sa_spill;
+  rep.softmax_slack_min =
+      stats.softmax_edges > 0 ? stats.softmax_slack_min : 0;
+  rep.softmax_stall = stats.softmax_stall;
+  rep.softmax_hidden = rep.softmax_slack_min >= 0;
   rep.boundary_stall = fused.boundary_stall;
   rep.prefill_stall = fused.prefill_stall;
   return rep;
@@ -242,14 +179,12 @@ Accelerator::StreamReport to_stream(const Accelerator& acc,
 Accelerator::StreamReport Accelerator::stream_mha(int s_q, int s_kv,
                                                   int d_model,
                                                   int num_heads) const {
-  TFACC_CHECK_ARG(d_model == num_heads * cfg_.sa_cols);
   return to_stream(*this, cfg_,
                    SublayerPlan::mha("mha", s_q, s_kv, d_model, num_heads));
 }
 
 Accelerator::StreamReport Accelerator::stream_ffn(int s, int d_model,
                                                   int d_ff) const {
-  TFACC_CHECK_ARG(d_model % cfg_.sa_cols == 0 && d_ff % cfg_.sa_cols == 0);
   return to_stream(*this, cfg_, SublayerPlan::ffn("ffn", s, d_model, d_ff));
 }
 

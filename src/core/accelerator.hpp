@@ -5,7 +5,9 @@
 // ledger of sublayer shapes (every SA / Softmax / LayerNorm operation
 // reserved on a Timeline following the paper's computation flow, including
 // the softmax-under-V·W_V overlap and the Fig. 7 LayerNorm strategies).
-// run_mha / run_ffn compose the two for one standalone ResBlock.
+// Every timing call is a time_step: time_mha / time_ffn / time_mha_cached
+// time one standalone ResBlock as a one-lane ledger, and run_mha / run_ffn
+// pair that with forward_mha / forward_ffn.
 #pragma once
 
 #include <string>
@@ -96,16 +98,20 @@ class Accelerator {
   /// Algorithm 1, lines 14-22.
   FfnResult run_ffn(const FfnQuantized& block, const MatI8& x) const;
 
-  /// Timing-only variants (no data): cycle counts for a given shape.
-  /// Used by latency sweeps where weights/activations are irrelevant.
+  /// Timing-only variants (no data): cycle counts for a given shape, as
+  /// time_step over one lane holding one unlabelled plan (Algorithm 1
+  /// program order for the MHA). Used by latency sweeps where
+  /// weights/activations are irrelevant. The report's timeline opens with
+  /// the ledger's cold load, the WeightLoad row "prefetch" at
+  /// [0, weight_load_cycles).
   RunReport time_mha(int s_q, int s_kv, int d_model, int num_heads) const;
   RunReport time_ffn(int s, int d_model, int d_ff) const;
 
   /// Timing of one KV-cached attention step: one fresh query row attends
   /// over `s_total` keys/values, of which only `project_kv_rows` rows are
-  /// projected this step (0 = K/V fully cached in the data memory) — the
-  /// one-slot schedule_mha_cached_batch. Used by the full-model decoder
-  /// schedule (core/full_model.hpp).
+  /// projected this step (0 = K/V fully cached in the data memory) — a
+  /// one-lane ledger of a one-slot kMhaCachedBatch plan, issued greedily.
+  /// Used by the full-model decoder schedule (core/full_model.hpp).
   RunReport time_mha_cached(int s_total, int d_model, int num_heads,
                             int project_kv_rows) const;
 
@@ -116,15 +122,16 @@ class Accelerator {
   /// program order (prefill chunks do not). The report's boundary_stall
   /// carries the per-seam accounting (cold load + LayerNorm tails + seam
   /// gaps) and prefill_stall the prefill-attributed stall of a mixed step.
-  /// Every accelerator_backend hook is timed through this, via
-  /// DecodeStepFuser; a one-sublayer ledger costs exactly what the
-  /// standalone time_* builder reports.
+  /// Plans that break the Table I shape rules (see SublayerPlan) throw
+  /// CheckError. Every accelerator timing path runs through this:
+  /// accelerator_backend's hooks via DecodeStepFuser, and time_mha /
+  /// time_ffn / time_mha_cached as one-lane ledgers.
   RunReport time_step(const std::vector<FusedLane>& lanes) const;
 
   /// Functional ResBlocks (validation + bit-exact INT8 arithmetic, no
   /// timeline). accelerator_backend computes every sublayer's data through
   /// these and hands only its shape to DecodeStepFuser; run_mha / run_ffn
-  /// compose forward_mha / forward_ffn with a standalone schedule.
+  /// pair forward_mha / forward_ffn with time_mha / time_ffn.
   ///
   /// forward_mha_cached_batch is the packed KV-cached MHA (continuous
   /// batching): row r of q is an independent hypothesis attending over

@@ -63,7 +63,8 @@ struct AcceleratorStats {
 ///    cycle ledger advances exactly once per card-step (the work
 ///    conservation the admission gate relies on);
 ///  * nothing (serial decode) — the record is timed at once as its own
-///    one-sublayer ledger, which costs what the standalone builder reports.
+///    one-sublayer ledger: the ledger time_mha / time_ffn /
+///    time_mha_cached build for the same shape, labelled "sub0".
 /// Either way end_step() is the only caller of Accelerator::time_step. The
 /// serve loop encodes on an untimed backend and times the pass from its
 /// shape (encoder_plans), as prefill chunks spliced into its steps.

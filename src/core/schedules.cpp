@@ -53,6 +53,39 @@ DepScratch& dep_scratch() {
   return scratch;
 }
 
+/// The shape rules a plan must meet, checked once as the builder first
+/// walks the plans. Table I's: an MHA kind has num_heads >= 1 heads of
+/// sa_cols dims each, and an FFN's d_model and d_ff are positive multiples
+/// of sa_cols. Row counts are positive; a prefill chunk's rows are a slice
+/// of the sentence it attends over, and it projects all of that sentence's
+/// K/V rows or none.
+void check_plan(const AcceleratorConfig& cfg, const SublayerPlan& sub) {
+  const int cols = cfg.sa_cols;
+  if (sub.kind == SublayerPlan::Kind::kFfn) {
+    TFACC_CHECK_ARG_MSG(sub.rows > 0 && sub.d_model > 0 &&
+                            sub.d_model % cols == 0 && sub.d_ff > 0 &&
+                            sub.d_ff % cols == 0,
+                        "FFN plan '" << sub.label << "': " << sub.rows
+                                     << " rows, d_model " << sub.d_model
+                                     << ", d_ff " << sub.d_ff << " on "
+                                     << cols << " SA columns");
+    return;
+  }
+  TFACC_CHECK_ARG_MSG(
+      sub.num_heads >= 1 && sub.d_model == sub.num_heads * cols,
+      "MHA plan '" << sub.label << "': d_model " << sub.d_model << " is not "
+                   << sub.num_heads << " heads of " << cols << " SA columns");
+  if (sub.kind == SublayerPlan::Kind::kMhaCachedBatch) {
+    TFACC_CHECK_ARG(!sub.totals.empty() && sub.project_kv_rows >= 0);
+    return;
+  }
+  TFACC_CHECK_ARG(sub.s_q > 0 && sub.s_kv > 0);
+  if (sub.kind == SublayerPlan::Kind::kMhaPrefill)
+    TFACC_CHECK_ARG(sub.s_kv >= sub.s_q &&
+                    (sub.project_kv_rows == 0 ||
+                     sub.project_kv_rows == sub.s_kv));
+}
+
 /// Upper bounds on the ops and dep entries one sublayer adds to a ledger,
 /// its weight prefetch included, so the graph is sized once. Every
 /// input-consuming op is counted with two entry deps (the prefetch and the
@@ -65,15 +98,11 @@ struct GraphExtent {
 GraphExtent sublayer_extent(const AcceleratorConfig& cfg,
                             const SublayerPlan& sub) {
   constexpr std::size_t kEntry = 2;
-  // Malformed shapes count as empty; the builders reject them.
-  const auto count = [](int n) {
-    return static_cast<std::size_t>(std::max(n, 0));
-  };
-  const std::size_t out_blocks = count(sub.d_model / cfg.sa_cols);
-  const std::size_t heads = count(sub.num_heads);
+  const auto out_blocks = static_cast<std::size_t>(sub.d_model / cfg.sa_cols);
+  const auto heads = static_cast<std::size_t>(sub.num_heads);
   GraphExtent e{1, kEntry};  // the prefetch
   if (sub.kind == SublayerPlan::Kind::kFfn) {
-    const std::size_t hidden = count(sub.d_ff / cfg.sa_cols);
+    const auto hidden = static_cast<std::size_t>(sub.d_ff / cfg.sa_cols);
     e.ops += hidden + out_blocks + 1;
     e.deps += hidden * kEntry + out_blocks * hidden + out_blocks;
     return e;
@@ -119,15 +148,13 @@ struct AppendResult {
 /// key/value rows. project_kv_rows is s_kv, or 0 for a later prefill chunk
 /// whose K₁ᵀ/V₁ an earlier chunk's ledger already projected (encoder
 /// attention is bidirectional, so that is one-time work). `entry_deps` are
-/// extra data deps for every input-consuming op (empty for a standalone
-/// run; a fused composer passes the previous sublayer's LayerNorm and this
-/// sublayer's weight prefetch). Every op is labelled under `prefix`.
+/// the deps of every input-consuming op: this sublayer's weight prefetch
+/// and, within a lane, the previous sublayer's LayerNorm. Every op is
+/// labelled under `prefix`.
 AppendResult append_mha(OpGraph& g, const AcceleratorConfig& cfg, int s_q,
                         int s_kv, int d_model, int num_heads,
                         int project_kv_rows, DepList entry_deps, int prefix,
                         DepScratch& scratch) {
-  TFACC_CHECK_ARG(s_q > 0 && s_kv > 0);
-  TFACC_CHECK_ARG(project_kv_rows == 0 || project_kv_rows == s_kv);
   const int hd = cfg.sa_cols;
   AppendResult res;
   std::vector<int>& avs = scratch.outs;
@@ -169,7 +196,12 @@ AppendResult append_mha(OpGraph& g, const AcceleratorConfig& cfg, int s_q,
   return res;
 }
 
-/// Packed KV-cached MHA (see schedule_mha_cached_batch).
+/// Packed KV-cached MHA: one query row per slot, slot r attending over
+/// totals[r] cached keys/values. Projections (QWq, and KWk/VWv for the
+/// project_kv_rows rows projected this call; 0 = fully cached, the steady
+/// decode state) stream the stacked rows through a single weight-tile
+/// residency; the ragged per-slot attention GEMMs keep their one-row
+/// shapes and interleave across slots and heads.
 AppendResult append_mha_cached_batch(OpGraph& g, const AcceleratorConfig& cfg,
                                      const std::vector<int>& totals,
                                      int d_model, int num_heads,
@@ -177,7 +209,6 @@ AppendResult append_mha_cached_batch(OpGraph& g, const AcceleratorConfig& cfg,
                                      int prefix, DepScratch& scratch) {
   const int hd = cfg.sa_cols;
   const int n = static_cast<int>(totals.size());
-  TFACC_CHECK_ARG(n > 0);
   AppendResult res;
   std::vector<int>& avs = scratch.outs;
   avs.clear();
@@ -223,10 +254,6 @@ AppendResult append_mha_cached_batch(OpGraph& g, const AcceleratorConfig& cfg,
 AppendResult append_ffn(OpGraph& g, const AcceleratorConfig& cfg, int s,
                         int d_model, int d_ff, DepList entry_deps, int prefix,
                         DepScratch& scratch) {
-  // At least one H and one G block must exist (the Table I pattern makes
-  // both multiples of sa_cols); an empty H set would leave the sublayer
-  // with no first SA op to hook the fused prefetch chain on.
-  TFACC_CHECK_ARG(s > 0 && d_model >= cfg.sa_cols && d_ff >= cfg.sa_cols);
   const int bc = cfg.sa_cols;
   AppendResult res;
   // Lines 15-17: P_i = ReLU(X·W_1i + b_1i), 4h blocks.
@@ -265,8 +292,6 @@ AppendResult append_sublayer(OpGraph& g, const AcceleratorConfig& cfg,
       return append_ffn(g, cfg, sub.rows, sub.d_model, sub.d_ff, entry_deps,
                         prefix, scratch);
     case SublayerPlan::Kind::kMhaPrefill:
-      // A chunk's rows are a slice of the sentence it attends over.
-      TFACC_CHECK_ARG(sub.s_kv >= sub.s_q);
       return append_mha(g, cfg, sub.s_q, sub.s_kv, sub.d_model,
                         sub.num_heads, sub.project_kv_rows, entry_deps,
                         prefix, scratch);
@@ -276,49 +301,6 @@ AppendResult append_sublayer(OpGraph& g, const AcceleratorConfig& cfg,
 }
 
 }  // namespace
-
-ScheduledRun schedule_mha(const AcceleratorConfig& cfg, Timeline& tl, int s_q,
-                          int s_kv, int d_model, int num_heads) {
-  cfg.validate();
-  ScheduledRun run;
-  append_mha(run.graph, cfg, s_q, s_kv, d_model, num_heads,
-             /*project_kv_rows=*/s_kv, {}, run.graph.add_prefix({}),
-             dep_scratch());
-  // Algorithm 1's controller is a fixed program: issue in its order so the
-  // Section V.B cycle validation against the paper — and the per-head
-  // softmax-hidden-behind-V·W_V property it demonstrates — stays exact.
-  run.stats = schedule_ops(run.graph, cfg.weight_load_cycles,
-                           IssuePolicy::kProgramOrder, tl);
-  return run;
-}
-
-ScheduledRun schedule_mha_cached_batch(const AcceleratorConfig& cfg,
-                                       Timeline& tl,
-                                       const std::vector<int>& totals,
-                                       int d_model, int num_heads,
-                                       int project_kv_rows) {
-  cfg.validate();
-  ScheduledRun run;
-  append_mha_cached_batch(run.graph, cfg, totals, d_model, num_heads,
-                          project_kv_rows, {}, run.graph.add_prefix({}),
-                          dep_scratch());
-  run.stats = schedule_ops(run.graph, cfg.weight_load_cycles,
-                           IssuePolicy::kGreedy, tl);
-  return run;
-}
-
-ScheduledRun schedule_ffn(const AcceleratorConfig& cfg, Timeline& tl, int s,
-                          int d_model, int d_ff) {
-  cfg.validate();
-  ScheduledRun run;
-  append_ffn(run.graph, cfg, s, d_model, d_ff, {}, run.graph.add_prefix({}),
-             dep_scratch());
-  // All weights are resident and the H→G barrier is a real data dependency,
-  // so greedy issue reproduces program order exactly — one code path.
-  run.stats = schedule_ops(run.graph, cfg.weight_load_cycles,
-                           IssuePolicy::kGreedy, tl);
-  return run;
-}
 
 // --- Fused multi-sublayer ledgers (PR 5) -------------------------------------
 
@@ -430,6 +412,7 @@ FusedRun schedule_fused_lanes(const AcceleratorConfig& cfg, Timeline& tl,
     TFACC_CHECK_ARG_MSG(!lane.subs.empty(), "fused lane needs >= 1 sublayer");
     num_subs += lane.subs.size();
     for (const SublayerPlan& sub : lane.subs) {
+      check_plan(cfg, sub);
       const GraphExtent e = sublayer_extent(cfg, sub);
       extent.ops += e.ops;
       extent.deps += e.deps;

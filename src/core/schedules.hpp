@@ -1,20 +1,22 @@
-// The three ResBlock schedule builders, rebuilt (PR 4) as dependency graphs
-// placed by the list scheduler of sim/op_graph.hpp.
+// The ResBlock flows of Algorithm 1 as dependency graphs placed by the list
+// scheduler of sim/op_graph.hpp (PR 4), all built by one ledger builder,
+// schedule_fused_lanes. A ledger is one or more lanes of sublayer plans:
 //
-//  * schedule_mha          — Algorithm 1 lines 1-13, the paper's validated
-//                            single-sentence flow. Issued in program order:
-//                            this is the controller the paper describes and
-//                            the cycle counts Section V.B pins (21,188 at
-//                            the design point) depend on its exact order.
-//  * schedule_mha_cached_batch — KV-cached decode, one query row per slot
-//                            (PR 3); serial incremental decode is the
-//                            one-slot case.
-//  * schedule_ffn          — Algorithm 1 lines 14-22.
+//  * kMha            — Algorithm 1 lines 1-13, the paper's validated
+//                      single-sentence flow. Accelerator::time_step issues
+//                      a ledger holding one in program order: this is the
+//                      controller the paper describes, and the cycle counts
+//                      Section V.B pins (21,188 at the design point) depend
+//                      on its exact order.
+//  * kMhaCachedBatch — KV-cached decode, one query row per slot (PR 3);
+//                      serial incremental decode is the one-slot case.
+//  * kFfn            — Algorithm 1 lines 14-22.
+//  * kMhaPrefill     — an encoder MHA chunk of a serve step (below).
 //
-// The cached flow issues greedily (IssuePolicy::kGreedy): while the softmax
-// unit processes slot r of head h, the SA streams slot r+1's QKt or the
-// next head's projections, so softmax latency becomes overlap instead of a
-// per-slot bubble. Its one-slot cycle counts are pinned in
+// Every other ledger issues greedily (IssuePolicy::kGreedy): while the
+// softmax unit processes slot r of head h, the SA streams slot r+1's QKt or
+// the next head's projections, so softmax latency becomes overlap instead
+// of a per-slot bubble. The one-slot cycle counts are pinned in
 // tests/test_op_graph.cpp.
 //
 // Exposed publicly (rather than as accelerator.cpp internals) so tests and
@@ -29,38 +31,11 @@
 
 namespace tfacc {
 
-/// A built flow: the dependency graph and where every op landed.
-struct ScheduledRun {
-  OpGraph graph;
-  ScheduleStats stats;
-};
-
-/// Full MHA (Algorithm 1 lines 1-13): `s_q` query rows attend over `s_kv`
-/// key/value rows, `num_heads` heads of `cfg.sa_cols` dims each.
-ScheduledRun schedule_mha(const AcceleratorConfig& cfg, Timeline& tl, int s_q,
-                          int s_kv, int d_model, int num_heads);
-
-/// Packed KV-cached MHA: one query row per slot, slot r attending over
-/// totals[r] cached keys/values. Projections (QWq, and KWk/VWv for the
-/// project_kv_rows rows projected this call; 0 = fully cached, the steady
-/// decode state) stream the stacked rows through a single weight-tile
-/// residency; the ragged per-slot attention GEMMs keep their one-row
-/// shapes and interleave across slots and heads.
-ScheduledRun schedule_mha_cached_batch(const AcceleratorConfig& cfg,
-                                       Timeline& tl,
-                                       const std::vector<int>& totals,
-                                       int d_model, int num_heads,
-                                       int project_kv_rows);
-
-/// FFN (Algorithm 1 lines 14-22) over `s` rows.
-ScheduledRun schedule_ffn(const AcceleratorConfig& cfg, Timeline& tl, int s,
-                          int d_model, int d_ff);
-
 // --- Fused multi-sublayer ledgers (PR 5) -------------------------------------
 //
-// One ResBlock run per ledger leaves every sublayer boundary cold: each of
-// the ~124 per-step sublayer invocations pays the initial 64-cycle weight
-// tile load and leaves its LayerNorm tail fully exposed. The fused composer
+// One ledger per sublayer would leave every sublayer boundary cold: each of
+// the ~124 per-step sublayer invocations would pay the initial 64-cycle
+// weight tile load and leave its LayerNorm tail fully exposed. The builder
 // splices consecutive sublayer graphs into ONE OpGraph/Timeline: sublayer
 // N+1's initial tile load becomes an explicit prefetch op on the WeightLoad
 // port, gated only on sublayer N's first SA op having consumed its own tile
@@ -77,11 +52,16 @@ ScheduledRun schedule_ffn(const AcceleratorConfig& cfg, Timeline& tl, int s,
 /// already resident in the data memory from an earlier step's ledger).
 /// Unlike kMha it does NOT pin the whole ledger to Algorithm 1 program
 /// order: prefill chunks interleave greedily with decode rows. A single
-/// full-size chunk builds exactly schedule_mha's graph.
+/// full-size chunk builds exactly the graph of the same-shape kMha plan.
+///
+/// The builder checks every plan against the Table I shape rules: an MHA
+/// kind has num_heads >= 1 heads of sa_cols dims each (d_model = num_heads
+/// · sa_cols), and an FFN's d_model and d_ff are positive multiples of
+/// sa_cols.
 struct SublayerPlan {
   enum class Kind { kMha, kMhaCachedBatch, kFfn, kMhaPrefill };
   Kind kind = Kind::kFfn;
-  std::string label;  ///< ledger label prefix, e.g. "dec0.self"
+  std::string label;  ///< ledger label prefix, e.g. "dec0.self"; none if empty
 
   int d_model = 0;
   int num_heads = 0;         ///< kMha / kMhaCachedBatch / kMhaPrefill
@@ -168,10 +148,11 @@ struct FusedLane {
 /// chunks interleave freely with the packed decode rows. This is the one
 /// ledger builder every accelerator timing path uses: a packed decode step
 /// is one chained lane, back-to-back independent invocations (workload
-/// streaming) are one single-sublayer lane each, and a serial decode
-/// sublayer is a one-sublayer ledger, which schedules its
-/// SA/Softmax/LayerNorm intervals identically to the standalone builder
-/// above (pinned in tests/test_fused_step.cpp).
+/// streaming) are one single-sublayer lane each, and a standalone ResBlock
+/// (Accelerator::time_mha / time_ffn / time_mha_cached) or a serial decode
+/// sublayer is a one-sublayer ledger. Every sublayer opens with an explicit
+/// weight prefetch on the WeightLoad port; the first one is the ledger's
+/// cold load, [0, weight_load_cycles).
 FusedRun schedule_fused_lanes(const AcceleratorConfig& cfg, Timeline& tl,
                               const std::vector<FusedLane>& lanes,
                               IssuePolicy policy);

@@ -1,15 +1,13 @@
 // Tests for the fused cross-sublayer decode-step ledger (PR 5): legality of
 // spliced schedules across sublayer seams (no SA/Softmax/LayerNorm
 // double-booking, weight-tile single-residency respected by the prefetch
-// port), the one-sublayer ≡ standalone-builder interval pin, the
-// cold-load-collapse arithmetic, the DecodeStepFuser lifecycle, the
-// serve-scheduler integration (bit-identical outputs, pinned step ledgers),
-// the serial-decode totals of the same one timing path, and the
-// StreamReport model rebased on a two-invocation fused ledger.
+// port), the plan shape checks, the cold-load-collapse arithmetic, the
+// DecodeStepFuser lifecycle, the serve-scheduler integration (bit-identical
+// outputs, pinned step ledgers), the serial-decode totals of the same one
+// timing path, and the StreamReport model rebased on a two-invocation fused
+// ledger.
 #include <gtest/gtest.h>
 
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "analysis/verifier.hpp"
@@ -120,174 +118,25 @@ TEST(FusedAudit, RejectsEmptyPlan) {
                CheckError);
 }
 
-// --- One-sublayer ≡ standalone builder ---------------------------------------
-
-// A fused ledger of one sublayer must schedule every SA/Softmax/LayerNorm
-// interval exactly where the standalone builder puts it: the explicit
-// prefetch op on the WeightLoad port replaces the scheduler's implicit
-// cold-load rule without moving anything. (The fused graph's op 0 is the
-// prefetch; the remaining ops are in the standalone builder's order.)
-void expect_one_sublayer_pin(const SublayerPlan& sub,
-                             const ScheduledRun& standalone,
-                             const Timeline& standalone_tl,
-                             IssuePolicy policy) {
-  Timeline tl;
-  const FusedRun fused =
-      schedule_fused_lanes(AcceleratorConfig{}, tl, chained({sub}), policy);
-  VerifyOptions opts;
-  opts.program_order = policy == IssuePolicy::kProgramOrder;
-  const VerifyResult res = verify_fused(fused, opts);
-  EXPECT_TRUE(res.ok()) << res.to_string();
-  EXPECT_EQ(tl.end_time(), standalone_tl.end_time());
-  ASSERT_EQ(fused.graph.size(), standalone.graph.size() + 1);
-  EXPECT_EQ(fused.graph.ops()[0].resource, OpResource::kWeightLoad);
-  for (int i = 0; i < standalone.graph.size(); ++i) {
-    const auto fi = static_cast<std::size_t>(i + 1);
-    const auto si = static_cast<std::size_t>(i);
-    EXPECT_EQ(fused.stats.intervals[fi].start,
-              standalone.stats.intervals[si].start)
-        << standalone.graph.label(i);
-    EXPECT_EQ(fused.stats.intervals[fi].end,
-              standalone.stats.intervals[si].end)
-        << standalone.graph.label(i);
-  }
-}
-
-TEST(FusedDegenerate, OneSublayerMatchesStandaloneBatch) {
-  const AcceleratorConfig cfg;
-  for (const int project : {0, 8}) {
-    const SublayerPlan sub = SublayerPlan::mha_cached_batch(
-        "self", greedy_totals(8), 64, 1, project);
-    Timeline tl;
-    const ScheduledRun standalone = schedule_mha_cached_batch(
-        cfg, tl, greedy_totals(8), 64, 1, project);
-    expect_one_sublayer_pin(sub, standalone, tl, IssuePolicy::kGreedy);
-    // The same graph placed in strict program order.
-    Timeline po_tl;
-    ScheduledRun program{standalone.graph, {}};
-    program.stats = schedule_ops(program.graph, cfg.weight_load_cycles,
-                                 IssuePolicy::kProgramOrder, po_tl);
-    expect_one_sublayer_pin(sub, program, po_tl, IssuePolicy::kProgramOrder);
-  }
-}
-
-TEST(FusedDegenerate, OneSublayerMatchesStandaloneFfn) {
-  Timeline tl;
-  const ScheduledRun standalone =
-      schedule_ffn(AcceleratorConfig{}, tl, 16, 512, 2048);
-  expect_one_sublayer_pin(SublayerPlan::ffn("ffn", 16, 512, 2048),
-                          standalone, tl, IssuePolicy::kGreedy);
-}
-
-TEST(FusedDegenerate, OneSublayerMatchesStandaloneMha) {
-  Timeline tl;
-  const ScheduledRun standalone =
-      schedule_mha(AcceleratorConfig{}, tl, 64, 64, 512, 8);
-  expect_one_sublayer_pin(SublayerPlan::mha("mha", 64, 64, 512, 8),
-                          standalone, tl, IssuePolicy::kProgramOrder);
-}
-
-// --- Standalone timing ≡ one-lane step ledger --------------------------------
-
-/// A report's CSV trace, without its WeightLoad rows.
-std::string csv_without_weight_loads(const Timeline& tl) {
-  std::ostringstream os;
-  tl.write_csv(os);
-  std::istringstream in(os.str());
-  std::string kept;
-  for (std::string line; std::getline(in, line);)
-    if (line.rfind("WeightLoad,", 0) != 0) kept += line + '\n';
-  return kept;
-}
-
-/// `lane` (a one-lane time_step) reports what `standalone` (time_*) does:
-/// every scalar field but the ledger hash (the lane's graph holds one more
-/// op, its prefetch, which the hash covers), and the same CSV trace once
-/// the lane's one WeightLoad row, its cold load, is dropped.
-void expect_same_report(const RunReport& standalone, const RunReport& lane,
-                        const AcceleratorConfig& cfg,
-                        const std::string& what) {
-  EXPECT_EQ(standalone.total_cycles, lane.total_cycles) << what;
-  EXPECT_EQ(standalone.sa_busy, lane.sa_busy) << what;
-  EXPECT_EQ(standalone.sa_stream, lane.sa_stream) << what;
-  EXPECT_EQ(standalone.softmax_busy, lane.softmax_busy) << what;
-  EXPECT_EQ(standalone.layernorm_busy, lane.layernorm_busy) << what;
-  EXPECT_EQ(standalone.exposed_weight_load, lane.exposed_weight_load) << what;
-  EXPECT_EQ(standalone.accum_spill, lane.accum_spill) << what;
-  EXPECT_EQ(standalone.softmax_slack_min, lane.softmax_slack_min) << what;
-  EXPECT_EQ(standalone.softmax_stall, lane.softmax_stall) << what;
-  EXPECT_EQ(standalone.boundary_stall, lane.boundary_stall) << what;
-  EXPECT_EQ(standalone.prefill_stall, lane.prefill_stall) << what;
-  EXPECT_EQ(standalone.softmax_hidden, lane.softmax_hidden) << what;
-  EXPECT_EQ(standalone.clock_mhz, lane.clock_mhz) << what;
-  EXPECT_EQ(cfg.verify_schedules, lane.ledger_hash != 0) << what;
-  const ModuleTimeline* loads = lane.timeline.find("WeightLoad");
-  ASSERT_NE(loads, nullptr) << what;
-  ASSERT_EQ(loads->intervals().size(), 1u) << what;
-  EXPECT_EQ(loads->intervals()[0].start, 0) << what;
-  EXPECT_EQ(loads->intervals()[0].end, cfg.weight_load_cycles) << what;
-  EXPECT_EQ(lane.timeline.label(loads->intervals()[0]), "prefetch") << what;
-  EXPECT_EQ(csv_without_weight_loads(standalone.timeline),
-            csv_without_weight_loads(lane.timeline))
-      << what;
-}
-
-// time_mha, time_ffn and time_mha_cached against time_step over one lane
-// holding the same unlabelled plan, for every Table I model at short,
-// odd, full-tile and multi-chunk lengths, under the knobs that change a
-// schedule, with verification off and on.
-TEST(Accelerator, StandaloneTimingEqualsOneLaneLedger) {
-  std::vector<AcceleratorConfig> cfgs(1);
-  cfgs.emplace_back().overlap_softmax = false;
-  cfgs.emplace_back().layernorm_strategy = LayerNormStrategy::kStraightforward;
-  cfgs.emplace_back().layernorm_strategy = LayerNormStrategy::kStepOne;
-  cfgs.emplace_back().weight_load_cycles = 0;
-  cfgs.emplace_back().weight_load_cycles = 128;
-  cfgs.emplace_back().accum_depth_tiles = 1;
-  AcceleratorConfig narrow;
-  narrow.sa_cols = narrow.tile_k = 32;
-  cfgs.push_back(narrow);
-  cfgs.emplace_back().softmax_pipeline_depth = 200;
-  const auto one_lane = [](const SublayerPlan& sub) {
-    return std::vector<FusedLane>{FusedLane{{sub}, false}};
-  };
-  int cases = 0;
-  for (std::size_t c = 0; c < cfgs.size(); ++c)
-    for (const bool verify : {false, true}) {
-      AcceleratorConfig cfg = cfgs[c];
-      cfg.verify_schedules = verify;
-      const Accelerator acc(cfg);
-      for (const ModelConfig& m : ModelConfig::table1())
-        for (const int s : {1, 7, 16, 64, 65, 128}) {
-          const int d = m.d_model;
-          const int heads = d / cfg.sa_cols;
-          const std::string at = m.name + " s=" + std::to_string(s) +
-                                 " config " + std::to_string(c) +
-                                 (verify ? " verified" : "");
-          for (const int s_kv : {s, s + 9}) {
-            expect_same_report(
-                acc.time_mha(s, s_kv, d, heads),
-                acc.time_step(one_lane(SublayerPlan::mha("", s, s_kv, d,
-                                                         heads))),
-                cfg, "mha s_kv=" + std::to_string(s_kv) + " " + at);
-            ++cases;
-          }
-          expect_same_report(
-              acc.time_ffn(s, d, m.d_ff),
-              acc.time_step(one_lane(SublayerPlan::ffn("", s, d, m.d_ff))),
-              cfg, "ffn " + at);
-          ++cases;
-          for (const int project : {0, 1, s}) {
-            expect_same_report(
-                acc.time_mha_cached(s, d, heads, project),
-                acc.time_step(one_lane(SublayerPlan::mha_cached_batch(
-                    "", {s}, d, heads, project))),
-                cfg, "cached project=" + std::to_string(project) + " " + at);
-            ++cases;
-          }
-        }
-    }
-  EXPECT_EQ(cases, 2592);
+// The builder holds every plan to the Table I shapes: an MHA kind has at
+// least one head of sa_cols dims each, an FFN's widths are multiples of
+// sa_cols. time_step is public, so these reach it without passing through
+// time_mha / time_ffn.
+TEST(FusedAudit, RejectsPlansOffTheTableIShapes) {
+  const Accelerator acc;
+  for (const SublayerPlan& bad :
+       {SublayerPlan::mha("mha d_model 100", 4, 4, 100, 1),
+        SublayerPlan::mha("mha d_model 128, 1 head", 4, 4, 128, 1),
+        SublayerPlan::mha("mha 0 heads", 4, 4, 64, 0),
+        SublayerPlan::mha("mha 0 heads, d_model 0", 4, 4, 0, 0),
+        SublayerPlan::mha_cached_batch("cached 0 heads", {4, 5}, 64, 0, 0),
+        SublayerPlan::mha_cached_batch("cached 0 heads, d_model 0", {4}, 0,
+                                       0, 0),
+        SublayerPlan::mha_prefill("prefill d_model 100", 4, 4, 100, 1, 4),
+        SublayerPlan::ffn("ffn d_model 100", 4, 100, 256),
+        SublayerPlan::ffn("ffn d_ff 100", 4, 64, 100)})
+    EXPECT_THROW(acc.time_step({FusedLane{{bad}, false}}), CheckError)
+        << bad.label;
 }
 
 // --- Seam semantics ----------------------------------------------------------
@@ -390,8 +239,8 @@ TEST(FusedSeams, SchedulesAreDeterministic) {
 TEST(DecodeStepFuser, LifecycleIsEnforced) {
   Accelerator acc;
   // Serial decode: with nothing open, each record is timed at once as its
-  // own one-sublayer ledger, costing exactly what the standalone builder
-  // reports.
+  // own one-sublayer ledger, the one time_ffn / time_mha / time_mha_cached
+  // build for the same shape.
   AcceleratorStats serial;
   DecodeStepFuser serial_fuser(acc, &serial);
   serial_fuser.record_ffn(3, 64, 256);
@@ -536,8 +385,8 @@ TEST(FusedServe, RunsAreReproducible) {
 // Serial translate_* on the accelerator backend: every sublayer is timed as
 // its own one-sublayer step ledger through the same DecodeStepFuser the
 // farm uses. The pinned totals are exactly the ones the retired per-run
-// ledgers charged on this workload, because a one-sublayer ledger places
-// every interval where the standalone builder does (FusedDegenerate.*).
+// ledgers charged on this workload, because a one-sublayer ledger placed
+// every interval where the retired standalone builders did.
 enum class SerialDecode { kGreedyKvCache, kGreedyFullRecompute, kBeam3 };
 
 AcceleratorStats serial_stats(SerialDecode decode, bool verify_schedules) {

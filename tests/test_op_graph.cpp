@@ -1,8 +1,8 @@
 // Tests for the dependency-driven schedules (PR 4): legality audits over
-// every rebuilt flow (no resource double-booking, no op outrunning its
-// operands), the one-slot cached flow's exact cycle counts, the pipelined
-// softmax model, per-edge slack/stall semantics, and the interleaving win
-// over the same graphs placed in strict program order.
+// every flow as a one-lane step ledger (no resource double-booking, no op
+// outrunning its operands), the one-slot cached flow's exact cycle counts,
+// the pipelined softmax model, per-edge slack/stall semantics, and the
+// interleaving win over the same graphs placed in strict program order.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -15,56 +15,53 @@ namespace {
 
 AcceleratorConfig accel_config() { return AcceleratorConfig{}; }
 
-// The same graph placed in strict program order: the pre-interleaving
-// controller, still available as a scheduler policy.
-ScheduledRun in_program_order(const ScheduledRun& run, Timeline& tl) {
-  ScheduledRun po{run.graph, {}};
-  po.stats = schedule_ops(po.graph, accel_config().weight_load_cycles,
-                          IssuePolicy::kProgramOrder, tl);
-  return po;
+// `sub` as the only lane of a step ledger, placed under `policy`: how the
+// accelerator times one standalone ResBlock.
+FusedRun one_lane(const SublayerPlan& sub, Timeline& tl,
+                  IssuePolicy policy = IssuePolicy::kGreedy,
+                  const AcceleratorConfig& cfg = accel_config()) {
+  return schedule_fused_lanes(cfg, tl, {FusedLane{{sub}, false}}, policy);
 }
 
-void expect_legal(const ScheduledRun& run, const std::string& what,
-                  bool program_order = false) {
+// `sub`'s one-lane ledger placed under `policy` verifies clean, under the
+// program-order pin when it issued in program order.
+void expect_legal(const SublayerPlan& sub, IssuePolicy policy,
+                  const std::string& what,
+                  const AcceleratorConfig& cfg = accel_config()) {
+  Timeline tl;
   VerifyOptions opts;
-  opts.program_order = program_order;
-  const VerifyResult res = verify_schedule(run.graph, run.stats, opts);
+  opts.program_order = policy == IssuePolicy::kProgramOrder;
+  const VerifyResult res = verify_fused(one_lane(sub, tl, policy, cfg), opts);
   EXPECT_TRUE(res.ok()) << what << "\n" << res.to_string();
 }
 
 // The cached flows issue greedily; their graphs must also place legally in
 // program order (and satisfy the program-order pin there).
-void expect_legal_both_policies(const ScheduledRun& greedy,
+void expect_legal_both_policies(const SublayerPlan& sub,
                                 const std::string& what) {
-  expect_legal(greedy, what + " greedy");
-  Timeline tl;
-  expect_legal(in_program_order(greedy, tl), what + " program-order",
-               /*program_order=*/true);
+  expect_legal(sub, IssuePolicy::kGreedy, what + " greedy");
+  expect_legal(sub, IssuePolicy::kProgramOrder, what + " program-order");
 }
 
-// --- Legality audits over every rebuilt flow ---------------------------------
+// --- Legality audits over every flow -----------------------------------------
 
 TEST(ScheduleAudit, FullMhaFlowIsLegal) {
-  Timeline tl;
-  expect_legal(schedule_mha(accel_config(), tl, 64, 64, 512, 8),
+  constexpr IssuePolicy kAlgorithm1 = IssuePolicy::kProgramOrder;
+  expect_legal(SublayerPlan::mha({}, 64, 64, 512, 8), kAlgorithm1,
                "mha 64x64 h8");
-  Timeline cross;
-  expect_legal(schedule_mha(accel_config(), cross, 5, 24, 128, 2),
+  expect_legal(SublayerPlan::mha({}, 5, 24, 128, 2), kAlgorithm1,
                "mha cross 5x24 h2");
   AcceleratorConfig serial = accel_config();
   serial.overlap_softmax = false;
-  Timeline ts;
-  expect_legal(schedule_mha(serial, ts, 64, 64, 512, 8),
-               "mha without softmax overlap");
+  expect_legal(SublayerPlan::mha({}, 64, 64, 512, 8), kAlgorithm1,
+               "mha without softmax overlap", serial);
 }
 
 TEST(ScheduleAudit, CachedFlowIsLegalBothPoliciesAndProjections) {
-  for (const int project : {0, 1, 64}) {
-    Timeline tl;
+  for (const int project : {0, 1, 64})
     expect_legal_both_policies(
-        schedule_mha_cached_batch(accel_config(), tl, {64}, 512, 8, project),
+        SublayerPlan::mha_cached_batch({}, {64}, 512, 8, project),
         "cached slots=1 project=" + std::to_string(project));
-  }
 }
 
 // Slot shapes the serve scheduler produces: greedy decode packs distinct
@@ -89,10 +86,9 @@ TEST(ScheduleAudit, BatchFlowIsLegalAcrossSlotShapesAndPolicies) {
           beam ? beam_totals(slots) : greedy_totals(slots);
       for (const int heads : {1, 8}) {
         for (const int project : {0, slots}) {
-          Timeline tl;
           expect_legal_both_policies(
-              schedule_mha_cached_batch(accel_config(), tl, totals,
-                                        heads * 64, heads, project),
+              SublayerPlan::mha_cached_batch({}, totals, heads * 64, heads,
+                                             project),
               std::string(beam ? "beam" : "greedy") + " slots=" +
                   std::to_string(slots) + " heads=" + std::to_string(heads) +
                   " project=" + std::to_string(project));
@@ -102,20 +98,21 @@ TEST(ScheduleAudit, BatchFlowIsLegalAcrossSlotShapesAndPolicies) {
 }
 
 TEST(ScheduleAudit, FfnFlowIsLegal) {
-  Timeline tl;
-  expect_legal(schedule_ffn(accel_config(), tl, 64, 512, 2048), "ffn 64");
-  Timeline tiny;
-  expect_legal(schedule_ffn(accel_config(), tiny, 1, 64, 256), "ffn 1-row");
+  expect_legal(SublayerPlan::ffn({}, 64, 512, 2048), IssuePolicy::kGreedy,
+               "ffn 64");
+  expect_legal(SublayerPlan::ffn({}, 1, 64, 256), IssuePolicy::kGreedy,
+               "ffn 1-row");
 }
 
 // --- One-slot cached flow --------------------------------------------------
 
 // Serial incremental decode is the one-slot batch flow. Its makespans are
-// pinned to the cycle counts of the retired single-row builder,
-// schedule_mha_cached(cfg, tl, 1, s_total, heads * 64, heads, project), so
-// rerouting serial decode through the packed flow moved no interval. The
-// project = s_total column is the first cross-attention step of
-// FullModelScheduler::greedy_decode (the whole encoder memory projected).
+// pinned to the cycle counts of the retired single-row cached builder (one
+// query row over s_total keys, heads × 64 dims, `project` K/V rows
+// projected), so rerouting serial decode through the packed flow moved no
+// interval. The project = s_total column is the first cross-attention step
+// of FullModelScheduler::greedy_decode (the whole encoder memory
+// projected).
 TEST(BatchDegenerate, OneSlotIsCycleIdenticalToCachedAcrossProjections) {
   const struct {
     int heads, s_total;
@@ -130,8 +127,10 @@ TEST(BatchDegenerate, OneSlotIsCycleIdenticalToCachedAcrossProjections) {
     const int projects[] = {0, 1, pin.s_total};
     for (int i = 0; i < 3; ++i) {
       Timeline tl;
-      (void)schedule_mha_cached_batch(accel_config(), tl, {pin.s_total},
-                                      pin.heads * 64, pin.heads, projects[i]);
+      (void)one_lane(SublayerPlan::mha_cached_batch({}, {pin.s_total},
+                                                    pin.heads * 64, pin.heads,
+                                                    projects[i]),
+                     tl);
       EXPECT_EQ(tl.end_time(), pin.cycles[i])
           << "heads=" << pin.heads << " s_total=" << pin.s_total
           << " project=" << projects[i];
@@ -149,21 +148,22 @@ TEST(Interleaving, GreedyBeatsProgramOrderOnPackedSlots) {
     Cycle greedy, program;
   } pins[] = {{8, 391, 598}, {16, 563, 986}};
   for (const auto& pin : pins) {
+    const SublayerPlan sub = SublayerPlan::mha_cached_batch(
+        {}, greedy_totals(pin.slots), 64, 1, pin.slots);
     Timeline greedy_tl, program_tl;
-    const ScheduledRun greedy =
-        schedule_mha_cached_batch(accel_config(), greedy_tl,
-                                  greedy_totals(pin.slots), 64, 1, pin.slots);
-    in_program_order(greedy, program_tl);
+    (void)one_lane(sub, greedy_tl);
+    (void)one_lane(sub, program_tl, IssuePolicy::kProgramOrder);
     EXPECT_EQ(greedy_tl.end_time(), pin.greedy) << pin.slots << " slots";
     EXPECT_EQ(program_tl.end_time(), pin.program) << pin.slots << " slots";
   }
 }
 
 TEST(Interleaving, StallShrinksVersusProgramOrder) {
+  const SublayerPlan sub =
+      SublayerPlan::mha_cached_batch({}, greedy_totals(16), 64, 1, 16);
   Timeline greedy_tl, program_tl;
-  const ScheduledRun greedy = schedule_mha_cached_batch(
-      accel_config(), greedy_tl, greedy_totals(16), 64, 1, 16);
-  const ScheduledRun program = in_program_order(greedy, program_tl);
+  const FusedRun greedy = one_lane(sub, greedy_tl);
+  const FusedRun program = one_lane(sub, program_tl, IssuePolicy::kProgramOrder);
   EXPECT_EQ(greedy.stats.softmax_stall, 31);
   EXPECT_EQ(program.stats.softmax_stall, 439);
   // Per-edge accounting covers every softmax→AV edge in both policies.
@@ -172,11 +172,11 @@ TEST(Interleaving, StallShrinksVersusProgramOrder) {
 }
 
 TEST(Interleaving, SchedulesAreDeterministic) {
+  const SublayerPlan sub =
+      SublayerPlan::mha_cached_batch({}, greedy_totals(16), 512, 8, 16);
   Timeline a_tl, b_tl;
-  const ScheduledRun a = schedule_mha_cached_batch(
-      accel_config(), a_tl, greedy_totals(16), 512, 8, 16);
-  const ScheduledRun b = schedule_mha_cached_batch(
-      accel_config(), b_tl, greedy_totals(16), 512, 8, 16);
+  const FusedRun a = one_lane(sub, a_tl);
+  const FusedRun b = one_lane(sub, b_tl);
   ASSERT_EQ(a.stats.intervals.size(), b.stats.intervals.size());
   for (std::size_t i = 0; i < a.stats.intervals.size(); ++i) {
     EXPECT_EQ(a.stats.intervals[i].start, b.stats.intervals[i].start);

@@ -6,7 +6,7 @@
 //    the first MHA chunk, chunk_rows=1 and chunk-larger-than-sentence edges),
 //  * legality (the typed verifier) of single-chunk ledgers and mixed
 //    prefill/decode lane ledgers across shapes × issue policies,
-//  * the full-size-chunk ≡ schedule_mha degenerate pin,
+//  * the full-size-chunk ≡ one-lane full-MHA ledger degenerate pin,
 //  * bit-identity of packed Scheduler outputs with serial decode on an
 //    independently built backend, on all three backends (greedy and beam,
 //    burst and staggered arrivals),
@@ -259,8 +259,8 @@ TEST(PrefillAudit, MixedPrefillDecodeLanesAreLegalAcrossShapesAndPolicies) {
 
 TEST(PrefillAudit, FullSizeChunkMatchesScheduleMhaIntervals) {
   // A full-size kMhaPrefill chunk issued in program order builds exactly
-  // Algorithm 1's encoder MHA graph: same ops, same placement. (The
-  // one-lane ledger's op 0 is its weight prefetch.)
+  // Algorithm 1's encoder MHA graph, the one-lane kMha ledger time_mha
+  // times: same ops, same placement, op for op.
   const AcceleratorConfig cfg;
   for (const int rows : {7, 16}) {
     Timeline tl_chunk, tl_mha;
@@ -269,14 +269,16 @@ TEST(PrefillAudit, FullSizeChunkMatchesScheduleMhaIntervals) {
         {FusedLane{{SublayerPlan::mha_prefill("m", rows, rows, 512, 8, rows)},
                    true}},
         IssuePolicy::kProgramOrder);
-    const ScheduledRun mha = schedule_mha(cfg, tl_mha, rows, rows, 512, 8);
+    const FusedRun mha = schedule_fused_lanes(
+        cfg, tl_mha,
+        {FusedLane{{SublayerPlan::mha("m", rows, rows, 512, 8)}, false}},
+        IssuePolicy::kProgramOrder);
     EXPECT_EQ(tl_chunk.end_time(), tl_mha.end_time()) << rows;
-    ASSERT_EQ(chunk.graph.size(), mha.graph.size() + 1) << rows;
+    ASSERT_EQ(chunk.graph.size(), mha.graph.size()) << rows;
     for (std::size_t i = 0; i < mha.stats.intervals.size(); ++i) {
-      EXPECT_EQ(chunk.stats.intervals[i + 1].start,
-                mha.stats.intervals[i].start)
+      EXPECT_EQ(chunk.stats.intervals[i].start, mha.stats.intervals[i].start)
           << "op " << i << " rows=" << rows;
-      EXPECT_EQ(chunk.stats.intervals[i + 1].end, mha.stats.intervals[i].end);
+      EXPECT_EQ(chunk.stats.intervals[i].end, mha.stats.intervals[i].end);
     }
   }
 }

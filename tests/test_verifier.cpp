@@ -1,7 +1,8 @@
 // Tests for the typed schedule verifier (PR 7): one tampered-schedule test
 // per diagnostic code asserting the EXACT code fires, positive sweeps over
-// every builder, canonical-hash determinism/sensitivity, the structured
-// Diagnostic fields, and the AcceleratorConfig::verify_schedules hook.
+// every flow as a step ledger, canonical-hash determinism/sensitivity, the
+// structured Diagnostic fields, and the AcceleratorConfig::verify_schedules
+// hook.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,17 @@ namespace tfacc {
 namespace {
 
 AcceleratorConfig accel_config() { return AcceleratorConfig{}; }
+
+// `sub` as the only lane of a step ledger, placed under `policy`: how the
+// accelerator times one standalone ResBlock.
+FusedRun one_lane(const SublayerPlan& sub, Timeline& tl,
+                  IssuePolicy policy = IssuePolicy::kGreedy) {
+  return schedule_fused_lanes(accel_config(), tl, {FusedLane{{sub}, false}},
+                              policy);
+}
+
+// A small FFN: the tampered-schedule tests' victim.
+SublayerPlan small_ffn() { return SublayerPlan::ffn({}, 8, 64, 256); }
 
 bool has_code(const VerifyResult& res, DiagCode code) {
   return std::any_of(res.diags.begin(), res.diags.end(),
@@ -61,50 +73,34 @@ void slide_op(const OpGraph& g, ScheduleStats& st, std::size_t i,
 
 // --- Positive sweeps ---------------------------------------------------------
 
-/// The graph of `run` placed under `policy`, verified with the matching
-/// program-order pin.
-bool verifies_under(const ScheduledRun& run, IssuePolicy policy) {
+/// `sub`'s one-lane ledger placed under `policy`, verified with the
+/// matching program-order pin.
+bool verifies_under(const SublayerPlan& sub, IssuePolicy policy) {
   Timeline tl;
-  const ScheduleStats st = schedule_ops(
-      run.graph, accel_config().weight_load_cycles, policy, tl);
   VerifyOptions opts;
   opts.program_order = policy == IssuePolicy::kProgramOrder;
-  return verify_schedule(run.graph, st, opts).ok();
+  return verify_fused(one_lane(sub, tl, policy), opts).ok();
 }
 
 TEST(Verifier, CleanBuildersVerifyAcrossPoliciesAndShapes) {
   const AcceleratorConfig cfg = accel_config();
-  {
-    Timeline tl;
-    const ScheduledRun r = schedule_mha(cfg, tl, 64, 64, 512, 8);
-    VerifyOptions opts;
-    opts.program_order = true;  // Algorithm 1 is always pinned
-    EXPECT_TRUE(verify_schedule(r.graph, r.stats, opts).ok());
-  }
-  {
-    Timeline tl;
-    const ScheduledRun r = schedule_ffn(cfg, tl, 64, 512, 2048);
-    EXPECT_TRUE(verify_schedule(r.graph, r.stats).ok());
-  }
+  // Algorithm 1 is always pinned to program order.
+  EXPECT_TRUE(verifies_under(SublayerPlan::mha({}, 64, 64, 512, 8),
+                             IssuePolicy::kProgramOrder));
+  EXPECT_TRUE(verifies_under(SublayerPlan::ffn({}, 64, 512, 2048),
+                             IssuePolicy::kGreedy));
   // The cached flows issue greedily; their graphs also verify when placed
   // in program order under the pin.
-  std::vector<ScheduledRun> cached;
-  {
-    Timeline tl;  // serial decode: one slot appending its own row
-    cached.push_back(schedule_mha_cached_batch(cfg, tl, {64}, 512, 8, 1));
-  }
-  for (const int slots : {1, 8, 16}) {
-    Timeline tl;
-    cached.push_back(schedule_mha_cached_batch(cfg, tl, greedy_totals(slots),
-                                               512, 8, slots));
-  }
-  for (std::size_t i = 0; i < cached.size(); ++i) {
-    EXPECT_TRUE(verify_schedule(cached[i].graph, cached[i].stats).ok())
-        << "cached flow " << i;
+  std::vector<SublayerPlan> cached;
+  // Serial decode: one slot appending its own row.
+  cached.push_back(SublayerPlan::mha_cached_batch({}, {64}, 512, 8, 1));
+  for (const int slots : {1, 8, 16})
+    cached.push_back(SublayerPlan::mha_cached_batch({}, greedy_totals(slots),
+                                                    512, 8, slots));
+  for (std::size_t i = 0; i < cached.size(); ++i)
     for (const IssuePolicy policy :
          {IssuePolicy::kGreedy, IssuePolicy::kProgramOrder})
       EXPECT_TRUE(verifies_under(cached[i], policy)) << "cached flow " << i;
-  }
   for (const IssuePolicy policy :
        {IssuePolicy::kGreedy, IssuePolicy::kProgramOrder}) {
     Timeline tl;
@@ -119,18 +115,18 @@ TEST(Verifier, CleanBuildersVerifyAcrossPoliciesAndShapes) {
 // --- The canonical determinism hash ------------------------------------------
 
 TEST(LedgerHash, IdenticalAcrossRebuildsOfTheSameShapes) {
+  const SublayerPlan sub =
+      SublayerPlan::mha_cached_batch({}, greedy_totals(16), 512, 8, 16);
   Timeline a_tl, b_tl;
-  const ScheduledRun a = schedule_mha_cached_batch(
-      accel_config(), a_tl, greedy_totals(16), 512, 8, 16);
-  const ScheduledRun b = schedule_mha_cached_batch(
-      accel_config(), b_tl, greedy_totals(16), 512, 8, 16);
+  const FusedRun a = one_lane(sub, a_tl);
+  const FusedRun b = one_lane(sub, b_tl);
   EXPECT_EQ(ledger_hash(a.graph, a.stats), ledger_hash(b.graph, b.stats));
   EXPECT_NE(ledger_hash(a.graph, a.stats), 0u);
 }
 
 TEST(LedgerHash, AnyPlacementShiftChangesTheHash) {
   Timeline tl;
-  ScheduledRun run = schedule_ffn(accel_config(), tl, 8, 64, 256);
+  FusedRun run = one_lane(small_ffn(), tl);
   const std::uint64_t before = ledger_hash(run.graph, run.stats);
   slide_op(run.graph, run.stats, run.stats.intervals.size() / 2,
            run.stats.intervals[run.stats.intervals.size() / 2].start + 1);
@@ -152,32 +148,34 @@ std::uint64_t csv_fnv(const Timeline& tl) {
   return h;
 }
 
-// The standalone builders at the design point: end cycles, canonical hash
-// and CSV text. Any change to a placement, a label or the module order
-// moves at least one of them.
+// Standalone ResBlocks as one-lane ledgers at the design point: end cycles,
+// canonical hash and CSV text. Any change to a placement, a label or the
+// module order moves at least one of them. Each CSV is the retired
+// standalone builder's text plus one row, the ledger's cold load
+// "WeightLoad,0,64,prefetch".
 TEST(LedgerIdentity, StandaloneBuildersArePinned) {
-  const AcceleratorConfig cfg = accel_config();
   {
     Timeline tl;
-    const ScheduledRun r = schedule_mha(cfg, tl, 64, 64, 512, 8);
+    const FusedRun r = one_lane(SublayerPlan::mha({}, 64, 64, 512, 8), tl,
+                                IssuePolicy::kProgramOrder);
     EXPECT_EQ(tl.end_time(), 21188);
-    EXPECT_EQ(ledger_hash(r.graph, r.stats), 0xf73b46a121eb7bc0ULL);
-    EXPECT_EQ(csv_fnv(tl), 0xc7023ff88a2f12d0ULL);
+    EXPECT_EQ(ledger_hash(r.graph, r.stats), 0x8e8e6cede3d23fd5ULL);
+    EXPECT_EQ(csv_fnv(tl), 0x6d6f6042d4d7ae5fULL);
   }
   {
     Timeline tl;
-    const ScheduledRun r = schedule_ffn(cfg, tl, 64, 512, 2048);
+    const FusedRun r = one_lane(SublayerPlan::ffn({}, 64, 512, 2048), tl);
     EXPECT_EQ(tl.end_time(), 40516);
-    EXPECT_EQ(ledger_hash(r.graph, r.stats), 0xa9de8f41c8242c1aULL);
-    EXPECT_EQ(csv_fnv(tl), 0xfc718aab750b9cd0ULL);
+    EXPECT_EQ(ledger_hash(r.graph, r.stats), 0xe28ab9e63e0a4ddbULL);
+    EXPECT_EQ(csv_fnv(tl), 0x680cdda04ee02c73ULL);
   }
   {
     Timeline tl;
-    const ScheduledRun r =
-        schedule_mha_cached_batch(cfg, tl, {3, 7, 12}, 512, 8, 3);
+    const FusedRun r = one_lane(
+        SublayerPlan::mha_cached_batch({}, {3, 7, 12}, 512, 8, 3), tl);
     EXPECT_EQ(tl.end_time(), 15723);
-    EXPECT_EQ(ledger_hash(r.graph, r.stats), 0x620406b4d4af0afdULL);
-    EXPECT_EQ(csv_fnv(tl), 0x3a935a703e098567ULL);
+    EXPECT_EQ(ledger_hash(r.graph, r.stats), 0xbec581406d260d1cULL);
+    EXPECT_EQ(csv_fnv(tl), 0xd245bef0fb02de30ULL);
   }
 }
 
@@ -328,7 +326,7 @@ TEST(LabelRendering, FreeTextLabelsMatchCsvRowsAndHash) {
 
 TEST(TamperedSchedule, MissingIntervalsFireSchedCoverage) {
   Timeline tl;
-  ScheduledRun run = schedule_ffn(accel_config(), tl, 8, 64, 256);
+  FusedRun run = one_lane(small_ffn(), tl);
   run.stats.intervals.pop_back();
   const VerifyResult res = verify_schedule(run.graph, run.stats);
   EXPECT_TRUE(has_code(res, DiagCode::kCoverage));
@@ -336,7 +334,7 @@ TEST(TamperedSchedule, MissingIntervalsFireSchedCoverage) {
 
 TEST(TamperedSchedule, StretchedIntervalFiresSchedDuration) {
   Timeline tl;
-  ScheduledRun run = schedule_ffn(accel_config(), tl, 8, 64, 256);
+  FusedRun run = one_lane(small_ffn(), tl);
   run.stats.intervals.back().end += 7;
   run.stats.result_ready.back() += 7;  // keep SCHED-RESULT out of the way
   const VerifyResult res = verify_schedule(run.graph, run.stats);
@@ -345,7 +343,7 @@ TEST(TamperedSchedule, StretchedIntervalFiresSchedDuration) {
 
 TEST(TamperedSchedule, InconsistentResultTimeFiresSchedResult) {
   Timeline tl;
-  ScheduledRun run = schedule_ffn(accel_config(), tl, 8, 64, 256);
+  FusedRun run = one_lane(small_ffn(), tl);
   run.stats.result_ready.back() += 1;
   const VerifyResult res = verify_schedule(run.graph, run.stats);
   EXPECT_TRUE(has_code(res, DiagCode::kResultTime));
@@ -353,7 +351,7 @@ TEST(TamperedSchedule, InconsistentResultTimeFiresSchedResult) {
 
 TEST(TamperedSchedule, OpOutrunningItsProducerFiresSchedDep) {
   Timeline tl;
-  ScheduledRun run = schedule_ffn(accel_config(), tl, 8, 64, 256);
+  FusedRun run = one_lane(small_ffn(), tl);
   ASSERT_TRUE(verify_schedule(run.graph, run.stats).ok());
   // The last op (the LayerNorm tail) depends on every W2 block: cycle 0 is
   // long before any of them finished.
@@ -380,14 +378,18 @@ TEST(TamperedSchedule, OutrunningTheStationaryLoadFiresSchedWload) {
 }
 
 TEST(TamperedSchedule, SkippingTheColdLoadFiresSchedCold) {
+  // A graph with no WeightLoad op: its first SA op pays the cold load
+  // implicitly. That op has no deps and static weights; sliding it to cycle
+  // 0 creates no dep violation or overlap — only the skipped 64-cycle load.
+  OpGraph g;
+  g.add_sa({10, 10, 0}, {}, OpNode::kStaticWeight, "a");
+  g.add_sa({10, 10, 0}, {}, OpNode::kStaticWeight, "b");
   Timeline tl;
-  ScheduledRun run = schedule_ffn(accel_config(), tl, 8, 64, 256);
-  // The first SA op has no deps and static weights; sliding it to cycle 0
-  // creates no dep violation or overlap — only the skipped 64-cycle load.
-  ASSERT_EQ(run.stats.intervals.front().start,
-            accel_config().weight_load_cycles);
-  slide_op(run.graph, run.stats, 0, 0);
-  const VerifyResult res = verify_schedule(run.graph, run.stats);
+  ScheduleStats st = schedule_ops(g, 64, IssuePolicy::kGreedy, tl);
+  ASSERT_TRUE(verify_schedule(g, st).ok());
+  ASSERT_EQ(st.intervals.front().start, 64);
+  slide_op(g, st, 0, 0);
+  const VerifyResult res = verify_schedule(g, st);
   EXPECT_TRUE(has_code(res, DiagCode::kColdLoad));
   EXPECT_FALSE(has_code(res, DiagCode::kDependency));
 }
@@ -430,14 +432,15 @@ TEST(TamperedSchedule, GreedyInterleavingUnderThePinFiresSchedOrder) {
   // A greedy-built packed schedule genuinely reorders ops (that is the PR 4
   // win); verifying it against the program-order pin must object. The same
   // graph placed in program order verifies clean under the pin.
+  const SublayerPlan sub =
+      SublayerPlan::mha_cached_batch({}, greedy_totals(16), 64, 1, 16);
   Timeline greedy_tl;
-  const ScheduledRun greedy = schedule_mha_cached_batch(
-      accel_config(), greedy_tl, greedy_totals(16), 64, 1, 16);
+  const FusedRun greedy = one_lane(sub, greedy_tl);
   VerifyOptions pin;
   pin.program_order = true;
   EXPECT_TRUE(has_code(verify_schedule(greedy.graph, greedy.stats, pin),
                        DiagCode::kProgramOrder));
-  EXPECT_TRUE(verifies_under(greedy, IssuePolicy::kProgramOrder));
+  EXPECT_TRUE(verifies_under(sub, IssuePolicy::kProgramOrder));
 }
 
 TEST(TamperedSchedule, InterleavedChainedLanesFireSchedLane) {
@@ -457,7 +460,7 @@ TEST(TamperedSchedule, InterleavedChainedLanesFireSchedLane) {
 
 TEST(TamperedSchedule, WrongExpectedHashFiresSchedHash) {
   Timeline tl;
-  const ScheduledRun run = schedule_ffn(accel_config(), tl, 8, 64, 256);
+  const FusedRun run = one_lane(small_ffn(), tl);
   VerifyOptions opts;
   opts.expect_hash = ledger_hash(run.graph, run.stats) ^ 0x5aa5u;
   const VerifyResult res = verify_schedule(run.graph, run.stats, opts);
@@ -470,7 +473,7 @@ TEST(TamperedSchedule, WrongExpectedHashFiresSchedHash) {
 
 TEST(Diagnostics, CarryOpIdsResourceAndCycleInterval) {
   Timeline tl;
-  ScheduledRun run = schedule_ffn(accel_config(), tl, 8, 64, 256);
+  FusedRun run = one_lane(small_ffn(), tl);
   const std::size_t last = run.stats.intervals.size() - 1;
   slide_op(run.graph, run.stats, last, 0);
   const VerifyResult res = verify_schedule(run.graph, run.stats);

@@ -1,8 +1,8 @@
-// schedule_lint — CI gate over every schedule builder (PR 7).
+// schedule_lint — CI gate over the schedule builder (PR 7).
 //
-// Treats each builder as a program generator: sweeps a grid of shapes (slot
-// counts 1/8/16, sequence lengths, prefill chunk sizes), builds every
-// ledger the accelerator can emit TWICE on fresh timelines, and runs the
+// Treats the builder as a program generator: sweeps a grid of shapes (slot
+// counts 1/8/16, sequence lengths, prefill chunk sizes), builds every kind
+// of ledger the accelerator can emit TWICE on fresh timelines, and runs the
 // typed schedule verifier (analysis/verifier.hpp) over each build — the
 // second build also checks the canonical ledger hash against the first, so
 // any non-determinism (hash-map iteration, uninitialized state,
@@ -62,6 +62,22 @@ void lint_case(Lint& lint, const std::string& name,
                 static_cast<unsigned long long>(first.hash));
 }
 
+/// One grid case over `sub` as the only lane of a step ledger: a standalone
+/// ResBlock as Accelerator::time_mha / time_ffn / time_mha_cached time it.
+void lint_one_lane(Lint& lint, const std::string& name,
+                   const SublayerPlan& sub, IssuePolicy policy) {
+  lint_case(
+      lint, name,
+      [&](const VerifyOptions& o) {
+        Timeline tl;
+        return verify_fused(
+            schedule_fused_lanes(AcceleratorConfig{}, tl,
+                                 {FusedLane{{sub}, false}}, policy),
+            o);
+      },
+      policy == IssuePolicy::kProgramOrder);
+}
+
 /// The packed decode step's sublayers: self MHA, cross MHA, FFN per block.
 std::vector<SublayerPlan> decode_plans(const std::vector<int>& totals,
                                        int d_model, int num_heads, int d_ff,
@@ -87,59 +103,38 @@ void sweep(Lint& lint, bool full) {
                                          : std::vector<int>{16, 64};
   const AcceleratorConfig cfg;
 
-  // schedule_mha — Algorithm 1, always pinned to program order.
+  // A full MHA — Algorithm 1, always pinned to program order.
   for (const int s : seq_grid)
-    lint_case(
-        lint, "mha s=" + std::to_string(s),
-        [&, s](const VerifyOptions& o) {
-          Timeline tl;
-          const ScheduledRun r = schedule_mha(cfg, tl, s, s, 512, 8);
-          return verify_schedule(r.graph, r.stats, o);
-        },
-        /*program_order=*/true);
+    lint_one_lane(lint, "mha s=" + std::to_string(s),
+                  SublayerPlan::mha({}, s, s, 512, 8),
+                  IssuePolicy::kProgramOrder);
 
-  // schedule_ffn — greedy, no softmax edges.
+  // An FFN — greedy, no softmax edges.
   for (const int rows : {1, 16, 64})
-    lint_case(
-        lint, "ffn rows=" + std::to_string(rows),
-        [&, rows](const VerifyOptions& o) {
-          Timeline tl;
-          const ScheduledRun r = schedule_ffn(cfg, tl, rows, 512, 2048);
-          return verify_schedule(r.graph, r.stats, o);
-        },
-        /*program_order=*/false);
+    lint_one_lane(lint, "ffn rows=" + std::to_string(rows),
+                  SublayerPlan::ffn({}, rows, 512, 2048),
+                  IssuePolicy::kGreedy);
 
-  // One-slot schedule_mha_cached_batch — serial incremental decode, greedy.
+  // A one-slot cached MHA — serial incremental decode, greedy.
   for (const int total : {8, 64})
     for (const int project : {0, 1})
-      lint_case(
-          lint,
-          "cached slots=1 total=" + std::to_string(total) +
-              " project=" + std::to_string(project),
-          [&, total, project](const VerifyOptions& o) {
-            Timeline tl;
-            const ScheduledRun r =
-                schedule_mha_cached_batch(cfg, tl, {total}, 512, 8, project);
-            return verify_schedule(r.graph, r.stats, o);
-          },
-          /*program_order=*/false);
+      lint_one_lane(lint,
+                    "cached slots=1 total=" + std::to_string(total) +
+                        " project=" + std::to_string(project),
+                    SublayerPlan::mha_cached_batch({}, {total}, 512, 8,
+                                                   project),
+                    IssuePolicy::kGreedy);
 
-  // schedule_mha_cached_batch — packed decode across the slot grid.
+  // A packed cached MHA — packed decode across the slot grid.
   for (const int slots : slot_grid)
     for (const int project : {0, slots}) {
       std::vector<int> totals;
       for (int r = 0; r < slots; ++r) totals.push_back(3 + (5 * r) % 11);
-      lint_case(
-          lint,
-          "mha_cached_batch slots=" + std::to_string(slots) +
-              " project=" + std::to_string(project),
-          [&, totals, project](const VerifyOptions& o) {
-            Timeline tl;
-            const ScheduledRun r =
-                schedule_mha_cached_batch(cfg, tl, totals, 512, 8, project);
-            return verify_schedule(r.graph, r.stats, o);
-          },
-          /*program_order=*/false);
+      lint_one_lane(lint,
+                    "mha_cached_batch slots=" + std::to_string(slots) +
+                        " project=" + std::to_string(project),
+                    SublayerPlan::mha_cached_batch({}, totals, 512, 8, project),
+                    IssuePolicy::kGreedy);
     }
 
   // The packed decode step as one fused cross-sublayer ledger.
@@ -189,9 +184,11 @@ void sweep(Lint& lint, bool full) {
 /// --tamper: corrupt a legal schedule and demand the verifier object. Exits
 /// 1 (via the caller) iff diagnostics fire — the WILL_FAIL ctest entry.
 int tamper() {
-  AcceleratorConfig cfg;
   Timeline tl;
-  ScheduledRun run = schedule_ffn(cfg, tl, 16, 512, 2048);
+  FusedRun run = schedule_fused_lanes(
+      AcceleratorConfig{}, tl,
+      {FusedLane{{SublayerPlan::ffn({}, 16, 512, 2048)}, false}},
+      IssuePolicy::kGreedy);
   // Slide the last op onto cycle 0: breaks its data deps and double-books
   // whatever resource owned cycle 0.
   Interval& iv = run.stats.intervals.back();
@@ -200,7 +197,7 @@ int tamper() {
   iv.end = dur;
   run.stats.result_ready.back() =
       iv.end + run.graph.ops().back().result_latency;
-  const VerifyResult res = verify_schedule(run.graph, run.stats);
+  const VerifyResult res = verify_fused(run);
   std::fprintf(stderr, "%s\n", res.to_string().c_str());
   return res.ok() ? 0 : 1;
 }
