@@ -1,15 +1,18 @@
-// Kernel sweep: ns/GEMM and GMAC/s of both kernel kinds (scalar loop, SIMD)
-// at the GEMM shapes the serve step loop actually issues, in the three int8
-// forms the datapath runs: dense A·B, the packed-B fused-bias projection and
-// A·Bᵀ (the attention scores, B given as n×k), and in FP32 at the shapes of
-// calibration's decode steps and of the logits. Every timed result is first
-// checked bit-identical to the scalar reference — a kernel that drifts never
-// publishes a number.
+// Kernel sweep: ns/GEMM and GMAC/s of every kernel table the host offers
+// (scalar loop, SIMD, and AMX where the host has it) at the GEMM shapes the
+// serve step loop actually issues, in the three int8 forms the datapath
+// runs: dense A·B, the packed-B fused-bias projection and A·Bᵀ (the
+// attention scores, B given as n×k), and in FP32 at the shapes of
+// calibration's decode steps and of the logits. Each table packs B in its
+// own layout, and every timed result is first checked bit-identical to the
+// scalar reference — a kernel that drifts never publishes a number.
 //
 // The headline gate is gemm_ns_scalar_over_simd: scalar ns / SIMD ns at the
 // packed-i8 decode-projection shape. A host-speed-free ratio, gated by
 // perf_gate.py against bench/baselines/gemm.json (and skipped there when the
-// host's kernel capability differs from the baseline's).
+// host's kernel capability differs from the baseline's). The AMX rows go to
+// their own section, sweep_amx, which the baseline does not hold, so the
+// gate reads the same AVX2 rows on AMX and non-AMX hosts alike.
 //
 //   $ ./build/bench_gemm [--smoke]
 #include <chrono>
@@ -102,6 +105,30 @@ double time_ns(const Fn& fn, double budget_s) {
   return best;
 }
 
+/// One int8 row of the sweep: a shape under one kernel kind.
+struct I8Row {
+  const Shape* shape;
+  kernels::Kind kind;
+  double dense_ns, packed_ns, nt_ns, speedup;
+};
+
+void write_i8_row(tfacc::bench::JsonWriter& json, const I8Row& row) {
+  const Shape& s = *row.shape;
+  json.begin_object();
+  json.key("shape").value(s.label);
+  json.key("m").value(s.m);
+  json.key("k").value(s.k);
+  json.key("n").value(s.n);
+  json.key("kernel").value(tfacc::kernels::kind_name(row.kind));
+  json.key("dense_ns_per_gemm").value(row.dense_ns);
+  json.key("packed_bias_ns_per_gemm").value(row.packed_ns);
+  json.key("nt_ns_per_gemm").value(row.nt_ns);
+  json.key("packed_gmac_per_s")
+      .value(static_cast<double>(s.m) * s.k * s.n / row.packed_ns);
+  json.key("speedup_vs_scalar").value(row.speedup);
+  json.end_object();
+}
+
 bool check_i32(const MatI32& got, const MatI32& want, const char* what) {
   if (got == want) return true;
   std::printf("FATAL: %s diverged from the scalar reference\n", what);
@@ -126,8 +153,9 @@ int main(int argc, char** argv) {
   // kernels agree; the published timings come from full runs.
   const double budget_s = smoke ? 0.002 : 0.05;
 
-  const kernels::Kind kinds[] = {kernels::Kind::kScalar,
-                                 kernels::Kind::kSimd};
+  std::vector<kernels::Kind> kinds = {kernels::Kind::kScalar,
+                                      kernels::Kind::kSimd};
+  if (kernels::amx_available()) kinds.push_back(kernels::Kind::kAmx);
 
   std::ofstream json_file("BENCH_gemm.json");
   bench::JsonWriter json(json_file);
@@ -147,14 +175,13 @@ int main(int argc, char** argv) {
   Rng rng(42);
   bool identical = true;
   double headline_scalar_ns = 0.0, headline_simd_ns = 0.0;
-  json.key("sweep").begin_array();
+  std::vector<I8Row> rows;
   for (const Shape& s : kShapes) {
     MatI8 a(s.m, s.k), b(s.k, s.n);
     fill_uniform_i8(a, rng);
     fill_uniform_i8(b, rng);
     std::vector<std::int32_t> bias(static_cast<std::size_t>(s.n));
     for (auto& v : bias) v = rng.uniform_int(-100000, 100000);
-    const PackedI8 bp = pack_b_i8(b);
     const MatI8 bt = transpose(b);  // A·Bᵀ with Bᵀ given equals A·B
 
     MatI32 want(s.m, s.n), want_bias(s.m, s.n);
@@ -162,13 +189,14 @@ int main(int argc, char** argv) {
       // Scalar reference results for the bit-identity check.
       kernels::set_kind(kernels::Kind::kScalar);
       kernels::gemm_i8_into(a, b, want);
-      kernels::gemm_i8_packed_bias_into(a, bp, bias, want_bias);
+      kernels::gemm_i8_packed_bias_into(a, pack_b_i8(b), bias, want_bias);
     }
 
     const double macs = static_cast<double>(s.m) * s.k * s.n;
     double scalar_ns = 0.0;
     for (const kernels::Kind kind : kinds) {
       kernels::set_kind(kind);
+      const PackedI8 bp = pack_b_i8(b);  // in this table's layout
       MatI32 out(s.m, s.n), out_bias(s.m, s.n), out_nt(s.m, s.n);
       kernels::gemm_i8_into(a, b, out);
       kernels::gemm_i8_packed_bias_into(a, bp, bias, out_bias);
@@ -192,27 +220,24 @@ int main(int argc, char** argv) {
         if (kind == kernels::Kind::kScalar) headline_scalar_ns = packed_ns;
         if (kind == kernels::Kind::kSimd) headline_simd_ns = packed_ns;
       }
+      const double speedup = scalar_ns > 0 ? scalar_ns / packed_ns : 1.0;
       std::printf("%-26s | %6s | %10.0f %10.0f %10.0f | %7.2f | %6.2fx\n",
                   s.label, kernels::kind_name(kind), dense_ns, packed_ns,
                   nt_ns,
                   macs / packed_ns,  // MAC/ns == GMAC/s
-                  scalar_ns > 0 ? scalar_ns / packed_ns : 1.0);
-
-      json.begin_object();
-      json.key("shape").value(s.label);
-      json.key("m").value(s.m);
-      json.key("k").value(s.k);
-      json.key("n").value(s.n);
-      json.key("kernel").value(kernels::kind_name(kind));
-      json.key("dense_ns_per_gemm").value(dense_ns);
-      json.key("packed_bias_ns_per_gemm").value(packed_ns);
-      json.key("nt_ns_per_gemm").value(nt_ns);
-      json.key("packed_gmac_per_s").value(macs / packed_ns);
-      json.key("speedup_vs_scalar")
-          .value(scalar_ns > 0 ? scalar_ns / packed_ns : 1.0);
-      json.end_object();
+                  speedup);
+      rows.push_back({&s, kind, dense_ns, packed_ns, nt_ns, speedup});
     }
   }
+  // The scalar and SIMD rows are what gemm.json gates; the AMX rows, where
+  // the host has them, sit in a section of their own.
+  json.key("sweep").begin_array();
+  for (const I8Row& row : rows)
+    if (row.kind != kernels::Kind::kAmx) write_i8_row(json, row);
+  json.end_array();
+  json.key("sweep_amx").begin_array();
+  for (const I8Row& row : rows)
+    if (row.kind == kernels::Kind::kAmx) write_i8_row(json, row);
   json.end_array();
 
   std::printf("\n%-26s | %6s | %10s | %7s | %7s\n", "f32 shape (m x k x n)",
@@ -230,6 +255,7 @@ int main(int argc, char** argv) {
     const double macs = static_cast<double>(s.m) * s.k * s.n;
     double scalar_ns = 0.0;
     for (const kernels::Kind kind : kinds) {
+      if (kind == kernels::Kind::kAmx) continue;  // its f32 GEMM is AVX2's
       kernels::set_kind(kind);
       MatF out(s.m, s.n);
       kernels::gemm_f32_into(a, b, out);

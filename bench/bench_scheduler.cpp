@@ -360,6 +360,9 @@ int main(int argc, char** argv) {
   wc_sc.num_cards = 1;
   wc_sc.slots_per_card = 16;
   wc_sc.max_len = max_len;
+  // The farm packs its weights once, in the layout of the table selected
+  // now: the AVX2 one's, which the scalar table reads too.
+  kernels::set_kind(kernels::Kind::kSimd);
   Scheduler wc_sched(wc_weights, calib, wc_sc);
 
   std::ofstream wc_file("BENCH_wallclock.json");

@@ -266,10 +266,11 @@ void SoftmaxUnit::row(const std::int32_t* d, const std::uint8_t* mask, int n,
 #if TFACC_SOFTMAX_X86
   // Batched row model (gprof hotspot #2): only the shipped dyadic design is
   // vectorized, and only where the requantizer reformulation is proven exact
-  // (1 ≤ shift ≤ 48; the int32-spread gate lives inside). kScalar, and kSimd
-  // on a host without AVX2, keep the reference loop.
+  // (1 ≤ shift ≤ 48; the int32-spread gate lives inside). Both fast kinds
+  // run it (the AMX table is the AVX2 one but for its GEMM); kScalar, and a
+  // host without AVX2, keep the reference loop.
   if (!resolution_ && n >= 8 && to_q10_.shift >= 1 && to_q10_.shift <= 48 &&
-      kernels::selected() == kernels::Kind::kSimd &&
+      kernels::selected() != kernels::Kind::kScalar &&
       kernels::simd_available() &&
       softmax_row_avx2(to_q10_, d, mask, n, x_q10, out))
     return;

@@ -27,11 +27,11 @@ namespace {
 
 // Flips the bits of a layer's weights in (row, column, bit) order, as
 // inject_bit_flips does on the unpacked matrix, so a seed draws the same
-// flips whatever the weights' layout.
+// flips whatever the weights' layout, and repacks in the layout it found.
 std::int64_t inject_layer_flips(QuantizedLinear& layer, double ber, Rng& rng) {
   MatI8 w = unpack_b_i8(layer.wpack);
   const std::int64_t flips = inject_bit_flips(w, ber, rng);
-  layer.wpack = pack_b_i8(w);
+  layer.wpack = pack_b_i8(w, layer.wpack.layout);
   return flips;
 }
 

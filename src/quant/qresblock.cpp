@@ -91,14 +91,21 @@ QuantizedLinear QuantizedLinear::build(const MatF& w,
   q.granularity = granularity;
   q.requant = FixedPointScale::from_double(
       static_cast<double>(in_scale) * q.w_scale / out_scale);
+  // Each weight is quantized straight into its slot of the pack, in the
+  // layout of the selected kernel table.
+  q.wpack = PackedI8::zeros(w.rows(), w.cols(), kernels::packed_layout());
   if (granularity == WeightGranularity::kPerTensor) {
-    q.wpack = pack_b_i8(quantize_i8(w, QuantParams{q.w_scale}));
+    // Row by row through the hook quantizer's kernel (quantize_i8's).
+    std::vector<std::int8_t> row(static_cast<std::size_t>(w.cols()));
+    for (int r = 0; r < w.rows(); ++r) {
+      kernels::quantize_i8_row(w.row(r), row.size(), q.w_scale, row.data());
+      q.wpack.set_row(r, row.data());
+    }
     q.bias = quantize_bias(bias, in_scale, q.w_scale);
     for (std::int32_t& b : q.bias) b = std::clamp(b, -bound, bound);
     return q;
   }
   // Per-column: each output channel gets its own scale and requantizer.
-  MatI8 wq(w.rows(), w.cols());
   q.bias.resize(static_cast<std::size_t>(w.cols()));
   q.col_w_scale.resize(static_cast<std::size_t>(w.cols()));
   q.col_requant.resize(static_cast<std::size_t>(w.cols()));
@@ -109,7 +116,8 @@ QuantizedLinear QuantizedLinear::build(const MatF& w,
     const float ws = mx > 0.0f ? mx / 127.0f : 1.0f;
     q.col_w_scale[static_cast<std::size_t>(j)] = ws;
     for (int r = 0; r < w.rows(); ++r)
-      wq(r, j) = saturate_round<std::int8_t>(w(r, j) / ws);
+      q.wpack.data[q.wpack.offset(r, j)] =
+          saturate_round<std::int8_t>(w(r, j) / ws);
     // Clamp before rounding, as quantize_bias does.
     const double qb = std::clamp(bias[static_cast<std::size_t>(j)] /
                                      (static_cast<double>(in_scale) * ws),
@@ -119,7 +127,6 @@ QuantizedLinear QuantizedLinear::build(const MatF& w,
     q.col_requant[static_cast<std::size_t>(j)] = FixedPointScale::from_double(
         static_cast<double>(in_scale) * ws / out_scale);
   }
-  q.wpack = pack_b_i8(wq);
   return q;
 }
 

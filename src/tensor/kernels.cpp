@@ -17,6 +17,13 @@
 #define TFACC_KERNELS_X86 1
 #include <immintrin.h>
 #endif
+// The AMX kernel is 64-bit only, and asks Linux for the tile state.
+#if TFACC_KERNELS_X86 && defined(__x86_64__) && defined(__linux__)
+#define TFACC_KERNELS_AMX 1
+#include <cpuid.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 namespace tfacc::kernels {
 
@@ -25,21 +32,24 @@ namespace {
 Kind kind_from_env_or_default() {
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   const char* spec = std::getenv("TFACC_KERNEL");
-  if (spec == nullptr || *spec == '\0') return Kind::kSimd;
+  if (spec == nullptr || *spec == '\0')
+    return amx_available() ? Kind::kAmx : Kind::kSimd;
   Kind kind = Kind::kSimd;
   TFACC_CHECK_ARG_MSG(parse_kind(spec, &kind),
-                      "TFACC_KERNEL='" << spec << "' (want scalar|simd)");
+                      "TFACC_KERNEL='" << spec << "' (want scalar|simd|amx)");
   return kind;
 }
 
 // Memory-ordering contract for the dispatch slot (pinned):
 // std::memory_order_relaxed is sufficient on BOTH sides, by design. The slot
-// publishes only a Kind, and table() maps it to one of two constexpr kernel
-// tables, so no data written at run time is published alongside the store:
-// there is nothing to acquire/release. Both tables are bit-identical on every
-// input (the test_kernels equivalence grid + bench_gemm --smoke prove it),
-// so a racing reader observing the old kind merely runs the other,
-// equally-correct kernel once. kRelaxedDispatchOrder names the contract so
+// publishes only a Kind, and table() maps it to one of three constexpr
+// kernel tables, so no data written at run time is published alongside the
+// store: there is nothing to acquire/release. The tables are bit-identical
+// on every input they take (the test_kernels equivalence grid + bench_gemm
+// --smoke prove it), so a racing reader observing the old kind merely runs
+// another, equally-correct kernel once. (A pack built for one fast table is
+// refused by the other, whatever the ordering: code that switches between
+// them repacks, see kernels.hpp.) kRelaxedDispatchOrder names the contract so
 // a change that publishes run-time-written data through the slot cannot
 // silently inherit it: such a change must replace the named constant, not
 // add one more bare memory_order argument.
@@ -128,10 +138,10 @@ void requantize_scalar(const MatI32& acc, std::int32_t mantissa, int shift,
 
 /// The hook quantizer's loop: one IEEE division and saturate_round per
 /// element.
-void quantize_i8_scalar(const MatF& x, float scale, MatI8& out) {
-  for (int r = 0; r < x.rows(); ++r)
-    for (int c = 0; c < x.cols(); ++c)
-      out(r, c) = saturate_round<std::int8_t>(x(r, c) / scale);
+void quantize_i8_scalar(const float* x, std::size_t n, float scale,
+                        std::int8_t* out) {
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] = saturate_round<std::int8_t>(x[i] / scale);
 }
 
 /// The residual requantizer's original loop, verbatim: apply_i16 per
@@ -510,7 +520,8 @@ __attribute__((target("avx2"))) void gemm_nt_i8_avx2(const MatI8& a,
 // k·2¹⁴, and QuantizedLinear::build clamps each bias so that seed + Σ fits
 // int32, partial sums included.
 
-constexpr int kPanelCols = PackedI8::kPanelCols;
+constexpr int kPanelCols = 8;               // columns per k-pair panel
+constexpr int kPairElems = 2 * kPanelCols;  // elements per k-pair
 constexpr int kChunkPairs = kPackedKChunk / 2;
 static_assert(kPackedKChunk % 16 == 0, "a chunk is whole 16-wide widenings");
 
@@ -589,7 +600,7 @@ __attribute__((target("avx2"))) void panel_tile_i8_avx2(const PanelChunkI8& g,
     __m256i bw[NP];
 #pragma GCC unroll 4
     for (int c = 0; c < NP; ++c)
-      bw[c] = widen16_i8(b + c * g.panel_stride + q * PackedI8::kPairElems);
+      bw[c] = widen16_i8(b + c * g.panel_stride + q * kPairElems);
 #pragma GCC unroll 4
     for (int r = 0; r < MR; ++r) {
       const __m256i av = _mm256_set1_epi32(g.a[r * kChunkPairs + q]);
@@ -650,8 +661,7 @@ __attribute__((target("avx2"))) void panel_rows_i8_avx2(
     const int kc = std::min(kPackedKChunk, bp.k - k0);
     for (int r = 0; r < MR; ++r)
       widen_pairs_i8(a.row(i + r) + k0, kc, aw + r * kChunkPairs);
-    g.b = bp.data.data() +
-          static_cast<std::size_t>(k0 / 2) * PackedI8::kPairElems;
+    g.b = bp.data.data() + static_cast<std::size_t>(k0 / 2) * kPairElems;
     g.pairs = (kc + 1) / 2;
     g.from_out = k0 > 0;
     int pan = 0;
@@ -672,6 +682,207 @@ __attribute__((target("avx2"))) void gemm_i8_packed_avx2(
   if (m - i == 2) panel_rows_i8_avx2<2>(a, i, bp, bias, out);
   if (m - i == 3) panel_rows_i8_avx2<3>(a, i, bp, bias, out);
 }
+
+#if TFACC_KERNELS_AMX
+
+// --- AMX-INT8 packed-B GEMM ------------------------------------------------
+// out = seed ⊕ A·B over the k-quad panels of tensor/pack.hpp, one block of
+// up to 16 rows of A at a time. TDPBSSD adds to a 16-column int32 tile of C
+// the products of an A tile (the block's rows, 64 k each) and a B tile of
+// 16 rows of 64 bytes, row q holding B(4q..4q+3, c) for the panel's 16
+// columns c: one 64-k block of a packed panel, just as it lies in memory.
+// So the tiles play the paper's SA: a block of rows streams through a
+// loaded weight block 64 deep, while four C tiles (tmm0–3) hold 64 output
+// columns, the SA's width, down the whole of k. Per 64-k block the A tile
+// (tmm4) is loaded once for the four panels, whose B tiles rotate through
+// tmm5–7. The C tiles start from the bias by a stride-0 tile load (every
+// row reads the same 16 values), or from zero.
+//
+// Tile configuration is per thread, so every call loads it and releases the
+// tiles at the end. GCC's intrinsics are inline asm that names its tile
+// register literally, so tile numbers are spelled out, and that asm
+// declares none of the memory a tile load reads: every buffer a tile load
+// reads is filled before a compiler barrier. Without one, GCC 12 dropped the
+// stores that fill the local configuration, and the first tile load
+// faulted.
+//
+// ASan instruments no tile load or store, so no tile may reach past the
+// end of A, the bias or out: each partial tile goes through a zeroed stack
+// buffer instead. Those are A's k tail (k not a multiple of 64), and the
+// last panel's bias and C tile (n not a multiple of 16). The row tail needs
+// none, because a short last block is configured with its own row count.
+// The pack's zero padding makes every B tile whole.
+//
+// The sums are exact: TDPBSSD multiplies signed int8 into int32 and adds
+// modulo 2³², so it gives the scalar loop's integers wherever that loop is
+// defined (|Σ| ≤ k·2¹⁴, and QuantizedLinear::build clamps each bias so that
+// seed + Σ fits int32).
+
+constexpr int kAmxRows = 16;                  // rows of A per block
+constexpr int kAmxK = PackedI8::kQuadBlockK;  // k per tile: 64 bytes a row
+constexpr int kAmxCols = 16;                  // columns of a panel and tile
+constexpr int kAmxPanels = 4;                 // C tiles tmm0–3
+constexpr std::size_t kAmxTileB = kAmxK * kAmxCols;  // bytes per B tile
+
+/// A palette-1 tile configuration, as ldtilecfg reads it.
+struct AmxConfig {
+  std::uint8_t palette = 1;
+  std::uint8_t start_row = 0;
+  std::uint8_t reserved[14] = {};
+  std::uint16_t colsb[16] = {};
+  std::uint8_t rows[16] = {};
+};
+static_assert(sizeof(AmxConfig) == 64);
+
+/// Configures blocks of `rows` rows: the C tiles tmm0–3 and the A tile tmm4
+/// `rows` × 64 bytes, the B tiles tmm5–7 16 × 64 bytes.
+__attribute__((target("amx-tile"))) void amx_configure(int rows) {
+  AmxConfig cfg;
+  for (int t = 0; t < 8; ++t) {
+    cfg.colsb[t] = 64;
+    cfg.rows[t] = static_cast<std::uint8_t>(t < 5 ? rows : kAmxK / 4);
+  }
+  asm volatile("" : : "r"(&cfg) : "memory");  // keeps the stores above
+  _tile_loadconfig(&cfg);
+}
+
+/// What every panel group of one row block shares.
+struct AmxBlock {
+  const std::int8_t* a;           // A(i0, 0); row r at a + r·lda
+  std::size_t lda;
+  const std::int8_t* a_tail;      // the block's k tail, zero-padded: 64 a row
+  int kfull;                      // whole 64-k blocks in A's rows
+  int kblocks;                    // 64-k blocks in the pack
+  const std::int8_t* b;           // panel 0 of the pack
+  std::size_t panel_stride;       // bytes per panel
+  const std::int32_t* bias;       // or null for a zero seed
+  const std::int32_t* bias_tail;  // the partial last panel's bias, padded
+  std::int32_t* c_tail;           // the partial last panel's C tile
+  std::int32_t* out;              // out(i0, 0)
+  int n;                          // output columns
+  int rows;                       // rows in the block
+};
+
+/// Panels [pan, pan + NP) of the block: seed NP C tiles, walk k, store.
+template <int NP>
+__attribute__((target("amx-tile,amx-int8"))) void amx_panels(
+    const AmxBlock& g, int pan) {
+  const int col0 = pan * kAmxCols;
+  // Only the matrix's last panel can be partial, and then it is this
+  // group's last.
+  const int last_cols = std::min(kAmxCols, g.n - col0 - (NP - 1) * kAmxCols);
+  const bool partial = last_cols < kAmxCols;
+  const std::int32_t* seed[NP];
+  std::int32_t* dst[NP];
+  long ldc[NP];
+  for (int j = 0; j < NP; ++j) {
+    seed[j] = g.bias != nullptr ? g.bias + col0 + j * kAmxCols : nullptr;
+    dst[j] = g.out + col0 + j * kAmxCols;
+    ldc[j] = static_cast<long>(g.n) * 4;
+  }
+  if (partial) {
+    seed[NP - 1] = g.bias_tail;
+    dst[NP - 1] = g.c_tail;
+    ldc[NP - 1] = kAmxCols * 4;
+  }
+  if (g.bias != nullptr) {
+    _tile_loadd(0, seed[0], 0);
+    if constexpr (NP > 1) _tile_loadd(1, seed[1], 0);
+    if constexpr (NP > 2) _tile_loadd(2, seed[2], 0);
+    if constexpr (NP > 3) _tile_loadd(3, seed[3], 0);
+  } else {
+    _tile_zero(0);
+    if constexpr (NP > 1) _tile_zero(1);
+    if constexpr (NP > 2) _tile_zero(2);
+    if constexpr (NP > 3) _tile_zero(3);
+  }
+  const std::size_t ps = g.panel_stride;
+  const std::int8_t* b = g.b + static_cast<std::size_t>(pan) * ps;
+  for (int kb = 0; kb < g.kblocks; ++kb, b += kAmxTileB) {
+    if (kb < g.kfull) {
+      _tile_loadd(4, g.a + static_cast<std::size_t>(kb) * kAmxK, g.lda);
+    } else {
+      _tile_loadd(4, g.a_tail, kAmxK);
+    }
+    _tile_loadd(5, b, kAmxK);
+    _tile_dpbssd(0, 4, 5);
+    if constexpr (NP > 1) {
+      _tile_loadd(6, b + ps, kAmxK);
+      _tile_dpbssd(1, 4, 6);
+    }
+    if constexpr (NP > 2) {
+      _tile_loadd(7, b + 2 * ps, kAmxK);
+      _tile_dpbssd(2, 4, 7);
+    }
+    if constexpr (NP > 3) {
+      _tile_loadd(5, b + 3 * ps, kAmxK);
+      _tile_dpbssd(3, 4, 5);
+    }
+  }
+  _tile_stored(0, dst[0], ldc[0]);
+  if constexpr (NP > 1) _tile_stored(1, dst[1], ldc[1]);
+  if constexpr (NP > 2) _tile_stored(2, dst[2], ldc[2]);
+  if constexpr (NP > 3) _tile_stored(3, dst[3], ldc[3]);
+  if (partial) {
+    std::int32_t* o = g.out + col0 + (NP - 1) * kAmxCols;
+    for (int r = 0; r < g.rows; ++r)
+      std::memcpy(o + static_cast<std::size_t>(r) * g.n,
+                  g.c_tail + r * kAmxCols,
+                  static_cast<std::size_t>(last_cols) * 4);
+  }
+}
+
+__attribute__((target("amx-tile,amx-int8"))) void gemm_i8_packed_amx(
+    const MatI8& a, const PackedI8& bp, const std::int32_t* bias,
+    MatI32& out) {
+  const int m = a.rows(), k = bp.k, n = bp.n;
+  if (m == 0 || n == 0) return;
+  const int panels = (n + kAmxCols - 1) / kAmxCols;
+  // The partial tiles' buffers. Only their first `tail` bytes of a row (A)
+  // and `n % 16` values (bias) are ever written, so the rest stays zero.
+  alignas(64) std::int8_t a_tail[kAmxRows * kAmxK] = {};
+  alignas(64) std::int32_t bias_tail[kAmxCols] = {};
+  alignas(64) std::int32_t c_tail[kAmxRows * kAmxCols] = {};
+  if (bias != nullptr && n % kAmxCols != 0)
+    std::memcpy(bias_tail, bias + (panels - 1) * kAmxCols,
+                static_cast<std::size_t>(n % kAmxCols) * 4);
+  AmxBlock g{.a = nullptr,
+             .lda = static_cast<std::size_t>(k),
+             .a_tail = a_tail,
+             .kfull = k / kAmxK,
+             .kblocks = (k + kAmxK - 1) / kAmxK,
+             .b = bp.data.data(),
+             .panel_stride = bp.panel_stride(),
+             .bias = bias,
+             .bias_tail = bias_tail,
+             .c_tail = c_tail,
+             .out = nullptr,
+             .n = n,
+             .rows = 0};
+  for (int i0 = 0; i0 < m; i0 += kAmxRows) {
+    const int rows = std::min(kAmxRows, m - i0);
+    if (rows != g.rows) amx_configure(rows);  // the first block, the last
+    g.a = a.row(i0);
+    g.out = out.row(i0);
+    g.rows = rows;
+    if (g.kfull < g.kblocks) {
+      const int tail = k - g.kfull * kAmxK;
+      for (int r = 0; r < rows; ++r)
+        std::memcpy(a_tail + r * kAmxK, a.row(i0 + r) + g.kfull * kAmxK,
+                    static_cast<std::size_t>(tail));
+    }
+    asm volatile("" : : : "memory");  // the tails are filled
+    int pan = 0;
+    for (; pan + kAmxPanels <= panels; pan += kAmxPanels)
+      amx_panels<kAmxPanels>(g, pan);
+    if (panels - pan == 1) amx_panels<1>(g, pan);
+    if (panels - pan == 2) amx_panels<2>(g, pan);
+    if (panels - pan == 3) amx_panels<3>(g, pan);
+  }
+  _tile_release();
+}
+
+#endif  // TFACC_KERNELS_AMX
 
 // --- AVX2 requantization ---------------------------------------------------
 // Branchless reformulation of rounding_shift_right(v·m, s) for s ≥ 1:
@@ -821,7 +1032,7 @@ __attribute__((target("avx2"))) void requantize_i16_avx2(const MatI32& acc,
 }
 
 // --- AVX2 INT8 boundary kernels --------------------------------------------
-// Both are elementwise and run over the matrix as one contiguous row.
+// Both are elementwise and run over a matrix as one contiguous row.
 //
 // The residual requantizer sign-extends eight int8 lanes to int32 and runs
 // them through the INT32 requantizer's lanes: |v·mantissa| ≤ 2⁷·2³¹ = 2³⁸
@@ -853,12 +1064,10 @@ __attribute__((target("avx2"))) __m256i quantize_8lanes_avx2(const float* x,
   return _mm256_cvttps_epi32(r);
 }
 
-__attribute__((target("avx2"))) void quantize_i8_avx2(const MatF& x,
+__attribute__((target("avx2"))) void quantize_i8_avx2(const float* in,
+                                                      std::size_t n,
                                                       float scale,
-                                                      MatI8& out) {
-  const float* in = x.data();
-  std::int8_t* o = out.data();
-  const std::size_t n = x.size();
+                                                      std::int8_t* o) {
   const __m256 s = _mm256_set1_ps(scale);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8)
@@ -1007,6 +1216,9 @@ __attribute__((target("avx2"))) void layernorm_finish_avx2(
 // ---------------------------------------------------------------------------
 
 struct KernelTable {
+  // The B layout pack_b_i8 builds for this table, and the only one its
+  // fast packed GEMM takes (the scalar one reads either).
+  PackLayout layout;
   void (*gemm_f32)(const MatF&, const MatF&, MatF&);
   void (*gemm_i8)(const MatI8&, const MatI8&, MatI32&);
   void (*gemm_nt_i8)(const MatI8&, const MatI8&, MatI32&);
@@ -1014,7 +1226,7 @@ struct KernelTable {
                          MatI32&);
   void (*requantize_i8)(const MatI32&, std::int32_t, int, MatI8&);
   void (*requantize_i16)(const MatI32&, std::int32_t, int, MatI16&);
-  void (*quantize_i8)(const MatF&, float, MatI8&);
+  void (*quantize_i8)(const float*, std::size_t, float, std::int8_t*);
   void (*requantize_i8_to_i16)(const MatI8&, std::int32_t, int, MatI16&);
   void (*layernorm_stats)(const std::int16_t*, int, std::int64_t*,
                           std::int64_t*);
@@ -1024,6 +1236,7 @@ struct KernelTable {
 };
 
 constexpr KernelTable kScalarTable = {
+    .layout = PackLayout::kPairs,
     .gemm_f32 = gemm_scalar<float, float>,
     .gemm_i8 = gemm_scalar<std::int8_t, std::int32_t>,
     .gemm_nt_i8 = gemm_nt_scalar<std::int8_t, std::int32_t>,
@@ -1038,6 +1251,7 @@ constexpr KernelTable kScalarTable = {
 
 #if TFACC_KERNELS_X86
 constexpr KernelTable kAvx2Table = {
+    .layout = PackLayout::kPairs,
     .gemm_f32 = gemm_f32_avx2,
     .gemm_i8 = gemm_i8_avx2,
     .gemm_nt_i8 = gemm_nt_i8_avx2,
@@ -1051,19 +1265,59 @@ constexpr KernelTable kAvx2Table = {
 };
 #endif
 
-/// The one scalar-vs-AVX2 choice: kSimd on an AVX2 host runs the AVX2
-/// table, every other case the scalar reference.
+#if TFACC_KERNELS_AMX
+/// The AVX2 table with the packed GEMM on AMX tiles, over k-quad packs.
+constexpr KernelTable amx_table(KernelTable t) {
+  t.layout = PackLayout::kQuads;
+  t.gemm_i8_packed = gemm_i8_packed_amx;
+  return t;
+}
+constexpr KernelTable kAmxTable = amx_table(kAvx2Table);
+#endif
+
+/// The one choice of table: a kind runs its own table where the host has
+/// its unit, and otherwise the next one down (kAmx → kSimd → kScalar).
 const KernelTable& table() {
 #if TFACC_KERNELS_X86
-  if (selected() == Kind::kSimd && simd_available()) return kAvx2Table;
+  switch (selected()) {
+    case Kind::kAmx:
+#if TFACC_KERNELS_AMX
+      if (amx_available()) return kAmxTable;
+#endif
+      [[fallthrough]];
+    case Kind::kSimd:
+      if (simd_available()) return kAvx2Table;
+      break;
+    case Kind::kScalar:
+      break;
+  }
 #endif
   return kScalarTable;
+}
+
+/// The selected table, where its packed GEMM reads bp's layout.
+const KernelTable& packed_table(const PackedI8& bp) {
+  const KernelTable& t = table();
+  TFACC_CHECK_ARG_MSG(&t == &kScalarTable || bp.layout == t.layout,
+                      "a " << pack_layout_name(bp.layout)
+                           << " pack handed to a table that reads "
+                           << pack_layout_name(t.layout)
+                           << " packs: pack under the kind that runs it");
+  return t;
 }
 
 }  // namespace
 
 const char* kind_name(Kind kind) {
-  return kind == Kind::kScalar ? "scalar" : "simd";
+  switch (kind) {
+    case Kind::kScalar:
+      return "scalar";
+    case Kind::kSimd:
+      return "simd";
+    case Kind::kAmx:
+      return "amx";
+  }
+  return "?";
 }
 
 bool parse_kind(const char* spec, Kind* out) {
@@ -1071,6 +1325,7 @@ bool parse_kind(const char* spec, Kind* out) {
   const std::string_view s(spec);
   if (s == "scalar") *out = Kind::kScalar;
   else if (s == "simd") *out = Kind::kSimd;
+  else if (s == "amx") *out = Kind::kAmx;
   else return false;
   return true;
 }
@@ -1095,6 +1350,27 @@ bool simd_available() {
   return false;
 #endif
 }
+
+bool amx_available() {
+#if TFACC_KERNELS_AMX
+  static const bool has = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (!simd_available() || __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0)
+      return false;
+    constexpr unsigned kAmxTile = 1U << 24, kAmxInt8 = 1U << 25;  // EDX
+    if ((edx & kAmxTile) == 0 || (edx & kAmxInt8) == 0) return false;
+    // Linux grants the tile state only on request, once for the process.
+    constexpr int kReqXcompPerm = 0x1023;  // ARCH_REQ_XCOMP_PERM
+    constexpr int kXtileData = 18;         // XFEATURE_XTILEDATA
+    return syscall(SYS_arch_prctl, kReqXcompPerm, kXtileData) == 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+PackLayout packed_layout() { return table().layout; }
 
 const char* capability() { return simd_available() ? "avx2" : "generic"; }
 
@@ -1133,7 +1409,7 @@ void gemm_nt_i8_into(const MatI8& a, const MatI8& b, MatI32& out) {
 void gemm_i8_packed_into(const MatI8& a, const PackedI8& bp, MatI32& out) {
   TFACC_CHECK_ARG(a.cols() == bp.k);
   TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == bp.n);
-  table().gemm_i8_packed(a, bp, nullptr, out);
+  packed_table(bp).gemm_i8_packed(a, bp, nullptr, out);
 }
 
 void gemm_i8_packed_bias_into(const MatI8& a, const PackedI8& bp,
@@ -1142,7 +1418,7 @@ void gemm_i8_packed_bias_into(const MatI8& a, const PackedI8& bp,
   TFACC_CHECK_ARG(static_cast<int>(bias.size()) == bp.n);
   TFACC_CHECK_ARG(a.cols() == bp.k);
   TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == bp.n);
-  table().gemm_i8_packed(a, bp, bias.data(), out);
+  packed_table(bp).gemm_i8_packed(a, bp, bias.data(), out);
 }
 
 void gemm_i16_packed_into(const MatI16& a, const PackedI16& bp, MatI32& out) {
@@ -1165,7 +1441,12 @@ void requantize_i16_into(const MatI32& acc, std::int32_t mantissa, int shift,
 
 void quantize_i8_into(const MatF& x, float scale, MatI8& out) {
   TFACC_CHECK_ARG(out.rows() == x.rows() && out.cols() == x.cols());
-  table().quantize_i8(x, scale, out);
+  table().quantize_i8(x.data(), x.size(), scale, out.data());
+}
+
+void quantize_i8_row(const float* x, std::size_t n, float scale,
+                     std::int8_t* out) {
+  table().quantize_i8(x, n, scale, out);
 }
 
 void requantize_i8_to_i16_into(const MatI8& m, std::int32_t mantissa,

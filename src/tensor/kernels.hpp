@@ -5,7 +5,7 @@
 // GEMM and the requantizer (tensor/ops relu_i32) is a branch-free clamp
 // outside the table.
 //
-// Two implementations, selectable per process:
+// Three kernel tables, selectable per process:
 //
 //   kind      | implementation
 //   ----------|------------------------------------------------------------
@@ -14,10 +14,21 @@
 //   kSimd     | AVX2 intrinsics chosen by a *runtime* CPU check — the binary
 //             | is compiled without -march so it runs anywhere; a host
 //             | without AVX2 runs the scalar loops
+//   kAmx      | the AVX2 table with the packed INT8 GEMM on AMX-INT8 tiles
+//             | (TDPBSSD), where the CPU reports amx-tile and amx-int8 and
+//             | the OS grants this process the tile state; elsewhere kAmx
+//             | runs the kSimd table
 //
-// Selection: `TFACC_KERNEL=scalar|simd` (read once at first use),
-// overridable with set_kind() for A/B benches and tests. Default is kSimd.
-// The int16 GEMMs and the f32 A·Bᵀ run the scalar loop under either kind.
+// Selection: `TFACC_KERNEL=scalar|simd|amx` (read once at first use),
+// overridable with set_kind() for A/B benches and tests. The default is the
+// best table the host offers: kAmx where AMX runs, kSimd otherwise.
+// The int16 GEMMs and the f32 A·Bᵀ run the scalar loop under every kind.
+//
+// Each table's packed GEMM reads B in its own layout (tensor/pack.hpp):
+// k-pairs for the AVX2 kernel, k-quads for the AMX one, and pack_b_i8 packs
+// in the selected table's. A pack built under one fast table and handed to
+// the other is a CheckError; the scalar table reads either. So code that
+// switches kinds after packing packs again, or switches only to kScalar.
 //
 // Bit-identity contract (enforced by tests/test_kernels.cpp and the
 // cross-backend equivalence suites):
@@ -49,14 +60,15 @@ namespace tfacc::kernels {
 
 // The values are pinned: ctest names the kind-parameterized tests by the
 // enum's bytes, so renumbering would rename them.
-enum class Kind { kScalar = 0, kSimd = 2 };
+enum class Kind { kScalar = 0, kSimd = 2, kAmx = 3 };
 
 const char* kind_name(Kind kind);
 
-/// Parse "scalar" | "simd"; returns false on anything else.
+/// Parse "scalar" | "simd" | "amx"; returns false on anything else.
 bool parse_kind(const char* spec, Kind* out);
 
-/// The process-wide selected kernel (TFACC_KERNEL env var, default simd).
+/// The process-wide selected kernel (TFACC_KERNEL env var, default the best
+/// the host offers).
 Kind selected();
 
 /// Override the selected kernel (benches/tests; atomic, any thread).
@@ -69,8 +81,19 @@ Kind refresh_from_env();
 /// True when this host has AVX2, the vector unit the kSimd kernels use.
 bool simd_available();
 
+/// True when kAmx runs its AMX kernel: the CPU has AVX2, AMX-TILE and
+/// AMX-INT8, and the OS granted this process the tile state (one
+/// arch_prctl request, made at the first call).
+bool amx_available();
+
+/// The B layout the selected table's packed GEMM reads, which pack_b_i8
+/// builds: kQuads on the AMX table, kPairs on the others.
+PackLayout packed_layout();
+
 /// Host vector capability, for the BENCH_*.json host stanza and the
-/// perf-gate capability match: "avx2" | "generic".
+/// perf-gate capability match: "avx2" | "generic". It names the AVX2
+/// table's class whatever the selection, so the wall-clock baselines (which
+/// time scalar against simd) compare alike on AMX and non-AMX hosts.
 const char* capability();
 
 // --- Dispatched GEMMs (out must be pre-shaped; overwritten, no alloc) ------
@@ -103,6 +126,7 @@ void gemm_nt_i8_into(const MatI8& a, const MatI8& b, MatI32& out);
 inline constexpr int kPackedKChunk = 512;
 
 /// C = A·B with B packed. Exact (identical to gemm_i8 on unpack(bp)).
+/// Throws CheckError when a fast table is handed the other one's layout.
 void gemm_i8_packed_into(const MatI8& a, const PackedI8& bp, MatI32& out);
 
 /// C = bias ⊕ A·B with B packed — the bias seeds the accumulator, which is
@@ -139,6 +163,10 @@ void requantize_i16_into(const MatI32& acc, std::int32_t mantissa, int shift,
 /// multiply), so they are bit-identical on every input, ±inf, huge values
 /// and NaN (→ 0) included.
 void quantize_i8_into(const MatF& x, float scale, MatI8& out);
+
+/// quantize_i8_into over the n values at x, into out[0, n).
+void quantize_i8_row(const float* x, std::size_t n, float scale,
+                     std::int8_t* out);
 
 /// out(r,c) = FixedPointScale{mantissa, shift}.apply_i16(m(r,c)): the INT8
 /// residual into the INT16 G domain. Any int32 mantissa and shift; the AVX2

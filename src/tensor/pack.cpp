@@ -1,30 +1,14 @@
 #include "tensor/pack.hpp"
 
-#include <algorithm>
+#include "tensor/kernels.hpp"
 
 namespace tfacc {
 namespace {
 
 template <typename T>
-PackedB<T> pack_b(const Matrix<T>& b) {
-  constexpr int kPanelCols = PackedB<T>::kPanelCols;
-  PackedB<T> out;
-  out.k = b.rows();
-  out.n = b.cols();
-  const int k = out.k, n = out.n;
-  const int panels = (n + kPanelCols - 1) / kPanelCols;
-  const std::size_t stride = out.panel_stride();
-  out.data.assign(static_cast<std::size_t>(panels) * stride, T{});
-  // Panel by panel, so that the writes run front to back through the block.
-  for (int p = 0; p < panels; ++p) {
-    const int cols = std::min(kPanelCols, n - p * kPanelCols);
-    T* panel = out.data.data() + static_cast<std::size_t>(p) * stride;
-    for (int r = 0; r < k; ++r) {
-      const T* src = b.row(r) + p * kPanelCols;
-      T* dst = panel + out.offset(r, 0);
-      for (int c = 0; c < cols; ++c) dst[2 * c] = src[c];
-    }
-  }
+PackedB<T> pack_b(const Matrix<T>& b, PackLayout layout) {
+  PackedB<T> out = PackedB<T>::zeros(b.rows(), b.cols(), layout);
+  for (int r = 0; r < b.rows(); ++r) out.set_row(r, b.row(r));
   return out;
 }
 
@@ -38,8 +22,17 @@ Matrix<T> unpack_b(const PackedB<T>& p) {
 
 }  // namespace
 
-PackedI8 pack_b_i8(const MatI8& b) { return pack_b(b); }
-PackedI16 pack_b_i16(const MatI16& b) { return pack_b(b); }
+const char* pack_layout_name(PackLayout layout) {
+  return layout == PackLayout::kQuads ? "k-quad" : "k-pair";
+}
+
+PackedI8 pack_b_i8(const MatI8& b, PackLayout layout) {
+  return pack_b(b, layout);
+}
+PackedI8 pack_b_i8(const MatI8& b) {
+  return pack_b(b, kernels::packed_layout());
+}
+PackedI16 pack_b_i16(const MatI16& b) { return pack_b(b, PackLayout::kPairs); }
 
 MatI8 unpack_b_i8(const PackedI8& p) { return unpack_b(p); }
 MatI16 unpack_b_i16(const PackedI16& p) { return unpack_b(p); }

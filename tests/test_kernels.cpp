@@ -1,9 +1,10 @@
-// Kernel suite: the SIMD GEMM dispatch must be bit-identical to the scalar
-// reference on every shape (ragged tails, 1×1, empty edges), the
-// packed-B layout must round-trip and stay cache-line aligned, the
-// TFACC_KERNEL knob must parse/refresh correctly, and — the tentpole
-// invariant — a warm packed decode step must perform ZERO heap allocations
-// on all three backends (enforced with a global operator-new counter).
+// Kernel suite: the SIMD and AMX GEMM dispatch must be bit-identical to the
+// scalar reference on every shape (ragged tails, 1×1, empty edges), both
+// packed-B layouts must round-trip and stay cache-line aligned, each fast
+// table must refuse the other's layout, the TFACC_KERNEL knob must
+// parse/refresh correctly, and — the tentpole invariant — a warm packed
+// decode step must perform ZERO heap allocations on all three backends
+// (enforced with a global operator-new counter).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -160,9 +161,28 @@ void expect_same(const Matrix<T>& got, const Matrix<T>& want,
           << " under kernel " << kernels::kind_name(kernels::selected());
 }
 
+/// A test under one kernel kind. An amx case skips where the host has no
+/// AMX: kAmx runs the simd table there, which the simd case covers.
+class KindTest : public ::testing::TestWithParam<kernels::Kind> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == kernels::Kind::kAmx && !kernels::amx_available())
+      GTEST_SKIP() << "no AMX-INT8 tiles on this host (or the OS refused "
+                      "the tile state): amx runs the simd table here";
+  }
+};
+
+/// The kinds every kind-parameterized suite runs under, named by kind.
+const auto kAllKinds = ::testing::Values(
+    kernels::Kind::kScalar, kernels::Kind::kSimd, kernels::Kind::kAmx);
+std::string kind_param_name(
+    const ::testing::TestParamInfo<kernels::Kind>& info) {
+  return kernels::kind_name(info.param);
+}
+
 // --- Cross-kind bit-identity over the shape grid ----------------------------
 
-class KernelEquivalence : public ::testing::TestWithParam<kernels::Kind> {};
+class KernelEquivalence : public KindTest {};
 
 TEST_P(KernelEquivalence, MatchesScalarBitExact) {
   Rng rng(1234);
@@ -334,36 +354,41 @@ TEST_P(KernelEquivalence, F32TileEdgesMatchScalar) {
 // --- The int8 GEMM kernels' tile edges --------------------------------------
 // The A·Bᵀ microkernel behind gemm_nt_i8 runs 4×2 tiles over full 4-row
 // blocks, r×4 tiles over the 1–3 remainder rows, single columns at the n
-// edge, and a scalar loop over the k tail past the 16-wide steps. The
+// edge, and a scalar loop over the k tail past the 16-wide steps. The AVX2
 // packed kernel runs 4-row blocks and 1–3-row remainder blocks, tiles of
 // two panels (three on the remainder rows) and fewer at the n edge, a
 // masked partial last panel, an odd k's zero-padded last pair, and a new
-// pass per chunk of kernels::kPackedKChunk k. The grid crosses every one of
-// those edges, with the scalar table as the oracle.
+// pass per chunk of kernels::kPackedKChunk k. The AMX packed kernel runs
+// 16-row blocks and a shorter last one, groups of four 16-column panels and
+// fewer at the n edge, a partial last panel, and 64-k tiles with a partial
+// k tail. The grid crosses every one of those edges, with the scalar table
+// as the oracle, each kind over a pack built in its own layout.
 
 TEST_P(KernelEquivalence, AbtTileEdgesMatchScalar) {
   constexpr int kChunk = kernels::kPackedKChunk;
   Rng rng(1717);
-  for (const int m : {1, 2, 3, 4, 5, 7, 8, 16, 17})
-    for (const int n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 24, 25, 63, 64,
-                        65})
-      for (const int k : {0, 1, 15, 16, 17, 31, 32, 33, 64, 65, kChunk - 1,
-                          kChunk, kChunk + 1, 2048}) {
+  for (const int m : {1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 32, 33})
+    for (const int n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 24, 25, 33, 63,
+                        64, 65})
+      for (const int k : {0, 1, 3, 4, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127,
+                          128, 129, kChunk - 1, kChunk, kChunk + 1, 2048}) {
         const Shape s{m, k, n};
         const MatI8 a = rand_i8(m, k, rng);
         const MatI8 bt = rand_i8(n, k, rng);  // Bᵀ, the A·Bᵀ operand
-        const PackedI8 bp = pack_b_i8(transpose(bt));
+        const MatI8 b = transpose(bt);
         std::vector<std::int32_t> bias(static_cast<std::size_t>(n));
         for (auto& v : bias) v = rng.uniform_int(-100000, 100000);
 
         MatI32 want_nt(m, n), want_packed(m, n), want_bias(m, n);
         {
           KindGuard g(kernels::Kind::kScalar);
+          const PackedI8 bp = pack_b_i8(b);
           kernels::gemm_nt_i8_into(a, bt, want_nt);
           kernels::gemm_i8_packed_into(a, bp, want_packed);
           kernels::gemm_i8_packed_bias_into(a, bp, bias, want_bias);
         }
         KindGuard g(GetParam());
+        const PackedI8 bp = pack_b_i8(b);
         MatI32 got(m, n);
         kernels::gemm_nt_i8_into(a, bt, got);
         expect_same(got, want_nt, "gemm_nt_i8", s);
@@ -405,16 +430,17 @@ TEST_P(KernelEquivalence, AbtExtremeOperandsAreExact) {
       {"A, B 127/-128 out of phase", true, true, 1, 1024 * (2 * 127 * -128)},
   };
   // Every pair sum of the all-(−128) case is exactly 2¹⁵. m crosses the
-  // A·Bᵀ kernel's 4×2, 4×1, r×4 and r×1 tiles and the packed kernel's 4-row
-  // and remainder blocks; n = 5 is one partial panel, n = 17 two full panels
-  // and a partial one.
+  // A·Bᵀ kernel's 4×2, 4×1, r×4 and r×1 tiles and the AVX2 packed kernel's
+  // 4-row and remainder blocks; n = 5 is one partial panel, n = 17 two full
+  // k-pair panels and a partial one (one full k-quad panel and a partial
+  // one). Each kind packs in its own layout.
   for (const int m : {1, 5, 7})
     for (const int n : {5, 17}) {
       const Shape s{m, kK, n};
       for (const Case& c : cases) {
         const MatI8 a = extreme_i8(m, kK, c.a_alt, 0);
         const MatI8 bt = extreme_i8(n, kK, c.b_alt, c.b_phase);
-        const PackedI8 bp = pack_b_i8(transpose(bt));
+        const MatI8 b = transpose(bt);
         // A bias at the clamp bound QuantizedLinear::build enforces: with
         // the largest dot it lands exactly on INT32_MAX (resp. near
         // INT32_MIN).
@@ -427,6 +453,7 @@ TEST_P(KernelEquivalence, AbtExtremeOperandsAreExact) {
         for (const kernels::Kind kind :
              {kernels::Kind::kScalar, GetParam()}) {
           KindGuard g(kind);
+          const PackedI8 bp = pack_b_i8(b);
           MatI32 got(m, n);
           kernels::gemm_nt_i8_into(a, bt, got);
           expect_same(got, want, c.what, s);
@@ -714,18 +741,14 @@ TEST_P(KernelEquivalence, ReluI32ClampsInPlace) {
         << "relu_i32 at " << i;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllKinds, KernelEquivalence,
-                         ::testing::Values(kernels::Kind::kScalar,
-                                           kernels::Kind::kSimd),
-                         [](const auto& info) {
-                           return std::string(kernels::kind_name(info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(AllKinds, KernelEquivalence, kAllKinds,
+                         kind_param_name);
 
 // --- Softmax row model (PR 9) -----------------------------------------------
 // The batched AVX2 row path inside SoftmaxUnit::row dispatches off the same
-// kernel knob; the SIMD selection must produce bit-identical INT8 probability
-// rows, including the gates that force the scalar stages: n < 8, a fully
-// masked row, and an unmasked spread wider than int32.
+// kernel knob; both fast selections must produce bit-identical INT8
+// probability rows, including the gates that force the scalar stages:
+// n < 8, a fully masked row, and an unmasked spread wider than int32.
 
 TEST(SoftmaxRowDispatch, RowsMatchScalarBitExact) {
   Rng rng(2718);
@@ -753,22 +776,29 @@ TEST(SoftmaxRowDispatch, RowsMatchScalarBitExact) {
           KindGuard g(kernels::Kind::kScalar);
           unit.row(d.data(), mask.data(), n, want.data());
         }
-        std::vector<std::int8_t> got(static_cast<std::size_t>(n));
-        KindGuard g(kernels::Kind::kSimd);
-        unit.row(d.data(), mask.data(), n, got.data());
-        EXPECT_EQ(got, want) << "softmax row, d_scale=" << d_scale
-                             << " n=" << n << " flavor=" << flavor;
+        for (const kernels::Kind kind :
+             {kernels::Kind::kSimd, kernels::Kind::kAmx}) {
+          std::vector<std::int8_t> got(static_cast<std::size_t>(n));
+          KindGuard g(kind);
+          unit.row(d.data(), mask.data(), n, got.data());
+          EXPECT_EQ(got, want)
+              << "softmax row, d_scale=" << d_scale << " n=" << n
+              << " flavor=" << flavor << " under " << kernels::kind_name(kind);
+        }
       }
     }
   }
 }
 
-// --- Packed layout ----------------------------------------------------------
-// pack_b_* stores B (k×n) as ⌈n/8⌉ column panels of ⌈k/2⌉ k-pairs, and
-// k-pair q of panel p as B(2q, 8p + c), B(2q + 1, 8p + c) for c = 0..7, zero
-// past k or n. The check walks the storage itself, so it pins the layout the
-// AVX2 kernel reads, not only the accessor. kShapes has partial last panels
-// (n = 1, 3, 7, 31, 65, 100) and odd k (1, 5, 7, 33, 127).
+// --- Packed layouts ---------------------------------------------------------
+// The k-pair layout stores B (k×n) as ⌈n/8⌉ column panels of ⌈k/2⌉ k-pairs,
+// and k-pair q of panel p as B(2q, 8p + c), B(2q + 1, 8p + c) for c = 0..7;
+// the k-quad layout as ⌈n/16⌉ panels of ⌈k/64⌉·16 k-quads, and k-quad q of
+// panel p as B(4q, 16p + c), …, B(4q + 3, 16p + c) for c = 0..15. Both are
+// zero past k or n. The checks walk the storage itself, so they pin the
+// layouts the AVX2 and AMX kernels read, not only the accessor. kShapes has
+// partial last panels (n = 1, 3, 7, 31, 65, 100) and k off every group
+// (1, 5, 7, 33, 66, 100, 127).
 
 template <typename T>
 void expect_panel_layout(const PackedB<T>& p, const Matrix<T>& b) {
@@ -787,15 +817,40 @@ void expect_panel_layout(const PackedB<T>& p, const Matrix<T>& b) {
   }
 }
 
+/// The k-quad twin of expect_panel_layout.
+void expect_quad_layout(const PackedI8& p, const MatI8& b) {
+  const std::size_t panels = (static_cast<std::size_t>(b.cols()) + 15) / 16;
+  const std::size_t quad_run = (static_cast<std::size_t>(b.rows()) + 63) / 64 * 16;
+  const std::size_t panel_elems = quad_run * 64;
+  ASSERT_EQ(p.data.size(), panels * panel_elems);
+  for (std::size_t e = 0; e < p.data.size(); ++e) {
+    const std::size_t within = e % panel_elems;
+    const int r = static_cast<int>(4 * (within / 64) + within % 4);
+    const int c = static_cast<int>(16 * (e / panel_elems) + within % 64 / 4);
+    const bool inside = r < b.rows() && c < b.cols();
+    ASSERT_EQ(p.data[e], inside ? b(r, c) : std::int8_t{0})
+        << "element " << e << " holds B(" << r << ',' << c << ") of "
+        << b.rows() << 'x' << b.cols() << (inside ? "" : ", padding");
+  }
+}
+
 TEST(PackB, RoundTripsAndPadsWithZeros) {
   Rng rng(7);
   for (const Shape& s : kShapes) {
     const MatI8 b8 = rand_i8(s.k, s.n, rng);
-    const PackedI8 p8 = pack_b_i8(b8);
+    const PackedI8 p8 = pack_b_i8(b8, PackLayout::kPairs);
     EXPECT_EQ(p8.k, s.k);
     EXPECT_EQ(p8.n, s.n);
+    EXPECT_EQ(p8.layout, PackLayout::kPairs);
     EXPECT_EQ(unpack_b_i8(p8), b8);
     expect_panel_layout(p8, b8);
+
+    const PackedI8 q8 = pack_b_i8(b8, PackLayout::kQuads);
+    EXPECT_EQ(q8.k, s.k);
+    EXPECT_EQ(q8.n, s.n);
+    EXPECT_EQ(q8.layout, PackLayout::kQuads);
+    EXPECT_EQ(unpack_b_i8(q8), b8);
+    expect_quad_layout(q8, b8);
 
     const MatI16 b16 = rand_i16(s.k, s.n, rng);
     const PackedI16 p16 = pack_b_i16(b16);
@@ -807,13 +862,55 @@ TEST(PackB, RoundTripsAndPadsWithZeros) {
 }
 
 TEST(PackB, RowsAreCacheLineAligned) {
-  // The pack's block starts on a cache line; panels are whole k-pairs, so
-  // no k-pair (16 bytes of int8, 32 of int16) straddles one.
+  // The pack's block starts on a cache line; panels are whole groups, so no
+  // k-pair (16 bytes of int8, 32 of int16) or k-quad row (64 bytes)
+  // straddles one.
   Rng rng(8);
-  const PackedI8 p8 = pack_b_i8(rand_i8(101, 23, rng));
+  const MatI8 b8 = rand_i8(101, 23, rng);
+  const PackedI8 p8 = pack_b_i8(b8, PackLayout::kPairs);
+  const PackedI8 q8 = pack_b_i8(b8, PackLayout::kQuads);
   const PackedI16 p16 = pack_b_i16(rand_i16(101, 23, rng));
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p8.data.data()) % 64, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(q8.data.data()) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p16.data.data()) % 64, 0u);
+}
+
+// Each fast table reads only its own layout and refuses the other's; the
+// scalar table reads both. pack_b_i8 packs in the selected table's.
+TEST(PackB, FastTablesRefuseTheOtherLayout) {
+  Rng rng(9);
+  const MatI8 a = rand_i8(5, 70, rng);
+  const MatI8 b = rand_i8(70, 19, rng);
+  const std::vector<std::int32_t> bias(19, 3);
+  const PackedI8 pairs = pack_b_i8(b, PackLayout::kPairs);
+  const PackedI8 quads = pack_b_i8(b, PackLayout::kQuads);
+  MatI32 want(5, 19), got(5, 19);
+  {
+    KindGuard g(kernels::Kind::kScalar);
+    EXPECT_EQ(kernels::packed_layout(), PackLayout::kPairs);
+    kernels::gemm_i8_packed_into(a, pairs, want);
+    kernels::gemm_i8_packed_into(a, quads, got);
+    EXPECT_EQ(got, want) << "the scalar table read the k-quad pack";
+  }
+  if (!kernels::simd_available()) GTEST_SKIP() << "no AVX2 on this host";
+  {
+    KindGuard g(kernels::Kind::kSimd);
+    EXPECT_EQ(kernels::packed_layout(), PackLayout::kPairs);
+    EXPECT_THROW(kernels::gemm_i8_packed_into(a, quads, got), CheckError);
+    EXPECT_THROW(kernels::gemm_i8_packed_bias_into(a, quads, bias, got),
+                 CheckError);
+  }
+  if (!kernels::amx_available()) GTEST_SKIP() << "no AMX-INT8 on this host";
+  {
+    KindGuard g(kernels::Kind::kAmx);
+    EXPECT_EQ(kernels::packed_layout(), PackLayout::kQuads);
+    EXPECT_EQ(pack_b_i8(b).layout, PackLayout::kQuads);
+    EXPECT_THROW(kernels::gemm_i8_packed_into(a, pairs, got), CheckError);
+    EXPECT_THROW(kernels::gemm_i8_packed_bias_into(a, pairs, bias, got),
+                 CheckError);
+    kernels::gemm_i8_packed_into(a, quads, got);
+    EXPECT_EQ(got, want);
+  }
 }
 
 // --- Dispatch knob ----------------------------------------------------------
@@ -824,6 +921,8 @@ TEST(KernelDispatch, ParsesKnownKindsOnly) {
   EXPECT_EQ(k, kernels::Kind::kScalar);
   EXPECT_TRUE(kernels::parse_kind("simd", &k));
   EXPECT_EQ(k, kernels::Kind::kSimd);
+  EXPECT_TRUE(kernels::parse_kind("amx", &k));
+  EXPECT_EQ(k, kernels::Kind::kAmx);
   EXPECT_FALSE(kernels::parse_kind("blocked", &k));
   EXPECT_FALSE(kernels::parse_kind("avx512", &k));
   EXPECT_FALSE(kernels::parse_kind("", &k));
@@ -845,8 +944,13 @@ TEST(KernelDispatch, RefreshFromEnvReadsTheKnob) {
   EXPECT_THROW(kernels::refresh_from_env(), CheckError);
   ASSERT_EQ(setenv("TFACC_KERNEL", "blocked", 1), 0);  // retired kind
   EXPECT_THROW(kernels::refresh_from_env(), CheckError);
+  ASSERT_EQ(setenv("TFACC_KERNEL", "amx", 1), 0);
+  EXPECT_EQ(kernels::refresh_from_env(), kernels::Kind::kAmx);
   ASSERT_EQ(unsetenv("TFACC_KERNEL"), 0);
-  EXPECT_EQ(kernels::refresh_from_env(), kernels::Kind::kSimd);  // default
+  // The default is the best table the host offers.
+  EXPECT_EQ(kernels::refresh_from_env(), kernels::amx_available()
+                                             ? kernels::Kind::kAmx
+                                             : kernels::Kind::kSimd);
   kernels::set_kind(saved);
 }
 
@@ -915,7 +1019,7 @@ long measure_step_allocs(Transformer& model, const Fn& bracket) {
   return measured;
 }
 
-class ZeroAllocStep : public ::testing::TestWithParam<kernels::Kind> {};
+class ZeroAllocStep : public KindTest {};
 
 TEST_P(ZeroAllocStep, ReferenceBackend) {
   KindGuard g(GetParam());
@@ -966,12 +1070,7 @@ TEST_P(ZeroAllocStep, AcceleratorBackendFusedStep) {
   EXPECT_GT(stats.fused_steps, 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllKinds, ZeroAllocStep,
-                         ::testing::Values(kernels::Kind::kScalar,
-                                           kernels::Kind::kSimd),
-                         [](const auto& info) {
-                           return std::string(kernels::kind_name(info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(AllKinds, ZeroAllocStep, kAllKinds, kind_param_name);
 
 }  // namespace
 }  // namespace tfacc

@@ -431,19 +431,23 @@ class BuildHash {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-// The build's FP32 decode runs on the selected kernel table; both tables
-// must give the same build, bit for bit.
+// The build's FP32 decode runs on the selected kernel table, and its packs
+// take that table's layout; every table must give the same build, bit for
+// bit. An amx case skips where the host has no AMX (kAmx runs the simd
+// table there).
 class QuantizedBuildByKind
     : public ::testing::TestWithParam<kernels::Kind> {
  protected:
   void SetUp() override {
-    saved_ = kernels::selected();
+    if (GetParam() == kernels::Kind::kAmx && !kernels::amx_available())
+      GTEST_SKIP() << "no AMX-INT8 tiles on this host (or the OS refused "
+                      "the tile state): amx runs the simd table here";
     kernels::set_kind(GetParam());
   }
   void TearDown() override { kernels::set_kind(saved_); }
 
  private:
-  kernels::Kind saved_ = kernels::Kind::kSimd;
+  kernels::Kind saved_ = kernels::selected();
 };
 
 TEST_P(QuantizedBuildByKind, BuildOutputIsPinned) {
@@ -474,7 +478,8 @@ TEST_P(QuantizedBuildByKind, BuildOutputIsPinned) {
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, QuantizedBuildByKind,
                          ::testing::Values(kernels::Kind::kScalar,
-                                           kernels::Kind::kSimd),
+                                           kernels::Kind::kSimd,
+                                           kernels::Kind::kAmx),
                          [](const auto& info) {
                            return std::string(kernels::kind_name(info.param));
                          });
