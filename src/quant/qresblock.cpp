@@ -95,11 +95,18 @@ QuantizedLinear QuantizedLinear::build(const MatF& w,
   // layout of the selected kernel table.
   q.wpack = PackedI8::zeros(w.rows(), w.cols(), kernels::packed_layout());
   if (granularity == WeightGranularity::kPerTensor) {
-    // Row by row through the hook quantizer's kernel (quantize_i8's).
-    std::vector<std::int8_t> row(static_cast<std::size_t>(w.cols()));
-    for (int r = 0; r < w.rows(); ++r) {
-      kernels::quantize_i8_row(w.row(r), row.size(), q.w_scale, row.data());
-      q.wpack.set_row(r, row.data());
+    // Through the hook quantizer's kernel (quantize_i8's), a block of whole
+    // rows of w (contiguous) per call, staged in an L1-sized buffer.
+    constexpr int kStageBytes = 16384;
+    const int n = w.cols();
+    const int block = std::max(1, kStageBytes / std::max(1, n));
+    std::vector<std::int8_t> stage(static_cast<std::size_t>(block) * n);
+    for (int r0 = 0; r0 < w.rows(); r0 += block) {
+      const int h = std::min(block, w.rows() - r0);
+      kernels::quantize_i8_span(w.row(r0), static_cast<std::size_t>(h) * n,
+                                q.w_scale, stage.data());
+      for (int r = 0; r < h; ++r)
+        q.wpack.set_row(r0 + r, stage.data() + static_cast<std::size_t>(r) * n);
     }
     q.bias = quantize_bias(bias, in_scale, q.w_scale);
     for (std::int32_t& b : q.bias) b = std::clamp(b, -bound, bound);

@@ -1444,8 +1444,8 @@ void quantize_i8_into(const MatF& x, float scale, MatI8& out) {
   table().quantize_i8(x.data(), x.size(), scale, out.data());
 }
 
-void quantize_i8_row(const float* x, std::size_t n, float scale,
-                     std::int8_t* out) {
+void quantize_i8_span(const float* x, std::size_t n, float scale,
+                      std::int8_t* out) {
   table().quantize_i8(x, n, scale, out);
 }
 

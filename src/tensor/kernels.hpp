@@ -165,8 +165,8 @@ void requantize_i16_into(const MatI32& acc, std::int32_t mantissa, int shift,
 void quantize_i8_into(const MatF& x, float scale, MatI8& out);
 
 /// quantize_i8_into over the n values at x, into out[0, n).
-void quantize_i8_row(const float* x, std::size_t n, float scale,
-                     std::int8_t* out);
+void quantize_i8_span(const float* x, std::size_t n, float scale,
+                      std::int8_t* out);
 
 /// out(r,c) = FixedPointScale{mantissa, shift}.apply_i16(m(r,c)): the INT8
 /// residual into the INT16 G domain. Any int32 mantissa and shift; the AVX2

@@ -111,13 +111,19 @@ struct PackedB {
 
   /// Writes row r of B, the n values at src, into its slots.
   void set_row(int r, const T* src) {
-    const int cols = panel_cols(), group = k_group();
+    if (layout == PackLayout::kQuads) set_row_in<16, 4>(r, src);
+    else set_row_in<8, 2>(r, src);
+  }
+
+  /// set_row in panels of kCols columns and groups of kGroup k.
+  template <int kCols, int kGroup>
+  void set_row_in(int r, const T* src) {
     const std::size_t stride = panel_stride();
-    T* slot = data.data() + offset(r, 0);
-    for (int c0 = 0; c0 < n; c0 += cols, slot += stride) {
-      const int w = std::min(cols, n - c0);
-      for (int c = 0; c < w; ++c) slot[c * group] = src[c0 + c];
-    }
+    T* slot = data.data() + offset_in<kCols, kGroup>(r, 0);
+    int c0 = 0;
+    for (; c0 + kCols <= n; c0 += kCols, slot += stride)
+      for (int c = 0; c < kCols; ++c) slot[c * kGroup] = src[c0 + c];
+    for (int c = 0; c < n - c0; ++c) slot[c * kGroup] = src[c0 + c];
   }
 };
 
