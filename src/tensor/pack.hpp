@@ -79,9 +79,6 @@ struct PackedB {
   /// Columns per panel: 8 (kPairs) or 16 (kQuads).
   int panel_cols() const { return layout == PackLayout::kQuads ? 16 : 8; }
 
-  /// Consecutive k per group: 2 (kPairs) or 4 (kQuads).
-  int k_group() const { return layout == PackLayout::kQuads ? 4 : 2; }
-
   /// Elements per panel: k padded to whole groups (kPairs) or to a multiple
   /// of kQuadBlockK (kQuads), times the panel's columns.
   std::size_t panel_stride() const {
