@@ -339,9 +339,9 @@ int main(int argc, char** argv) {
   // allocation-free and every projection runs through the packed INT8
   // kernels, so the kernel dispatch is the only thing this sweep varies.
   // Outputs must stay bit-identical across kinds (integer kernels are exact
-  // under vectorization). The gate — SIMD >= 2x scalar wall sentences/sec — lands
-  // in BENCH_wallclock.json for perf_gate.py (skipped on hosts whose kernel
-  // capability differs from the baseline's).
+  // under vectorization). The gate — SIMD >= 2x scalar wall sentences/sec —
+  // lands in BENCH_wallclock.json for perf_gate.py (skipped on hosts whose
+  // kernel capability differs from the baseline's).
   bench::title("Measured wall-clock serve throughput per kernel (16 slots, "
                "1 card, quantized backend, d_model 256)");
   ModelConfig wc_cfg;

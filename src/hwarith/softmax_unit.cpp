@@ -326,7 +326,8 @@ Matrix<std::int8_t> SoftmaxUnit::operator()(
     const MatI32& d, const Matrix<std::uint8_t>& mask) const {
   TFACC_CHECK_ARG(d.rows() == mask.rows() && d.cols() == mask.cols());
   Matrix<std::int8_t> out(d.rows(), d.cols());
-  for (int r = 0; r < d.rows(); ++r) row(d.row(r), mask.row(r), d.cols(), out.row(r));
+  for (int r = 0; r < d.rows(); ++r)
+    row(d.row(r), mask.row(r), d.cols(), out.row(r));
   return out;
 }
 

@@ -308,8 +308,11 @@ __attribute__((target("avx2"))) void f32_tile_avx2(const F32Group& g, int j,
 #pragma GCC unroll 4
     for (int v = 0; v < NV; ++v) {
       float* const o = out + r * ldb + v * kF32Lanes;
-      if (kMaskLast && v == NV - 1) _mm256_maskstore_ps(o, mask, acc[r][v]);
-      else _mm256_storeu_ps(o, acc[r][v]);
+      if (kMaskLast && v == NV - 1) {
+        _mm256_maskstore_ps(o, mask, acc[r][v]);
+      } else {
+        _mm256_storeu_ps(o, acc[r][v]);
+      }
     }
 }
 
@@ -563,8 +566,11 @@ __attribute__((target("avx2"))) __m256i load_lanes(const std::int32_t* p,
 
 __attribute__((target("avx2"))) void store_lanes(std::int32_t* p, bool masked,
                                                  __m256i mask, __m256i v) {
-  if (masked) _mm256_maskstore_epi32(p, mask, v);
-  else _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  if (masked) {
+    _mm256_maskstore_epi32(p, mask, v);
+  } else {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
 }
 
 /// The MR × 8·NP outputs of panels [pan, pan + NP); with kMaskLast the last
@@ -698,13 +704,16 @@ __attribute__((target("avx2"))) void gemm_i8_packed_avx2(
 // tmm5–7. The C tiles start from the bias by a stride-0 tile load (every
 // row reads the same 16 values), or from zero.
 //
-// Tile configuration is per thread, so every call loads it and releases the
-// tiles at the end. GCC's intrinsics are inline asm that names its tile
-// register literally, so tile numbers are spelled out, and that asm
-// declares none of the memory a tile load reads: every buffer a tile load
-// reads is filled before a compiler barrier. Without one, GCC 12 dropped the
-// stores that fill the local configuration, and the first tile load
-// faulted.
+// The tile configuration is per-thread state that Linux saves and restores
+// with the thread. So a thread loads it only when its block row count
+// changes, and keeps it (and the tiles) between calls: loading it and
+// releasing the tiles on every call made serial one-row decode at d_model
+// 64 15–20% slower than on the AVX2 table. GCC's intrinsics are inline
+// asm that names its tile register literally, so tile numbers are spelled
+// out, and that asm declares none of the memory a tile load reads: every
+// buffer a tile load reads is filled before a compiler barrier. Without
+// one, GCC 12 dropped the stores that fill the local configuration, and the
+// first tile load faulted.
 //
 // ASan instruments no tile load or store, so no tile may reach past the
 // end of A, the bias or out: each partial tile goes through a zeroed stack
@@ -734,9 +743,14 @@ struct AmxConfig {
 };
 static_assert(sizeof(AmxConfig) == 64);
 
-/// Configures blocks of `rows` rows: the C tiles tmm0–3 and the A tile tmm4
-/// `rows` × 64 bytes, the B tiles tmm5–7 16 × 64 bytes.
+/// The block row count the calling thread's tiles are configured for, or 0.
+thread_local int amx_configured_rows = 0;
+
+/// Configures blocks of `rows` rows, unless the calling thread's tiles
+/// already are: the C tiles tmm0–3 and the A tile tmm4 `rows` × 64 bytes,
+/// the B tiles tmm5–7 16 × 64 bytes.
 __attribute__((target("amx-tile"))) void amx_configure(int rows) {
+  if (rows == amx_configured_rows) return;
   AmxConfig cfg;
   for (int t = 0; t < 8; ++t) {
     cfg.colsb[t] = 64;
@@ -744,6 +758,7 @@ __attribute__((target("amx-tile"))) void amx_configure(int rows) {
   }
   asm volatile("" : : "r"(&cfg) : "memory");  // keeps the stores above
   _tile_loadconfig(&cfg);
+  amx_configured_rows = rows;
 }
 
 /// What every panel group of one row block shares.
@@ -838,14 +853,21 @@ __attribute__((target("amx-tile,amx-int8"))) void gemm_i8_packed_amx(
   const int m = a.rows(), k = bp.k, n = bp.n;
   if (m == 0 || n == 0) return;
   const int panels = (n + kAmxCols - 1) / kAmxCols;
-  // The partial tiles' buffers. Only their first `tail` bytes of a row (A)
-  // and `n % 16` values (bias) are ever written, so the rest stays zero.
-  alignas(64) std::int8_t a_tail[kAmxRows * kAmxK] = {};
-  alignas(64) std::int32_t bias_tail[kAmxCols] = {};
-  alignas(64) std::int32_t c_tail[kAmxRows * kAmxCols] = {};
-  if (bias != nullptr && n % kAmxCols != 0)
-    std::memcpy(bias_tail, bias + (panels - 1) * kAmxCols,
-                static_cast<std::size_t>(n % kAmxCols) * 4);
+  // The partial tiles' buffers, zeroed only where a partial tile exists:
+  // no serve width has one, and a one-row call is short enough for 2 KB of
+  // stores to show. Only their first `tail` bytes of a row (A) and `n % 16`
+  // values (bias) are ever written, so the rest stays zero.
+  alignas(64) std::int8_t a_tail[kAmxRows * kAmxK];
+  alignas(64) std::int32_t bias_tail[kAmxCols];
+  alignas(64) std::int32_t c_tail[kAmxRows * kAmxCols];
+  if (k % kAmxK != 0) std::memset(a_tail, 0, sizeof a_tail);
+  if (n % kAmxCols != 0) {
+    std::memset(bias_tail, 0, sizeof bias_tail);
+    std::memset(c_tail, 0, sizeof c_tail);
+    if (bias != nullptr)
+      std::memcpy(bias_tail, bias + (panels - 1) * kAmxCols,
+                  static_cast<std::size_t>(n % kAmxCols) * 4);
+  }
   AmxBlock g{.a = nullptr,
              .lda = static_cast<std::size_t>(k),
              .a_tail = a_tail,
@@ -861,7 +883,7 @@ __attribute__((target("amx-tile,amx-int8"))) void gemm_i8_packed_amx(
              .rows = 0};
   for (int i0 = 0; i0 < m; i0 += kAmxRows) {
     const int rows = std::min(kAmxRows, m - i0);
-    if (rows != g.rows) amx_configure(rows);  // the first block, the last
+    amx_configure(rows);
     g.a = a.row(i0);
     g.out = out.row(i0);
     g.rows = rows;
@@ -879,7 +901,6 @@ __attribute__((target("amx-tile,amx-int8"))) void gemm_i8_packed_amx(
     if (panels - pan == 2) amx_panels<2>(g, pan);
     if (panels - pan == 3) amx_panels<3>(g, pan);
   }
-  _tile_release();
 }
 
 #endif  // TFACC_KERNELS_AMX
@@ -1323,10 +1344,15 @@ const char* kind_name(Kind kind) {
 bool parse_kind(const char* spec, Kind* out) {
   if (spec == nullptr || out == nullptr) return false;
   const std::string_view s(spec);
-  if (s == "scalar") *out = Kind::kScalar;
-  else if (s == "simd") *out = Kind::kSimd;
-  else if (s == "amx") *out = Kind::kAmx;
-  else return false;
+  if (s == "scalar") {
+    *out = Kind::kScalar;
+  } else if (s == "simd") {
+    *out = Kind::kSimd;
+  } else if (s == "amx") {
+    *out = Kind::kAmx;
+  } else {
+    return false;
+  }
   return true;
 }
 
@@ -1355,7 +1381,8 @@ bool amx_available() {
 #if TFACC_KERNELS_AMX
   static const bool has = [] {
     unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-    if (!simd_available() || __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0)
+    if (!simd_available() ||
+        __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0)
       return false;
     constexpr unsigned kAmxTile = 1U << 24, kAmxInt8 = 1U << 25;  // EDX
     if ((edx & kAmxTile) == 0 || (edx & kAmxInt8) == 0) return false;

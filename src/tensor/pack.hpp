@@ -108,19 +108,25 @@ struct PackedB {
 
   /// Writes row r of B, the n values at src, into its slots.
   void set_row(int r, const T* src) {
-    if (layout == PackLayout::kQuads) set_row_in<16, 4>(r, src);
-    else set_row_in<8, 2>(r, src);
+    if (layout == PackLayout::kQuads) {
+      set_row_in<16, 4>(r, src);
+    } else {
+      set_row_in<8, 2>(r, src);
+    }
   }
 
-  /// set_row in panels of kCols columns and groups of kGroup k.
+  /// set_row in panels of kCols columns and groups of kGroup k. Slots are
+  /// indices, not pointers: no pointer is formed into an empty pack (n = 0)
+  /// or past the last panel.
   template <int kCols, int kGroup>
   void set_row_in(int r, const T* src) {
+    if (n == 0) return;
     const std::size_t stride = panel_stride();
-    T* slot = data.data() + offset_in<kCols, kGroup>(r, 0);
+    std::size_t slot = offset_in<kCols, kGroup>(r, 0);
     int c0 = 0;
     for (; c0 + kCols <= n; c0 += kCols, slot += stride)
-      for (int c = 0; c < kCols; ++c) slot[c * kGroup] = src[c0 + c];
-    for (int c = 0; c < n - c0; ++c) slot[c * kGroup] = src[c0 + c];
+      for (int c = 0; c < kCols; ++c) data[slot + c * kGroup] = src[c0 + c];
+    for (int c = 0; c < n - c0; ++c) data[slot + c * kGroup] = src[c0 + c];
   }
 };
 

@@ -820,7 +820,8 @@ void expect_panel_layout(const PackedB<T>& p, const Matrix<T>& b) {
 /// The k-quad twin of expect_panel_layout.
 void expect_quad_layout(const PackedI8& p, const MatI8& b) {
   const std::size_t panels = (static_cast<std::size_t>(b.cols()) + 15) / 16;
-  const std::size_t quad_run = (static_cast<std::size_t>(b.rows()) + 63) / 64 * 16;
+  const std::size_t quad_run =
+      (static_cast<std::size_t>(b.rows()) + 63) / 64 * 16;
   const std::size_t panel_elems = quad_run * 64;
   ASSERT_EQ(p.data.size(), panels * panel_elems);
   for (std::size_t e = 0; e < p.data.size(); ++e) {
